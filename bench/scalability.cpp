@@ -97,7 +97,7 @@ void BM_PlacementDecisionFullScan(benchmark::State& state) {
       }
     }
     benchmark::DoNotOptimize(
-        strategy->select(eligible, job, context, false));
+        strategy->select(eligible, job, context, hw::Tenancy::kWhole));
   }
   state.SetLabel(std::to_string(nodes) + " nodes");
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "hw/telemetry.h"
+#include "hw/tenancy.h"
 #include "util/time.h"
 #include "workload/job.h"
 
@@ -61,16 +62,10 @@ struct RegisterRequest {
   double gpu_memory_gb = 0;
   double compute_capability = 0;
   double gpu_tflops = 0;
-  /// Spatial share slots per GPU (1 = whole-device only) and the per-tenant
-  /// VRAM cap on a shared GPU.
-  int slots_per_gpu = 1;
+  /// Seats one GPU opens into per shared mode (<= 1: the mode is off), and
+  /// the per-tenant VRAM cap of a fractional slot.
+  hw::SeatCounts seats_per_gpu;
   double share_memory_cap_gb = 0;
-  /// nvshare-style time-slice seats per GPU (<=1 = mode disabled), the
-  /// working-set oversubscription bound, and the host swap bandwidth the
-  /// node pays at quantum boundaries.
-  int timeslice_tenants_per_gpu = 0;
-  double timeslice_oversub_ratio = 0;
-  double host_swap_gbps = 0;
 };
 
 struct RegisterResponse {
@@ -84,12 +79,9 @@ struct Heartbeat {
   std::string auth_token;
   std::uint64_t seq = 0;
   int free_gpus = 0;
-  /// Free slots on GPUs already running shared tenants (fully-free GPUs are
-  /// counted in free_gpus).
-  int free_shared_slots = 0;
-  /// Free seats on GPUs already in time-slice mode (fully-free GPUs are
-  /// counted in free_gpus).
-  int free_timeslice_slots = 0;
+  /// Free seats per shared mode on GPUs already open in it (fully-free GPUs
+  /// are counted in free_gpus).
+  hw::SeatCounts free_seats;
   bool accepting = true;  // false while paused
   /// Ids of jobs currently hosted; lets the coordinator reconcile records
   /// whose completion/kill notification was lost in transit.
@@ -109,13 +101,10 @@ struct DispatchRequest {
   /// begins (0 when nothing to restore).
   std::uint64_t restore_bytes = 0;
   std::string restore_from;
-  /// Coordinator placed the job into a fractional spatial slot; the agent
-  /// binds a shared tenant instead of whole devices.
-  bool fractional = false;
-  /// Coordinator placed the job into a time-slice seat; the agent binds a
-  /// full-memory tenant under the per-GPU quantum scheduler.  Mutually
-  /// exclusive with `fractional`.
-  bool timeslice = false;
+  /// How the coordinator placed the job: whole devices, a fractional slot,
+  /// or a time-slice seat (a full-memory tenant under the per-GPU quantum
+  /// scheduler).
+  hw::Tenancy tenancy = hw::Tenancy::kWhole;
 };
 
 struct DispatchResult {
@@ -125,8 +114,8 @@ struct DispatchResult {
   std::string reason;       // on rejection
   std::string container_id; // on acceptance
   std::vector<int> gpu_indices;  // devices bound on acceptance
-  /// Capacity share per bound GPU (1.0 exclusive; 1/slots for a shared
-  /// tenant).  Recorded in the allocation ledger.
+  /// Capacity share per bound GPU: 1/(seats per GPU of the mode), so 1.0
+  /// for whole devices.  Recorded in the allocation ledger.
   double gpu_fraction = 1.0;
 };
 

@@ -78,11 +78,10 @@ void ProviderAgent::send_register_request() {
     request.gpu_memory_gb = spec.memory_gb;
     request.compute_capability = spec.compute_capability;
     request.gpu_tflops = spec.fp32_tflops;
-    request.slots_per_gpu = node_.spec().share_slots_per_gpu;
+    for (const hw::Tenancy mode : hw::kSharedTenancies) {
+      request.seats_per_gpu[mode] = node_.seats_per_gpu(mode);
+    }
     request.share_memory_cap_gb = node_.share_memory_cap(0);
-    request.timeslice_tenants_per_gpu = node_.spec().timeslice_tenants_per_gpu;
-    request.timeslice_oversub_ratio = node_.spec().timeslice_oversub_ratio;
-    request.host_swap_gbps = node_.spec().host_swap_gbps;
   }
   send_control(kRegisterRequest, request, kRegisterBytes);
   // The request or its response may be lost; retry until activated (the
@@ -331,29 +330,10 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   }
 
   const auto& req = request.job.requirements;
-  const double working_set = workload::resolved_working_set_gb(request.job);
+  const hw::Tenancy mode = request.tenancy;
+  const double footprint = workload::footprint_gb(request.job, mode);
   std::vector<int> gpu_indices;
-  double gpu_fraction = 1.0;
-  if (request.timeslice) {
-    auto seat =
-        node_.find_timeslice_slot(working_set, req.min_compute_capability);
-    if (!seat) {
-      reject_dispatch(job_id, "no free GPU time-slice seat");
-      return;
-    }
-    gpu_indices = {*seat};
-    // Expected fair share under rotation, for honest ledger accounting.
-    gpu_fraction = 1.0 / std::max(1, node_.spec().timeslice_tenants_per_gpu);
-  } else if (request.fractional) {
-    auto slot = node_.find_share_slot(req.gpu_memory_gb,
-                                      req.min_compute_capability);
-    if (!slot) {
-      reject_dispatch(job_id, "no free GPU share slot");
-      return;
-    }
-    gpu_indices = {*slot};
-    gpu_fraction = 1.0 / std::max(1, node_.spec().share_slots_per_gpu);
-  } else {
+  if (mode == hw::Tenancy::kWhole) {
     auto gpus = node_.find_gpus(req.gpu_count, req.gpu_memory_gb,
                                 req.min_compute_capability);
     if (!gpus) {
@@ -361,7 +341,17 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
       return;
     }
     gpu_indices = *gpus;
+  } else {
+    auto seat = node_.find_seat(mode, footprint, req.min_compute_capability);
+    if (!seat) {
+      reject_dispatch(job_id, "no free GPU " +
+                                  std::string(hw::tenancy_unit(mode)));
+      return;
+    }
+    gpu_indices = {*seat};
   }
+  // Expected fair share of each bound GPU, for honest ledger accounting.
+  const double gpu_fraction = 1.0 / std::max(1, node_.seats_per_gpu(mode));
 
   container::ContainerConfig cfg;
   cfg.image = *image;
@@ -369,17 +359,14 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
                  ? container::ExecutionMode::kInteractive
                  : container::ExecutionMode::kBatch;
   cfg.limits.gpu_indices = gpu_indices;
-  // A time-sliced tenant's footprint is its working set (swapped in/out at
-  // quantum boundaries), not the whole-device request.
-  cfg.limits.gpu_memory_gb = request.timeslice ? working_set
-                                               : req.gpu_memory_gb;
+  cfg.limits.tenancy = mode;
+  cfg.limits.gpu_memory_gb = footprint;
   cfg.limits.gpu_fraction = gpu_fraction;
-  cfg.limits.timeslice = request.timeslice;
   // Shared tenants (spatial or time-sliced) get a proportionally smaller
-  // host budget: every advertised slot must be hostable, so tenants may
-  // never exceed the node's cores/RAM (else the coordinator's slot view
+  // host budget: every advertised seat must be hostable, so tenants may
+  // never exceed the node's cores/RAM (else the coordinator's seat view
   // and the host's container capacity diverge into dispatch-reject loops).
-  const bool shared_tenant = request.fractional || request.timeslice;
+  const bool shared_tenant = mode != hw::Tenancy::kWhole;
   cfg.limits.host_memory_gb = shared_tenant ? 4.0 : 8.0;
   cfg.limits.cpu_cores = shared_tenant ? 2.0 : 4.0;
   const double utilization =
@@ -404,15 +391,15 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   job.speed = workload::speed_factor(tflops) *
               (1.0 - runtime_.gpu_overhead_fraction()) *
               std::max(1, job.spec.requirements.gpu_count);
-  if (request.fractional) {
+  if (mode == hw::Tenancy::kFractional) {
     // Spatial tenant: the slice delivers a fraction of the device
     // (co-tenants are bursty, so more than 1/slots).
     job.speed *= workload::kSharedComputeShare;
   }
   // A time-sliced tenant keeps FULL device speed — but accrues progress
   // only while resident, which the quantum scheduler controls.
-  job.timeslice = request.timeslice;
-  if (request.timeslice) {
+  job.tenancy = mode;
+  if (mode == hw::Tenancy::kTimeslice) {
     job.resident =
         node_.gpu(static_cast<std::size_t>(gpu_indices[0])).resident() ==
         job_id;
@@ -423,8 +410,8 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   job.pending_restore = request.restore_bytes > 0 &&
                         !request.restore_from.empty();
   jobs_.emplace(job_id, std::move(job));
-  if (request.timeslice) {
-    slicer_.add_tenant(gpu_indices[0], job_id, working_set);
+  if (mode == hw::Tenancy::kTimeslice) {
+    slicer_.add_tenant(gpu_indices[0], job_id, footprint);
   }
 
   DispatchResult result;
@@ -553,7 +540,9 @@ double ProviderAgent::live_progress(const RunningJob& job) const {
   if (!job.compute_started) return job.start_progress;
   if (job.spec.type == workload::JobType::kInteractive) return 0.0;
   // A swapped-out time-sliced tenant accrues nothing until it rotates in.
-  if (job.timeslice && !job.resident) return job.start_progress;
+  if (job.tenancy == hw::Tenancy::kTimeslice && !job.resident) {
+    return job.start_progress;
+  }
   const double work = (env_.now() - job.effective_start) * job.speed;
   return std::min(1.0, job.start_progress +
                            work / job.spec.reference_duration);
@@ -585,7 +574,7 @@ void ProviderAgent::begin_compute(const std::string& job_id) {
     job.completion_event = env_.schedule_after_on(
         lane_, job.spec.reference_duration,
         [this, job_id] { complete_job(job_id); });
-  } else if (!job.timeslice || job.resident) {
+  } else if (job.tenancy != hw::Tenancy::kTimeslice || job.resident) {
     const util::Duration remaining =
         (1.0 - job.start_progress) * job.spec.reference_duration / job.speed;
     job.completion_event = env_.schedule_after_on(
@@ -783,7 +772,7 @@ void ProviderAgent::evict_timeslice_tenant(const std::string& job_id) {
 
 void ProviderAgent::drop_from_slicer(const std::string& job_id,
                                      const RunningJob& job) {
-  if (!job.timeslice) return;
+  if (job.tenancy != hw::Tenancy::kTimeslice) return;
   const auto* c = runtime_.find(job.container_id);
   if (c == nullptr || c->config().limits.gpu_indices.empty()) return;
   slicer_.remove_tenant(c->config().limits.gpu_indices[0], job_id);
@@ -815,8 +804,9 @@ void ProviderAgent::send_heartbeat() {
   beat.auth_token = auth_token_;
   beat.seq = ++heartbeat_seq_;
   beat.free_gpus = node_.free_gpu_count();
-  beat.free_shared_slots = node_.free_shared_slot_count();
-  beat.free_timeslice_slots = node_.free_timeslice_slot_count();
+  for (const hw::Tenancy mode : hw::kSharedTenancies) {
+    beat.free_seats[mode] = node_.free_seat_count(mode);
+  }
   beat.accepting = !paused_;
   beat.running_jobs = running_job_ids();
   ++heartbeats_sent_;

@@ -116,8 +116,8 @@ class ProviderAgent {
     util::SimTime effective_start = 0;  // adjusted forward by ckpt pauses
     double speed = 1.0;                 // node speed incl. container overhead
     bool compute_started = false;
-    bool timeslice = false;        // time-sliced tenant under the slicer
-    bool resident = false;         // timeslice only: on-device this quantum
+    hw::Tenancy tenancy = hw::Tenancy::kWhole;
+    bool resident = false;         // time-sliced only: on-device this quantum
     bool pending_pull = false;     // waiting for image layers
     bool pending_restore = false;  // waiting for checkpoint restore data
     std::uint64_t restore_bytes = 0;

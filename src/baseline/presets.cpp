@@ -25,7 +25,7 @@ void apply_preset(CampusConfig& config, Preset preset) {
       policy.migrate_back = false;
       policy.owner_reclaim = false;        // no provider supremacy
       policy.requeue_to_tail = false;
-      policy.fractional_sharing = false;   // device plugin: 1 GPU : 1 pod
+      policy.gpu_sharing = false;          // device plugin: 1 GPU : 1 pod
       // No application-checkpoint grace on node drain.
       config.agent_defaults.departure_grace = 0.0;
       break;
@@ -36,7 +36,7 @@ void apply_preset(CampusConfig& config, Preset preset) {
       policy.migrate_back = false;
       policy.owner_reclaim = false;
       policy.requeue_to_tail = true;       // resubmission loses the slot
-      policy.fractional_sharing = false;   // reservations are whole devices
+      policy.gpu_sharing = false;          // reservations are whole devices
       config.agent_defaults.departure_grace = 0.0;
       break;
     case Preset::kManual:
@@ -46,7 +46,7 @@ void apply_preset(CampusConfig& config, Preset preset) {
       policy.migrate_back = false;
       policy.owner_reclaim = false;        // no guests to reclaim from
       policy.requeue_to_tail = true;
-      policy.fractional_sharing = false;   // no sharing tooling at all
+      policy.gpu_sharing = false;          // no sharing tooling at all
       break;
   }
 }

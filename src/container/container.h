@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "container/image.h"
+#include "hw/tenancy.h"
 #include "util/status.h"
 #include "util/time.h"
 
@@ -33,13 +34,13 @@ enum class ExecutionMode { kInteractive, kBatch };
 /// cgroup-style resource bounds enforced on the guest.
 struct ResourceLimits {
   std::vector<int> gpu_indices;   // devices exposed via the visibility mask
+  /// How the devices are held: whole, or one seat of a shared mode on one
+  /// GPU.  A time-sliced tenant's gpu_memory_gb is its working set.
+  hw::Tenancy tenancy = hw::Tenancy::kWhole;
   double gpu_memory_gb = 0;       // per-GPU VRAM budget
-  /// Capacity share per bound GPU: 1.0 = exclusive device; < 1.0 = one
-  /// tenant of a shared GPU (spatial slot or time-slice seat).
+  /// Capacity share per bound GPU: 1/(seats per GPU of the mode), so 1.0
+  /// for a whole device.
   double gpu_fraction = 1.0;
-  /// nvshare mode: bind a full-memory time-sliced tenant (one shared GPU)
-  /// instead of a spatial slot; gpu_memory_gb is the tenant's working set.
-  bool timeslice = false;
   double host_memory_gb = 8;
   double cpu_cores = 4;
 };

@@ -34,32 +34,9 @@ util::StatusOr<std::string> ContainerRuntime::create(
                                           node_.hostname());
   }
 
-  if (config.limits.timeslice) {
-    // Time-sliced tenant: exactly one GPU, seat/oversubscription checks
-    // enforced by the node model.
-    if (config.limits.gpu_indices.size() != 1) {
-      return util::invalid_argument_error(
-          "time-sliced workloads bind exactly one GPU");
-    }
-    GPUNION_RETURN_IF_ERROR(node_.allocate_timeslice(
-        config.limits.gpu_indices[0], workload_id,
-        config.limits.gpu_memory_gb, gpu_utilization, now));
-  } else if (config.limits.gpu_fraction < 1.0) {
-    // Fractional tenant: exactly one shared GPU, slot/cap checks enforced
-    // by the node model.
-    if (config.limits.gpu_indices.size() != 1) {
-      return util::invalid_argument_error(
-          "fractional workloads bind exactly one GPU");
-    }
-    GPUNION_RETURN_IF_ERROR(node_.allocate_shared(
-        config.limits.gpu_indices[0], workload_id,
-        config.limits.gpu_memory_gb, gpu_utilization, now));
-  } else {
-    GPUNION_RETURN_IF_ERROR(node_.allocate(config.limits.gpu_indices,
-                                           workload_id,
-                                           config.limits.gpu_memory_gb,
-                                           gpu_utilization, now));
-  }
+  GPUNION_RETURN_IF_ERROR(node_.allocate(
+      config.limits.tenancy, config.limits.gpu_indices, workload_id,
+      config.limits.gpu_memory_gb, gpu_utilization, now));
 
   committed_host_memory_gb_ += config.limits.host_memory_gb;
   committed_cpu_cores_ += config.limits.cpu_cores;

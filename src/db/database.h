@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "hw/tenancy.h"
 #include "util/status.h"
 #include "util/time.h"
 #include "workload/job.h"
@@ -43,11 +44,8 @@ struct NodeRecord {
   double gpu_memory_gb = 0;
   double compute_capability = 0;
   double gpu_tflops = 0;
-  int slots_per_gpu = 1;
+  hw::SeatCounts seats_per_gpu;
   double share_memory_cap_gb = 0;
-  int timeslice_tenants_per_gpu = 0;
-  double timeslice_oversub_ratio = 0;
-  double host_swap_gbps = 0;
 };
 
 enum class AllocationOutcome {
@@ -63,8 +61,8 @@ struct AllocationRecord {
   std::string job_id;
   std::string machine_id;
   std::vector<int> gpu_indices;
-  /// Capacity share per bound GPU: 1.0 for an exclusive allocation,
-  /// 1/slots_per_gpu for a fractional time-sliced tenant.
+  /// Capacity share per bound GPU: 1/(seats per GPU of the tenancy mode),
+  /// so 1.0 for an exclusive allocation.
   double gpu_fraction = 1.0;
   /// Interactive session (bursty duty cycle) vs saturating batch/training;
   /// drives delivered-utilization accounting.
@@ -131,8 +129,7 @@ struct JobStateRecord {
   bool reclaim_requested = false;
   int dispatch_rejects = 0;
   bool awaiting_dispatch_settle = false;
-  bool fractional_slot = false;
-  bool timeslice_slot = false;
+  hw::Tenancy tenancy = hw::Tenancy::kWhole;
   util::SimTime running_since = -1;
   double segment_start_progress = 0;
   double node_speed = 1.0;

@@ -85,7 +85,8 @@ void FederationBroker::handle_ranking_request(const RankingRequest& request) {
     score.region = region;
     score.gateway_id = entry.gateway_id;
     score.free_gpus = entry.capacity.free_gpus;
-    score.free_shared_slots = entry.capacity.free_shared_slots;
+    score.free_fractional_seats =
+        entry.capacity.free_seats[hw::Tenancy::kFractional];
     score.digest_age = age;
     response.ranking.push_back(std::move(score));
   }
@@ -96,8 +97,8 @@ void FederationBroker::handle_ranking_request(const RankingRequest& request) {
                      if (a.free_gpus != b.free_gpus) {
                        return a.free_gpus > b.free_gpus;
                      }
-                     if (a.free_shared_slots != b.free_shared_slots) {
-                       return a.free_shared_slots > b.free_shared_slots;
+                     if (a.free_fractional_seats != b.free_fractional_seats) {
+                       return a.free_fractional_seats > b.free_fractional_seats;
                      }
                      return a.region < b.region;
                    });

@@ -565,7 +565,8 @@ std::vector<RegionScore> RegionGateway::rank_locally(
     score.region = region;
     score.gateway_id = entry.gateway_id;
     score.free_gpus = entry.capacity.free_gpus;
-    score.free_shared_slots = entry.capacity.free_shared_slots;
+    score.free_fractional_seats =
+        entry.capacity.free_seats[hw::Tenancy::kFractional];
     score.digest_age = age;
     score.rtt = path.rtt;
     // Expected seconds until the job makes progress in that region:
@@ -576,7 +577,7 @@ std::vector<RegionScore> RegionGateway::rank_locally(
     const bool digest_fits =
         entry.capacity.free_gpus >= req.gpu_count ||
         (req.shareable && req.gpu_count == 1 &&
-         entry.capacity.free_shared_slots > 0);
+         entry.capacity.free_seats[hw::Tenancy::kFractional] > 0);
     score.expected_cost =
         path.rtt + static_cast<double>(checkpoint_bytes) / ship_rate +
         policy_.stale_cost_weight * age +
@@ -1034,7 +1035,7 @@ std::string RegionGateway::admission_verdict(const workload::JobSpec& job) {
     // every free whole GPU untouched, so the reserve does not apply.
     const bool slot_bound = job.requirements.shareable &&
                             job.requirements.gpu_count == 1 &&
-                            summary.free_shared_slots > 0;
+                            summary.free_seats[hw::Tenancy::kFractional] > 0;
     if (!slot_bound && summary.free_gpus - policy_.min_free_gpus_reserve <
                            job.requirements.gpu_count) {
       return "capacity";

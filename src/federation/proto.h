@@ -88,7 +88,7 @@ struct RegionScore {
   std::string region;
   std::string gateway_id;
   int free_gpus = 0;
-  int free_shared_slots = 0;
+  int free_fractional_seats = 0;
   util::Duration digest_age = 0;
   /// Modeled control round-trip to the region's gateway.
   util::Duration rtt = 0;

@@ -6,6 +6,15 @@
 
 namespace gpunion::hw {
 
+std::string_view tenancy_unit(Tenancy mode) {
+  switch (mode) {
+    case Tenancy::kWhole: return "gpu";
+    case Tenancy::kFractional: return "slot";
+    case Tenancy::kTimeslice: return "seat";
+  }
+  return "unknown";
+}
+
 std::string_view gpu_arch_name(GpuArch arch) {
   switch (arch) {
     case GpuArch::kRtx3090: return "RTX3090";
@@ -48,7 +57,9 @@ void GpuDevice::refresh_aggregates(util::SimTime now) {
   memory_used_gb_ = 0;
   double util_sum = 0;
   for (const auto& [id, tenant] : holders_) {
-    if (timeslice_ && id != resident_) continue;  // swapped out to host RAM
+    if (tenancy_ == Tenancy::kTimeslice && id != resident_) {
+      continue;  // swapped out to host RAM
+    }
     memory_used_gb_ += tenant.memory_gb;
     util_sum += tenant.utilization;
   }
@@ -62,76 +73,38 @@ double GpuDevice::tenant_memory_total_gb() const {
   return total;
 }
 
-util::Status GpuDevice::allocate(const std::string& workload_id,
+util::Status GpuDevice::allocate(Tenancy mode, const std::string& workload_id,
                                  double memory_gb, double utilization,
                                  util::SimTime now) {
-  if (allocated()) {
+  if (allocated() && (mode == Tenancy::kWhole || tenancy_ != mode)) {
     return util::failed_precondition_error("GPU " + std::to_string(index_) +
                                            " already allocated");
   }
-  if (memory_gb > spec_->memory_gb) {
+  if (holders_.contains(workload_id)) {
+    return util::already_exists_error("workload already on this GPU");
+  }
+  // Time-sliced tenants swap out while another is resident, so each needs
+  // only the device; other tenants share the VRAM left beside them.
+  const double beside = mode == Tenancy::kTimeslice ? 0.0 : memory_used_gb_;
+  if (beside + memory_gb > spec_->memory_gb) {
     return util::resource_exhausted_error("footprint exceeds VRAM on GPU " +
                                           std::to_string(index_));
   }
   if (utilization < 0 || utilization > 1.0) {
     return util::invalid_argument_error("utilization out of [0,1]");
   }
-  exclusive_ = true;
+  tenancy_ = mode;
   holders_[workload_id] = Tenant{memory_gb, utilization};
-  refresh_aggregates(now);
-  return util::Status::ok();
-}
-
-util::Status GpuDevice::allocate_shared(const std::string& workload_id,
-                                        double memory_gb, double utilization,
-                                        util::SimTime now) {
-  if (exclusive_ || timeslice_) {
-    return util::failed_precondition_error(
-        "GPU " + std::to_string(index_) + " not in spatial-share mode");
+  if (mode == Tenancy::kTimeslice && resident_.empty()) {
+    resident_ = workload_id;
   }
-  if (holders_.contains(workload_id)) {
-    return util::already_exists_error("workload already on this GPU");
-  }
-  if (memory_used_gb_ + memory_gb > spec_->memory_gb) {
-    return util::resource_exhausted_error(
-        "shared footprints exceed VRAM on GPU " + std::to_string(index_));
-  }
-  if (utilization < 0 || utilization > 1.0) {
-    return util::invalid_argument_error("utilization out of [0,1]");
-  }
-  holders_[workload_id] = Tenant{memory_gb, utilization};
-  refresh_aggregates(now);
-  return util::Status::ok();
-}
-
-util::Status GpuDevice::allocate_timeslice(const std::string& workload_id,
-                                           double working_set_gb,
-                                           double utilization,
-                                           util::SimTime now) {
-  if (exclusive_ || (!holders_.empty() && !timeslice_)) {
-    return util::failed_precondition_error(
-        "GPU " + std::to_string(index_) + " not in time-slice mode");
-  }
-  if (holders_.contains(workload_id)) {
-    return util::already_exists_error("workload already on this GPU");
-  }
-  if (working_set_gb > spec_->memory_gb) {
-    return util::resource_exhausted_error(
-        "working set exceeds VRAM on GPU " + std::to_string(index_));
-  }
-  if (utilization < 0 || utilization > 1.0) {
-    return util::invalid_argument_error("utilization out of [0,1]");
-  }
-  timeslice_ = true;
-  holders_[workload_id] = Tenant{working_set_gb, utilization};
-  if (resident_.empty()) resident_ = workload_id;
   refresh_aggregates(now);
   return util::Status::ok();
 }
 
 util::Status GpuDevice::set_resident(const std::string& workload_id,
                                      util::SimTime now) {
-  if (!timeslice_) {
+  if (!held_as(Tenancy::kTimeslice)) {
     return util::failed_precondition_error("GPU not in time-slice mode");
   }
   if (!holders_.contains(workload_id)) {
@@ -144,8 +117,7 @@ util::Status GpuDevice::set_resident(const std::string& workload_id,
 
 void GpuDevice::release(util::SimTime now) {
   holders_.clear();
-  exclusive_ = false;
-  timeslice_ = false;
+  tenancy_ = Tenancy::kWhole;
   resident_.clear();
   refresh_aggregates(now);
 }
@@ -156,8 +128,7 @@ bool GpuDevice::release_holder(const std::string& workload_id,
   if (it == holders_.end()) return false;
   holders_.erase(it);
   if (holders_.empty()) {
-    exclusive_ = false;
-    timeslice_ = false;
+    tenancy_ = Tenancy::kWhole;
     resident_.clear();
   } else if (resident_ == workload_id) {
     resident_ = holders_.begin()->first;  // next tenant inherits residency

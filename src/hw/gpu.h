@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 
+#include "hw/tenancy.h"
 #include "util/status.h"
 #include "util/time.h"
 
@@ -38,12 +39,12 @@ const GpuSpec& gpu_spec(GpuArch arch);
 /// state to synthesize NVML-style telemetry (utilization, memory,
 /// temperature with first-order thermal dynamics, power).
 ///
-/// Three tenancy modes (nvshare-style sharing, §3.3 / related work):
-///  - exclusive: one workload owns the whole device (classic allocation);
-///  - spatial shared: up to N tenants co-reside, each within a VRAM budget;
-///  - time-sliced: full-memory tenants take turns — exactly one is RESIDENT
-///    at a time, the rest live swapped out to host RAM (nvshare's UVM
-///    oversubscription).  Modes never mix on one device.
+/// The tenants of a device share one Tenancy mode (nvshare-style sharing,
+/// §3.3 / related work): a whole-device workload, spatially shared tenants
+/// each within a VRAM budget, or time-sliced full-memory tenants that take
+/// turns — exactly one is RESIDENT at a time, the rest live swapped out to
+/// host RAM (nvshare's UVM oversubscription).  Modes never mix on one
+/// device.
 class GpuDevice {
  public:
   GpuDevice(GpuArch arch, int index);
@@ -51,54 +52,44 @@ class GpuDevice {
   const GpuSpec& spec() const { return *spec_; }
   int index() const { return index_; }
 
-  /// Busy in either mode (not free for an exclusive allocation).
-  bool allocated() const { return exclusive_ || !holders_.empty(); }
-  bool exclusively_allocated() const { return exclusive_; }
-  /// Number of co-resident tenants (1 for an exclusive allocation).
+  /// Busy in any mode (not free for a whole-device allocation).
+  bool allocated() const { return !holders_.empty(); }
+  /// True when tenants of `mode` hold the device.
+  bool held_as(Tenancy mode) const { return allocated() && tenancy_ == mode; }
+  /// Number of co-resident tenants (1 for a whole-device allocation).
   int holder_count() const { return static_cast<int>(holders_.size()); }
-  /// First holder in id order (the sole holder when exclusive); empty when
-  /// free.
+  /// First holder in id order (the sole holder of a whole device); empty
+  /// when free.
   const std::string& holder() const;
   bool holds(const std::string& workload_id) const {
     return holders_.contains(workload_id);
   }
 
-  /// Marks the device busy with `workload_id` using `memory_gb` of VRAM.
-  /// Requires the device to be completely free and the footprint to fit —
-  /// checked errors, not debug asserts, so release builds cannot silently
-  /// oversubscribe when a caller skips the node model's pre-check.
-  util::Status allocate(const std::string& workload_id, double memory_gb,
-                        double utilization, util::SimTime now);
-
-  /// Adds `workload_id` as a shared tenant.  Requires the device to not be
-  /// exclusively held or time-sliced and the footprint to fit the remaining
-  /// VRAM; slot count and per-tenant memory caps are the node model's to
-  /// enforce.
-  util::Status allocate_shared(const std::string& workload_id,
-                               double memory_gb, double utilization,
-                               util::SimTime now);
-
-  /// Adds `workload_id` as a time-sliced tenant with a full-VRAM footprint
-  /// of `working_set_gb` (its hot pages; the rest can stay swapped out).
-  /// Puts the device in time-slice mode; the first tenant becomes resident.
-  /// Tenant-count and oversubscription-ratio caps are the node model's to
-  /// enforce.
-  util::Status allocate_timeslice(const std::string& workload_id,
-                                  double working_set_gb, double utilization,
-                                  util::SimTime now);
+  /// Adds `workload_id` as a tenant of `mode` with a VRAM footprint of
+  /// `memory_gb` (a time-sliced tenant's working set: its hot pages; the
+  /// rest can stay swapped out).  A free device takes any mode; a held one
+  /// only more tenants of its own shared mode.  The footprint must fit the
+  /// VRAM left beside the other tenants, or for a time-sliced tenant the
+  /// whole device (the others swap out); the first time-sliced tenant
+  /// becomes resident.  Checked errors, not debug asserts, so release
+  /// builds cannot silently oversubscribe when a caller skips the node
+  /// model's pre-check.  Seat counts, per-tenant caps and the
+  /// oversubscription ratio are the node model's to enforce.
+  util::Status allocate(Tenancy mode, const std::string& workload_id,
+                        double memory_gb, double utilization,
+                        util::SimTime now);
 
   /// Time-slice mode only: makes `workload_id` the resident tenant (the one
   /// whose pages are on-device and whose kernels run this quantum).
   util::Status set_resident(const std::string& workload_id, util::SimTime now);
 
-  bool time_sliced() const { return timeslice_; }
   /// Resident tenant id in time-slice mode; empty otherwise or when free.
   const std::string& resident() const { return resident_; }
 
   /// Frees the device entirely.
   void release(util::SimTime now);
 
-  /// Removes one tenant (exclusive or shared); returns false when
+  /// Removes one tenant (of any mode); returns false when
   /// `workload_id` is not on this device.
   bool release_holder(const std::string& workload_id, util::SimTime now);
 
@@ -128,8 +119,7 @@ class GpuDevice {
   const GpuSpec* spec_;
   int index_;
   std::map<std::string, Tenant> holders_;  // ordered for determinism
-  bool exclusive_ = false;
-  bool timeslice_ = false;
+  Tenancy tenancy_ = Tenancy::kWhole;  // mode of the holders, if any
   std::string resident_;  // time-slice mode: the on-device tenant
   double memory_used_gb_ = 0;
   double utilization_ = 0;

@@ -78,18 +78,37 @@ double NodeModel::share_memory_cap(std::size_t gpu_index) const {
   return gpus_.at(gpu_index).spec().memory_gb / slots;
 }
 
-std::optional<int> NodeModel::find_share_slot(
-    double memory_gb, double min_compute_capability) const {
-  if (spec_.share_slots_per_gpu <= 1) return std::nullopt;
+int NodeModel::seats_per_gpu(Tenancy mode) const {
+  switch (mode) {
+    case Tenancy::kWhole: return 1;
+    case Tenancy::kFractional: return spec_.share_slots_per_gpu;
+    case Tenancy::kTimeslice: return spec_.timeslice_tenants_per_gpu;
+  }
+  return 1;
+}
+
+bool NodeModel::seat_fits(const GpuDevice& gpu, Tenancy mode,
+                          double memory_gb) const {
+  const double vram = gpu.spec().memory_gb;
+  if (mode == Tenancy::kFractional) {
+    return memory_gb <=
+               share_memory_cap(static_cast<std::size_t>(gpu.index())) &&
+           gpu.memory_used_gb() + memory_gb <= vram;
+  }
+  return memory_gb <= vram && gpu.tenant_memory_total_gb() + memory_gb <=
+                                  spec_.timeslice_oversub_ratio * vram;
+}
+
+std::optional<int> NodeModel::find_seat(Tenancy mode, double memory_gb,
+                                        double min_compute_capability) const {
+  const int seats = seats_per_gpu(mode);
+  if (seats <= 1) return std::nullopt;
   const GpuDevice* best = nullptr;
   for (const auto& gpu : gpus_) {
-    if (gpu.exclusively_allocated() || gpu.time_sliced()) continue;
-    if (gpu.holder_count() >= spec_.share_slots_per_gpu) continue;
+    if (gpu.allocated() && !gpu.held_as(mode)) continue;
+    if (gpu.holder_count() >= seats) continue;
     if (gpu.spec().compute_capability < min_compute_capability) continue;
-    if (memory_gb > share_memory_cap(static_cast<std::size_t>(gpu.index()))) {
-      continue;
-    }
-    if (gpu.memory_used_gb() + memory_gb > gpu.spec().memory_gb) continue;
+    if (!seat_fits(gpu, mode, memory_gb)) continue;
     // Pack: most tenants first so whole devices stay free; index ties.
     if (best == nullptr || gpu.holder_count() > best->holder_count()) {
       best = &gpu;
@@ -99,124 +118,69 @@ std::optional<int> NodeModel::find_share_slot(
   return best->index();
 }
 
-util::Status NodeModel::allocate_shared(int index,
-                                        const std::string& workload_id,
-                                        double memory_gb, double utilization,
-                                        util::SimTime now) {
-  if (index < 0 || static_cast<std::size_t>(index) >= gpus_.size()) {
-    return util::invalid_argument_error("GPU index out of range");
-  }
-  if (spec_.share_slots_per_gpu <= 1) {
-    return util::failed_precondition_error("GPU sharing disabled on " +
-                                           spec_.hostname);
-  }
-  GpuDevice& gpu = gpus_[static_cast<std::size_t>(index)];
-  if (gpu.exclusively_allocated()) {
-    return util::failed_precondition_error(
-        "GPU " + std::to_string(index) + " on " + spec_.hostname +
-        " exclusively allocated to " + gpu.holder());
-  }
-  if (gpu.holder_count() >= spec_.share_slots_per_gpu) {
-    return util::resource_exhausted_error(
-        "GPU " + std::to_string(index) + " on " + spec_.hostname +
-        " has no free share slot");
-  }
-  if (memory_gb > share_memory_cap(static_cast<std::size_t>(index))) {
-    return util::resource_exhausted_error(
-        "footprint exceeds the shared-tenant memory cap on GPU " +
-        std::to_string(index));
-  }
-  if (gpu.memory_used_gb() + memory_gb > gpu.spec().memory_gb) {
-    return util::resource_exhausted_error(
-        "shared footprints would oversubscribe VRAM of GPU " +
-        std::to_string(index));
-  }
-  return gpu.allocate_shared(workload_id, memory_gb, utilization, now);
-}
-
-std::optional<int> NodeModel::find_timeslice_slot(
-    double working_set_gb, double min_compute_capability) const {
-  if (spec_.timeslice_tenants_per_gpu <= 1) return std::nullopt;
-  const GpuDevice* best = nullptr;
-  for (const auto& gpu : gpus_) {
-    if (gpu.exclusively_allocated()) continue;
-    if (gpu.holder_count() > 0 && !gpu.time_sliced()) continue;  // spatial
-    if (gpu.holder_count() >= spec_.timeslice_tenants_per_gpu) continue;
-    if (gpu.spec().compute_capability < min_compute_capability) continue;
-    if (working_set_gb > gpu.spec().memory_gb) continue;
-    if (gpu.tenant_memory_total_gb() + working_set_gb >
-        spec_.timeslice_oversub_ratio * gpu.spec().memory_gb) {
-      continue;
-    }
-    // Pack: most tenants first so whole devices stay free; index ties.
-    if (best == nullptr || gpu.holder_count() > best->holder_count()) {
-      best = &gpu;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->index();
-}
-
-util::Status NodeModel::allocate_timeslice(int index,
-                                           const std::string& workload_id,
-                                           double working_set_gb,
-                                           double utilization,
-                                           util::SimTime now) {
-  if (index < 0 || static_cast<std::size_t>(index) >= gpus_.size()) {
-    return util::invalid_argument_error("GPU index out of range");
-  }
-  if (spec_.timeslice_tenants_per_gpu <= 1) {
-    return util::failed_precondition_error("time-slicing disabled on " +
-                                           spec_.hostname);
-  }
-  GpuDevice& gpu = gpus_[static_cast<std::size_t>(index)];
-  if (gpu.exclusively_allocated() ||
-      (gpu.holder_count() > 0 && !gpu.time_sliced())) {
-    return util::failed_precondition_error(
-        "GPU " + std::to_string(index) + " on " + spec_.hostname +
-        " not available for time-slicing");
-  }
-  if (gpu.holder_count() >= spec_.timeslice_tenants_per_gpu) {
-    return util::resource_exhausted_error(
-        "GPU " + std::to_string(index) + " on " + spec_.hostname +
-        " has no free time-slice seat");
-  }
-  if (gpu.tenant_memory_total_gb() + working_set_gb >
-      spec_.timeslice_oversub_ratio * gpu.spec().memory_gb) {
-    return util::resource_exhausted_error(
-        "working sets would exceed the oversubscription ratio on GPU " +
-        std::to_string(index));
-  }
-  return gpu.allocate_timeslice(workload_id, working_set_gb, utilization, now);
-}
-
-util::Status NodeModel::allocate(const std::vector<int>& indices,
+util::Status NodeModel::allocate(Tenancy mode, const std::vector<int>& indices,
                                  const std::string& workload_id,
                                  double memory_gb, double utilization,
                                  util::SimTime now) {
   if (indices.empty()) {
     return util::invalid_argument_error("no GPU indices given");
   }
-  for (int idx : indices) {
-    if (idx < 0 || static_cast<std::size_t>(idx) >= gpus_.size()) {
-      return util::invalid_argument_error("GPU index out of range");
+  auto out_of_range = [this](int idx) {
+    return idx < 0 || static_cast<std::size_t>(idx) >= gpus_.size();
+  };
+  if (mode == Tenancy::kWhole) {
+    for (int idx : indices) {
+      if (out_of_range(idx)) {
+        return util::invalid_argument_error("GPU index out of range");
+      }
+      const auto& gpu = gpus_[static_cast<std::size_t>(idx)];
+      if (gpu.allocated()) {
+        return util::failed_precondition_error(
+            "GPU " + std::to_string(idx) + " on " + spec_.hostname +
+            " already allocated to " + gpu.holder());
+      }
+      if (memory_gb > gpu.spec().memory_gb) {
+        return util::resource_exhausted_error(
+            "footprint exceeds VRAM of GPU " + std::to_string(idx));
+      }
     }
-    const auto& gpu = gpus_[static_cast<std::size_t>(idx)];
-    if (gpu.allocated()) {
-      return util::failed_precondition_error(
-          "GPU " + std::to_string(idx) + " on " + spec_.hostname +
-          " already allocated to " + gpu.holder());
+    for (int idx : indices) {
+      GPUNION_RETURN_IF_ERROR(gpus_[static_cast<std::size_t>(idx)].allocate(
+          mode, workload_id, memory_gb, utilization, now));
     }
-    if (memory_gb > gpu.spec().memory_gb) {
-      return util::resource_exhausted_error(
-          "footprint exceeds VRAM of GPU " + std::to_string(idx));
-    }
+    return util::Status();
   }
-  for (int idx : indices) {
-    GPUNION_RETURN_IF_ERROR(gpus_[static_cast<std::size_t>(idx)].allocate(
-        workload_id, memory_gb, utilization, now));
+  if (indices.size() != 1) {
+    return util::invalid_argument_error(
+        "a shared tenant binds exactly one GPU");
   }
-  return util::Status();
+  if (out_of_range(indices[0])) {
+    return util::invalid_argument_error("GPU index out of range");
+  }
+  const int seats = seats_per_gpu(mode);
+  if (seats <= 1) {
+    return util::failed_precondition_error(
+        std::string(tenancy_unit(mode)) + " sharing disabled on " +
+        spec_.hostname);
+  }
+  GpuDevice& gpu = gpus_[static_cast<std::size_t>(indices[0])];
+  auto where = [&] {
+    return "GPU " + std::to_string(indices[0]) + " on " + spec_.hostname;
+  };
+  if (gpu.allocated() && !gpu.held_as(mode)) {
+    return util::failed_precondition_error(where() + " is held by " +
+                                           gpu.holder() + " in another mode");
+  }
+  if (gpu.holder_count() >= seats) {
+    return util::resource_exhausted_error(where() + " has no free " +
+                                          std::string(tenancy_unit(mode)));
+  }
+  if (!seat_fits(gpu, mode, memory_gb)) {
+    return util::resource_exhausted_error(
+        "footprint exceeds the " + std::string(tenancy_unit(mode)) +
+        " capacity of " + where());
+  }
+  return gpu.allocate(mode, workload_id, memory_gb, utilization, now);
 }
 
 int NodeModel::release(const std::string& workload_id, util::SimTime now) {
@@ -227,27 +191,15 @@ int NodeModel::release(const std::string& workload_id, util::SimTime now) {
   return released;
 }
 
-int NodeModel::free_shared_slot_count() const {
-  if (spec_.share_slots_per_gpu <= 1) return 0;
-  int slots = 0;
+int NodeModel::free_seat_count(Tenancy mode) const {
+  const int seats = seats_per_gpu(mode);
+  if (seats <= 1) return 0;
+  int free = 0;
   for (const auto& gpu : gpus_) {
-    if (gpu.exclusively_allocated() || gpu.time_sliced() ||
-        gpu.holder_count() == 0) {
-      continue;
-    }
-    slots += std::max(0, spec_.share_slots_per_gpu - gpu.holder_count());
+    if (!gpu.held_as(mode)) continue;
+    free += std::max(0, seats - gpu.holder_count());
   }
-  return slots;
-}
-
-int NodeModel::free_timeslice_slot_count() const {
-  if (spec_.timeslice_tenants_per_gpu <= 1) return 0;
-  int seats = 0;
-  for (const auto& gpu : gpus_) {
-    if (!gpu.time_sliced()) continue;
-    seats += std::max(0, spec_.timeslice_tenants_per_gpu - gpu.holder_count());
-  }
-  return seats;
+  return free;
 }
 
 double NodeModel::busy_fraction() const {
@@ -255,9 +207,9 @@ double NodeModel::busy_fraction() const {
   double busy = 0;
   const int slots = std::max(1, spec_.share_slots_per_gpu);
   for (const auto& gpu : gpus_) {
-    if (gpu.exclusively_allocated()) {
+    if (gpu.held_as(Tenancy::kWhole)) {
       busy += 1.0;
-    } else if (gpu.time_sliced()) {
+    } else if (gpu.held_as(Tenancy::kTimeslice)) {
       busy += gpu.resident().empty() ? 0.0 : 1.0;
     } else if (gpu.holder_count() > 0) {
       // A shared GPU with 1 of N occupied slots is 1/N busy, not 100%.

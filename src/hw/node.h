@@ -74,50 +74,33 @@ class NodeModel {
   /// Per-tenant VRAM budget on a shared GPU of this node.
   double share_memory_cap(std::size_t gpu_index) const;
 
-  /// Finds one GPU able to host a fractional tenant of `memory_gb` VRAM:
-  /// not exclusively held, a slot free, and both the per-tenant cap and the
-  /// remaining VRAM honoured.  Prefers the most-occupied shared GPU (pack
-  /// tenants together, keep whole devices free); empty optional when
-  /// impossible or sharing is disabled (share_slots_per_gpu <= 1).
-  std::optional<int> find_share_slot(double memory_gb,
-                                     double min_compute_capability) const;
+  /// Seats one GPU opens into in `mode`: 1 for a whole device, else the
+  /// spec's setting for the shared mode (<= 1: the mode is off).
+  int seats_per_gpu(Tenancy mode) const;
 
-  /// Binds `workload_id` to the given GPU indices.
-  util::Status allocate(const std::vector<int>& indices,
+  /// Finds one GPU able to host a tenant of shared `mode` with a footprint
+  /// of `memory_gb` (a time-sliced tenant's working set): the mode on, the
+  /// GPU free or already in `mode` with a seat left, the compute capability
+  /// met and the mode's capacity rule honoured (see seat_fits).  Prefers
+  /// the most-occupied GPU (pack tenants together, keep whole devices
+  /// free); empty optional when impossible.
+  std::optional<int> find_seat(Tenancy mode, double memory_gb,
+                               double min_compute_capability) const;
+
+  /// Binds `workload_id` as a tenant of `mode`: whole devices at every
+  /// index, or one seat of a shared mode on exactly one GPU (see
+  /// find_seat).
+  util::Status allocate(Tenancy mode, const std::vector<int>& indices,
                         const std::string& workload_id, double memory_gb,
                         double utilization, util::SimTime now);
 
-  /// Adds `workload_id` as a shared tenant on one GPU (see find_share_slot).
-  util::Status allocate_shared(int index, const std::string& workload_id,
-                               double memory_gb, double utilization,
-                               util::SimTime now);
-
-  /// Finds one GPU able to host a time-sliced tenant with a working set of
-  /// `working_set_gb`: not exclusive, not spatially shared, a seat free, the
-  /// working set within device VRAM and the oversubscription ratio honoured.
-  /// Prefers the most-occupied time-sliced GPU (pack tenants together, keep
-  /// whole devices free); empty optional when impossible or the mode is
-  /// disabled (timeslice_tenants_per_gpu <= 1).
-  std::optional<int> find_timeslice_slot(double working_set_gb,
-                                         double min_compute_capability) const;
-
-  /// Adds `workload_id` as a time-sliced tenant on one GPU (see
-  /// find_timeslice_slot).
-  util::Status allocate_timeslice(int index, const std::string& workload_id,
-                                  double working_set_gb, double utilization,
-                                  util::SimTime now);
-
-  /// Releases every GPU (or shared slot) held by `workload_id`; returns how
-  /// many devices the workload vacated.
+  /// Releases every GPU (or seat) held by `workload_id`; returns how many
+  /// devices the workload vacated.
   int release(const std::string& workload_id, util::SimTime now);
 
-  /// Free slots on GPUs already in shared mode (at least one tenant, not
-  /// exclusive).  Fully-free GPUs are advertised via free_gpu_count().
-  int free_shared_slot_count() const;
-
-  /// Free seats on GPUs already in time-slice mode.  Fully-free GPUs are
+  /// Free seats on GPUs already open in shared `mode`.  Fully-free GPUs are
   /// advertised via free_gpu_count().
-  int free_timeslice_slot_count() const;
+  int free_seat_count(Tenancy mode) const;
 
   /// Aggregate busy fraction, the utilization figure reported in Fig. 2.
   /// Per-GPU occupancy is weighted: an exclusive device counts 1.0, a
@@ -126,6 +109,12 @@ class NodeModel {
   double busy_fraction() const;
 
  private:
+  /// The capacity rule of shared `mode` for one more tenant of `memory_gb`
+  /// on `gpu`: a fractional tenant within the per-tenant cap and the VRAM
+  /// left; a time-sliced working set within the device's VRAM, with all
+  /// working sets on it within the oversubscription ratio.
+  bool seat_fits(const GpuDevice& gpu, Tenancy mode, double memory_gb) const;
+
   NodeSpec spec_;
   std::vector<GpuDevice> gpus_;
 };

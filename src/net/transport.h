@@ -1,8 +1,9 @@
 // Abstract message transport.
 //
 // Agents and the coordinator are written against this interface; the
-// simulation binds them to SimNetwork (latency + bandwidth + accounting)
-// while unit tests use LoopbackTransport (immediate delivery).
+// simulation binds them to SimNetwork (latency + bandwidth + accounting),
+// and tests may substitute their own implementation (e.g. one that drops
+// messages).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,7 @@ class Transport {
   /// Lane-aware registration: deliveries to `id` fire on the actor lane
   /// `lane` (a sim::LaneId) so the endpoint's handler always runs on the
   /// worker owning that actor.  Transports without an execution model
-  /// (loopback) ignore the lane and deliver synchronously.
+  /// ignore the lane.
   virtual void register_endpoint(const NodeId& id, MessageHandler handler,
                                  std::uint32_t lane) {
     (void)lane;

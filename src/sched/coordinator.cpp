@@ -66,8 +66,7 @@ db::JobStateRecord to_state(const JobRecord& r) {
   s.reclaim_requested = r.reclaim_requested;
   s.dispatch_rejects = r.dispatch_rejects;
   s.awaiting_dispatch_settle = r.awaiting_dispatch_settle;
-  s.fractional_slot = r.fractional_slot;
-  s.timeslice_slot = r.timeslice_slot;
+  s.tenancy = r.tenancy;
   s.running_since = r.running_since;
   s.segment_start_progress = r.segment_start_progress;
   s.node_speed = r.node_speed;
@@ -103,8 +102,7 @@ JobRecord from_state(const db::JobStateRecord& s) {
   r.reclaim_requested = s.reclaim_requested;
   r.dispatch_rejects = s.dispatch_rejects;
   r.awaiting_dispatch_settle = s.awaiting_dispatch_settle;
-  r.fractional_slot = s.fractional_slot;
-  r.timeslice_slot = s.timeslice_slot;
+  r.tenancy = s.tenancy;
   r.running_since = s.running_since;
   r.segment_start_progress = s.segment_start_progress;
   r.node_speed = s.node_speed;
@@ -428,12 +426,12 @@ void Coordinator::maybe_retire(const std::string& job_id) {
 
 void Coordinator::settle_in_flight(const JobRecord& record,
                                    const std::string& machine_id) {
-  auto& counters = record.timeslice_slot ? in_flight_timeslice_dispatches_
-                   : record.fractional_slot ? in_flight_slot_dispatches_
-                                            : in_flight_dispatches_;
-  auto it = counters.find(machine_id);
-  if (it == counters.end()) return;
-  if (--it->second <= 0) counters.erase(it);
+  auto it = in_flight_dispatches_.find(machine_id);
+  if (it == in_flight_dispatches_.end()) return;
+  int& count = it->second[record.tenancy];
+  if (count <= 0) return;
+  --count;
+  if (it->second.empty()) in_flight_dispatches_.erase(it);
 }
 
 void Coordinator::touch_heartbeat_db(const std::string& machine_id) {
@@ -490,8 +488,6 @@ void Coordinator::crash() {
   jobs_by_node_.clear();
   displaced_by_node_.clear();
   in_flight_dispatches_.clear();
-  in_flight_slot_dispatches_.clear();
-  in_flight_timeslice_dispatches_.clear();
   cause_hints_.clear();
   reserved_ids_.clear();  // gateway recovery re-reserves from durable rows
   pending_heartbeat_touches_.clear();  // lost: beats not yet flushed
@@ -562,17 +558,12 @@ void Coordinator::rebuild_from_db() {
     info.gpu_memory_gb = row.gpu_memory_gb;
     info.compute_capability = row.compute_capability;
     info.gpu_tflops = row.gpu_tflops;
-    info.slots_per_gpu = row.slots_per_gpu;
+    info.seats_per_gpu = row.seats_per_gpu;
     info.share_memory_cap_gb = row.share_memory_cap_gb;
-    info.timeslice_tenants_per_gpu = row.timeslice_tenants_per_gpu;
-    info.timeslice_oversub_ratio = row.timeslice_oversub_ratio;
-    info.host_swap_gbps = row.host_swap_gbps;
     info.status = row.status;
     info.accepting = true;
     const bool active = row.status == db::NodeStatus::kActive;
     info.free_gpus = active ? row.gpu_count : 0;
-    info.free_shared_slots = 0;
-    info.free_timeslice_slots = 0;
     info.last_heartbeat = row.last_heartbeat;
     info.registered_at = row.registered_at;
     info.token_hash = row.auth_token_hash;
@@ -630,14 +621,7 @@ void Coordinator::rebuild_from_db() {
 
     if (live.phase == JobPhase::kRunning) {
       set_assignment(live, row.node);
-      if (live.timeslice_slot) {
-        (void)directory_.reserve_timeslice_slot(row.node);
-      } else if (live.fractional_slot) {
-        (void)directory_.reserve_slot(row.node);
-      } else {
-        directory_.reserve_gpus(row.node,
-                                live.spec.requirements.gpu_count);
-      }
+      reserve_capacity(live, row.node);
     } else if (live.phase == JobPhase::kPending &&
                live.spec.type == workload::JobType::kInteractive) {
       // Re-arm the patience window for the remaining time.
@@ -744,16 +728,11 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   info.gpu_memory_gb = request.gpu_memory_gb;
   info.compute_capability = request.compute_capability;
   info.gpu_tflops = request.gpu_tflops;
-  info.slots_per_gpu = request.slots_per_gpu;
+  info.seats_per_gpu = request.seats_per_gpu;
   info.share_memory_cap_gb = request.share_memory_cap_gb;
-  info.timeslice_tenants_per_gpu = request.timeslice_tenants_per_gpu;
-  info.timeslice_oversub_ratio = request.timeslice_oversub_ratio;
-  info.host_swap_gbps = request.host_swap_gbps;
   info.status = db::NodeStatus::kActive;
   info.accepting = true;
   info.free_gpus = request.gpu_count;
-  info.free_shared_slots = 0;
-  info.free_timeslice_slots = 0;
   info.last_heartbeat = env_.now();
   info.registered_at =
       existing != nullptr ? existing->registered_at : env_.now();
@@ -761,8 +740,6 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   directory_.upsert(std::move(info));
   // A (re)registration starts from a clean slate: no dispatches in flight.
   in_flight_dispatches_.erase(request.machine_id);
-  in_flight_slot_dispatches_.erase(request.machine_id);
-  in_flight_timeslice_dispatches_.erase(request.machine_id);
   heartbeat_monitor_.observe(request.machine_id, env_.now());
 
   db::NodeRecord db_record;
@@ -780,11 +757,8 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   db_record.gpu_memory_gb = request.gpu_memory_gb;
   db_record.compute_capability = request.compute_capability;
   db_record.gpu_tflops = request.gpu_tflops;
-  db_record.slots_per_gpu = request.slots_per_gpu;
+  db_record.seats_per_gpu = request.seats_per_gpu;
   db_record.share_memory_cap_gb = request.share_memory_cap_gb;
-  db_record.timeslice_tenants_per_gpu = request.timeslice_tenants_per_gpu;
-  db_record.timeslice_oversub_ratio = request.timeslice_oversub_ratio;
-  db_record.host_swap_gbps = request.host_swap_gbps;
   (void)database_.upsert_node(std::move(db_record));
 
   agent::RegisterResponse response;
@@ -825,37 +799,17 @@ void Coordinator::handle_heartbeat(const agent::Heartbeat& beat) {
   node->accepting = beat.accepting;
   heartbeat_monitor_.observe(beat.machine_id, env_.now());
   // The agent's counts are ground truth; re-subtract what is still in
-  // flight so the scheduling view never double-books.  The in-flight maps
-  // are sparse (entries exist only while dispatches are outstanding) — a
+  // flight so the scheduling view never double-books.  The in-flight map
+  // is sparse (entries exist only while dispatches are outstanding) — a
   // heartbeat must not insert.
-  auto whole_it = in_flight_dispatches_.find(beat.machine_id);
-  const int in_flight =
-      whole_it == in_flight_dispatches_.end() ? 0 : whole_it->second;
-  node->free_gpus = std::max(0, beat.free_gpus - in_flight);
-  node->free_shared_slots = beat.free_shared_slots;
-  auto slot_it = in_flight_slot_dispatches_.find(beat.machine_id);
-  const int slots_in_flight =
-      slot_it == in_flight_slot_dispatches_.end() ? 0 : slot_it->second;
-  for (int i = slots_in_flight; i > 0; --i) {
-    if (node->free_shared_slots > 0) {
-      --node->free_shared_slots;
-    } else if (node->free_gpus > 0) {
-      --node->free_gpus;
-      node->free_shared_slots += std::max(1, node->slots_per_gpu) - 1;
-    }
-  }
-  node->free_timeslice_slots = beat.free_timeslice_slots;
-  auto seat_it = in_flight_timeslice_dispatches_.find(beat.machine_id);
-  const int seats_in_flight =
-      seat_it == in_flight_timeslice_dispatches_.end() ? 0 : seat_it->second;
-  for (int i = seats_in_flight; i > 0; --i) {
-    if (node->free_timeslice_slots > 0) {
-      --node->free_timeslice_slots;
-    } else if (node->free_gpus > 0) {
-      --node->free_gpus;
-      node->free_timeslice_slots +=
-          std::max(1, node->timeslice_tenants_per_gpu) - 1;
-    }
+  auto flying_it = in_flight_dispatches_.find(beat.machine_id);
+  const InFlight flying = flying_it == in_flight_dispatches_.end()
+                              ? InFlight{}
+                              : flying_it->second;
+  node->free_gpus = std::max(0, beat.free_gpus - flying.whole);
+  for (const hw::Tenancy mode : hw::kSharedTenancies) {
+    node->free_seats[mode] = beat.free_seats[mode];
+    for (int i = flying.seats[mode]; i > 0; --i) (void)node->take_seat(mode);
   }
   touch_heartbeat_db(beat.machine_id);
 
@@ -865,8 +819,9 @@ void Coordinator::handle_heartbeat(const agent::Heartbeat& beat) {
     GPUNION_ILOG("coordinator")
         << beat.machine_id << " heartbeats resumed; back in the pool";
     on_node_returned(beat.machine_id);
-  } else if ((node->free_gpus > 0 || node->free_shared_slots > 0 ||
-              node->free_timeslice_slots > 0) &&
+  } else if ((node->free_gpus > 0 ||
+              node->free_seats[hw::Tenancy::kFractional] > 0 ||
+              node->free_seats[hw::Tenancy::kTimeslice] > 0) &&
              database_.queue_depth() > 0) {
     request_pass();
   }
@@ -939,8 +894,8 @@ void Coordinator::handle_dispatch_result(const agent::DispatchResult& result) {
   // ack means the dispatch was already settled (dispatch timeout or node
   // loss), and decrementing again would eat another job's in-flight count
   // and double-book capacity until the next heartbeat.  The record's
-  // fractional_slot identifies which counter its dispatch incremented —
-  // never cross counter types.
+  // tenancy identifies which counter its dispatch incremented — never
+  // cross counter types.
   if (record != nullptr && record->node == result.machine_id &&
       (record->phase == JobPhase::kDispatching ||
        record->phase == JobPhase::kCancelled)) {
@@ -1004,14 +959,14 @@ void Coordinator::handle_dispatch_result(const agent::DispatchResult& result) {
           static_cast<const Directory&>(directory_).find(result.machine_id)) {
     record->node_speed = workload::speed_factor(node->gpu_tflops) *
                          std::max(1, record->spec.requirements.gpu_count);
-    if (record->fractional_slot) {
+    if (record->tenancy == hw::Tenancy::kFractional) {
       record->node_speed *= workload::kSharedComputeShare;
-    } else if (record->timeslice_slot) {
+    } else if (record->tenancy == hw::Tenancy::kTimeslice) {
       // A time-slice tenant runs at full device speed but only while
       // resident; the expected long-run share under round-robin rotation is
       // 1/N, which is what progress estimation should assume.
       record->node_speed *=
-          1.0 / std::max(1, node->timeslice_tenants_per_gpu);
+          1.0 / std::max(1, node->seats_per_gpu[hw::Tenancy::kTimeslice]);
     }
   }
   record->open_allocation = database_.open_allocation(
@@ -1127,15 +1082,12 @@ void Coordinator::handle_departure_notice(
   if (NodeInfo* node = directory_.find(notice.machine_id)) {
     node->status = db::NodeStatus::kDeparted;
     node->free_gpus = 0;
-    node->free_shared_slots = 0;
-    node->free_timeslice_slots = 0;
+    node->free_seats = {};
   }
   (void)database_.set_node_status(notice.machine_id,
                                   db::NodeStatus::kDeparted);
   reliability_.record_departure(notice.machine_id, env_.now());
   in_flight_dispatches_.erase(notice.machine_id);
-  in_flight_slot_dispatches_.erase(notice.machine_id);
-  in_flight_timeslice_dispatches_.erase(notice.machine_id);
   heartbeat_monitor_.forget(notice.machine_id);
   interrupt_jobs_on(notice.machine_id, notice.kind, env_.now());
   GPUNION_ILOG("coordinator") << notice.machine_id << " departed ("
@@ -1250,34 +1202,29 @@ bool Coordinator::try_place(JobRecord& record) {
   return true;
 }
 
+void Coordinator::reserve_capacity(const JobRecord& record,
+                                   const std::string& machine_id) {
+  if (record.tenancy == hw::Tenancy::kWhole) {
+    directory_.reserve_gpus(machine_id, record.spec.requirements.gpu_count);
+  } else {
+    (void)directory_.reserve_seat(machine_id, record.tenancy);
+  }
+}
+
 void Coordinator::release_capacity(const JobRecord& record,
                                    const std::string& machine_id) {
-  if (record.timeslice_slot) {
-    directory_.release_timeslice_slot(machine_id);
-  } else if (record.fractional_slot) {
-    directory_.release_slot(machine_id);
-  } else {
+  if (record.tenancy == hw::Tenancy::kWhole) {
     directory_.release_gpus(machine_id, record.spec.requirements.gpu_count);
+  } else {
+    directory_.release_seat(machine_id, record.tenancy);
   }
 }
 
 void Coordinator::dispatch_to(JobRecord& record, const NodeInfo& node,
                               const PlacementDecision& decision) {
-  const bool timeslice = decision.timeslice;
-  const bool fractional = decision.fractional;
-  if (timeslice) {
-    (void)directory_.reserve_timeslice_slot(node.machine_id);
-    ++in_flight_timeslice_dispatches_[node.machine_id];
-  } else if (fractional) {
-    (void)directory_.reserve_slot(node.machine_id);
-    ++in_flight_slot_dispatches_[node.machine_id];
-  } else {
-    directory_.reserve_gpus(node.machine_id,
-                            record.spec.requirements.gpu_count);
-    ++in_flight_dispatches_[node.machine_id];
-  }
-  record.fractional_slot = fractional;
-  record.timeslice_slot = timeslice;
+  record.tenancy = decision.tenancy;
+  reserve_capacity(record, node.machine_id);
+  ++in_flight_dispatches_[node.machine_id][record.tenancy];
   set_assignment(record, node.machine_id);
   record.phase = JobPhase::kDispatching;
   const std::uint64_t generation = ++record.dispatch_generation;
@@ -1289,13 +1236,14 @@ void Coordinator::dispatch_to(JobRecord& record, const NodeInfo& node,
     tr->record(record.trace, obs::stage::kPlacement, config_.id, env_.now(),
                env_.now(),
                "node=" + node.machine_id +
-                   (fractional ? ",slot" : timeslice ? ",seat" : ""));
+                   (record.tenancy == hw::Tenancy::kWhole
+                        ? std::string()
+                        : "," + std::string(hw::tenancy_unit(record.tenancy))));
   }
 
   agent::DispatchRequest request;
   request.job = record.spec;
-  request.fractional = fractional;
-  request.timeslice = timeslice;
+  request.tenancy = record.tenancy;
   if (config_.policy.checkpoint_restore &&
       record.checkpointed_progress > 0 &&
       record.spec.type == workload::JobType::kTraining) {
@@ -1527,13 +1475,10 @@ void Coordinator::on_node_lost(const std::string& machine_id) {
   if (node == nullptr || node->status != db::NodeStatus::kActive) return;
   node->status = db::NodeStatus::kUnavailable;
   node->free_gpus = 0;
-  node->free_shared_slots = 0;
-  node->free_timeslice_slots = 0;
+  node->free_seats = {};
   (void)database_.set_node_status(machine_id, db::NodeStatus::kUnavailable);
   reliability_.record_departure(machine_id, env_.now());
   in_flight_dispatches_.erase(machine_id);
-  in_flight_slot_dispatches_.erase(machine_id);
-  in_flight_timeslice_dispatches_.erase(machine_id);
   heartbeat_monitor_.forget(machine_id);
 
   agent::DepartureKind cause = agent::DepartureKind::kEmergency;

@@ -110,12 +110,9 @@ struct JobRecord {
   /// until the ack (or its timeout) settles the in-flight counter, then
   /// retires to the archive.
   bool awaiting_dispatch_settle = false;
-  /// Current/last assignment is a spatial fractional slot (capacity is
-  /// returned as a slot, not whole GPUs).
-  bool fractional_slot = false;
-  /// Current/last assignment is an nvshare-style time-slice seat (capacity
-  /// is returned as a seat).  Mutually exclusive with fractional_slot.
-  bool timeslice_slot = false;
+  /// How the current/last assignment holds its node: whole GPUs, or a seat
+  /// of a shared mode (capacity is returned the same way).
+  hw::Tenancy tenancy = hw::Tenancy::kWhole;
   // progress-estimation state for the current run segment
   util::SimTime running_since = -1;
   double segment_start_progress = 0;
@@ -361,8 +358,12 @@ class Coordinator {
   /// `submitted_at` pins the submission the timer was armed for (guards
   /// against a withdrawn-and-resubmitted session under the same id).
   void session_timeout(const std::string& job_id, util::SimTime submitted_at);
+  /// Takes the record's capacity on `machine_id` from the scheduling view
+  /// (whole GPUs, or one seat of its shared mode).
+  void reserve_capacity(const JobRecord& record,
+                        const std::string& machine_id);
   /// Returns the record's reserved capacity on `machine_id` to the
-  /// scheduling view (whole GPUs or one fractional slot).
+  /// scheduling view.
   void release_capacity(const JobRecord& record,
                         const std::string& machine_id);
 
@@ -378,8 +379,8 @@ class Coordinator {
   /// record's address survives.  No-op while the record is non-terminal or
   /// still awaits a dispatch-ack settle (cancel during kDispatching).
   void maybe_retire(const std::string& job_id);
-  /// Settles the per-node in-flight dispatch counter for this record
-  /// (erasing the entry at zero keeps the maps O(nodes with in-flight)).
+  /// Settles the per-node in-flight dispatch counter of the record's mode
+  /// (erasing the entry at zero keeps the map O(nodes with in-flight)).
   void settle_in_flight(const JobRecord& record,
                         const std::string& machine_id);
   /// Queues a DB heartbeat write; flushes the batch at most once per
@@ -438,10 +439,17 @@ class Coordinator {
   std::unordered_map<std::string, std::set<std::string>> jobs_by_node_;
   /// Live jobs with record.displaced_from == key (migrate-back candidates).
   std::unordered_map<std::string, std::set<std::string>> displaced_by_node_;
+  /// Dispatches sent to one node and not yet settled, per tenancy mode.
+  struct InFlight {
+    int whole = 0;
+    hw::SeatCounts seats;
+    int& operator[](hw::Tenancy mode) {
+      return mode == hw::Tenancy::kWhole ? whole : seats[mode];
+    }
+    bool empty() const { return whole == 0 && seats == hw::SeatCounts{}; }
+  };
   // Sparse: entries exist only while a node has dispatches in flight.
-  std::map<std::string, int> in_flight_dispatches_;       // whole-GPU, per node
-  std::map<std::string, int> in_flight_slot_dispatches_;  // fractional, per node
-  std::map<std::string, int> in_flight_timeslice_dispatches_;  // seats, per node
+  std::map<std::string, InFlight> in_flight_dispatches_;
   std::map<std::string, agent::DepartureKind> cause_hints_;
   // Heartbeat DB writes accumulated since the last batched flush.
   std::map<std::string, util::SimTime> pending_heartbeat_touches_;

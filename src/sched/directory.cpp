@@ -4,9 +4,43 @@
 
 namespace gpunion::sched {
 
+bool NodeInfo::take_seat(hw::Tenancy mode) {
+  if (seats_per_gpu[mode] <= 1) return false;
+  if (free_seats[mode] > 0) {
+    --free_seats[mode];
+    return true;
+  }
+  if (free_gpus > 0) {
+    --free_gpus;
+    free_seats[mode] += seats_per_gpu[mode] - 1;
+    return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // ClusterView
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Membership rule of a shared mode's seat set.
+bool seat_listed(const NodeInfo& node, hw::Tenancy mode) {
+  return node.free_seats[mode] > 0 && node.seats_per_gpu[mode] > 1;
+}
+
+/// The index filters of `query` (see ClusterView::candidates).
+bool admits(const ClusterView::Query& query, const NodeInfo& node) {
+  if (node.compute_capability < query.min_compute_capability) return false;
+  if (query.mode == hw::Tenancy::kWhole) {
+    return node.free_gpus >= query.gpu_count &&
+           node.gpu_memory_gb >= query.memory_gb;
+  }
+  return node.has_seat(query.mode) &&
+         query.memory_gb <= node.tenant_memory_cap_gb(query.mode);
+}
+
+}  // namespace
 
 void ClusterView::mark_dirty(const std::string& machine_id) {
   dirty_.insert(machine_id);
@@ -14,15 +48,13 @@ void ClusterView::mark_dirty(const std::string& machine_id) {
 
 void ClusterView::clear() {
   free_buckets_.clear();
-  slot_nodes_.clear();
-  timeslice_nodes_.clear();
+  seat_nodes_ = {};
   by_group_.clear();
   by_capability_.clear();
   entries_.clear();
   dirty_.clear();
   sum_free_gpus_ = 0;
-  sum_free_slots_ = 0;
-  sum_free_timeslice_ = 0;
+  sum_free_seats_ = {};
 }
 
 void ClusterView::refresh() {
@@ -46,11 +78,11 @@ void ClusterView::unindex(const std::string& machine_id) {
       if (bucket->second.empty()) free_buckets_.erase(bucket);
     }
   }
-  if (entry.in_slot_set) slot_nodes_.erase(entry.ptr);
-  if (entry.in_timeslice_set) timeslice_nodes_.erase(entry.ptr);
   sum_free_gpus_ -= entry.counted_free_gpus;
-  sum_free_slots_ -= entry.counted_free_slots;
-  sum_free_timeslice_ -= entry.counted_free_timeslice;
+  for (const hw::Tenancy mode : hw::kSharedTenancies) {
+    if (entry.in_seat_set[mode]) seat_nodes_[mode].erase(entry.ptr);
+    sum_free_seats_[mode] -= entry.counted_free_seats[mode];
+  }
   auto group = by_group_.find(entry.group);
   if (group != by_group_.end()) {
     group->second.erase(entry.ptr);
@@ -72,20 +104,16 @@ void ClusterView::index(const NodeInfo& node) {
     entry.free_bucket = node.free_gpus;
     free_buckets_[node.free_gpus].insert(&node);
   }
-  if (node.free_shared_slots > 0 && node.slots_per_gpu > 1) {
-    entry.in_slot_set = true;
-    slot_nodes_.insert(&node);
-  }
-  if (node.free_timeslice_slots > 0 && node.timeslice_tenants_per_gpu > 1) {
-    entry.in_timeslice_set = true;
-    timeslice_nodes_.insert(&node);
-  }
   entry.counted_free_gpus = node.free_gpus;
-  entry.counted_free_slots = node.free_shared_slots;
-  entry.counted_free_timeslice = node.free_timeslice_slots;
   sum_free_gpus_ += entry.counted_free_gpus;
-  sum_free_slots_ += entry.counted_free_slots;
-  sum_free_timeslice_ += entry.counted_free_timeslice;
+  for (const hw::Tenancy mode : hw::kSharedTenancies) {
+    if (seat_listed(node, mode)) {
+      entry.in_seat_set[mode] = true;
+      seat_nodes_[mode].insert(&node);
+    }
+    entry.counted_free_seats[mode] = node.free_seats[mode];
+    sum_free_seats_[mode] += node.free_seats[mode];
+  }
   entry.group = node.owner_group;
   by_group_[node.owner_group].insert(&node);
   entry.capability = node.compute_capability;
@@ -93,41 +121,75 @@ void ClusterView::index(const NodeInfo& node) {
   entries_[node.machine_id] = std::move(entry);
 }
 
-std::vector<const NodeInfo*> ClusterView::whole_gpu_candidates(
-    int gpu_count, double min_memory_gb, double min_compute_capability,
-    const std::string* owner_group) {
+template <typename Visit>
+const NodeInfo* ClusterView::walk(const Query& query, Visit&& visit) {
   refresh();
-  std::vector<const NodeInfo*> out;
-  auto admit = [&](const NodeInfo* node) {
+  auto step = [&](const NodeInfo* node) {
     ++candidates_examined_;
-    if (node->free_gpus < gpu_count) return;
-    if (node->gpu_memory_gb < min_memory_gb) return;
-    if (node->compute_capability < min_compute_capability) return;
-    out.push_back(node);
+    return admits(query, *node) && visit(*node);
   };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return out;
-    for (const NodeInfo* node : group->second) admit(node);
-    return out;  // group sets are id-ordered already
+  if (query.owner_group != nullptr) {
+    auto group = by_group_.find(*query.owner_group);
+    if (group == by_group_.end()) return nullptr;
+    for (const NodeInfo* node : group->second) {  // id-ordered already
+      if (step(node)) return node;
+    }
+    return nullptr;
+  }
+  if (query.mode != hw::Tenancy::kWhole) {
+    // Union of the mode's seat set and every free-capacity bucket.  A node
+    // with both a free seat and a free GPU appears in both indexes; the
+    // bucket pass skips seat-set members instead of building a merged set.
+    for (const NodeInfo* node : seat_nodes_[query.mode]) {
+      if (step(node)) return node;
+    }
+    for (const auto& [free, bucket] : free_buckets_) {
+      for (const NodeInfo* node : bucket) {
+        if (seat_listed(*node, query.mode)) continue;  // walked above
+        if (step(node)) return node;
+      }
+    }
+    return nullptr;
   }
   // Query planner: walk whichever index admits fewer nodes — the
   // free-capacity buckets (selective on a busy fleet) or the capability
   // range (selective for high-CC jobs on a mixed fleet).  Either way the
   // iteration is key-major, id-ordered within a key: deterministic for
-  // identical directory state without a per-query sort.
-  if (prefer_capability_walk(gpu_count, min_compute_capability)) {
-    for (auto it = by_capability_.lower_bound(min_compute_capability);
+  // identical directory state without a per-query sort.  A node mutated
+  // through a cached Directory::find() pointer after the last refresh is
+  // filed under stale keys, so two different walks could disagree on it;
+  // serving enumeration and probe from this one walk keeps any_eligible()
+  // from denying jobs place() could serve.
+  if (prefer_capability_walk(query.gpu_count, query.min_compute_capability)) {
+    for (auto it = by_capability_.lower_bound(query.min_compute_capability);
          it != by_capability_.end(); ++it) {
-      for (const NodeInfo* node : it->second) admit(node);
+      for (const NodeInfo* node : it->second) {
+        if (step(node)) return node;
+      }
     }
-  } else {
-    for (auto it = free_buckets_.lower_bound(gpu_count);
-         it != free_buckets_.end(); ++it) {
-      for (const NodeInfo* node : it->second) admit(node);
+    return nullptr;
+  }
+  for (auto it = free_buckets_.lower_bound(query.gpu_count);
+       it != free_buckets_.end(); ++it) {
+    for (const NodeInfo* node : it->second) {
+      if (step(node)) return node;
     }
   }
+  return nullptr;
+}
+
+std::vector<const NodeInfo*> ClusterView::candidates(const Query& query) {
+  std::vector<const NodeInfo*> out;
+  (void)walk(query, [&out](const NodeInfo& node) {
+    out.push_back(&node);
+    return false;
+  });
   return out;
+}
+
+const NodeInfo* ClusterView::first_candidate(const Query& query,
+                                             const NodePredicate& pred) {
+  return walk(query, pred);
 }
 
 bool ClusterView::prefer_capability_walk(int gpu_count,
@@ -145,192 +207,6 @@ bool ClusterView::prefer_capability_walk(int gpu_count,
   return capability_count < free_count;
 }
 
-std::vector<const NodeInfo*> ClusterView::fractional_candidates(
-    double memory_gb, double min_compute_capability,
-    const std::string* owner_group) {
-  refresh();
-  std::vector<const NodeInfo*> out;
-  auto admit = [&](const NodeInfo* node) {
-    ++candidates_examined_;
-    if (node->slots_per_gpu <= 1) return;
-    if (node->free_shared_slots <= 0 && node->free_gpus <= 0) return;
-    if (memory_gb > node->share_memory_cap_gb) return;
-    if (node->compute_capability < min_compute_capability) return;
-    out.push_back(node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return out;
-    for (const NodeInfo* node : group->second) admit(node);
-    return out;
-  }
-  // Union of the shared-slot set and every free-capacity bucket.  A node
-  // with both a free slot and a free GPU appears in both indexes; the
-  // bucket pass skips slot-set members instead of building a merged set.
-  for (const NodeInfo* node : slot_nodes_) admit(node);
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_shared_slots > 0 && node->slots_per_gpu > 1) {
-        continue;  // already admitted from the slot set
-      }
-      admit(node);
-    }
-  }
-  return out;
-}
-
-std::vector<const NodeInfo*> ClusterView::timeslice_candidates(
-    double working_set_gb, double min_compute_capability,
-    const std::string* owner_group) {
-  refresh();
-  std::vector<const NodeInfo*> out;
-  auto admit = [&](const NodeInfo* node) {
-    ++candidates_examined_;
-    if (node->timeslice_tenants_per_gpu <= 1) return;
-    if (node->free_timeslice_slots <= 0 && node->free_gpus <= 0) return;
-    if (working_set_gb > node->gpu_memory_gb) return;
-    if (node->compute_capability < min_compute_capability) return;
-    out.push_back(node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return out;
-    for (const NodeInfo* node : group->second) admit(node);
-    return out;
-  }
-  // Union of the time-slice seat set and every free-capacity bucket, as
-  // with fractional candidates (the seat pass is preferred: packing more
-  // tenants onto already-sliced devices keeps whole GPUs free).
-  for (const NodeInfo* node : timeslice_nodes_) admit(node);
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_timeslice_slots > 0 &&
-          node->timeslice_tenants_per_gpu > 1) {
-        continue;  // already admitted from the seat set
-      }
-      admit(node);
-    }
-  }
-  return out;
-}
-
-const NodeInfo* ClusterView::first_whole_gpu_candidate(
-    int gpu_count, double min_memory_gb, double min_compute_capability,
-    const std::string* owner_group, const NodePredicate& pred) {
-  refresh();
-  auto probe = [&](const NodeInfo* node) -> bool {
-    ++candidates_examined_;
-    if (node->free_gpus < gpu_count) return false;
-    if (node->gpu_memory_gb < min_memory_gb) return false;
-    if (node->compute_capability < min_compute_capability) return false;
-    return pred(*node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return nullptr;
-    for (const NodeInfo* node : group->second) {
-      if (probe(node)) return node;
-    }
-    return nullptr;
-  }
-  // The probe MUST walk the same index the enumerating query would pick:
-  // a node whose scheduling fields were mutated through a cached
-  // Directory::find() pointer after the last refresh is filed under stale
-  // keys, and the two indexes then disagree on membership (e.g. a node
-  // that freed up is absent from every free bucket but still present in
-  // the capability range).  An asymmetric walk made any_eligible() deny
-  // jobs place() could serve — the gateway then forwarded out work the
-  // local campus could run.  Planner parity keeps probe and enumeration
-  // agreeing under any single-node staleness; on the common
-  // has-free-capacity fleet the bucket walk still wins and the probe
-  // stays O(1).
-  if (prefer_capability_walk(gpu_count, min_compute_capability)) {
-    for (auto it = by_capability_.lower_bound(min_compute_capability);
-         it != by_capability_.end(); ++it) {
-      for (const NodeInfo* node : it->second) {
-        if (probe(node)) return node;
-      }
-    }
-    return nullptr;
-  }
-  for (auto it = free_buckets_.lower_bound(gpu_count);
-       it != free_buckets_.end(); ++it) {
-    for (const NodeInfo* node : it->second) {
-      if (probe(node)) return node;
-    }
-  }
-  return nullptr;
-}
-
-const NodeInfo* ClusterView::first_fractional_candidate(
-    double memory_gb, double min_compute_capability,
-    const std::string* owner_group, const NodePredicate& pred) {
-  refresh();
-  auto probe = [&](const NodeInfo* node) -> bool {
-    ++candidates_examined_;
-    if (node->slots_per_gpu <= 1) return false;
-    if (node->free_shared_slots <= 0 && node->free_gpus <= 0) return false;
-    if (memory_gb > node->share_memory_cap_gb) return false;
-    if (node->compute_capability < min_compute_capability) return false;
-    return pred(*node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return nullptr;
-    for (const NodeInfo* node : group->second) {
-      if (probe(node)) return node;
-    }
-    return nullptr;
-  }
-  for (const NodeInfo* node : slot_nodes_) {
-    if (probe(node)) return node;
-  }
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_shared_slots > 0 && node->slots_per_gpu > 1) {
-        continue;  // already probed from the slot set
-      }
-      if (probe(node)) return node;
-    }
-  }
-  return nullptr;
-}
-
-const NodeInfo* ClusterView::first_timeslice_candidate(
-    double working_set_gb, double min_compute_capability,
-    const std::string* owner_group, const NodePredicate& pred) {
-  refresh();
-  auto probe = [&](const NodeInfo* node) -> bool {
-    ++candidates_examined_;
-    if (node->timeslice_tenants_per_gpu <= 1) return false;
-    if (node->free_timeslice_slots <= 0 && node->free_gpus <= 0) return false;
-    if (working_set_gb > node->gpu_memory_gb) return false;
-    if (node->compute_capability < min_compute_capability) return false;
-    return pred(*node);
-  };
-  if (owner_group != nullptr) {
-    auto group = by_group_.find(*owner_group);
-    if (group == by_group_.end()) return nullptr;
-    for (const NodeInfo* node : group->second) {
-      if (probe(node)) return node;
-    }
-    return nullptr;
-  }
-  for (const NodeInfo* node : timeslice_nodes_) {
-    if (probe(node)) return node;
-  }
-  for (const auto& [free, bucket] : free_buckets_) {
-    for (const NodeInfo* node : bucket) {
-      if (node->free_timeslice_slots > 0 &&
-          node->timeslice_tenants_per_gpu > 1) {
-        continue;  // already probed from the seat set
-      }
-      if (probe(node)) return node;
-    }
-  }
-  return nullptr;
-}
-
 int ClusterView::total_free_gpus() {
   refresh();
   return sum_free_gpus_;
@@ -341,8 +217,7 @@ CapacitySummary ClusterView::summary() {
   CapacitySummary out;
   out.schedulable_nodes = static_cast<int>(entries_.size());
   out.free_gpus = sum_free_gpus_;
-  out.free_shared_slots = sum_free_slots_;
-  out.free_timeslice_slots = sum_free_timeslice_;
+  out.free_seats = sum_free_seats_;
   return out;
 }
 
@@ -436,58 +311,20 @@ void Directory::release_gpus(const std::string& machine_id, int count) {
   }
 }
 
-bool Directory::reserve_slot(const std::string& machine_id) {
+bool Directory::reserve_seat(const std::string& machine_id,
+                             hw::Tenancy mode) {
   NodeInfo* node = find(machine_id);
-  if (node == nullptr || node->slots_per_gpu <= 1) return false;
-  if (node->free_shared_slots > 0) {
-    --node->free_shared_slots;
-    return true;
-  }
-  if (node->free_gpus > 0) {
-    // Open a fully-free GPU in shared mode: one slot taken now, the rest
-    // become available to future fractional tenants.
-    --node->free_gpus;
-    node->free_shared_slots += node->slots_per_gpu - 1;
-    return true;
-  }
-  return false;
+  return node != nullptr && node->take_seat(mode);
 }
 
-void Directory::release_slot(const std::string& machine_id) {
+void Directory::release_seat(const std::string& machine_id,
+                             hw::Tenancy mode) {
   NodeInfo* node = find(machine_id);
   if (node == nullptr) return;
-  const int slot_capacity =
-      node->gpu_count * std::max(1, node->slots_per_gpu) -
-      node->free_gpus * std::max(1, node->slots_per_gpu);
-  node->free_shared_slots =
-      std::clamp(node->free_shared_slots + 1, 0, slot_capacity);
-}
-
-bool Directory::reserve_timeslice_slot(const std::string& machine_id) {
-  NodeInfo* node = find(machine_id);
-  if (node == nullptr || node->timeslice_tenants_per_gpu <= 1) return false;
-  if (node->free_timeslice_slots > 0) {
-    --node->free_timeslice_slots;
-    return true;
-  }
-  if (node->free_gpus > 0) {
-    // Open a fully-free GPU in time-slice mode: one seat taken now, the
-    // rest become available to future time-sliced tenants.
-    --node->free_gpus;
-    node->free_timeslice_slots += node->timeslice_tenants_per_gpu - 1;
-    return true;
-  }
-  return false;
-}
-
-void Directory::release_timeslice_slot(const std::string& machine_id) {
-  NodeInfo* node = find(machine_id);
-  if (node == nullptr) return;
-  const int seats = std::max(1, node->timeslice_tenants_per_gpu);
-  const int seat_capacity =
-      node->gpu_count * seats - node->free_gpus * seats;
-  node->free_timeslice_slots =
-      std::clamp(node->free_timeslice_slots + 1, 0, seat_capacity);
+  const int seats = std::max(1, node->seats_per_gpu[mode]);
+  const int seat_capacity = (node->gpu_count - node->free_gpus) * seats;
+  node->free_seats[mode] =
+      std::clamp(node->free_seats[mode] + 1, 0, seat_capacity);
 }
 
 CapacitySummary Directory::capacity_summary() {

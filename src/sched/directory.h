@@ -2,13 +2,13 @@
 //
 // The scheduler's real-time view of the fleet (§3.2: "maintains a real-time
 // view of available GPU resources across the campus network through periodic
-// status updates from provider agents").  free_gpus / free_shared_slots are
-// the *scheduling* view: decremented optimistically at dispatch and
-// corrected by dispatch results and heartbeats, so the coordinator never
-// double-books capacity while a dispatch is in flight.
+// status updates from provider agents").  free_gpus / free_seats are the
+// *scheduling* view: decremented optimistically at dispatch and corrected
+// by dispatch results and heartbeats, so the coordinator never double-books
+// capacity while a dispatch is in flight.
 //
 // ClusterView maintains secondary indexes (free-capacity buckets, per-group
-// and per-capability sets, a shared-slot set) so the placement engine
+// and per-capability sets, a seat set per shared mode) so the placement engine
 // generates candidates in O(dirty + matches) instead of rescanning every
 // node for every pending job on every pass.  Mutations mark nodes dirty;
 // indexes are repaired lazily on the next query.
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "hw/tenancy.h"
 #include "util/time.h"
 
 namespace gpunion::sched {
@@ -36,20 +37,16 @@ struct NodeInfo {
   double compute_capability = 0;
   double gpu_tflops = 0;
 
-  // Fractional sharing capability advertised at registration.
-  int slots_per_gpu = 1;           // >1: GPUs may be spatially shared
-  double share_memory_cap_gb = 0;  // per-tenant VRAM cap on a shared GPU
-
-  // nvshare-style time-slice capability advertised at registration.
-  int timeslice_tenants_per_gpu = 0;   // >1: GPUs may host time-sliced seats
-  double timeslice_oversub_ratio = 0;  // sum(working sets) / VRAM ceiling
-  double host_swap_gbps = 0;           // device<->host swap bandwidth
+  // Seat capability advertised at registration: the seats one GPU opens
+  // into per shared mode (<= 1: the mode is off) and the per-tenant VRAM
+  // cap of a fractional slot.
+  hw::SeatCounts seats_per_gpu;
+  double share_memory_cap_gb = 0;
 
   db::NodeStatus status = db::NodeStatus::kActive;
   bool accepting = true;
   int free_gpus = 0;          // fully-free whole GPUs
-  int free_shared_slots = 0;  // free slots on partially-occupied shared GPUs
-  int free_timeslice_slots = 0;  // free seats on GPUs already time-sliced
+  hw::SeatCounts free_seats;  // per mode: free seats on GPUs open in it
   util::SimTime last_heartbeat = 0;
   std::uint64_t last_heartbeat_seq = 0;
   util::SimTime registered_at = 0;
@@ -64,6 +61,25 @@ struct NodeInfo {
   bool schedulable() const {
     return status == db::NodeStatus::kActive && accepting;
   }
+
+  /// VRAM one tenant of shared `mode` may claim here: the per-tenant cap of
+  /// a fractional slot, or the whole device for a time-sliced working set
+  /// (the per-device oversubscription ceiling is the agent's to enforce).
+  double tenant_memory_cap_gb(hw::Tenancy mode) const {
+    return mode == hw::Tenancy::kFractional ? share_memory_cap_gb
+                                            : gpu_memory_gb;
+  }
+
+  /// Shared `mode` is on here and has room for one more tenant: a free
+  /// seat, or a fully-free GPU to open into the mode's seats.
+  bool has_seat(hw::Tenancy mode) const {
+    return seats_per_gpu[mode] > 1 && (free_seats[mode] > 0 || free_gpus > 0);
+  }
+
+  /// Takes one seat of shared `mode`: a free seat when there is one, else a
+  /// fully-free GPU opened into the mode (its other seats become free).
+  /// False when the mode is off here or nothing is free.
+  bool take_seat(hw::Tenancy mode);
 };
 
 /// Whole-fleet capacity aggregate, cheap enough to compute per gossip tick.
@@ -74,8 +90,7 @@ struct CapacitySummary {
   int schedulable_nodes = 0;  // kActive and accepting
   int total_gpus = 0;         // across all nodes, any status
   int free_gpus = 0;          // fully-free whole GPUs on schedulable nodes
-  int free_shared_slots = 0;  // free fractional slots on schedulable nodes
-  int free_timeslice_slots = 0;  // free time-slice seats on schedulable nodes
+  hw::SeatCounts free_seats;  // free seats per mode on schedulable nodes
   /// Hardware envelope: the best any single registered node offers
   /// (departed nodes included — hardware survives churn; recomputed when
   /// a re-registration shrinks a maximum).  Lets the federation broker
@@ -104,50 +119,37 @@ class ClusterView {
   /// lifetime work, not current state.
   void clear();
 
-  /// Schedulable nodes with >= `gpu_count` fully-free GPUs.  When
-  /// `owner_group` is non-null only that group's nodes are returned.
-  std::vector<const NodeInfo*> whole_gpu_candidates(
-      int gpu_count, double min_memory_gb, double min_compute_capability,
-      const std::string* owner_group);
+  /// What one placement pass asks the indexes for.
+  struct Query {
+    hw::Tenancy mode = hw::Tenancy::kWhole;
+    /// Whole: fully-free GPUs wanted on one node.
+    int gpu_count = 1;
+    /// Whole: VRAM per GPU; shared mode: the tenant's footprint in it.
+    double memory_gb = 0;
+    double min_compute_capability = 0;
+    /// Non-null: only that group's nodes.
+    const std::string* owner_group = nullptr;
+  };
 
-  /// Schedulable nodes able to host one fractional tenant of `memory_gb`:
-  /// sharing enabled, the per-tenant cap honoured, and either a free slot
-  /// on a shared GPU or a fully-free GPU to open in shared mode.
-  std::vector<const NodeInfo*> fractional_candidates(
-      double memory_gb, double min_compute_capability,
-      const std::string* owner_group);
-
-  /// Schedulable nodes able to host one time-sliced tenant of
-  /// `working_set_gb`: time-slicing enabled, the working set fits in VRAM,
-  /// and either a free seat on a sliced GPU or a fully-free GPU to open in
-  /// time-slice mode.  (The oversubscription-ratio ceiling is per device,
-  /// so it is enforced by the agent's node model at dispatch.)
-  std::vector<const NodeInfo*> timeslice_candidates(
-      double working_set_gb, double min_compute_capability,
-      const std::string* owner_group);
+  /// Schedulable nodes that can host `query`: whole — at least gpu_count
+  /// fully-free GPUs of at least memory_gb; shared mode — the mode on, the
+  /// footprint within its per-tenant memory cap, and a free seat or a
+  /// fully-free GPU to open into the mode.  The compute capability is met
+  /// either way.  Seat-set nodes come first for a shared mode (packing
+  /// onto open devices keeps whole GPUs free).
+  std::vector<const NodeInfo*> candidates(const Query& query);
 
   /// Extra gating an existence probe applies on top of the index filters
   /// (the full placement predicate, including the degradation rule).
   using NodePredicate = std::function<bool(const NodeInfo&)>;
 
-  /// Existence probes: the first node (same index walk as the enumerating
-  /// queries) passing both the index filters and `pred`, or nullptr.
-  /// Stops examining on the first hit — O(1) on a fleet with free capacity
-  /// instead of materializing the full candidate vector just to test
-  /// emptiness (the gateway's admission / forward-scan path).
-  const NodeInfo* first_whole_gpu_candidate(int gpu_count,
-                                            double min_memory_gb,
-                                            double min_compute_capability,
-                                            const std::string* owner_group,
-                                            const NodePredicate& pred);
-  const NodeInfo* first_fractional_candidate(double memory_gb,
-                                             double min_compute_capability,
-                                             const std::string* owner_group,
-                                             const NodePredicate& pred);
-  const NodeInfo* first_timeslice_candidate(double working_set_gb,
-                                            double min_compute_capability,
-                                            const std::string* owner_group,
-                                            const NodePredicate& pred);
+  /// Existence probe: the first node candidates() would list that also
+  /// passes `pred`, or nullptr.  Stops examining on the first hit — O(1) on
+  /// a fleet with free capacity instead of materializing the full
+  /// candidate vector just to test emptiness (the gateway's admission /
+  /// forward-scan path).
+  const NodeInfo* first_candidate(const Query& query,
+                                  const NodePredicate& pred);
 
   /// Nodes examined by candidate generation and existence probes since
   /// construction (the early-exit regression probe: an existence check on
@@ -179,35 +181,36 @@ class ClusterView {
   struct IndexEntry {
     const NodeInfo* ptr = nullptr;
     int free_bucket = -1;  // -1: not in any free bucket
-    bool in_slot_set = false;
-    bool in_timeslice_set = false;
+    hw::PerSharedMode<bool> in_seat_set;
     std::string group;
     double capability = 0;
     // Contributions to the capacity-summary counters (subtracted on
     // unindex, so the counters never need a rescan).
     int counted_free_gpus = 0;
-    int counted_free_slots = 0;
-    int counted_free_timeslice = 0;
+    hw::SeatCounts counted_free_seats;
   };
 
   void refresh();
   void unindex(const std::string& machine_id);
   void index(const NodeInfo& node);
-  /// Query planner shared by the enumerating query and the existence
-  /// probe: true when the capability range admits fewer nodes than the
-  /// free buckets.  Both paths MUST use it — walking different indexes
-  /// lets them disagree about a node indexed under stale keys (mutated
-  /// via a cached Directory::find() pointer after the last refresh).
+  /// The index walk behind candidates() and first_candidate(): visits the
+  /// nodes passing the index filters of `query` in candidate order until
+  /// `visit` returns true, and returns that node (nullptr when the walk
+  /// ends).  One walk serves both, so enumeration and the probe agree by
+  /// construction.
+  template <typename Visit>
+  const NodeInfo* walk(const Query& query, Visit&& visit);
+  /// Whole-GPU query planner: true when the capability range admits fewer
+  /// nodes than the free buckets.
   bool prefer_capability_walk(int gpu_count,
                               double min_compute_capability) const;
 
   const std::map<std::string, NodeInfo>& nodes_;
   // free whole GPUs -> schedulable nodes with exactly that many free
   std::map<int, NodeSet> free_buckets_;
-  // schedulable nodes with a free slot on an already-shared GPU
-  NodeSet slot_nodes_;
-  // schedulable nodes with a free seat on an already-time-sliced GPU
-  NodeSet timeslice_nodes_;
+  // per shared mode: schedulable nodes with a free seat on a GPU already
+  // open in it
+  hw::PerSharedMode<NodeSet> seat_nodes_;
   std::map<std::string, NodeSet> by_group_;       // schedulable only
   std::map<double, NodeSet> by_capability_;       // schedulable only
   std::map<std::string, IndexEntry> entries_;
@@ -216,8 +219,7 @@ class ClusterView {
   std::uint64_t candidates_examined_ = 0;
   // Running schedulable-fleet aggregates (see summary()).
   int sum_free_gpus_ = 0;
-  int sum_free_slots_ = 0;
-  int sum_free_timeslice_ = 0;
+  hw::SeatCounts sum_free_seats_;
 };
 
 class Directory {
@@ -246,22 +248,13 @@ class Directory {
   void reserve_gpus(const std::string& machine_id, int count);
   void release_gpus(const std::string& machine_id, int count);
 
-  /// Takes one fractional slot: a free slot on a shared GPU when available,
-  /// otherwise a fully-free GPU is opened in shared mode.  False when the
-  /// node is unknown, sharing is disabled, or nothing is free.
-  bool reserve_slot(const std::string& machine_id);
-  /// Returns one fractional slot to the scheduling view.  A shared GPU
+  /// Takes one seat of shared `mode` (see NodeInfo::take_seat).  False
+  /// when the node is unknown, the mode is off there, or nothing is free.
+  bool reserve_seat(const std::string& machine_id, hw::Tenancy mode);
+  /// Returns one seat of shared `mode` to the scheduling view.  A device
   /// emptying back into the whole-GPU pool is reconciled by the next
   /// heartbeat (the agent is ground truth).
-  void release_slot(const std::string& machine_id);
-
-  /// Takes one time-slice seat: a free seat on a sliced GPU when available,
-  /// otherwise a fully-free GPU is opened in time-slice mode.  False when
-  /// the node is unknown, time-slicing is disabled, or nothing is free.
-  bool reserve_timeslice_slot(const std::string& machine_id);
-  /// Returns one time-slice seat to the scheduling view (heartbeats
-  /// reconcile a device emptying back into the whole-GPU pool).
-  void release_timeslice_slot(const std::string& machine_id);
+  void release_seat(const std::string& machine_id, hw::Tenancy mode);
 
   /// Forgets every node (simulated coordinator crash; the in-memory view
   /// is rebuilt from the durable registry on recovery).  The cluster view

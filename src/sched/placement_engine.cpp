@@ -1,6 +1,7 @@
 #include "sched/placement_engine.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/logging.h"
 
@@ -17,6 +18,10 @@ bool degradation_ok(const NodeInfo& node, const workload::JobSpec& job,
   return job.reference_duration / 3600.0 <=
          ReliabilityPredictor::max_job_hours(score);
 }
+
+/// Pass order: time-slice seats, then fractional slots, then whole GPUs.
+constexpr std::array<hw::Tenancy, 3> kPassOrder = {
+    hw::Tenancy::kTimeslice, hw::Tenancy::kFractional, hw::Tenancy::kWhole};
 
 }  // namespace
 
@@ -38,36 +43,19 @@ bool node_eligible(const NodeInfo& node, const workload::JobSpec& job,
   return true;
 }
 
-bool slot_eligible(const NodeInfo& node, const workload::JobSpec& job,
-                   bool cross_group_sharing) {
+bool seat_eligible(const NodeInfo& node, const workload::JobSpec& job,
+                   hw::Tenancy mode, bool cross_group_sharing) {
   if (!node.schedulable()) return false;
   if (!cross_group_sharing && node.owner_group != job.owner_group) {
     return false;
   }
-  if (node.slots_per_gpu <= 1) return false;
   const auto& req = job.requirements;
   if (!req.shareable || req.gpu_count != 1) return false;
-  if (req.gpu_memory_gb > node.share_memory_cap_gb) return false;
-  if (node.compute_capability < req.min_compute_capability) return false;
-  return node.free_shared_slots > 0 || node.free_gpus > 0;
-}
-
-bool timeslice_eligible(const NodeInfo& node, const workload::JobSpec& job,
-                        bool cross_group_sharing) {
-  if (!node.schedulable()) return false;
-  if (!cross_group_sharing && node.owner_group != job.owner_group) {
-    return false;
-  }
-  if (node.timeslice_tenants_per_gpu <= 1) return false;
-  const auto& req = job.requirements;
-  if (!req.shareable || req.gpu_count != 1) return false;
-  // Full memory per tenant: only the working set must fit in VRAM (the
-  // per-device oversubscription ceiling is the agent's to enforce).
-  if (workload::resolved_working_set_gb(job) > node.gpu_memory_gb) {
+  if (workload::footprint_gb(job, mode) > node.tenant_memory_cap_gb(mode)) {
     return false;
   }
   if (node.compute_capability < req.min_compute_capability) return false;
-  return node.free_timeslice_slots > 0 || node.free_gpus > 0;
+  return node.has_seat(mode);
 }
 
 PlacementEngine::PlacementEngine(Directory& directory,
@@ -87,124 +75,87 @@ PlacementEngine::PlacementEngine(Directory& directory,
   }
 }
 
-std::vector<const NodeInfo*> PlacementEngine::eligible_candidates(
-    const workload::JobSpec& job, util::SimTime now, PlaceMode mode) {
-  const std::string* group =
-      policy_.cross_group_sharing ? nullptr : &job.owner_group;
+bool PlacementEngine::tries(hw::Tenancy mode,
+                            const workload::JobSpec& job) const {
+  return mode == hw::Tenancy::kWhole ||
+         (policy_.gpu_sharing && strategy_->wants(mode, job));
+}
+
+ClusterView::Query PlacementEngine::query(const workload::JobSpec& job,
+                                          hw::Tenancy mode) const {
   const auto& req = job.requirements;
-  std::vector<const NodeInfo*> candidates;
-  switch (mode) {
-    case PlaceMode::kTimeslice:
-      candidates = directory_.view().timeslice_candidates(
-          workload::resolved_working_set_gb(job), req.min_compute_capability,
-          group);
-      break;
-    case PlaceMode::kFractional:
-      candidates = directory_.view().fractional_candidates(
-          req.gpu_memory_gb, req.min_compute_capability, group);
-      break;
-    case PlaceMode::kWhole:
-      candidates = directory_.view().whole_gpu_candidates(
-          req.gpu_count, req.gpu_memory_gb, req.min_compute_capability,
-          group);
-      break;
+  return ClusterView::Query{
+      mode, req.gpu_count, workload::footprint_gb(job, mode),
+      req.min_compute_capability,
+      policy_.cross_group_sharing ? nullptr : &job.owner_group};
+}
+
+bool PlacementEngine::eligible(const NodeInfo& node,
+                               const workload::JobSpec& job, hw::Tenancy mode,
+                               util::SimTime now, bool degrade) const {
+  if (mode == hw::Tenancy::kWhole) {
+    return node_eligible(node, job, policy_.cross_group_sharing, reliability_,
+                         now, degrade);
   }
+  return seat_eligible(node, job, mode, policy_.cross_group_sharing) &&
+         (!degrade || degradation_ok(node, job, reliability_, now));
+}
+
+std::vector<const NodeInfo*> PlacementEngine::eligible_candidates(
+    const workload::JobSpec& job, util::SimTime now, hw::Tenancy mode) {
+  auto candidates = directory_.view().candidates(query(job, mode));
   // The view pre-filters on capacity/compatibility/group; re-check the full
   // predicate (including the degradation rule) so index staleness bugs can
   // never place a job somewhere invalid.
   const bool degrade = strategy_->enforce_degradation();
-  auto ineligible = [&](const NodeInfo* node) {
-    if (mode == PlaceMode::kTimeslice) {
-      if (!timeslice_eligible(*node, job, policy_.cross_group_sharing)) {
-        return true;
-      }
-      return degrade && !degradation_ok(*node, job, reliability_, now);
-    }
-    if (mode == PlaceMode::kFractional) {
-      if (!slot_eligible(*node, job, policy_.cross_group_sharing)) return true;
-      return degrade && !degradation_ok(*node, job, reliability_, now);
-    }
-    return !node_eligible(*node, job, policy_.cross_group_sharing,
-                          reliability_, now, degrade);
-  };
   candidates.erase(
-      std::remove_if(candidates.begin(), candidates.end(), ineligible),
+      std::remove_if(candidates.begin(), candidates.end(),
+                     [&](const NodeInfo* node) {
+                       return !eligible(*node, job, mode, now, degrade);
+                     }),
       candidates.end());
   return candidates;
 }
 
 bool PlacementEngine::any_eligible(const workload::JobSpec& job,
                                    util::SimTime now) {
-  // Existence only: walk the same indexes as eligible_candidates but stop
-  // at the first node passing the FULL placement predicate, instead of
-  // materializing the candidate vector just to test emptiness.  On a fleet
-  // with free capacity this examines O(1) nodes — the gateway calls this
-  // per admission and per forward-scan probe, which used to cost
-  // O(free nodes) each (the ROADMAP-flagged inefficiency).
-  const std::string* group =
-      policy_.cross_group_sharing ? nullptr : &job.owner_group;
-  const auto& req = job.requirements;
+  // Existence only: the same passes and index walks as place(), stopping at
+  // the first node passing the FULL placement predicate instead of
+  // materializing the candidate vector.  On a fleet with free capacity this
+  // examines O(1) nodes — the gateway calls this per admission and per
+  // forward-scan probe.
   const bool degrade = strategy_->enforce_degradation();
-  if (policy_.timeslice_sharing && strategy_->wants_timeslice(job)) {
-    auto seat_pred = [&](const NodeInfo& node) {
-      return timeslice_eligible(node, job, policy_.cross_group_sharing) &&
-             (!degrade || degradation_ok(node, job, reliability_, now));
+  for (const hw::Tenancy mode : kPassOrder) {
+    if (!tries(mode, job)) continue;
+    auto pred = [&](const NodeInfo& node) {
+      return eligible(node, job, mode, now, degrade);
     };
-    if (directory_.view().first_timeslice_candidate(
-            workload::resolved_working_set_gb(job),
-            req.min_compute_capability, group, seat_pred) != nullptr) {
+    if (directory_.view().first_candidate(query(job, mode), pred) !=
+        nullptr) {
       return true;
     }
   }
-  if (policy_.fractional_sharing && strategy_->wants_fractional(job)) {
-    auto slot_pred = [&](const NodeInfo& node) {
-      return slot_eligible(node, job, policy_.cross_group_sharing) &&
-             (!degrade || degradation_ok(node, job, reliability_, now));
-    };
-    if (directory_.view().first_fractional_candidate(
-            req.gpu_memory_gb, req.min_compute_capability, group,
-            slot_pred) != nullptr) {
-      return true;
-    }
-  }
-  auto whole_pred = [&](const NodeInfo& node) {
-    return node_eligible(node, job, policy_.cross_group_sharing, reliability_,
-                         now, degrade);
-  };
-  return directory_.view().first_whole_gpu_candidate(
-             req.gpu_count, req.gpu_memory_gb, req.min_compute_capability,
-             group, whole_pred) != nullptr;
+  return false;
 }
 
 std::optional<PlacementDecision> PlacementEngine::place(
     const workload::JobSpec& job, const std::string& preferred_node,
     util::SimTime now) {
   PlacementContext context{&reliability_, now};
-
-  const bool try_timeslice =
-      policy_.timeslice_sharing && strategy_->wants_timeslice(job);
-  const bool try_fractional = policy_.fractional_sharing &&
-                              strategy_->wants_fractional(job);
-  for (const PlaceMode mode : {PlaceMode::kTimeslice, PlaceMode::kFractional,
-                               PlaceMode::kWhole}) {
-    if (mode == PlaceMode::kTimeslice && !try_timeslice) continue;
-    if (mode == PlaceMode::kFractional && !try_fractional) continue;
+  for (const hw::Tenancy mode : kPassOrder) {
+    if (!tries(mode, job)) continue;
     auto candidates = eligible_candidates(job, now, mode);
     if (candidates.empty()) continue;
-    const bool timeslice = mode == PlaceMode::kTimeslice;
-    const bool fractional = mode == PlaceMode::kFractional;
     if (!preferred_node.empty()) {
       for (const NodeInfo* node : candidates) {
         if (node->machine_id == preferred_node) {
-          return PlacementDecision{node, fractional, timeslice};
+          return PlacementDecision{node, mode};
         }
       }
     }
-    const NodeInfo* pick =
-        timeslice ? strategy_->select_timeslice(candidates, job, context)
-                  : strategy_->select(candidates, job, context, fractional);
-    if (pick != nullptr) {
-      return PlacementDecision{pick, fractional, timeslice};
+    if (const NodeInfo* pick =
+            strategy_->select(candidates, job, context, mode)) {
+      return PlacementDecision{pick, mode};
     }
   }
   return std::nullopt;

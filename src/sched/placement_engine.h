@@ -5,11 +5,12 @@
 // configured PlacementStrategy.  The coordinator keeps only queue/dispatch
 // mechanics; everything about *where* a job lands lives here.
 //
-// Shared placement: when the policy enables GPU sharing and the strategy
-// wants it for a shareable job, the engine tries a time-slice seat
-// (nvshare-style rotating residency, full memory per tenant) first, then a
-// spatial fractional slot, and only then falls back to a whole-device
-// allocation — three points on the isolation/utilization trade-off.
+// Shared placement: each pass asks for one Tenancy mode.  When the policy
+// enables GPU sharing and the strategy wants a shared mode for the job, the
+// engine tries a time-slice seat (nvshare-style rotating residency, full
+// memory per tenant) first, then a spatial fractional slot, and only then
+// falls back to a whole-device allocation — three points on the
+// isolation/utilization trade-off.
 #pragma once
 
 #include <memory>
@@ -28,11 +29,9 @@ namespace gpunion::sched {
 /// Where (and how) one job should run.
 struct PlacementDecision {
   const NodeInfo* node = nullptr;
-  /// Placed into a spatial fractional slot instead of whole GPUs.
-  bool fractional = false;
-  /// Placed into an nvshare-style time-slice seat (full memory, rotating
-  /// residency per quantum).  Mutually exclusive with `fractional`.
-  bool timeslice = false;
+  /// Whole GPUs, a fractional slot, or a time-slice seat (full memory,
+  /// rotating residency per quantum).
+  hw::Tenancy tenancy = hw::Tenancy::kWhole;
 };
 
 /// Hard eligibility for a whole-GPU placement: status/accepting/capacity/
@@ -42,17 +41,13 @@ bool node_eligible(const NodeInfo& node, const workload::JobSpec& job,
                    const ReliabilityPredictor& reliability, util::SimTime now,
                    bool enforce_degradation);
 
-/// Hard eligibility for a fractional-slot placement: sharing enabled on the
-/// node, single-GPU shareable job within the per-tenant memory cap, and a
-/// slot (or a free GPU to open in shared mode) available.
-bool slot_eligible(const NodeInfo& node, const workload::JobSpec& job,
-                   bool cross_group_sharing);
-
-/// Hard eligibility for a time-slice seat: time-slicing enabled on the
-/// node, single-GPU shareable job whose working set fits in device VRAM,
-/// and a seat (or a free GPU to open in time-slice mode) available.
-bool timeslice_eligible(const NodeInfo& node, const workload::JobSpec& job,
-                        bool cross_group_sharing);
+/// Hard eligibility for a seat of shared `mode`: the mode on at the node, a
+/// single-GPU shareable job whose footprint in the mode fits the
+/// per-tenant memory cap (a fractional slot's cap; device VRAM for a
+/// time-sliced working set), and a seat (or a free GPU to open into the
+/// mode) available.
+bool seat_eligible(const NodeInfo& node, const workload::JobSpec& job,
+                   hw::Tenancy mode, bool cross_group_sharing);
 
 class PlacementEngine {
  public:
@@ -70,7 +65,7 @@ class PlacementEngine {
                                          util::SimTime now);
 
   /// Existence check under EXACTLY the gating place() applies (policy,
-  /// strategy fractional preference, reliability degradation): could this
+  /// strategy sharing preference, reliability degradation): could this
   /// campus place the job right now?  The federation gateway uses it to
   /// decide what to forward out and what to admit in — re-deriving the
   /// predicates there would drift from real placement.  Early-exits on the
@@ -89,11 +84,19 @@ class PlacementEngine {
   std::string_view strategy_name() const { return strategy_->name(); }
 
  private:
-  /// Which allocation shape a candidate pass is generating for.
-  enum class PlaceMode { kWhole, kFractional, kTimeslice };
-
+  /// True when place() runs a `mode` pass for `job`: always for whole
+  /// GPUs, for a shared mode when the policy shares and the strategy wants
+  /// the mode.
+  bool tries(hw::Tenancy mode, const workload::JobSpec& job) const;
+  /// The index query of a `mode` pass for `job`.
+  ClusterView::Query query(const workload::JobSpec& job,
+                           hw::Tenancy mode) const;
+  /// Full eligibility for a `mode` pass; `degrade` adds the degradation
+  /// rule (the strategy's enforce_degradation(), read once per query).
+  bool eligible(const NodeInfo& node, const workload::JobSpec& job,
+                hw::Tenancy mode, util::SimTime now, bool degrade) const;
   std::vector<const NodeInfo*> eligible_candidates(
-      const workload::JobSpec& job, util::SimTime now, PlaceMode mode);
+      const workload::JobSpec& job, util::SimTime now, hw::Tenancy mode);
 
   Directory& directory_;
   const ReliabilityPredictor& reliability_;

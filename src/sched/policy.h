@@ -33,14 +33,12 @@ struct PlatformPolicy {
   /// Displaced jobs keep their priority and requeue at the head (false) or
   /// lose their place and requeue at the tail (true; Slurm resubmission).
   bool requeue_to_tail = false;
-  /// Shareable single-GPU jobs may be packed into spatially-partitioned
-  /// fractional slots (strategy permitting).  Off = whole-device allocation
-  /// only (the Kubernetes device-plugin 1:1 model).
-  bool fractional_sharing = true;
-  /// Shareable single-GPU jobs may be packed into nvshare-style time-sliced
-  /// seats: full-memory tenants rotate exclusive residency per quantum,
-  /// with working sets swapped to host RAM (memory oversubscription).
-  bool timeslice_sharing = true;
+  /// Shareable single-GPU jobs may take a seat of a shared GPU (strategy
+  /// permitting): a spatially-partitioned fractional slot, or an
+  /// nvshare-style time-slice seat whose full-memory tenants rotate
+  /// exclusive residency per quantum.  Off = whole-device allocation only
+  /// (the Kubernetes device-plugin 1:1 model).
+  bool gpu_sharing = true;
 };
 
 /// GPUnion's default behaviour: everything on.

@@ -31,33 +31,40 @@ namespace {
 
 /// Pack: tightest VRAM fit keeps 80 GB A100s free for jobs that need them.
 const NodeInfo* best_vram_fit(const std::vector<const NodeInfo*>& candidates,
-                              const workload::JobSpec& job);
-
-}  // namespace
-
-const NodeInfo* PlacementStrategy::select_timeslice(
-    const std::vector<const NodeInfo*>& candidates,
-    const workload::JobSpec& job, const PlacementContext& context) {
-  (void)context;
+                              const workload::JobSpec& job) {
   if (candidates.empty()) return nullptr;
-  // Pack onto already-sliced devices first (fewest free seats = tightest),
-  // so whole GPUs stay free for training; open a fresh device only when no
-  // seat is free anywhere, on the node whose VRAM the tenant wastes least.
+  return *std::min_element(
+      candidates.begin(), candidates.end(),
+      [&job](const NodeInfo* a, const NodeInfo* b) {
+        const double slack_a = a->gpu_memory_gb - job.requirements.gpu_memory_gb;
+        const double slack_b = b->gpu_memory_gb - job.requirements.gpu_memory_gb;
+        if (slack_a != slack_b) return slack_a < slack_b;
+        return a->machine_id < b->machine_id;
+      });
+}
+
+/// Seat packing: in a shared `mode` pass, the node with the fewest free
+/// seats on devices already open in the mode (keep open devices full and
+/// whole GPUs free for training); with no open seat anywhere, and in a
+/// whole pass, the tightest VRAM fit.  nullptr when the list is empty.
+const NodeInfo* pack_seats(const std::vector<const NodeInfo*>& candidates,
+                           const workload::JobSpec& job, hw::Tenancy mode) {
+  if (mode == hw::Tenancy::kWhole) return best_vram_fit(candidates, job);
   const NodeInfo* tightest = nullptr;
   for (const NodeInfo* node : candidates) {
-    if (node->free_timeslice_slots <= 0) continue;
-    if (tightest == nullptr ||
-        node->free_timeslice_slots < tightest->free_timeslice_slots ||
-        (node->free_timeslice_slots == tightest->free_timeslice_slots &&
+    const int free = node->free_seats[mode];
+    if (free <= 0) continue;
+    if (tightest == nullptr || free < tightest->free_seats[mode] ||
+        (free == tightest->free_seats[mode] &&
          node->machine_id < tightest->machine_id)) {
       tightest = node;
     }
   }
   if (tightest != nullptr) return tightest;
+  // No open seat anywhere: open a device on the node whose VRAM the tenant
+  // wastes least.
   return best_vram_fit(candidates, job);
 }
-
-namespace {
 
 /// Fairness: rotate across eligible providers.
 class RoundRobinStrategy : public PlacementStrategy {
@@ -67,10 +74,10 @@ class RoundRobinStrategy : public PlacementStrategy {
   const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
-                         bool fractional) override {
+                         hw::Tenancy mode) override {
     (void)job;
     (void)context;
-    (void)fractional;
+    (void)mode;
     if (candidates.empty()) return nullptr;
     return candidates[cursor_++ % candidates.size()];
   }
@@ -88,10 +95,10 @@ class LeastLoadedStrategy : public PlacementStrategy {
   const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
-                         bool fractional) override {
+                         hw::Tenancy mode) override {
     (void)job;
     (void)context;
-    (void)fractional;
+    (void)mode;
     if (candidates.empty()) return nullptr;
     return *std::max_element(candidates.begin(), candidates.end(),
                              [](const NodeInfo* a, const NodeInfo* b) {
@@ -103,20 +110,6 @@ class LeastLoadedStrategy : public PlacementStrategy {
   }
 };
 
-/// Pack: tightest VRAM fit keeps 80 GB A100s free for jobs that need them.
-const NodeInfo* best_vram_fit(const std::vector<const NodeInfo*>& candidates,
-                              const workload::JobSpec& job) {
-  if (candidates.empty()) return nullptr;
-  return *std::min_element(
-      candidates.begin(), candidates.end(),
-      [&job](const NodeInfo* a, const NodeInfo* b) {
-        const double slack_a = a->gpu_memory_gb - job.requirements.gpu_memory_gb;
-        const double slack_b = b->gpu_memory_gb - job.requirements.gpu_memory_gb;
-        if (slack_a != slack_b) return slack_a < slack_b;
-        return a->machine_id < b->machine_id;
-      });
-}
-
 class BestFitStrategy : public PlacementStrategy {
  public:
   std::string_view name() const override { return kBestFit; }
@@ -124,9 +117,9 @@ class BestFitStrategy : public PlacementStrategy {
   const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
-                         bool fractional) override {
+                         hw::Tenancy mode) override {
     (void)context;
-    (void)fractional;
+    (void)mode;
     return best_vram_fit(candidates, job);
   }
 };
@@ -141,9 +134,9 @@ class ReliabilityAwareStrategy : public PlacementStrategy {
   const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
-                         bool fractional) override {
+                         hw::Tenancy mode) override {
     (void)job;
-    (void)fractional;
+    (void)mode;
     if (candidates.empty()) return nullptr;
     const ReliabilityPredictor* reliability = context.reliability;
     const util::SimTime now = context.now;
@@ -172,32 +165,21 @@ class PackedSharingStrategy : public PlacementStrategy {
  public:
   std::string_view name() const override { return kPackedSharing; }
 
-  bool wants_fractional(const workload::JobSpec& job) const override {
-    return job.requirements.shareable && job.requirements.gpu_count == 1;
+  bool wants(hw::Tenancy mode, const workload::JobSpec& job) const override {
+    return mode == hw::Tenancy::kFractional && shareable_single_gpu(job);
   }
 
   const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                          const workload::JobSpec& job,
                          const PlacementContext& context,
-                         bool fractional) override {
+                         hw::Tenancy mode) override {
     (void)context;
-    if (candidates.empty()) return nullptr;
-    if (!fractional) return best_vram_fit(candidates, job);
+    return pack_seats(candidates, job, mode);
+  }
 
-    const NodeInfo* tightest = nullptr;
-    for (const NodeInfo* node : candidates) {
-      if (node->free_shared_slots <= 0) continue;
-      if (tightest == nullptr ||
-          node->free_shared_slots < tightest->free_shared_slots ||
-          (node->free_shared_slots == tightest->free_shared_slots &&
-           node->machine_id < tightest->machine_id)) {
-        tightest = node;
-      }
-    }
-    if (tightest != nullptr) return tightest;
-    // No partially-filled shared GPU anywhere: open one on the node whose
-    // VRAM the tenant wastes least.
-    return best_vram_fit(candidates, job);
+ protected:
+  static bool shareable_single_gpu(const workload::JobSpec& job) {
+    return job.requirements.shareable && job.requirements.gpu_count == 1;
   }
 };
 
@@ -214,40 +196,18 @@ const PlacementStrategyRegistrar<ReliabilityAwareStrategy>
 /// dedicated slice — time-slice seats let several such tenants share one
 /// device at full memory each, rotating residency per quantum.  Steady
 /// shareable jobs keep the spatial fractional path (a time quantum would
-/// serialize them), and whole-GPU jobs fall back to best-fit.
-class AdaptiveSharingStrategy : public PlacementStrategy {
+/// serialize them), which is also the fallback when no seat exists; every
+/// pass packs like packed_sharing, and whole-GPU jobs fall back to
+/// best-fit.
+class AdaptiveSharingStrategy : public PackedSharingStrategy {
  public:
   std::string_view name() const override { return kAdaptiveSharing; }
 
-  bool wants_timeslice(const workload::JobSpec& job) const override {
-    return job.requirements.shareable && job.requirements.gpu_count == 1 &&
-           workload::resolved_duty_cycle(job) < 0.6;
-  }
-
-  bool wants_fractional(const workload::JobSpec& job) const override {
-    // Fallback axis when no time-slice seat exists (or the job is steady).
-    return job.requirements.shareable && job.requirements.gpu_count == 1;
-  }
-
-  const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
-                         const workload::JobSpec& job,
-                         const PlacementContext& context,
-                         bool fractional) override {
-    (void)context;
-    if (candidates.empty()) return nullptr;
-    if (!fractional) return best_vram_fit(candidates, job);
-    const NodeInfo* tightest = nullptr;
-    for (const NodeInfo* node : candidates) {
-      if (node->free_shared_slots <= 0) continue;
-      if (tightest == nullptr ||
-          node->free_shared_slots < tightest->free_shared_slots ||
-          (node->free_shared_slots == tightest->free_shared_slots &&
-           node->machine_id < tightest->machine_id)) {
-        tightest = node;
-      }
-    }
-    if (tightest != nullptr) return tightest;
-    return best_vram_fit(candidates, job);
+  bool wants(hw::Tenancy mode, const workload::JobSpec& job) const override {
+    if (!shareable_single_gpu(job)) return false;
+    return mode == hw::Tenancy::kFractional ||
+           (mode == hw::Tenancy::kTimeslice &&
+            workload::resolved_duty_cycle(job) < 0.6);
   }
 };
 

@@ -39,35 +39,22 @@ class PlacementStrategy {
   /// degradation rule (long jobs kept off flaky nodes) during eligibility.
   virtual bool enforce_degradation() const { return false; }
 
-  /// True when the strategy places this job into a fractional GPU slot
-  /// (spatially-partitioned sharing) in preference to a whole device.
-  virtual bool wants_fractional(const workload::JobSpec& job) const {
-    (void)job;
-    return false;
-  }
-
-  /// True when the strategy places this job into an nvshare-style
-  /// time-slice seat (full memory, rotating residency) in preference to a
-  /// fractional slot or a whole device.
-  virtual bool wants_timeslice(const workload::JobSpec& job) const {
+  /// True when the strategy places this job into a seat of shared `mode`
+  /// (a fractional slot or an nvshare-style time-slice seat) in preference
+  /// to the modes after it: time-slice, then fractional, then whole.
+  virtual bool wants(hw::Tenancy mode, const workload::JobSpec& job) const {
+    (void)mode;
     (void)job;
     return false;
   }
 
   /// Picks a node among `candidates` (all already satisfy hard
-  /// constraints).  `fractional` marks a slot-placement pass.  Returns
-  /// nullptr when the list is empty.
+  /// constraints) for a `mode` pass.  Returns nullptr when the list is
+  /// empty.
   virtual const NodeInfo* select(
       const std::vector<const NodeInfo*>& candidates,
       const workload::JobSpec& job, const PlacementContext& context,
-      bool fractional) = 0;
-
-  /// Picks a node for a time-slice seat.  The default packs: fewest free
-  /// seats on an already-sliced device first, then the tightest VRAM fit
-  /// to open a fresh device.  Returns nullptr when the list is empty.
-  virtual const NodeInfo* select_timeslice(
-      const std::vector<const NodeInfo*>& candidates,
-      const workload::JobSpec& job, const PlacementContext& context);
+      hw::Tenancy mode) = 0;
 };
 
 /// Name-indexed registry.  Strategies self-register at static-init time;

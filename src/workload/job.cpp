@@ -29,6 +29,11 @@ double resolved_working_set_gb(const JobSpec& spec) {
                                               : spec.requirements.gpu_memory_gb;
 }
 
+double footprint_gb(const JobSpec& spec, hw::Tenancy mode) {
+  return mode == hw::Tenancy::kTimeslice ? resolved_working_set_gb(spec)
+                                         : spec.requirements.gpu_memory_gb;
+}
+
 double resolved_duty_cycle(const JobSpec& spec) {
   if (spec.requirements.duty_cycle > 0) return spec.requirements.duty_cycle;
   return spec.type == JobType::kInteractive ? kInteractiveDutyCycle : 1.0;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "hw/tenancy.h"
 #include "util/time.h"
 
 namespace gpunion::workload {
@@ -79,6 +80,10 @@ double checkpoint_pause_seconds(const StateProfile& state);
 /// Resolved working set of a job (explicit field, else its VRAM footprint).
 double resolved_working_set_gb(const JobSpec& spec);
 
+/// VRAM the job claims per GPU when held as `mode`: its working set as a
+/// time-sliced tenant (the rest swaps to host RAM), else gpu_memory_gb.
+double footprint_gb(const JobSpec& spec, hw::Tenancy mode);
+
 /// Resolved duty cycle of a job (explicit field, else type-derived).
 double resolved_duty_cycle(const JobSpec& spec);
 
@@ -94,9 +99,9 @@ constexpr double kReferenceTflops = 35.6;
 /// much compute, which is precisely what fractional sharing recovers.
 constexpr double kInteractiveDutyCycle = 0.35;
 
-/// Effective compute share a *training* job gets from a time-sliced shared
-/// slot.  Co-tenants are bursty, so the slice delivers more than
-/// 1/slots_per_gpu but less than the whole device.
+/// Effective compute share a job gets from a fractional slot.  Co-tenants
+/// are bursty, so the slice delivers more than 1/(slots per GPU) but less
+/// than the whole device.
 constexpr double kSharedComputeShare = 0.5;
 
 }  // namespace gpunion::workload

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "gpunion/platform.h"
+#include "sched/strategies.h"
+#include "workload/profiles.h"
+
 namespace gpunion::baseline {
 namespace {
 
@@ -27,6 +33,35 @@ TEST(PresetsTest, KubernetesTreatsVolatilityAsFailure) {
   EXPECT_FALSE(policy.migrate_back);
   EXPECT_FALSE(policy.owner_reclaim);
   EXPECT_DOUBLE_EQ(config.agent_defaults.departure_grace, 0.0);
+}
+
+TEST(PresetsTest, KubernetesCampusHandsOutNoTimeSliceSeats) {
+  // Regression: the baselines switched off only fractional slots, so a
+  // Kubernetes-like (1 GPU : 1 pod) campus of time-sliced workstations
+  // under adaptive_sharing still packed low-duty sessions into seats.
+  CampusConfig config;
+  for (int i = 0; i < 2; ++i) {
+    config.nodes.push_back(
+        {hw::with_timeslicing(hw::workstation_3090("ts-" + std::to_string(i)),
+                              4),
+         "lab"});
+  }
+  config.coordinator.strategy = std::string(sched::kAdaptiveSharing);
+  apply_preset(config, Preset::kKubernetes);
+  EXPECT_FALSE(config.coordinator.policy.gpu_sharing);
+  sim::Environment env(11);
+  Platform platform(env, std::move(config));
+  platform.start();
+  env.run_until(5.0);
+  const workload::JobSpec session =
+      workload::make_interactive_session("sess", 1.0, "lab", env.now());
+  ASSERT_LT(workload::resolved_duty_cycle(session), 0.6);  // seat-bound
+  ASSERT_TRUE(platform.coordinator().submit(session).is_ok());
+  env.run_until(env.now() + 60.0);
+  const sched::JobRecord* record = platform.coordinator().job("sess");
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->phase, sched::JobPhase::kRunning);
+  EXPECT_EQ(record->tenancy, hw::Tenancy::kWhole);
 }
 
 TEST(PresetsTest, SlurmRequeuesAtTail) {

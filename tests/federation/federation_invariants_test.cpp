@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "gpunion/federated_platform.h"
+#include "tests/sched/capacity_rescan.h"
 #include "util/rng.h"
 #include "workload/profiles.h"
 
@@ -136,24 +137,8 @@ void check_invariants(FederatedPlatform& fed,
     }
 
     // --- Capacity counters vs a directory rescan ----------------------------
-    sched::CapacitySummary summary =
-        platform.coordinator().directory().capacity_summary();
-    int free_gpus = 0;
-    int free_slots = 0;
-    int schedulable = 0;
-    for (const sched::NodeInfo* node :
-         platform.coordinator().directory().all()) {
-      EXPECT_GE(node->free_gpus, 0) << node->machine_id;
-      EXPECT_LE(node->free_gpus, node->gpu_count) << node->machine_id;
-      if (node->schedulable()) {
-        free_gpus += node->free_gpus;
-        free_slots += node->free_shared_slots;
-        ++schedulable;
-      }
-    }
-    EXPECT_EQ(summary.free_gpus, free_gpus) << name;
-    EXPECT_EQ(summary.free_shared_slots, free_slots) << name;
-    EXPECT_EQ(summary.schedulable_nodes, schedulable) << name;
+    sched::expect_capacity_matches_rescan(platform.coordinator().directory(),
+                                          name);
   }
 }
 

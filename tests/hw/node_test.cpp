@@ -34,7 +34,8 @@ TEST(NodeModelTest, AllocateReleaseCycle) {
   NodeModel node(server_8x4090("srv"));
   auto gpus = node.find_gpus(2, 10.0, 8.0);
   ASSERT_TRUE(gpus.has_value());
-  ASSERT_TRUE(node.allocate(*gpus, "job-1", 10.0, 0.9, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, *gpus, "job-1", 10.0, 0.9, 0.0).is_ok());
   EXPECT_EQ(node.free_gpu_count(), 6);
   EXPECT_DOUBLE_EQ(node.busy_fraction(), 0.25);
   EXPECT_EQ(node.release("job-1", 1.0), 2);
@@ -43,22 +44,23 @@ TEST(NodeModelTest, AllocateReleaseCycle) {
 
 TEST(NodeModelTest, DoubleAllocateRejected) {
   NodeModel node(workstation_3090("ws"));
-  ASSERT_TRUE(node.allocate({0}, "job-1", 8.0, 0.9, 0.0).is_ok());
-  auto again = node.allocate({0}, "job-2", 8.0, 0.9, 0.0);
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, {0}, "job-1", 8.0, 0.9, 0.0).is_ok());
+  auto again = node.allocate(Tenancy::kWhole, {0}, "job-2", 8.0, 0.9, 0.0);
   EXPECT_EQ(again.code(), util::StatusCode::kFailedPrecondition);
 }
 
 TEST(NodeModelTest, AllocateValidatesIndices) {
   NodeModel node(workstation_3090("ws"));
-  EXPECT_EQ(node.allocate({5}, "job", 8.0, 0.9, 0.0).code(),
+  EXPECT_EQ(node.allocate(Tenancy::kWhole, {5}, "job", 8.0, 0.9, 0.0).code(),
             util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(node.allocate({}, "job", 8.0, 0.9, 0.0).code(),
+  EXPECT_EQ(node.allocate(Tenancy::kWhole, {}, "job", 8.0, 0.9, 0.0).code(),
             util::StatusCode::kInvalidArgument);
 }
 
 TEST(NodeModelTest, AllocateValidatesMemory) {
   NodeModel node(workstation_3090("ws"));
-  EXPECT_EQ(node.allocate({0}, "job", 48.0, 0.9, 0.0).code(),
+  EXPECT_EQ(node.allocate(Tenancy::kWhole, {0}, "job", 48.0, 0.9, 0.0).code(),
             util::StatusCode::kResourceExhausted);
 }
 
@@ -69,50 +71,57 @@ TEST(NodeModelTest, ReleaseUnknownWorkloadIsZero) {
 
 TEST(NodeModelTest, FreeGpusListsIndices) {
   NodeModel node(server_4xa6000("srv"));
-  ASSERT_TRUE(node.allocate({1, 2}, "job", 10.0, 0.5, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, {1, 2}, "job", 10.0, 0.5, 0.0).is_ok());
   EXPECT_EQ(node.free_gpus(), (std::vector<int>{0, 3}));
 }
 
 TEST(NodeModelTest, SharedSlotsPackOntoOneDevice) {
   NodeModel node(server_4xa6000("srv"));  // 48 GB, 4 slots -> 12 GB cap
   EXPECT_DOUBLE_EQ(node.share_memory_cap(0), 12.0);
-  auto first = node.find_share_slot(8.0, 8.0);
+  auto first = node.find_seat(Tenancy::kFractional, 8.0, 8.0);
   ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(node.allocate_shared(*first, "t-1", 8.0, 0.5, 0.0).is_ok());
+  ASSERT_TRUE(node.allocate(Tenancy::kFractional, {*first}, "t-1", 8.0, 0.5,
+                            0.0).is_ok());
   // The next tenant packs onto the same (most-occupied) device.
-  auto second = node.find_share_slot(8.0, 8.0);
+  auto second = node.find_seat(Tenancy::kFractional, 8.0, 8.0);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, *first);
-  ASSERT_TRUE(node.allocate_shared(*second, "t-2", 8.0, 0.5, 0.0).is_ok());
+  ASSERT_TRUE(node.allocate(Tenancy::kFractional, {*second}, "t-2", 8.0, 0.5,
+                            0.0).is_ok());
   EXPECT_EQ(node.gpu(static_cast<std::size_t>(*first)).holder_count(), 2);
   // Whole-device pool shrank by one; shared slots opened.
   EXPECT_EQ(node.free_gpu_count(), 3);
-  EXPECT_EQ(node.free_shared_slot_count(), 2);
+  EXPECT_EQ(node.free_seat_count(Tenancy::kFractional), 2);
   // A shared device is not free for exclusive allocation.
-  EXPECT_EQ(node.allocate({*first}, "whole", 10.0, 0.9, 0.0).code(),
+  EXPECT_EQ(
+      node.allocate(Tenancy::kWhole, {*first}, "whole", 10.0, 0.9, 0.0).code(),
             util::StatusCode::kFailedPrecondition);
   // Releasing both tenants returns the device to the whole pool.
   EXPECT_EQ(node.release("t-1", 1.0), 1);
   EXPECT_EQ(node.release("t-2", 1.0), 1);
   EXPECT_EQ(node.free_gpu_count(), 4);
-  EXPECT_EQ(node.free_shared_slot_count(), 0);
+  EXPECT_EQ(node.free_seat_count(Tenancy::kFractional), 0);
 }
 
 TEST(NodeModelTest, SharedSlotCountAndMemoryLimitsEnforced) {
   NodeSpec spec = workstation_3090("ws");  // 24 GB, 4 slots -> 6 GB cap
   NodeModel node(spec);
   // Per-tenant cap enforced.
-  EXPECT_EQ(node.allocate_shared(0, "fat", 10.0, 0.5, 0.0).code(),
+  EXPECT_EQ(
+      node.allocate(Tenancy::kFractional, {0}, "fat", 10.0, 0.5, 0.0).code(),
             util::StatusCode::kResourceExhausted);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
-        node.allocate_shared(0, "t-" + std::to_string(i), 6.0, 0.5, 0.0)
+        node.allocate(Tenancy::kFractional, {0}, "t-" + std::to_string(i), 6.0,
+                      0.5, 0.0)
             .is_ok());
   }
   // Slot count exhausted: the fifth tenant is denied.
-  EXPECT_EQ(node.allocate_shared(0, "t-5", 1.0, 0.5, 0.0).code(),
+  EXPECT_EQ(
+      node.allocate(Tenancy::kFractional, {0}, "t-5", 1.0, 0.5, 0.0).code(),
             util::StatusCode::kResourceExhausted);
-  EXPECT_FALSE(node.find_share_slot(1.0, 7.0).has_value());
+  EXPECT_FALSE(node.find_seat(Tenancy::kFractional, 1.0, 7.0).has_value());
   // Utilization saturates instead of exceeding 1.
   EXPECT_LE(node.gpu(0).utilization(), 1.0);
 }
@@ -121,30 +130,34 @@ TEST(NodeModelTest, SharingDisabledBySpec) {
   NodeSpec spec = workstation_3090("ws");
   spec.share_slots_per_gpu = 1;
   NodeModel node(spec);
-  EXPECT_FALSE(node.find_share_slot(4.0, 7.0).has_value());
-  EXPECT_EQ(node.allocate_shared(0, "t", 4.0, 0.5, 0.0).code(),
+  EXPECT_FALSE(node.find_seat(Tenancy::kFractional, 4.0, 7.0).has_value());
+  EXPECT_EQ(node.allocate(Tenancy::kFractional, {0}, "t", 4.0, 0.5, 0.0).code(),
             util::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(node.free_shared_slot_count(), 0);
+  EXPECT_EQ(node.free_seat_count(Tenancy::kFractional), 0);
 }
 
 TEST(NodeModelTest, ExclusiveDeviceRejectsSharedTenant) {
   NodeModel node(workstation_3090("ws"));
-  ASSERT_TRUE(node.allocate({0}, "whole", 8.0, 0.9, 0.0).is_ok());
-  EXPECT_EQ(node.allocate_shared(0, "t", 4.0, 0.5, 0.0).code(),
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, {0}, "whole", 8.0, 0.9, 0.0).is_ok());
+  EXPECT_EQ(node.allocate(Tenancy::kFractional, {0}, "t", 4.0, 0.5, 0.0).code(),
             util::StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(node.find_share_slot(4.0, 7.0).has_value());
+  EXPECT_FALSE(node.find_seat(Tenancy::kFractional, 4.0, 7.0).has_value());
 }
 
 TEST(NodeModelTest, BusyFractionWeightsSharedSlots) {
   // Regression: a shared GPU with 1 of 4 occupied slots used to count as
   // 100% busy — exactly where sharing is supposed to show headroom.
   NodeModel node(server_4xa6000("srv"));  // 4 GPUs, 4 slots each
-  ASSERT_TRUE(node.allocate_shared(0, "t-1", 8.0, 0.5, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kFractional, {0}, "t-1", 8.0, 0.5, 0.0).is_ok());
   EXPECT_DOUBLE_EQ(node.busy_fraction(), 0.25 / 4.0);  // 1 slot of 16
-  ASSERT_TRUE(node.allocate_shared(0, "t-2", 8.0, 0.5, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kFractional, {0}, "t-2", 8.0, 0.5, 0.0).is_ok());
   EXPECT_DOUBLE_EQ(node.busy_fraction(), 0.5 / 4.0);
   // An exclusive device still counts as fully busy.
-  ASSERT_TRUE(node.allocate({1}, "whole", 10.0, 0.9, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, {1}, "whole", 10.0, 0.9, 0.0).is_ok());
   EXPECT_DOUBLE_EQ(node.busy_fraction(), 1.5 / 4.0);
 }
 
@@ -153,41 +166,47 @@ TEST(NodeModelTest, TimesliceSeatsPackAndHonourOversubRatio) {
   spec.timeslice_tenants_per_gpu = 3;
   spec.timeslice_oversub_ratio = 2.0;  // up to 96 GB of working sets
   NodeModel node(spec);
-  auto first = node.find_timeslice_slot(40.0, 8.0);
+  auto first = node.find_seat(Tenancy::kTimeslice, 40.0, 8.0);
   ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(node.allocate_timeslice(*first, "t-1", 40.0, 0.9, 0.0).is_ok());
+  ASSERT_TRUE(node.allocate(Tenancy::kTimeslice, {*first}, "t-1", 40.0, 0.9,
+                            0.0).is_ok());
   // The next tenant packs onto the same device.
-  auto second = node.find_timeslice_slot(40.0, 8.0);
+  auto second = node.find_seat(Tenancy::kTimeslice, 40.0, 8.0);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, *first);
-  ASSERT_TRUE(node.allocate_timeslice(*second, "t-2", 40.0, 0.9, 0.0).is_ok());
+  ASSERT_TRUE(node.allocate(Tenancy::kTimeslice, {*second}, "t-2", 40.0, 0.9,
+                            0.0).is_ok());
   EXPECT_EQ(node.free_gpu_count(), 3);
-  EXPECT_EQ(node.free_timeslice_slot_count(), 1);
+  EXPECT_EQ(node.free_seat_count(Tenancy::kTimeslice), 1);
   // 40 + 40 + 40 > 96: the ratio forces the third big tenant elsewhere.
-  auto third = node.find_timeslice_slot(40.0, 8.0);
+  auto third = node.find_seat(Tenancy::kTimeslice, 40.0, 8.0);
   ASSERT_TRUE(third.has_value());
   EXPECT_NE(*third, *first);
-  EXPECT_EQ(node.allocate_timeslice(*first, "t-3", 40.0, 0.9, 0.0).code(),
+  EXPECT_EQ(node.allocate(Tenancy::kTimeslice, {*first}, "t-3", 40.0, 0.9,
+                          0.0).code(),
             util::StatusCode::kResourceExhausted);
   // A small working set still fits under the ratio on the packed device.
-  ASSERT_TRUE(node.allocate_timeslice(*first, "t-4", 10.0, 0.9, 0.0).is_ok());
-  EXPECT_EQ(node.free_timeslice_slot_count(), 0);
+  ASSERT_TRUE(node.allocate(Tenancy::kTimeslice, {*first}, "t-4", 10.0, 0.9,
+                            0.0).is_ok());
+  EXPECT_EQ(node.free_seat_count(Tenancy::kTimeslice), 0);
   // A time-sliced device hosts neither spatial tenants nor exclusive jobs.
-  EXPECT_EQ(node.allocate_shared(*first, "s", 4.0, 0.5, 0.0).code(),
+  EXPECT_EQ(
+      node.allocate(Tenancy::kFractional, {*first}, "s", 4.0, 0.5, 0.0).code(),
             util::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(node.allocate({*first}, "whole", 10.0, 0.9, 0.0).code(),
+  EXPECT_EQ(
+      node.allocate(Tenancy::kWhole, {*first}, "whole", 10.0, 0.9, 0.0).code(),
             util::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(node.free_shared_slot_count(), 0);
+  EXPECT_EQ(node.free_seat_count(Tenancy::kFractional), 0);
   // Busy fraction is residency-weighted: 1 of 4 devices has a resident.
   EXPECT_DOUBLE_EQ(node.busy_fraction(), 0.25);
 }
 
 TEST(NodeModelTest, TimesliceDisabledBySpecDefault) {
   NodeModel node(workstation_3090("ws"));
-  EXPECT_FALSE(node.find_timeslice_slot(8.0, 7.0).has_value());
-  EXPECT_EQ(node.allocate_timeslice(0, "t", 8.0, 0.9, 0.0).code(),
+  EXPECT_FALSE(node.find_seat(Tenancy::kTimeslice, 8.0, 7.0).has_value());
+  EXPECT_EQ(node.allocate(Tenancy::kTimeslice, {0}, "t", 8.0, 0.9, 0.0).code(),
             util::StatusCode::kFailedPrecondition);
-  EXPECT_EQ(node.free_timeslice_slot_count(), 0);
+  EXPECT_EQ(node.free_seat_count(Tenancy::kTimeslice), 0);
 }
 
 }  // namespace

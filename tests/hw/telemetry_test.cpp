@@ -20,7 +20,8 @@ TEST(TelemetryTest, SamplesEveryGpu) {
 
 TEST(TelemetryTest, BusyGpuShowsUtilizationAndMemory) {
   NodeModel node(workstation_3090("ws"));
-  ASSERT_TRUE(node.allocate({0}, "job", 12.0, 0.9, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, {0}, "job", 12.0, 0.9, 0.0).is_ok());
   NvmlSampler sampler(node, util::Rng(2));
   const NodeTelemetry t = sampler.sample(10.0);
   ASSERT_EQ(t.gpus.size(), 1u);
@@ -31,7 +32,8 @@ TEST(TelemetryTest, BusyGpuShowsUtilizationAndMemory) {
 
 TEST(TelemetryTest, MeanUtilAcrossGpus) {
   NodeModel node(server_2xa100("srv"));
-  ASSERT_TRUE(node.allocate({0}, "job", 40.0, 1.0, 0.0).is_ok());
+  ASSERT_TRUE(
+      node.allocate(Tenancy::kWhole, {0}, "job", 40.0, 1.0, 0.0).is_ok());
   NvmlSampler sampler(node, util::Rng(3));
   const NodeTelemetry t = sampler.sample(1.0);
   // One of two GPUs at ~100%: mean near 50%.

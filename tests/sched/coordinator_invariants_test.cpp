@@ -27,6 +27,7 @@
 #include <string>
 
 #include "gpunion/platform.h"
+#include "tests/sched/capacity_rescan.h"
 #include "util/rng.h"
 #include "workload/profiles.h"
 #include "workload/provider_behavior.h"
@@ -71,26 +72,7 @@ void check_invariants(Platform& platform) {
   }
 
   // --- Capacity accounting vs the indexed summary -----------------------------
-  sched::CapacitySummary summary =
-      coordinator.directory().capacity_summary();
-  int free_gpus = 0;
-  int free_slots = 0;
-  int schedulable = 0;
-  for (const sched::NodeInfo* node : coordinator.directory().all()) {
-    EXPECT_GE(node->free_gpus, 0) << node->machine_id;
-    EXPECT_LE(node->free_gpus, node->gpu_count) << node->machine_id;
-    EXPECT_GE(node->free_shared_slots, 0) << node->machine_id;
-    if (node->schedulable()) {
-      free_gpus += node->free_gpus;
-      free_slots += node->free_shared_slots;
-      ++schedulable;
-    }
-  }
-  EXPECT_EQ(summary.free_gpus, free_gpus)
-      << "running free-GPU counter drifted from a directory rescan";
-  EXPECT_EQ(summary.free_shared_slots, free_slots)
-      << "running free-slot counter drifted from a directory rescan";
-  EXPECT_EQ(summary.schedulable_nodes, schedulable);
+  sched::expect_capacity_matches_rescan(coordinator.directory(), "campus");
 
   // --- DB state agrees with coordinator state ---------------------------------
   // Open allocations in the DB <-> live running records, 1:1.

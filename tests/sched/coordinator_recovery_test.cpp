@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
 #include "workload/profiles.h"
@@ -52,8 +56,11 @@ class CoordinatorRecoveryTest : public ::testing::Test {
   }
 
   void add_agent(const std::string& hostname) {
-    nodes_.push_back(
-        std::make_unique<hw::NodeModel>(hw::workstation_3090(hostname)));
+    add_agent(hw::workstation_3090(hostname));
+  }
+
+  void add_agent(hw::NodeSpec spec) {
+    nodes_.push_back(std::make_unique<hw::NodeModel>(std::move(spec)));
     agent::AgentConfig config;
     config.owner_group = "nlp";
     config.enable_telemetry = false;
@@ -194,6 +201,73 @@ TEST_F(CoordinatorRecoveryTest, PendingJobsKeepTheirQueuePositionAcrossCrash) {
   add_agent("ws-1");
   env_.run_until(env_.now() + util::hours(0.3));
   EXPECT_EQ(coordinator_->stats().jobs_completed, 2);
+}
+
+TEST_F(CoordinatorRecoveryTest, SharedTenantsKeepTheirModeAndSeatsAcrossCrash) {
+  // Recovery re-reserves each running record's capacity from its persisted
+  // tenancy mode.  One 4-GPU server hosts two time-slice tenants and two
+  // fractional tenants; the rebuilt scheduling view must equal the one
+  // before the crash, and the next heartbeat must leave it there.
+  CoordinatorConfig config;
+  config.strategy = std::string(kAdaptiveSharing);
+  make_coordinator(config);
+  ASSERT_TRUE(registry_
+                  .push(container::make_image("jupyter-dl", "latest",
+                                              "nvidia/cuda:12.1-runtime",
+                                              8ULL << 30, "m"))
+                  .is_ok());
+  add_agent(hw::with_timeslicing(hw::server_4xa6000("srv"), 4));
+  const std::string machine = agents_.back()->machine_id();
+  // Bursty sessions take time-slice seats; steady shareable training
+  // takes fractional slots.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(coordinator_
+                    ->submit(workload::make_interactive_session(
+                        "sess-" + std::to_string(i), 2.0, "nlp", env_.now()))
+                    .is_ok());
+    auto steady = training_job("steady-" + std::to_string(i), 2.0);
+    steady.requirements.shareable = true;
+    ASSERT_TRUE(coordinator_->submit(steady).is_ok());
+  }
+  env_.run_until(env_.now() + 30.0);
+  std::map<std::string, hw::Tenancy> modes;
+  for (const auto& [id, record] : coordinator_->jobs()) {
+    ASSERT_EQ(record.phase, JobPhase::kRunning) << id;
+    modes[id] = record.tenancy;
+  }
+  ASSERT_EQ(modes.size(), 4u);
+  EXPECT_EQ(modes.at("sess-0"), hw::Tenancy::kTimeslice);
+  EXPECT_EQ(modes.at("sess-1"), hw::Tenancy::kTimeslice);
+  EXPECT_EQ(modes.at("steady-0"), hw::Tenancy::kFractional);
+  EXPECT_EQ(modes.at("steady-1"), hw::Tenancy::kFractional);
+  const NodeInfo before =
+      *std::as_const(*coordinator_).directory().find(machine);
+  EXPECT_EQ(before.free_gpus, 2);
+  EXPECT_EQ(before.free_seats[hw::Tenancy::kTimeslice], 2);
+  EXPECT_EQ(before.free_seats[hw::Tenancy::kFractional], 2);
+
+  coordinator_->crash();
+  env_.run_until(env_.now() + 1.0);
+  coordinator_->recover();
+  auto expect_as_before = [&](const std::string& when) {
+    const NodeInfo* node =
+        std::as_const(*coordinator_).directory().find(machine);
+    ASSERT_NE(node, nullptr) << when;
+    EXPECT_EQ(node->free_gpus, before.free_gpus) << when;
+    for (const hw::Tenancy mode : hw::kSharedTenancies) {
+      EXPECT_EQ(node->free_seats[mode], before.free_seats[mode])
+          << when << ": free " << hw::tenancy_unit(mode) << "s";
+    }
+    for (const auto& [id, mode] : modes) {
+      const JobRecord* record = coordinator_->job(id);
+      ASSERT_NE(record, nullptr) << when << ": " << id;
+      EXPECT_EQ(record->phase, JobPhase::kRunning) << when << ": " << id;
+      EXPECT_EQ(record->tenancy, mode) << when << ": " << id;
+    }
+  };
+  expect_as_before("rebuilt from the database");
+  env_.run_until(env_.now() + 2.5);  // one heartbeat
+  expect_as_before("after a heartbeat");
 }
 
 }  // namespace

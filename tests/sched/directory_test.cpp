@@ -80,36 +80,50 @@ TEST(DirectoryTest, AllIsSortedByMachineId) {
 TEST(DirectoryTest, SlotReserveOpensSharedGpuAndReleaseReturnsIt) {
   Directory directory;
   NodeInfo info = make_node("m-1", 2);
-  info.slots_per_gpu = 4;
+  info.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   info.share_memory_cap_gb = 6.0;
   directory.upsert(info);
   // First slot opens a whole GPU in shared mode.
-  EXPECT_TRUE(directory.reserve_slot("m-1"));
+  EXPECT_TRUE(directory.reserve_seat("m-1", hw::Tenancy::kFractional));
   EXPECT_EQ(directory.find("m-1")->free_gpus, 1);
-  EXPECT_EQ(directory.find("m-1")->free_shared_slots, 3);
+  EXPECT_EQ(directory.find("m-1")->free_seats[hw::Tenancy::kFractional], 3);
   // Subsequent slots drain the shared GPU before opening another.
-  EXPECT_TRUE(directory.reserve_slot("m-1"));
+  EXPECT_TRUE(directory.reserve_seat("m-1", hw::Tenancy::kFractional));
   EXPECT_EQ(directory.find("m-1")->free_gpus, 1);
-  EXPECT_EQ(directory.find("m-1")->free_shared_slots, 2);
-  directory.release_slot("m-1");
-  EXPECT_EQ(directory.find("m-1")->free_shared_slots, 3);
+  EXPECT_EQ(directory.find("m-1")->free_seats[hw::Tenancy::kFractional], 2);
+  directory.release_seat("m-1", hw::Tenancy::kFractional);
+  EXPECT_EQ(directory.find("m-1")->free_seats[hw::Tenancy::kFractional], 3);
   // Sharing disabled or unknown node: no slot.
   NodeInfo unshared = make_node("m-2", 1);
-  unshared.slots_per_gpu = 1;
+  unshared.seats_per_gpu[hw::Tenancy::kFractional] = 1;
   directory.upsert(unshared);
-  EXPECT_FALSE(directory.reserve_slot("m-2"));
-  EXPECT_FALSE(directory.reserve_slot("ghost"));
+  EXPECT_FALSE(directory.reserve_seat("m-2", hw::Tenancy::kFractional));
+  EXPECT_FALSE(directory.reserve_seat("ghost", hw::Tenancy::kFractional));
 }
 
 TEST(DirectoryTest, SlotReserveDeniedWhenEverythingTaken) {
   Directory directory;
   NodeInfo info = make_node("m-1", 1);
-  info.slots_per_gpu = 2;
+  info.seats_per_gpu[hw::Tenancy::kFractional] = 2;
   directory.upsert(info);
-  EXPECT_TRUE(directory.reserve_slot("m-1"));
-  EXPECT_TRUE(directory.reserve_slot("m-1"));
+  EXPECT_TRUE(directory.reserve_seat("m-1", hw::Tenancy::kFractional));
+  EXPECT_TRUE(directory.reserve_seat("m-1", hw::Tenancy::kFractional));
   // 2 slots on 1 GPU: the third tenant is denied (oversubscription).
-  EXPECT_FALSE(directory.reserve_slot("m-1"));
+  EXPECT_FALSE(directory.reserve_seat("m-1", hw::Tenancy::kFractional));
+}
+
+/// ClusterView queries at compute capability 7.0.
+std::vector<const NodeInfo*> whole(Directory& directory, int gpus,
+                                   double memory_gb,
+                                   const std::string* group = nullptr) {
+  return directory.view().candidates(
+      {hw::Tenancy::kWhole, gpus, memory_gb, 7.0, group});
+}
+
+std::vector<const NodeInfo*> fractional(Directory& directory,
+                                        double memory_gb) {
+  return directory.view().candidates(
+      {hw::Tenancy::kFractional, 1, memory_gb, 7.0, nullptr});
 }
 
 NodeInfo view_node(const std::string& id, int free, double mem, double cc,
@@ -131,25 +145,24 @@ TEST(ClusterViewTest, WholeGpuCandidatesFilterAndAreSorted) {
   paused.accepting = false;
   directory.upsert(paused);
 
-  auto candidates =
-      directory.view().whole_gpu_candidates(1, 8.0, 7.0, nullptr);
+  auto candidates = whole(directory, 1, 8.0);
   ASSERT_EQ(candidates.size(), 2u);
   EXPECT_EQ(candidates[0]->machine_id, "m-a");  // sorted by id
   EXPECT_EQ(candidates[1]->machine_id, "m-c");
 
   // Capacity bucket: 3 GPUs needed -> only m-c.
-  candidates = directory.view().whole_gpu_candidates(3, 8.0, 7.0, nullptr);
+  candidates = whole(directory, 3, 8.0);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0]->machine_id, "m-c");
 
   // VRAM filter.
-  candidates = directory.view().whole_gpu_candidates(1, 40.0, 7.0, nullptr);
+  candidates = whole(directory, 1, 40.0);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0]->machine_id, "m-a");
 
   // Group restriction uses the per-group index.
   const std::string group = "nlp";
-  candidates = directory.view().whole_gpu_candidates(1, 8.0, 7.0, &group);
+  candidates = whole(directory, 1, 8.0, &group);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0]->machine_id, "m-a");
 }
@@ -157,32 +170,27 @@ TEST(ClusterViewTest, WholeGpuCandidatesFilterAndAreSorted) {
 TEST(ClusterViewTest, DirtyInvalidationTracksMutations) {
   Directory directory;
   directory.upsert(view_node("m-1", 2, 24.0, 8.6, "vision"));
-  auto candidates =
-      directory.view().whole_gpu_candidates(2, 8.0, 7.0, nullptr);
+  auto candidates = whole(directory, 2, 8.0);
   ASSERT_EQ(candidates.size(), 1u);
 
   // Reservation moves the node out of the >=2 bucket.
   directory.reserve_gpus("m-1", 1);
-  EXPECT_TRUE(
-      directory.view().whole_gpu_candidates(2, 8.0, 7.0, nullptr).empty());
-  ASSERT_EQ(
-      directory.view().whole_gpu_candidates(1, 8.0, 7.0, nullptr).size(), 1u);
+  EXPECT_TRUE(whole(directory, 2, 8.0).empty());
+  ASSERT_EQ(whole(directory, 1, 8.0).size(), 1u);
 
   // Mutation through the non-const find() pointer is picked up too.
   directory.find("m-1")->accepting = false;
-  EXPECT_TRUE(
-      directory.view().whole_gpu_candidates(1, 8.0, 7.0, nullptr).empty());
+  EXPECT_TRUE(whole(directory, 1, 8.0).empty());
   directory.find("m-1")->accepting = true;
   directory.release_gpus("m-1", 1);
-  EXPECT_EQ(
-      directory.view().whole_gpu_candidates(2, 8.0, 7.0, nullptr).size(), 1u);
+  EXPECT_EQ(whole(directory, 2, 8.0).size(), 1u);
   EXPECT_EQ(directory.view().total_free_gpus(), 2);
 }
 
 TEST(DirectoryTest, CapacitySummaryTracksMutationsIncrementally) {
   Directory directory;
   NodeInfo sharing = make_node("m-1", 4);
-  sharing.slots_per_gpu = 4;
+  sharing.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   directory.upsert(sharing);
   directory.upsert(make_node("m-2", 2));
 
@@ -191,14 +199,15 @@ TEST(DirectoryTest, CapacitySummaryTracksMutationsIncrementally) {
   EXPECT_EQ(summary.schedulable_nodes, 2);
   EXPECT_EQ(summary.total_gpus, 6);
   EXPECT_EQ(summary.free_gpus, 6);
-  EXPECT_EQ(summary.free_shared_slots, 0);
+  EXPECT_EQ(summary.free_seats[hw::Tenancy::kFractional], 0);
 
   // Reservations, slots, and status flips all land in the summary.
   directory.reserve_gpus("m-2", 2);
-  ASSERT_TRUE(directory.reserve_slot("m-1"));  // opens a GPU in shared mode
+  // Opens a GPU in shared mode.
+  ASSERT_TRUE(directory.reserve_seat("m-1", hw::Tenancy::kFractional));
   summary = directory.capacity_summary();
   EXPECT_EQ(summary.free_gpus, 3);
-  EXPECT_EQ(summary.free_shared_slots, 3);
+  EXPECT_EQ(summary.free_seats[hw::Tenancy::kFractional], 3);
 
   directory.find("m-1")->status = db::NodeStatus::kDeparted;
   summary = directory.capacity_summary();
@@ -206,7 +215,7 @@ TEST(DirectoryTest, CapacitySummaryTracksMutationsIncrementally) {
   EXPECT_EQ(summary.schedulable_nodes, 1);
   EXPECT_EQ(summary.total_gpus, 6);      // hardware does not vanish
   EXPECT_EQ(summary.free_gpus, 0);       // but is not schedulable capacity
-  EXPECT_EQ(summary.free_shared_slots, 0);
+  EXPECT_EQ(summary.free_seats[hw::Tenancy::kFractional], 0);
 
   // Re-registering with different hardware keeps the GPU total exact.
   directory.upsert(make_node("m-2", 8));
@@ -229,31 +238,27 @@ TEST(DirectoryTest, CapacitySummaryTracksMutationsIncrementally) {
 TEST(ClusterViewTest, FractionalCandidatesHonourCapAndCapacity) {
   Directory directory;
   NodeInfo sharing = view_node("m-share", 1, 24.0, 8.6, "vision");
-  sharing.slots_per_gpu = 4;
+  sharing.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   sharing.share_memory_cap_gb = 6.0;
   directory.upsert(sharing);
   NodeInfo unshared = view_node("m-solo", 4, 24.0, 8.6, "vision");
-  unshared.slots_per_gpu = 1;
+  unshared.seats_per_gpu[hw::Tenancy::kFractional] = 1;
   directory.upsert(unshared);
 
-  auto candidates =
-      directory.view().fractional_candidates(4.0, 7.0, nullptr);
+  auto candidates = fractional(directory, 4.0);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0]->machine_id, "m-share");
 
   // Per-tenant memory cap enforced.
-  EXPECT_TRUE(directory.view().fractional_candidates(8.0, 7.0, nullptr)
-                  .empty());
+  EXPECT_TRUE(fractional(directory, 8.0).empty());
 
   // Fully booked: no free GPU, no free slot.
   directory.find("m-share")->free_gpus = 0;
-  directory.find("m-share")->free_shared_slots = 0;
-  EXPECT_TRUE(directory.view().fractional_candidates(4.0, 7.0, nullptr)
-                  .empty());
+  directory.find("m-share")->free_seats[hw::Tenancy::kFractional] = 0;
+  EXPECT_TRUE(fractional(directory, 4.0).empty());
   // A slot freed on a shared GPU re-admits the node.
-  directory.release_slot("m-share");
-  ASSERT_EQ(
-      directory.view().fractional_candidates(4.0, 7.0, nullptr).size(), 1u);
+  directory.release_seat("m-share", hw::Tenancy::kFractional);
+  ASSERT_EQ(fractional(directory, 4.0).size(), 1u);
 }
 
 }  // namespace

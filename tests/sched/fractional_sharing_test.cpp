@@ -99,12 +99,12 @@ TEST_F(FractionalSharingTest, SessionsPackOntoOneSharedGpu) {
   EXPECT_EQ(provider.running_jobs(), 3u);
   // All three are fractional tenants of the single physical GPU.
   EXPECT_EQ(nodes_[0]->free_gpu_count(), 0);
-  EXPECT_EQ(nodes_[0]->free_shared_slot_count(), 1);
+  EXPECT_EQ(nodes_[0]->free_seat_count(hw::Tenancy::kFractional), 1);
   for (int i = 0; i < 3; ++i) {
     const JobRecord* record =
         coordinator_->job("sess-" + std::to_string(i));
     ASSERT_NE(record, nullptr);
-    EXPECT_TRUE(record->fractional_slot);
+    EXPECT_EQ(record->tenancy, hw::Tenancy::kFractional);
     const auto allocations =
         database_.allocations_for_job("sess-" + std::to_string(i));
     ASSERT_EQ(allocations.size(), 1u);
@@ -115,7 +115,7 @@ TEST_F(FractionalSharingTest, SessionsPackOntoOneSharedGpu) {
   const NodeInfo* node = coordinator_->directory().find(provider.machine_id());
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->free_gpus, 0);
-  EXPECT_EQ(node->free_shared_slots, 1);
+  EXPECT_EQ(node->free_seats[hw::Tenancy::kFractional], 1);
 }
 
 TEST_F(FractionalSharingTest, OversubscriptionDeniedUntilSlotFrees) {
@@ -135,7 +135,7 @@ TEST_F(FractionalSharingTest, OversubscriptionDeniedUntilSlotFrees) {
   // A tenant finishing frees its slot and admits the fifth session.
   env_.run_until(env_.now() + util::hours(0.15));
   EXPECT_EQ(coordinator_->job("late")->phase, JobPhase::kRunning);
-  EXPECT_TRUE(coordinator_->job("late")->fractional_slot);
+  EXPECT_EQ(coordinator_->job("late")->tenancy, hw::Tenancy::kFractional);
 }
 
 TEST_F(FractionalSharingTest, MemoryCapForcesWholeGpuPlacement) {
@@ -150,7 +150,7 @@ TEST_F(FractionalSharingTest, MemoryCapForcesWholeGpuPlacement) {
   const JobRecord* record = coordinator_->job("big-mem");
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->phase, JobPhase::kRunning);
-  EXPECT_FALSE(record->fractional_slot);
+  EXPECT_NE(record->tenancy, hw::Tenancy::kFractional);
   const auto allocations = database_.allocations_for_job("big-mem");
   ASSERT_EQ(allocations.size(), 1u);
   EXPECT_DOUBLE_EQ(allocations[0].gpu_fraction, 1.0);
@@ -173,7 +173,7 @@ TEST_F(FractionalSharingTest, SharedSlotMigratesBackAfterTemporaryLoss) {
   const JobRecord* record = coordinator_->job("shared-train");
   ASSERT_NE(record, nullptr);
   ASSERT_EQ(record->phase, JobPhase::kRunning);
-  EXPECT_TRUE(record->fractional_slot);
+  EXPECT_EQ(record->tenancy, hw::Tenancy::kFractional);
   const std::string origin = record->node;
   env_.run_until(env_.now() + util::minutes(15));  // one checkpoint in
 
@@ -188,14 +188,14 @@ TEST_F(FractionalSharingTest, SharedSlotMigratesBackAfterTemporaryLoss) {
   // Migrated to the refuge as a fractional tenant again.
   ASSERT_EQ(record->phase, JobPhase::kRunning);
   EXPECT_EQ(record->node, refuge_agent->machine_id());
-  EXPECT_TRUE(record->fractional_slot);
+  EXPECT_EQ(record->tenancy, hw::Tenancy::kFractional);
 
   origin_agent->rejoin();
   env_.run_until(env_.now() + util::minutes(5));
   // Migrate-back landed the shared tenant on its origin slot.
   EXPECT_EQ(record->node, origin_agent->machine_id());
   EXPECT_EQ(record->migrate_backs, 1);
-  EXPECT_TRUE(record->fractional_slot);
+  EXPECT_EQ(record->tenancy, hw::Tenancy::kFractional);
   // The refuge's slot was returned.
   EXPECT_EQ(refuge_agent->running_jobs(), 0u);
   env_.run_until(env_.now() + 30.0);
@@ -203,7 +203,7 @@ TEST_F(FractionalSharingTest, SharedSlotMigratesBackAfterTemporaryLoss) {
       coordinator_->directory().find(refuge_agent->machine_id());
   ASSERT_NE(refuge_node, nullptr);
   EXPECT_EQ(refuge_node->free_gpus, 1);
-  EXPECT_EQ(refuge_node->free_shared_slots, 0);
+  EXPECT_EQ(refuge_node->free_seats[hw::Tenancy::kFractional], 0);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ NodeInfo make_node(const std::string& id, const std::string& group, int gpus,
   info.gpu_memory_gb = mem;
   info.compute_capability = cc;
   info.gpu_tflops = 35.6;
-  info.slots_per_gpu = slots;
+  info.seats_per_gpu[hw::Tenancy::kFractional] = slots;
   info.share_memory_cap_gb = slots > 1 ? mem / slots : 0.0;
   info.status = db::NodeStatus::kActive;
   info.accepting = true;
@@ -61,7 +61,7 @@ TEST_F(PlacementEngineTest, PlacesOnEligibleNodeOnly) {
   auto decision = engine.place(training(40.0), "", 0.0);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->node->machine_id, "m-big");
-  EXPECT_FALSE(decision->fractional);
+  EXPECT_NE(decision->tenancy, hw::Tenancy::kFractional);
   // Nothing fits 4 GPUs.
   EXPECT_FALSE(engine.place(training(8.0, 4), "", 0.0).has_value());
 }
@@ -118,7 +118,7 @@ TEST_F(PlacementEngineTest, DeterministicUnderIdenticalClusterState) {
       if (a) {
         EXPECT_EQ(a->node->machine_id, b->node->machine_id)
             << name << " " << job.id;
-        EXPECT_EQ(a->fractional, b->fractional) << name << " " << job.id;
+        EXPECT_EQ(a->tenancy, b->tenancy) << name << " " << job.id;
       }
     }
   }
@@ -130,21 +130,21 @@ TEST_F(PlacementEngineTest, PackedSharingPlacesSessionsFractionally) {
                          std::string(kPackedSharing));
   auto decision = engine.place(session(), "", 0.0);
   ASSERT_TRUE(decision.has_value());
-  EXPECT_TRUE(decision->fractional);
+  EXPECT_EQ(decision->tenancy, hw::Tenancy::kFractional);
   // Training is never fractional under packed_sharing (not shareable).
   decision = engine.place(training(), "", 0.0);
   ASSERT_TRUE(decision.has_value());
-  EXPECT_FALSE(decision->fractional);
+  EXPECT_NE(decision->tenancy, hw::Tenancy::kFractional);
 }
 
 TEST_F(PlacementEngineTest, PolicySwitchDisablesFractionalPlacement) {
   directory_.upsert(make_node("m-a", "vision", 2, 2, 24.0, 8.6, 4));
-  policy_.fractional_sharing = false;
+  policy_.gpu_sharing = false;
   PlacementEngine engine(directory_, reliability_, policy_,
                          std::string(kPackedSharing));
   auto decision = engine.place(session(), "", 0.0);
   ASSERT_TRUE(decision.has_value());
-  EXPECT_FALSE(decision->fractional);
+  EXPECT_NE(decision->tenancy, hw::Tenancy::kFractional);
 }
 
 TEST_F(PlacementEngineTest, SessionTooBigForSlotFallsBackToWholeGpu) {
@@ -154,20 +154,20 @@ TEST_F(PlacementEngineTest, SessionTooBigForSlotFallsBackToWholeGpu) {
                          std::string(kPackedSharing));
   auto decision = engine.place(session(10.0), "", 0.0);
   ASSERT_TRUE(decision.has_value());
-  EXPECT_FALSE(decision->fractional);
+  EXPECT_NE(decision->tenancy, hw::Tenancy::kFractional);
 }
 
 TEST_F(PlacementEngineTest, FractionalDeniedWhenSlotsExhausted) {
   NodeInfo node = make_node("m-a", "vision", 1, 0, 24.0, 8.6, 4);
-  node.free_shared_slots = 1;
+  node.free_seats[hw::Tenancy::kFractional] = 1;
   directory_.upsert(node);
   PlacementEngine engine(directory_, reliability_, policy_,
                          std::string(kPackedSharing));
   auto decision = engine.place(session(), "", 0.0);
   ASSERT_TRUE(decision.has_value());
-  EXPECT_TRUE(decision->fractional);
+  EXPECT_EQ(decision->tenancy, hw::Tenancy::kFractional);
   // Consume the last slot: nothing left, whole-GPU pool empty too.
-  ASSERT_TRUE(directory_.reserve_slot("m-a"));
+  ASSERT_TRUE(directory_.reserve_seat("m-a", hw::Tenancy::kFractional));
   EXPECT_FALSE(engine.place(session(), "", 0.0).has_value());
 }
 
@@ -177,12 +177,13 @@ class CautiousSharingStrategy : public PlacementStrategy {
  public:
   std::string_view name() const override { return "cautious_sharing"; }
   bool enforce_degradation() const override { return true; }
-  bool wants_fractional(const workload::JobSpec& job) const override {
-    return job.requirements.shareable && job.requirements.gpu_count == 1;
+  bool wants(hw::Tenancy mode, const workload::JobSpec& job) const override {
+    return mode == hw::Tenancy::kFractional && job.requirements.shareable &&
+           job.requirements.gpu_count == 1;
   }
   const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                          const workload::JobSpec&, const PlacementContext&,
-                         bool) override {
+                         hw::Tenancy) override {
     return candidates.empty() ? nullptr : candidates.front();
   }
 };
@@ -229,7 +230,7 @@ TEST_F(PlacementEngineTest, AnyEligibleEarlyExitMatchesFullEnumeration) {
   EXPECT_TRUE(engine.any_eligible(nlp_job, 0.0));
   // Fractional-only capacity is found by the probe's slot pass.
   NodeInfo shared = make_node("m-shared", "vision", 1, 0, 24.0, 8.6, 4);
-  shared.free_shared_slots = 2;
+  shared.free_seats[hw::Tenancy::kFractional] = 2;
   directory_.upsert(shared);
   EXPECT_TRUE(engine.any_eligible(session(), 0.0));
   EXPECT_FALSE(engine.any_eligible(training(), 0.0))
@@ -292,7 +293,7 @@ TEST_F(PlacementEngineTest, DegradationAppliesToFractionalTraining) {
       [] { return std::make_unique<CautiousSharingStrategy>(); });
   // Only fractional capacity exists: no whole GPU free, one slot open.
   NodeInfo node = make_node("m-flaky", "vision", 2, 0, 24.0, 8.6, 4);
-  node.free_shared_slots = 2;
+  node.free_seats[hw::Tenancy::kFractional] = 2;
   directory_.upsert(node);
   ReliabilityPredictor reliability;
   for (int i = 0; i < 3; ++i) reliability.record_departure("m-flaky", 0.0);
@@ -307,7 +308,7 @@ TEST_F(PlacementEngineTest, DegradationAppliesToFractionalTraining) {
   long_job.reference_duration = util::hours(1);
   auto decision = engine.place(long_job, "", 0.0);
   ASSERT_TRUE(decision.has_value());
-  EXPECT_TRUE(decision->fractional);
+  EXPECT_EQ(decision->tenancy, hw::Tenancy::kFractional);
 }
 
 }  // namespace

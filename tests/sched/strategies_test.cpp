@@ -61,7 +61,7 @@ TEST(FactoryTest, ExternalStrategyRegistersWithoutCoordinatorChanges) {
     std::string_view name() const override { return "always_first"; }
     const NodeInfo* select(const std::vector<const NodeInfo*>& candidates,
                            const workload::JobSpec&, const PlacementContext&,
-                           bool) override {
+                           hw::Tenancy) override {
       return candidates.empty() ? nullptr : candidates.front();
     }
   };
@@ -122,27 +122,28 @@ TEST(EligibilityTest, DegradationKeepsLongJobsOffFlakyNodes) {
 TEST(EligibilityTest, SlotEligibility) {
   auto session = workload::make_interactive_session("s", 1.0, "vision", 0.0);
   NodeInfo node = make_node("a", 1, 1, 24.0, 8.6);
-  node.slots_per_gpu = 4;
+  node.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   node.share_memory_cap_gb = 8.0;
-  EXPECT_TRUE(slot_eligible(node, session, true));
+  EXPECT_TRUE(seat_eligible(node, session, hw::Tenancy::kFractional, true));
   // Sharing disabled on the node.
   NodeInfo unshared = node;
-  unshared.slots_per_gpu = 1;
-  EXPECT_FALSE(slot_eligible(unshared, session, true));
+  unshared.seats_per_gpu[hw::Tenancy::kFractional] = 1;
+  EXPECT_FALSE(
+      seat_eligible(unshared, session, hw::Tenancy::kFractional, true));
   // Memory above the per-tenant cap.
   auto big = session;
   big.requirements.gpu_memory_gb = 12.0;
-  EXPECT_FALSE(slot_eligible(node, big, true));
+  EXPECT_FALSE(seat_eligible(node, big, hw::Tenancy::kFractional, true));
   // Nothing free at all.
   NodeInfo full = node;
   full.free_gpus = 0;
-  full.free_shared_slots = 0;
-  EXPECT_FALSE(slot_eligible(full, session, true));
+  full.free_seats[hw::Tenancy::kFractional] = 0;
+  EXPECT_FALSE(seat_eligible(full, session, hw::Tenancy::kFractional, true));
   // Free slot on a shared GPU suffices even with no whole GPU free.
-  full.free_shared_slots = 2;
-  EXPECT_TRUE(slot_eligible(full, session, true));
+  full.free_seats[hw::Tenancy::kFractional] = 2;
+  EXPECT_TRUE(seat_eligible(full, session, hw::Tenancy::kFractional, true));
   // Whole-GPU (non-shareable) jobs never take slots.
-  EXPECT_FALSE(slot_eligible(node, job(), true));
+  EXPECT_FALSE(seat_eligible(node, job(), hw::Tenancy::kFractional, true));
 }
 
 TEST(StrategiesTest, RoundRobinRotatesDeterministically) {
@@ -155,10 +156,12 @@ TEST(StrategiesTest, RoundRobinRotatesDeterministically) {
   const auto spec = job();
   const PlacementContext context{nullptr, 0.0};
   for (auto expected : {"a", "b", "c", "a"}) {
-    EXPECT_EQ(selector->select(candidates, spec, context, false)->machine_id,
+    EXPECT_EQ(selector->select(candidates, spec, context,
+                               hw::Tenancy::kWhole)->machine_id,
               expected);
     // A fresh instance fed the same state produces the same sequence.
-    EXPECT_EQ(twin->select(candidates, spec, context, false)->machine_id,
+    EXPECT_EQ(twin->select(candidates, spec, context,
+                           hw::Tenancy::kWhole)->machine_id,
               expected);
   }
 }
@@ -169,7 +172,8 @@ TEST(StrategiesTest, LeastLoadedPicksEmptiestNode) {
   const auto idle = make_node("idle", 8, 7, 24, 8.6);
   std::vector<const NodeInfo*> candidates = {&busy, &idle};
   const PlacementContext context{nullptr, 0.0};
-  EXPECT_EQ(selector->select(candidates, job(), context, false)->machine_id,
+  EXPECT_EQ(selector->select(candidates, job(), context,
+                             hw::Tenancy::kWhole)->machine_id,
             "idle");
 }
 
@@ -180,7 +184,8 @@ TEST(StrategiesTest, BestFitPrefersTightestVram) {
   std::vector<const NodeInfo*> candidates = {&a100, &ws};
   const PlacementContext context{nullptr, 0.0};
   // An 8 GB job should land on the 24 GB card, preserving the A100.
-  EXPECT_EQ(selector->select(candidates, job(8.0), context, false)->machine_id,
+  EXPECT_EQ(selector->select(candidates, job(8.0), context,
+                             hw::Tenancy::kWhole)->machine_id,
             "ws");
 }
 
@@ -193,42 +198,47 @@ TEST(StrategiesTest, ReliabilityAwarePrefersSteadyNode) {
   const auto steady = make_node("steady", 1, 1, 24, 8.6);
   std::vector<const NodeInfo*> candidates = {&flaky, &steady};
   const PlacementContext context{&reliability, 0.0};
-  EXPECT_EQ(selector->select(candidates, job(), context, false)->machine_id,
+  EXPECT_EQ(selector->select(candidates, job(), context,
+                             hw::Tenancy::kWhole)->machine_id,
             "steady");
 }
 
 TEST(StrategiesTest, PackedSharingPacksTightestSharedGpu) {
   auto selector = make(kPackedSharing);
   auto session = workload::make_interactive_session("s", 1.0, "vision", 0.0);
-  EXPECT_TRUE(selector->wants_fractional(session));
-  EXPECT_FALSE(selector->wants_fractional(job()));
+  EXPECT_TRUE(selector->wants(hw::Tenancy::kFractional, session));
+  EXPECT_FALSE(selector->wants(hw::Tenancy::kFractional, job()));
 
   NodeInfo fresh = make_node("fresh", 2, 2, 24, 8.6);
-  fresh.slots_per_gpu = 4;
+  fresh.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   fresh.share_memory_cap_gb = 6.0;
   NodeInfo tight = make_node("tight", 2, 0, 24, 8.6);
-  tight.slots_per_gpu = 4;
+  tight.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   tight.share_memory_cap_gb = 6.0;
-  tight.free_shared_slots = 1;  // one slot left on a shared GPU
+  // One slot left on a shared GPU.
+  tight.free_seats[hw::Tenancy::kFractional] = 1;
   NodeInfo loose = make_node("loose", 2, 0, 24, 8.6);
-  loose.slots_per_gpu = 4;
+  loose.seats_per_gpu[hw::Tenancy::kFractional] = 4;
   loose.share_memory_cap_gb = 6.0;
-  loose.free_shared_slots = 3;  // freshly opened shared GPU
+  loose.free_seats[hw::Tenancy::kFractional] = 3;  // freshly opened shared GPU
   std::vector<const NodeInfo*> candidates = {&fresh, &loose, &tight};
   const PlacementContext context{nullptr, 0.0};
   // Tightest shared GPU first: keep whole devices free.
-  EXPECT_EQ(selector->select(candidates, session, context, true)->machine_id,
+  EXPECT_EQ(selector->select(candidates, session, context,
+                             hw::Tenancy::kFractional)->machine_id,
             "tight");
   // With no partially-filled shared GPU anywhere, open one best-fit.
   std::vector<const NodeInfo*> only_fresh = {&fresh};
   EXPECT_EQ(
-      selector->select(only_fresh, session, context, true)->machine_id,
+      selector->select(only_fresh, session, context,
+                       hw::Tenancy::kFractional)->machine_id,
       "fresh");
   // Whole-GPU pass behaves like best_fit.
   const auto a100 = make_node("a100", 2, 2, 80, 8.0);
   const auto ws = make_node("ws", 1, 1, 24, 8.6);
   std::vector<const NodeInfo*> whole = {&a100, &ws};
-  EXPECT_EQ(selector->select(whole, job(8.0), context, false)->machine_id,
+  EXPECT_EQ(selector->select(whole, job(8.0), context,
+                             hw::Tenancy::kWhole)->machine_id,
             "ws");
 }
 
@@ -237,7 +247,8 @@ TEST(StrategiesTest, EmptyCandidatesReturnNull) {
   for (auto name : {kRoundRobin, kLeastLoaded, kBestFit, kReliabilityAware,
                     kPackedSharing}) {
     auto selector = make(name);
-    EXPECT_EQ(selector->select({}, job(), context, false), nullptr) << name;
+    EXPECT_EQ(selector->select({}, job(), context, hw::Tenancy::kWhole),
+              nullptr) << name;
   }
 }
 
@@ -255,10 +266,12 @@ TEST(StrategiesTest, SingleCallDeterminismAcrossInstances) {
                     kPackedSharing}) {
     auto first = make(name);
     auto second = make(name);
-    const NodeInfo* pick = first->select(candidates, job(), context, false);
+    const NodeInfo* pick = first->select(candidates, job(), context,
+                                         hw::Tenancy::kWhole);
     ASSERT_NE(pick, nullptr) << name;
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(second->select(candidates, job(), context, false), pick)
+      EXPECT_EQ(
+          second->select(candidates, job(), context, hw::Tenancy::kWhole), pick)
           << name;
     }
   }

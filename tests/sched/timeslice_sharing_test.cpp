@@ -13,6 +13,7 @@
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
 #include "sched/coordinator.h"
+#include "tests/sched/capacity_rescan.h"
 #include "workload/profiles.h"
 
 namespace gpunion::sched {
@@ -99,16 +100,16 @@ TEST_F(TimesliceSharingTest, SessionsShareOneGpuByTimeslice) {
   EXPECT_EQ(provider.running_jobs(), 3u);
   // All three are full-memory tenants of the single time-sliced GPU.
   EXPECT_EQ(nodes_[0]->free_gpu_count(), 0);
-  EXPECT_EQ(nodes_[0]->free_timeslice_slot_count(), 1);
+  EXPECT_EQ(nodes_[0]->free_seat_count(hw::Tenancy::kTimeslice), 1);
   const hw::GpuDevice& gpu = nodes_[0]->gpu(0);
-  EXPECT_TRUE(gpu.time_sliced());
+  EXPECT_TRUE(gpu.held_as(hw::Tenancy::kTimeslice));
   EXPECT_EQ(gpu.holder_count(), 3);
   EXPECT_FALSE(gpu.resident().empty());
   for (int i = 0; i < 3; ++i) {
     const JobRecord* record = coordinator_->job("sess-" + std::to_string(i));
     ASSERT_NE(record, nullptr);
-    EXPECT_TRUE(record->timeslice_slot);
-    EXPECT_FALSE(record->fractional_slot);
+    EXPECT_EQ(record->tenancy, hw::Tenancy::kTimeslice);
+    EXPECT_NE(record->tenancy, hw::Tenancy::kFractional);
     const auto allocations =
         database_.allocations_for_job("sess-" + std::to_string(i));
     ASSERT_EQ(allocations.size(), 1u);
@@ -118,7 +119,7 @@ TEST_F(TimesliceSharingTest, SessionsShareOneGpuByTimeslice) {
   const NodeInfo* node = coordinator_->directory().find(provider.machine_id());
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->free_gpus, 0);
-  EXPECT_EQ(node->free_timeslice_slots, 1);
+  EXPECT_EQ(node->free_seats[hw::Tenancy::kTimeslice], 1);
 }
 
 TEST_F(TimesliceSharingTest, ResidencyRotatesWithSwapAccounting) {
@@ -156,9 +157,9 @@ TEST_F(TimesliceSharingTest, OversizedJobFallsBackToWholeGpu) {
   const JobRecord* record = coordinator_->job("big");
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->phase, JobPhase::kRunning);
-  EXPECT_FALSE(record->timeslice_slot);
-  EXPECT_FALSE(record->fractional_slot);
-  EXPECT_FALSE(nodes_[0]->gpu(0).time_sliced());
+  EXPECT_NE(record->tenancy, hw::Tenancy::kTimeslice);
+  EXPECT_NE(record->tenancy, hw::Tenancy::kFractional);
+  EXPECT_FALSE(nodes_[0]->gpu(0).held_as(hw::Tenancy::kTimeslice));
 }
 
 TEST_F(TimesliceSharingTest, ThrashWideningBoundsSwapCost) {
@@ -221,7 +222,7 @@ TEST_F(TimesliceSharingTest, TrainingProgressConservedUnderRotation) {
     const JobRecord* record = coordinator_->job(id);
     ASSERT_NE(record, nullptr);
     EXPECT_EQ(record->phase, JobPhase::kCompleted) << id;
-    EXPECT_TRUE(record->timeslice_slot);
+    EXPECT_EQ(record->tenancy, hw::Tenancy::kTimeslice);
     // Progress conservation: a rotating tenant cannot beat full-device
     // speed (3090 speed factor = 1.0), so elapsed >= reference duration.
     EXPECT_GE(record->completed_at - record->first_dispatched_at,
@@ -257,12 +258,12 @@ TEST_F(TimesliceSharingTest, RandomizedInvariantSweep) {
     for (int s = 0; s < steps; ++s) {
       env_.run_until(env_.now() + 20.0);
       for (const auto& node : nodes_) {
-        const int seats = node->spec().timeslice_tenants_per_gpu;
+        const int seats = node->seats_per_gpu(hw::Tenancy::kTimeslice);
         const double cap =
             node->spec().timeslice_oversub_ratio * node->gpu(0).spec().memory_gb;
         for (std::size_t g = 0; g < node->gpu_count(); ++g) {
           const hw::GpuDevice& gpu = node->gpu(g);
-          if (!gpu.time_sliced()) continue;
+          if (!gpu.held_as(hw::Tenancy::kTimeslice)) continue;
           // Residency exclusivity: exactly one resident, and it is a tenant.
           EXPECT_FALSE(gpu.resident().empty());
           EXPECT_TRUE(gpu.holds(gpu.resident()));
@@ -273,6 +274,7 @@ TEST_F(TimesliceSharingTest, RandomizedInvariantSweep) {
           EXPECT_LE(gpu.memory_used_gb(), gpu.spec().memory_gb + 1e-9);
         }
       }
+      expect_capacity_matches_rescan(coordinator_->directory(), "sweep");
     }
   }
   env_.run_until(env_.now() + util::hours(1));
