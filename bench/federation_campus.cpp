@@ -1,27 +1,21 @@
-// Federation at scale: multi-campus regions under churn, with a
-// full-region outage absorbed by the rest of the federation — run under
-// BOTH topologies (brokerless mesh vs. legacy single-broker hub) for an
-// A/B, plus a broker-death A/B that shows exactly what dies with the hub.
+// Federation at scale: multi-campus regions with a full-region outage
+// absorbed by the rest of the federation.  The gateways replicate the
+// region directory via peer-to-peer gossip and answer placement queries
+// locally; this bench drives the REAL federated platform (regional
+// coordinators, agents, campus LANs, WAN, gateways):
 //
-// ROADMAP "broker replication / region-to-region direct gossip": PR 3's
-// federation funneled every digest and placement query through one
-// FederationBroker.  The mesh topology replicates the region directory at
-// every gateway via peer-to-peer gossip and answers placement queries
-// locally.  This bench drives the REAL federated platform (regional
-// coordinators, agents, campus LANs, WAN, gateways, and — in hub mode —
-// the broker):
-//
-//   - 3 regions (2k + 1k + 1k nodes) under churn, full mode, per
-//     topology: outage absorption, hub fan-in vs. mesh gossip volume,
-//     placement-query broker round-trips (mesh: zero, by count);
-//   - broker-death A/B (no churn, long horizon): the hub is killed just
-//     before a full-campus outage.  Mesh completes every displaced job;
-//     hub mode strands them pending with nobody to ask;
+//   - outage run: 3 regions (2k + 1k + 1k nodes) under churn — outage
+//     absorption, gossip volume, placement queries answered locally;
+//   - drain run: 3 smaller regions, no churn, long horizon — every job
+//     displaced by the outage must complete elsewhere, none stranded;
 //   - consistency checks: federation stats must agree with per-region
 //     coordinator records (withdrawals, admissions, provenance).
 //
+// The retired single-broker hub's numbers for the same scenarios stay in
+// the committed BENCH_federation.json (its "hub" arms).
+//
 // Emits machine-readable BENCH_federation.json (override with --out).
-// `--smoke` shrinks to 2-3 small regions for CI.
+// `--smoke` shrinks to 2 small regions for CI.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -66,37 +60,28 @@ struct RegionResult {
 };
 
 struct FederationRunResult {
-  std::string topology;
+  std::string name;
   double horizon_s = 0;
   double wall_s = 0;
   std::string outage_region;
   double outage_at_s = 0;
-  double broker_killed_at_s = -1;
   std::vector<RegionResult> regions;
-  // Hub-side totals (zero under mesh: there is no hub).
-  std::uint64_t broker_digests = 0;
-  std::uint64_t broker_rankings = 0;
   double digest_age_mean_s = 0;
   double digest_age_max_s = 0;
-  // Mesh-side totals.
   std::uint64_t local_rankings = 0;
   std::uint64_t gossips_sent = 0;
   std::uint64_t chain_loops_avoided = 0;
-  // Hub fan-in comparison.
-  std::uint64_t total_heartbeats = 0;   // what a single hub would have seen
-  std::uint64_t broker_messages = 0;    // what the federation hub saw
-  double fanin_ratio = 0;               // heartbeats / broker messages
   std::uint64_t forward_timeouts = 0;
   // Cross-campus outcome.
   std::uint64_t cross_campus_migrations = 0;
   int absorbed_completed = 0;
-  /// Live non-terminal jobs at the horizon, federation-wide (the
-  /// broker-death A/B's stall signal: a healthy run drains to ~0).
+  /// Live non-terminal jobs at the horizon, federation-wide (a healthy
+  /// drain run reaches 0).
   int stranded_nonterminal = 0;
   // WAN accounting.
   std::uint64_t federation_wan_bytes = 0;
   double peak_federation_utilization = 0;
-  /// Per-peer WAN pairs (mesh gossip + shipments; hub adds broker pairs).
+  /// Per-peer WAN pairs (gossip + shipments).
   std::vector<std::pair<std::string, std::uint64_t>> wan_peer_bytes;
   // Consistency checks (federation stats vs coordinator records).
   bool withdrawals_consistent = false;
@@ -123,23 +108,20 @@ CampusConfig region_campus(const std::string& name, int nodes) {
   return config;
 }
 
-FederationRunResult run_federation(const std::vector<RegionSpec>& specs,
-                                   federation::FederationTopology topology,
+FederationRunResult run_federation(const std::string& name,
+                                   const std::vector<RegionSpec>& specs,
                                    double horizon,
                                    const std::string& outage_region,
-                                   double outage_at, double broker_kill_at,
-                                   double churn_per_day, double wan_gbps,
-                                   std::uint64_t seed) {
+                                   double outage_at, double churn_per_day,
+                                   double wan_gbps, std::uint64_t seed) {
   FederationRunResult r;
-  r.topology = std::string(federation::federation_topology_name(topology));
+  r.name = name;
   r.horizon_s = horizon;
   r.outage_region = outage_region;
   r.outage_at_s = outage_at;
-  r.broker_killed_at_s = broker_kill_at;
 
   sim::Environment env(seed);
   FederationConfig config;
-  config.topology = topology;
   for (const auto& spec : specs) {
     federation::RegionPolicy policy;
     policy.digest_interval = 10.0;
@@ -219,9 +201,6 @@ FederationRunResult run_federation(const std::vector<RegionSpec>& specs,
       }
     }
 
-    if (broker_kill_at >= 0) {
-      env.schedule_at(broker_kill_at, [&fed] { fed.kill_broker(); });
-    }
     env.schedule_at(outage_at, [&fed, outage_region, horizon] {
       // Dark until past the horizon: the displaced load has nowhere to go
       // but the other campuses.
@@ -311,25 +290,17 @@ FederationRunResult run_federation(const std::vector<RegionSpec>& specs,
     remote_jobs_taken_total += gw.remote_jobs_taken;
     remote_admitted_total += gw.remote_admitted;
     reservations_expired_total += gw.reservations_expired;
-    r.total_heartbeats += region.heartbeats;
     r.forward_timeouts += gw.forward_timeouts;
     r.absorbed_completed += region.absorbed_from_outage;
     r.regions.push_back(std::move(region));
   }
 
   const FederatedStats fed_stats = fed.stats();
-  r.broker_digests = fed_stats.broker_digests_received;
-  r.broker_rankings = fed_stats.broker_ranking_requests;
   r.digest_age_mean_s = fed_stats.digest_age_mean;
   r.digest_age_max_s = fed_stats.digest_age_max;
   r.local_rankings = fed_stats.local_rankings;
   r.gossips_sent = fed_stats.gossips_sent;
   r.chain_loops_avoided = fed_stats.chain_loops_avoided;
-  r.broker_messages = r.broker_digests + r.broker_rankings;
-  r.fanin_ratio = r.broker_messages == 0
-                      ? 0
-                      : static_cast<double>(r.total_heartbeats) /
-                            static_cast<double>(r.broker_messages);
   r.cross_campus_migrations = fed_stats.cross_campus_migrations;
   r.federation_wan_bytes =
       fed.wan().bytes_sent(net::TrafficClass::kFederation);
@@ -365,10 +336,9 @@ FederationRunResult run_federation(const std::vector<RegionSpec>& specs,
 
 void print_run(const FederationRunResult& r) {
   std::printf("\n[%s] Per-region results (%.0f sim-s horizon, %.1f s wall; "
-              "outage: %s at t=%.0f s%s):\n\n",
-              r.topology.c_str(), r.horizon_s, r.wall_s,
-              r.outage_region.c_str(), r.outage_at_s,
-              r.broker_killed_at_s >= 0 ? ", broker KILLED" : "");
+              "outage: %s at t=%.0f s):\n\n",
+              r.name.c_str(), r.horizon_s, r.wall_s,
+              r.outage_region.c_str(), r.outage_at_s);
   std::printf("%8s %6s %9s %9s %9s %8s %8s %8s %9s %9s\n", "region", "nodes",
               "beats", "submit", "complete", "fwd-out", "adm-in", "refused",
               "ckpt-out", "absorbed");
@@ -385,23 +355,11 @@ void print_run(const FederationRunResult& r) {
         static_cast<unsigned long long>(region.checkpoints_shipped),
         region.absorbed_from_outage);
   }
-  if (r.topology == "hub") {
-    std::printf(
-        "\nHub fan-in: regional coordinators absorbed %llu heartbeats; the "
-        "global broker saw\n%llu messages (%llu digests + %llu rankings) — "
-        "%.0fx less traffic at the hub.\n",
-        static_cast<unsigned long long>(r.total_heartbeats),
-        static_cast<unsigned long long>(r.broker_messages),
-        static_cast<unsigned long long>(r.broker_digests),
-        static_cast<unsigned long long>(r.broker_rankings), r.fanin_ratio);
-  } else {
-    std::printf(
-        "\nMesh: %llu placement queries answered from local replicas (0 "
-        "broker round-trips),\n%llu directory pushes between gateways "
-        "(O(regions) bytes each, no hub to die).\n",
-        static_cast<unsigned long long>(r.local_rankings),
-        static_cast<unsigned long long>(r.gossips_sent));
-  }
+  std::printf(
+      "\n%llu placement queries answered from local replicas, %llu "
+      "directory pushes\nbetween gateways (O(regions) bytes each).\n",
+      static_cast<unsigned long long>(r.local_rankings),
+      static_cast<unsigned long long>(r.gossips_sent));
   std::printf(
       "\nOutage absorption: %d displaced jobs from %s completed in other "
       "regions\n(%llu cross-campus checkpoint migrations, %.2f GB over the "
@@ -425,13 +383,11 @@ void print_run(const FederationRunResult& r) {
 
 void write_run(std::ofstream& out, const std::string& indent,
                const FederationRunResult& r) {
-  out << indent << "\"topology\": \"" << r.topology << "\",\n";
+  out << indent << "\"topology\": \"mesh\",\n";
   out << indent << "\"horizon_s\": " << r.horizon_s << ",\n";
   out << indent << "\"wall_s\": " << r.wall_s << ",\n";
   out << indent << "\"outage_region\": \"" << r.outage_region << "\",\n";
   out << indent << "\"outage_at_s\": " << r.outage_at_s << ",\n";
-  out << indent << "\"broker_killed_at_s\": " << r.broker_killed_at_s
-      << ",\n";
   out << indent << "\"regions\": [\n";
   for (std::size_t i = 0; i < r.regions.size(); ++i) {
     const auto& region = r.regions[i];
@@ -455,12 +411,9 @@ void write_run(std::ofstream& out, const std::string& indent,
         << "}" << (i + 1 < r.regions.size() ? "," : "") << "\n";
   }
   out << indent << "],\n";
-  out << indent << "\"placement_queries\": {\"broker_roundtrips\": "
-      << r.broker_rankings << ", \"local_rankings\": " << r.local_rankings
+  out << indent << "\"placement_queries\": {\"local_rankings\": "
+      << r.local_rankings
       << ", \"chain_loops_avoided\": " << r.chain_loops_avoided << "},\n";
-  out << indent << "\"hub_fanin\": {\"total_heartbeats\": "
-      << r.total_heartbeats << ", \"broker_messages\": " << r.broker_messages
-      << ", \"ratio\": " << r.fanin_ratio << "},\n";
   out << indent << "\"gossip\": {\"pushes_sent\": " << r.gossips_sent
       << ", \"digest_age_mean_s\": " << r.digest_age_mean_s
       << ", \"digest_age_max_s\": " << r.digest_age_max_s << "},\n";
@@ -488,10 +441,8 @@ void write_run(std::ofstream& out, const std::string& indent,
 }
 
 void write_json(const std::string& path, const std::string& mode,
-                const FederationRunResult& mesh,
-                const FederationRunResult& hub,
-                const FederationRunResult& mesh_kill,
-                const FederationRunResult& hub_kill) {
+                const FederationRunResult& outage,
+                const FederationRunResult& drain) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -500,34 +451,11 @@ void write_json(const std::string& path, const std::string& mode,
   out << "{\n";
   out << "  \"bench\": \"federation\",\n";
   out << "  \"mode\": \"" << mode << "\",\n";
-  out << "  \"scenarios\": {\n";
-  out << "    \"mesh\": {\n";
-  write_run(out, "      ", mesh);
-  out << "    },\n";
-  out << "    \"hub\": {\n";
-  write_run(out, "      ", hub);
-  out << "    }\n";
+  out << "  \"outage\": {\n";
+  write_run(out, "    ", outage);
   out << "  },\n";
-  out << "  \"broker_kill_ab\": {\n";
-  out << "    \"mesh\": {\n";
-  write_run(out, "      ", mesh_kill);
-  out << "    },\n";
-  out << "    \"hub\": {\n";
-  write_run(out, "      ", hub_kill);
-  out << "    },\n";
-  out << "    \"verdict\": {\"mesh_completes_all_displaced\": "
-      << (mesh_kill.absorbed_completed > 0 &&
-                  mesh_kill.stranded_nonterminal == 0
-              ? "true"
-              : "false")
-      << ", \"hub_stalls\": "
-      << (hub_kill.absorbed_completed == 0 &&
-                  hub_kill.stranded_nonterminal > 0
-              ? "true"
-              : "false")
-      << ", \"mesh_broker_roundtrips\": " << mesh.broker_rankings +
-             mesh_kill.broker_rankings
-      << "}\n";
+  out << "  \"drain\": {\n";
+  write_run(out, "    ", drain);
   out << "  }\n";
   out << "}\n";
   std::printf("\nwrote %s\n", path.c_str());
@@ -550,11 +478,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  banner("Federation — brokerless mesh vs. single-broker hub, gossip, "
+  banner("Federation — replicated-directory gossip, outage absorption, "
          "cross-campus migration",
          "beyond the paper: SHARY-style federation of GPUnion campuses");
 
-  using federation::FederationTopology;
   const std::vector<RegionSpec> big =
       smoke ? std::vector<RegionSpec>{{"north", 80}, {"south", 40}}
             : std::vector<RegionSpec>{{"north", 2000}, {"south", 1000},
@@ -565,59 +492,30 @@ int main(int argc, char** argv) {
                                       {"east", 150}};
   const double horizon = smoke ? 420.0 : 480.0;
   // Long enough for a healthy federation to fully drain, so any non-zero
-  // stranded count is the broker's death and nothing else.
-  const double kill_horizon = 900.0;
+  // stranded count is a job the federation failed to absorb.
+  const double drain_horizon = 900.0;
   const double wan_gbps = smoke ? 1.0 : 40.0;
-  const double kill_wan_gbps = smoke ? 1.0 : 10.0;
+  const double drain_wan_gbps = smoke ? 1.0 : 10.0;
 
-  // Headline A/B: identical churny outage scenario under both topologies.
-  FederationRunResult mesh = run_federation(
-      big, FederationTopology::kMesh, horizon, "south",
-      /*outage_at=*/smoke ? 120.0 : 150.0, /*broker_kill_at=*/-1,
+  // Churny outage scenario.
+  FederationRunResult outage = run_federation(
+      "outage", big, horizon, "south",
+      /*outage_at=*/smoke ? 120.0 : 150.0,
       /*churn_per_day=*/24.0, wan_gbps, /*seed=*/1234);
-  print_run(mesh);
-  FederationRunResult hub = run_federation(
-      big, FederationTopology::kHub, horizon, "south",
-      /*outage_at=*/smoke ? 120.0 : 150.0, /*broker_kill_at=*/-1,
-      /*churn_per_day=*/24.0, wan_gbps, /*seed=*/1234);
-  print_run(hub);
+  print_run(outage);
 
-  // Broker-death A/B: no churn (isolate the variable), long horizon so a
-  // healthy federation fully drains.  The hub dies 10 s before the outage.
-  FederationRunResult mesh_kill = run_federation(
-      small, FederationTopology::kMesh, kill_horizon, "south",
-      /*outage_at=*/150.0, /*broker_kill_at=*/140.0,
-      /*churn_per_day=*/0.0, kill_wan_gbps, /*seed=*/4321);
-  print_run(mesh_kill);
-  FederationRunResult hub_kill = run_federation(
-      small, FederationTopology::kHub, kill_horizon, "south",
-      /*outage_at=*/150.0, /*broker_kill_at=*/140.0,
-      /*churn_per_day=*/0.0, kill_wan_gbps, /*seed=*/4321);
-  print_run(hub_kill);
+  // Drain: no churn (isolate the outage), long horizon.
+  FederationRunResult drain = run_federation(
+      "drain", small, drain_horizon, "south",
+      /*outage_at=*/150.0,
+      /*churn_per_day=*/0.0, drain_wan_gbps, /*seed=*/4321);
+  print_run(drain);
 
-  std::printf(
-      "\nBroker-death verdict: mesh absorbed %d displaced jobs with %d "
-      "stranded;\nhub absorbed %d with %d stranded (forward timeouts: "
-      "%llu).\nMesh steady-state placement queries: %llu, all answered "
-      "locally (%llu broker round-trips).\n",
-      mesh_kill.absorbed_completed, mesh_kill.stranded_nonterminal,
-      hub_kill.absorbed_completed, hub_kill.stranded_nonterminal,
-      static_cast<unsigned long long>(hub_kill.forward_timeouts),
-      static_cast<unsigned long long>(mesh_kill.local_rankings +
-                                      mesh.local_rankings),
-      static_cast<unsigned long long>(mesh_kill.broker_rankings +
-                                      mesh.broker_rankings));
-
-  write_json(out_path, smoke ? "smoke" : "full", mesh, hub, mesh_kill,
-             hub_kill);
+  write_json(out_path, smoke ? "smoke" : "full", outage, drain);
 
   const bool pass =
-      mesh.consistency_pass && hub.consistency_pass &&
-      mesh_kill.consistency_pass && hub_kill.consistency_pass &&
-      mesh.absorbed_completed > 0 && hub.absorbed_completed > 0 &&
-      mesh.broker_rankings == 0 && mesh.local_rankings > 0 &&
-      mesh_kill.absorbed_completed > 0 &&
-      mesh_kill.stranded_nonterminal == 0 &&
-      hub_kill.absorbed_completed == 0 && hub_kill.stranded_nonterminal > 0;
+      outage.consistency_pass && drain.consistency_pass &&
+      outage.absorbed_completed > 0 && outage.local_rankings > 0 &&
+      drain.absorbed_completed > 0 && drain.stranded_nonterminal == 0;
   return pass ? 0 : 1;
 }

@@ -16,10 +16,9 @@
 //      replayed, and the makespan penalty vs. an identical crash-free
 //      run — i.e. what three control-plane crashes actually cost users.
 //
-//   3. Region rejoin A/B — a federated region's control plane crashes
-//      and restarts; time until its directory regains the full
-//      federation view, with the anti-entropy pull on vs. push-gossip
-//      only.
+//   3. Region rejoin — a federated region's control plane crashes and
+//      restarts; time until its directory regains the full federation
+//      view through the anti-entropy pull.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -181,22 +180,18 @@ CampaignOutcome run_campaign(int nodes, int jobs, const std::string& point,
 }
 
 // ---------------------------------------------------------------------------
-// 3. Region rejoin A/B (anti-entropy pull vs. push gossip)
+// 3. Region rejoin (anti-entropy pull)
 // ---------------------------------------------------------------------------
 
-struct RejoinResult {
-  double pull_s = -1;   // rejoin time with the anti-entropy pull
-  double push_s = -1;   // rejoin time with push gossip only
-};
-
-double measure_rejoin(int regions, bool anti_entropy) {
+/// Sim-seconds from restart until the rejoiner's directory holds every
+/// region again; -1 when it never does.
+double measure_rejoin(int regions) {
   sim::Environment env(23);
   FederationConfig config;
   for (int i = 0; i < regions; ++i) {
     const std::string name = "r" + std::to_string(i);
     federation::RegionPolicy policy;
     policy.digest_interval = 5.0;
-    policy.anti_entropy_pull = anti_entropy;
     config.regions.push_back(RegionConfig{name, crash_campus(1), policy});
   }
   FederatedPlatform fed(env, config);
@@ -226,7 +221,7 @@ void write_json(const std::string& path, const std::string& mode,
                 const std::vector<SweepPoint>& sweep,
                 const CampaignOutcome& baseline,
                 const std::vector<CampaignOutcome>& campaigns,
-                const RejoinResult& rejoin) {
+                double rejoin_s) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -266,9 +261,8 @@ void write_json(const std::string& path, const std::string& mode,
     out << (i + 1 < campaigns.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"region_rejoin\": {\"anti_entropy_pull_s\": " << rejoin.pull_s
-      << ", \"push_gossip_s\": " << rejoin.push_s << ", \"speedup\": "
-      << (rejoin.pull_s > 0 ? rejoin.push_s / rejoin.pull_s : 0) << "}\n";
+  out << "  \"region_rejoin\": {\"anti_entropy_pull_s\": " << rejoin_s
+      << "}\n";
   out << "}\n";
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -355,22 +349,20 @@ int main(int argc, char** argv) {
               "sim-s over a %.1f s crash-free makespan.\n",
               worst_penalty, baseline.makespan_s);
 
-  // 3. Region rejoin A/B.
+  // 3. Region rejoin.
   const int regions = smoke ? 3 : 5;
-  RejoinResult rejoin;
-  rejoin.pull_s = measure_rejoin(regions, /*anti_entropy=*/true);
-  rejoin.push_s = measure_rejoin(regions, /*anti_entropy=*/false);
+  const double rejoin_s = measure_rejoin(regions);
   std::printf("\nRegion rejoin (%d regions, directory back to full view "
-              "after restart):\n  anti-entropy pull: %.2f s\n  push gossip "
-              "only: %.2f s\n",
-              regions, rejoin.pull_s, rejoin.push_s);
+              "after restart):\n  anti-entropy pull: %.2f s\n",
+              regions, rejoin_s);
 
   write_json(out_path, smoke ? "smoke" : "full", sweep, baseline, campaigns,
-             rejoin);
+             rejoin_s);
 
+  // The pull restores the view in about one WAN round trip; a second is
+  // the bound the federation recovery test asserts.
   const bool pass = sweep_ok && campaigns_ok && replayed_dirty > 0 &&
-                    rejoin.pull_s > 0 && rejoin.push_s > 0 &&
-                    rejoin.pull_s < rejoin.push_s;
+                    rejoin_s > 0 && rejoin_s < 1.0;
   std::printf("\n%s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -5,7 +5,8 @@
 // with headroom but a cautious federation policy: it admits at most two
 // remote jobs at a time and always keeps one GPU free for its own people.
 // The walkthrough shows, against the live federated platform:
-//   1. gossip        — both regions' capacity digests reach the broker
+//   1. gossip        — each gateway's directory replica holds both
+//                      regions' capacity digests (no central broker)
 //   2. overflow      — hilltop's queue spills over and riverside admits
 //                      remote jobs, but only up to its admission cap
 //   3. autonomy      — the refusals hilltop absorbs (jobs return home and
@@ -62,9 +63,6 @@ int main() {
 
   sim::Environment env(42);
   FederationConfig config;
-  // This walkthrough narrates the hub topology (one broker everyone
-  // gossips to); the brokerless mesh is the production default.
-  config.topology = federation::FederationTopology::kHub;
 
   // Hilltop: 2 workstations, eager to push overflow out.
   federation::RegionPolicy hilltop_policy;
@@ -96,7 +94,7 @@ int main() {
     }
   }
 
-  std::printf("Two autonomous campuses federated through one broker:\n"
+  std::printf("Two autonomous campuses federated peer-to-peer:\n"
               "  hilltop   %d GPUs (oversubscribed below)\n"
               "  riverside %d GPUs (cap: 2 remote jobs, 1 GPU reserved)\n",
               fed.region("hilltop").total_gpus(),
@@ -104,11 +102,13 @@ int main() {
 
   // 1. Gossip.
   env.run_until(12.0);
-  std::printf("\n== capacity gossip at the broker\n");
-  for (const auto& [name, entry] : fed.broker().regions()) {
-    std::printf("   %-10s digests=%llu free-gpus=%d nodes=%d\n", name.c_str(),
-                static_cast<unsigned long long>(entry.digests_received),
-                entry.capacity.free_gpus, entry.capacity.nodes);
+  std::printf("\n== capacity gossip in hilltop's directory replica\n");
+  for (const auto& [name, entry] :
+       fed.gateway("hilltop").directory().entries()) {
+    std::printf("   %-10s version=%llu age=%.1fs free-gpus=%d nodes=%d\n",
+                name.c_str(), static_cast<unsigned long long>(entry.version),
+                env.now() - entry.generated_at, entry.capacity.free_gpus,
+                entry.capacity.nodes);
   }
 
   // 2. Overflow: six 3-minute training jobs into hilltop's two GPUs.
@@ -145,13 +145,14 @@ int main() {
   const auto stats = fed.stats();
   std::printf(
       "\nFederation totals: %llu forwards admitted, %llu refused, %llu "
-      "cross-campus\nmigrations (%.2f GB of checkpoints over the WAN), "
-      "broker saw %llu messages.\n",
+      "cross-campus\nmigrations (%.2f GB of checkpoints over the WAN), %llu "
+      "placement queries\nanswered from local replicas, %llu gossip "
+      "pushes.\n",
       static_cast<unsigned long long>(stats.forwards_admitted),
       static_cast<unsigned long long>(stats.remote_refused),
       static_cast<unsigned long long>(stats.cross_campus_migrations),
       static_cast<double>(stats.checkpoint_bytes_shipped) / 1e9,
-      static_cast<unsigned long long>(stats.broker_digests_received +
-                                      stats.broker_ranking_requests));
+      static_cast<unsigned long long>(stats.local_rankings),
+      static_cast<unsigned long long>(stats.gossips_sent));
   return 0;
 }

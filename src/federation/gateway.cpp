@@ -39,6 +39,8 @@ std::vector<std::string> split_chain(const std::string& route) {
 
 /// Stats journal key (one gateway per region database).
 constexpr const char* kStatsJournalKey = "gateway.stats";
+/// The journaled counters, then the hand-off id high-water mark.
+constexpr std::size_t kStatsJournalSize = std::size(kJournaledStats) + 1;
 
 }  // namespace
 
@@ -46,8 +48,7 @@ RegionGateway::RegionGateway(sim::Environment& env,
                              sched::Coordinator& coordinator,
                              storage::CheckpointStore& store,
                              db::Database& database, net::Transport& wan,
-                             std::string region_name, std::string broker_id,
-                             RegionPolicy policy, FederationTopology topology,
+                             std::string region_name, RegionPolicy policy,
                              WanPathFn wan_path, sim::LaneId lane)
     : env_(env),
       lane_(lane),
@@ -57,9 +58,7 @@ RegionGateway::RegionGateway(sim::Environment& env,
       wan_(wan),
       region_(std::move(region_name)),
       gateway_id_("gw-" + region_),
-      broker_id_(std::move(broker_id)),
       policy_(policy),
-      topology_(topology),
       wan_path_(std::move(wan_path)),
       tick_timer_(env, policy.digest_interval, [this] { tick(); }, lane),
       directory_(region_),
@@ -107,9 +106,6 @@ util::Duration RegionGateway::jittered(util::Duration base) {
 
 void RegionGateway::persist_forward(const std::string& job_id,
                                     const OutboundForward& forward) {
-  // Until the withdraw, the coordinator's own durable row still covers the
-  // job; from the moment it succeeds, this row is the job's only home.
-  if (!forward.withdrawn) return;
   db::ForwardStateRecord row;
   row.job_id = job_id;
   row.spec = forward.spec;
@@ -136,48 +132,17 @@ void RegionGateway::erase_forward(const std::string& job_id) {
 }
 
 void RegionGateway::persist_stats() {
-  // Counters in declaration order, plus next_request_id_ as the final
-  // element: handoff ids must stay unique across restarts (the receiver
-  // dedups on (sender, handoff_id); reusing one would make a genuinely new
-  // hand-off look like a processed duplicate and silently drop the job).
-  // directory_age_at_rank is a SampleSet and deliberately non-durable.
-  database_.put_journal(
-      kStatsJournalKey,
-      {static_cast<std::int64_t>(stats_.ranking_requests),
-       static_cast<std::int64_t>(stats_.local_rankings),
-       static_cast<std::int64_t>(stats_.forwards_attempted),
-       static_cast<std::int64_t>(stats_.forwards_admitted),
-       static_cast<std::int64_t>(stats_.forwards_refused),
-       static_cast<std::int64_t>(stats_.forward_timeouts),
-       static_cast<std::int64_t>(stats_.reroutes),
-       static_cast<std::int64_t>(stats_.forwards_returned),
-       static_cast<std::int64_t>(stats_.forwards_aborted),
-       static_cast<std::int64_t>(stats_.transfers_delivered),
-       static_cast<std::int64_t>(stats_.transfer_retries),
-       static_cast<std::int64_t>(stats_.transfers_bounced),
-       static_cast<std::int64_t>(stats_.checkpoints_shipped),
-       static_cast<std::int64_t>(stats_.checkpoint_bytes_shipped),
-       static_cast<std::int64_t>(stats_.remote_completions),
-       static_cast<std::int64_t>(stats_.remote_failures),
-       static_cast<std::int64_t>(stats_.chain_loops_avoided),
-       static_cast<std::int64_t>(stats_.interactive_rtt_filtered),
-       static_cast<std::int64_t>(stats_.remote_admitted),
-       static_cast<std::int64_t>(stats_.remote_jobs_taken),
-       static_cast<std::int64_t>(stats_.remote_refused_policy),
-       static_cast<std::int64_t>(stats_.remote_refused_cap),
-       static_cast<std::int64_t>(stats_.remote_refused_capacity),
-       static_cast<std::int64_t>(stats_.remote_refused_duplicate),
-       static_cast<std::int64_t>(stats_.transfers_received),
-       static_cast<std::int64_t>(stats_.transfers_unreserved),
-       static_cast<std::int64_t>(stats_.cross_campus_migrations_in),
-       static_cast<std::int64_t>(stats_.reservations_expired),
-       static_cast<std::int64_t>(stats_.digests_published),
-       static_cast<std::int64_t>(stats_.gossips_sent),
-       static_cast<std::int64_t>(stats_.gossips_received),
-       static_cast<std::int64_t>(stats_.anti_entropy_pulls),
-       static_cast<std::int64_t>(stats_.anti_entropy_served),
-       static_cast<std::int64_t>(stats_.anti_entropy_entries),
-       static_cast<std::int64_t>(next_request_id_)});
+  // next_handoff_id_ follows the counters: handoff ids must stay unique
+  // across restarts (the receiver dedups on (sender, handoff_id); reusing
+  // one would make a genuinely new hand-off look like a processed duplicate
+  // and silently drop the job).
+  std::vector<std::int64_t> journal;
+  journal.reserve(kStatsJournalSize);
+  for (const auto counter : kJournaledStats) {
+    journal.push_back(static_cast<std::int64_t>(stats_.*counter));
+  }
+  journal.push_back(static_cast<std::int64_t>(next_handoff_id_));
+  database_.put_journal(kStatsJournalKey, std::move(journal));
 }
 
 void RegionGateway::crash() {
@@ -195,7 +160,7 @@ void RegionGateway::crash() {
   directory_.clear();
   stats_ = GatewayStats{};
   digest_seq_ = 0;  // dominance keys on generated_at, so fresh stamps win
-  next_request_id_ = 1;  // recover() restores the durable high-water mark
+  next_handoff_id_ = 1;  // recover() restores the durable high-water mark
   gossip_cursor_ = 0;
   // peers_ survives deliberately: federation membership is provisioning
   // config (the platform seeds it at deploy time), re-installed with the
@@ -214,54 +179,20 @@ void RegionGateway::recover() {
   // cadence.
   tick();
   tick_timer_.start();
-  if (policy_.anti_entropy_pull && topology_ == FederationTopology::kMesh) {
-    request_anti_entropy();
-  }
+  request_anti_entropy();
 }
 
 void RegionGateway::rebuild_from_db() {
-  // Stats journal (34 counters + the request-id high-water mark; an older
-  // journal from before a counter was added restores nothing — counters
-  // restart from zero, which only skews reporting, never correctness).
+  // Stats journal.  A journal of another length (written before a counter
+  // was added) restores nothing — counters restart from zero, which only
+  // skews reporting, never correctness.
   if (const std::vector<std::int64_t>* j = database_.journal(kStatsJournalKey);
-      j != nullptr && j->size() >= 35) {
-    std::size_t i = 0;
-    stats_.ranking_requests = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.local_rankings = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.forwards_attempted = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.forwards_admitted = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.forwards_refused = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.forward_timeouts = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.reroutes = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.forwards_returned = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.forwards_aborted = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.transfers_delivered = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.transfer_retries = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.transfers_bounced = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.checkpoints_shipped = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.checkpoint_bytes_shipped = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_completions = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_failures = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.chain_loops_avoided = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.interactive_rtt_filtered = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_admitted = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_jobs_taken = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_refused_policy = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_refused_cap = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_refused_capacity = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.remote_refused_duplicate = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.transfers_received = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.transfers_unreserved = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.cross_campus_migrations_in = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.reservations_expired = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.digests_published = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.gossips_sent = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.gossips_received = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.anti_entropy_pulls = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.anti_entropy_served = static_cast<std::uint64_t>((*j)[i++]);
-    stats_.anti_entropy_entries = static_cast<std::uint64_t>((*j)[i++]);
-    next_request_id_ =
-        std::max<std::uint64_t>(1, static_cast<std::uint64_t>((*j)[i++]));
+      j != nullptr && j->size() == kStatsJournalSize) {
+    for (std::size_t i = 0; i < std::size(kJournaledStats); ++i) {
+      stats_.*kJournaledStats[i] = static_cast<std::uint64_t>((*j)[i]);
+    }
+    next_handoff_id_ =
+        std::max<std::uint64_t>(1, static_cast<std::uint64_t>(j->back()));
   }
   // Hand-off dedup table: without it, an origin's at-least-once transfer
   // retry arriving after our restart would be re-admitted and the job
@@ -297,7 +228,6 @@ void RegionGateway::rebuild_from_db() {
   for (db::ForwardStateRecord& row : database_.forward_states()) {
     OutboundForward forward;
     forward.state = static_cast<OutboundForward::State>(row.state);
-    forward.request_id = next_request_id_++;
     forward.spec = std::move(row.spec);
     forward.start_progress = row.start_progress;
     forward.checkpoint_bytes = row.checkpoint_bytes;
@@ -308,7 +238,6 @@ void RegionGateway::rebuild_from_db() {
     forward.chain = std::move(row.chain);
     forward.awaiting_gateway = std::move(row.awaiting_gateway);
     forward.attempts = row.attempts;
-    forward.withdrawn = true;
     forward.trace.trace_id = row.trace_id;
     forward.trace.parent_span = row.trace_parent_span;
     auto [it, inserted] = outbound_.emplace(row.job_id, std::move(forward));
@@ -376,17 +305,7 @@ void RegionGateway::publish_digest() {
       coordinator_.directory().capacity_summary();
   ++digest_seq_;
   ++stats_.digests_published;
-  if (topology_ == FederationTopology::kHub) {
-    DigestMessage digest;
-    digest.region = region_;
-    digest.gateway_id = gateway_id_;
-    digest.capacity = capacity;
-    digest.seq = digest_seq_;
-    digest.generated_at = env_.now();
-    send(broker_id_, kCapacityDigest, std::move(digest), kDigestBytes);
-    return;
-  }
-  // Mesh: stamp the replica's own entry and push the whole directory to a
+  // Stamp the replica's own entry and push the whole directory to a
   // rotating subset of peers.  Relayed entries keep their ORIGIN's stamps,
   // so a region two hops away still converges on the freshest digest no
   // matter which path it arrived by.
@@ -517,25 +436,6 @@ void RegionGateway::resolve_origin(const std::string& job_id,
   }
 }
 
-bool RegionGateway::ranking_excluded(const workload::JobSpec& job,
-                                     const std::string& region,
-                                     const std::string& target_gateway,
-                                     const std::vector<std::string>& chain) {
-  if (std::find(chain.begin(), chain.end(), region) != chain.end()) {
-    ++stats_.chain_loops_avoided;  // path-vector rule: chains stay acyclic
-    return true;
-  }
-  if (job.type == workload::JobType::kInteractive) {
-    const WanPathModel path =
-        wan_path_ ? wan_path_(gateway_id_, target_gateway) : WanPathModel{};
-    if (path.rtt > policy_.max_interactive_rtt) {
-      ++stats_.interactive_rtt_filtered;  // a laggy notebook helps nobody
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<RegionScore> RegionGateway::rank_locally(
     const workload::JobSpec& job, std::uint64_t checkpoint_bytes,
     const std::vector<std::string>& chain) {
@@ -545,30 +445,32 @@ std::vector<RegionScore> RegionGateway::rank_locally(
   const auto& req = job.requirements;
   for (const auto& [region, entry] : directory_.entries()) {
     if (region == region_) continue;
-    if (ranking_excluded(job, region, entry.gateway_id, chain)) continue;
+    if (std::find(chain.begin(), chain.end(), region) != chain.end()) {
+      ++stats_.chain_loops_avoided;  // path-vector rule: chains stay acyclic
+      continue;
+    }
+    const WanPathModel path =
+        wan_path_ ? wan_path_(gateway_id_, entry.gateway_id) : WanPathModel{};
+    if (job.type == workload::JobType::kInteractive &&
+        path.rtt > policy_.max_interactive_rtt) {
+      ++stats_.interactive_rtt_filtered;  // a laggy notebook helps nobody
+      continue;
+    }
     const util::Duration age = now - entry.generated_at;
     if (age > policy_.directory_hard_ttl) continue;  // presumed unreachable
-    // Hardware envelope: could this region *ever* host the shape?  The
-    // same never-feasible filter the hub broker applies; free-capacity
-    // staleness is deliberately tolerated (target-side admission settles
-    // it), the envelope only changes on (re)registration.
+    // Hardware envelope: could this region *ever* host the shape?
+    // Free-capacity staleness is deliberately tolerated (target-side
+    // admission settles it); the envelope only changes on (re)registration.
     if (entry.capacity.max_node_gpus < req.gpu_count) continue;
     if (entry.capacity.max_gpu_memory_gb < req.gpu_memory_gb) continue;
     if (entry.capacity.max_compute_capability <
         req.min_compute_capability) {
       continue;
     }
-    const WanPathModel path =
-        wan_path_ ? wan_path_(gateway_id_, entry.gateway_id) : WanPathModel{};
     stats_.directory_age_at_rank.add(age);
     RegionScore score;
     score.region = region;
     score.gateway_id = entry.gateway_id;
-    score.free_gpus = entry.capacity.free_gpus;
-    score.free_fractional_seats =
-        entry.capacity.free_seats[hw::Tenancy::kFractional];
-    score.digest_age = age;
-    score.rtt = path.rtt;
     // Expected seconds until the job makes progress in that region:
     // control round-trip + checkpoint shipping at the modeled WAN rate +
     // distrust of stale digests + the expected wait when the replica
@@ -596,142 +498,40 @@ std::vector<RegionScore> RegionGateway::rank_locally(
   return ranking;
 }
 
-void RegionGateway::filter_ranking(std::vector<RegionScore>& ranking,
-                                   const workload::JobSpec& job,
-                                   const std::vector<std::string>& chain) {
-  // Hub rankings come from the broker, which knows neither the job's hop
-  // chain nor the latency budget; the client-side filter applies the SAME
-  // eligibility predicate the mesh ranking uses, so the two topologies
-  // cannot drift (acyclic chains, usable sessions).
-  std::erase_if(ranking, [&](const RegionScore& score) {
-    return ranking_excluded(job, score.region, score.gateway_id, chain);
-  });
-}
-
 void RegionGateway::initiate_forward(const std::string& job_id) {
   const sched::JobRecord* record = coordinator_.job(job_id);
   assert(record != nullptr);
-
-  if (topology_ == FederationTopology::kMesh) {
-    // Placement query answered from the local replica: no broker, no WAN
-    // round-trip, nothing whose death leaves this region unable to ask.
-    OutboundForward forward;
-    forward.request_id = next_request_id_++;
-    resolve_origin(job_id, forward);
-    std::uint64_t checkpoint_bytes = 0;
-    if (record->checkpointed_progress > 0) {
-      auto bytes = store_.restore_bytes(job_id);
-      checkpoint_bytes = bytes.ok() ? *bytes : 0;
-    }
-    forward.ranking =
-        rank_locally(record->spec, checkpoint_bytes, forward.chain);
-    if (forward.ranking.empty()) {
-      // Nobody to ask.  The job never left the local queue; just back off.
-      retry_after_[job_id] = env_.now() + jittered(policy_.forward_retry_backoff);
-      ++stats_.forwards_aborted;
-      return;
-    }
-    auto withdrawn = coordinator_.withdraw(job_id);
-    if (!withdrawn.ok()) {
-      ++stats_.forwards_aborted;
-      return;
-    }
-    forward.spec = std::move(withdrawn->spec);
-    forward.start_progress = withdrawn->checkpointed_progress;
-    if (forward.start_progress > 0) {
-      forward.checkpoint_bytes = checkpoint_bytes;
-      // Progress without a restorable checkpoint chain cannot move campuses.
-      if (forward.checkpoint_bytes == 0) forward.start_progress = 0;
-    }
-    forward.withdrawn = true;
-    // The id is in federation flight from here until the hand-off settles:
-    // a tenant resubmitting it through the API must be refused, or the
-    // returning copy would collide (and be silently lost).
-    coordinator_.reserve_id(job_id);
-    forward.trace = withdrawn->trace;
-    if (auto* tr = coordinator_.config().tracer;
-        tr != nullptr && tr->enabled() && forward.trace.valid()) {
-      tr->record(forward.trace, obs::stage::kFedWithdraw, gateway_id_,
-                 env_.now(), env_.now());
-    }
-    auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
-    assert(inserted);
-    (void)it;
-    try_next_region(job_id);
-    return;
-  }
-
+  // Placement query answered from the local replica: no WAN round-trip,
+  // nothing whose death leaves this region unable to ask.
   OutboundForward forward;
-  forward.state = OutboundForward::State::kAwaitingRanking;
-  forward.request_id = next_request_id_++;
-  auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
-  assert(inserted);
-
-  RankingRequest request;
-  request.origin_region = region_;
-  request.reply_to = gateway_id_;
-  request.request_id = it->second.request_id;
-  request.gpu_count = record->spec.requirements.gpu_count;
-  request.gpu_memory_gb = record->spec.requirements.gpu_memory_gb;
-  request.min_compute_capability =
-      record->spec.requirements.min_compute_capability;
-  send(broker_id_, kRankingRequest, std::move(request), kDigestBytes);
-  ++stats_.ranking_requests;
-  arm_timeout(job_id, it->second.generation, policy_.forward_timeout);
-}
-
-void RegionGateway::handle_ranking_response(const RankingResponse& response) {
-  // Rankings are few and in flight briefly; a linear match keeps the state
-  // machine to one map.
-  auto it = outbound_.begin();
-  for (; it != outbound_.end(); ++it) {
-    if (it->second.state == OutboundForward::State::kAwaitingRanking &&
-        it->second.request_id == response.request_id) {
-      break;
-    }
-  }
-  if (it == outbound_.end()) return;  // timed out and cleaned up; ignore
-  const std::string job_id = it->first;
-  OutboundForward& forward = it->second;
-  ++forward.generation;  // invalidate the pending timeout
-
-  forward.ranking = response.ranking;
   resolve_origin(job_id, forward);
-  // Filter BEFORE withdrawing: when every broker candidate is unusable
-  // (already in the job's chain, or beyond an interactive RTT budget the
-  // broker knows nothing about), the job must never leave the local queue
-  // — a withdraw/resubmit round-trip would reset its queue seniority for
-  // nothing.  The mesh path gets this for free (rank_locally filters).
-  if (const sched::JobRecord* record = coordinator_.job(job_id)) {
-    filter_ranking(forward.ranking, record->spec, forward.chain);
+  std::uint64_t checkpoint_bytes = 0;
+  if (record->checkpointed_progress > 0) {
+    auto bytes = store_.restore_bytes(job_id);
+    checkpoint_bytes = bytes.ok() ? *bytes : 0;
   }
+  forward.ranking = rank_locally(record->spec, checkpoint_bytes, forward.chain);
   if (forward.ranking.empty()) {
     // Nobody to ask.  The job never left the local queue; just back off.
     retry_after_[job_id] = env_.now() + jittered(policy_.forward_retry_backoff);
     ++stats_.forwards_aborted;
-    outbound_.erase(it);
     return;
   }
-
   auto withdrawn = coordinator_.withdraw(job_id);
   if (!withdrawn.ok()) {
-    // The job got dispatched (or cancelled) while the ranking was in
-    // flight — the local campus won the race, nothing to forward.
     ++stats_.forwards_aborted;
-    outbound_.erase(it);
     return;
   }
   forward.spec = std::move(withdrawn->spec);
   forward.start_progress = withdrawn->checkpointed_progress;
   if (forward.start_progress > 0) {
-    auto bytes = store_.restore_bytes(job_id);
-    forward.checkpoint_bytes = bytes.ok() ? *bytes : 0;
+    forward.checkpoint_bytes = checkpoint_bytes;
     // Progress without a restorable checkpoint chain cannot move campuses.
     if (forward.checkpoint_bytes == 0) forward.start_progress = 0;
   }
-  forward.withdrawn = true;
-  // In federation flight: block the id from reuse until the hand-off
-  // settles (see the mesh path).
+  // The id is in federation flight from here until the hand-off settles:
+  // a tenant resubmitting it through the API must be refused, or the
+  // returning copy would collide (and be silently lost).
   coordinator_.reserve_id(job_id);
   forward.trace = withdrawn->trace;
   if (auto* tr = coordinator_.config().tracer;
@@ -739,6 +539,9 @@ void RegionGateway::handle_ranking_response(const RankingResponse& response) {
     tr->record(forward.trace, obs::stage::kFedWithdraw, gateway_id_,
                env_.now(), env_.now());
   }
+  auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
+  assert(inserted);
+  (void)it;
   try_next_region(job_id);
 }
 
@@ -809,12 +612,6 @@ void RegionGateway::arm_timeout(const std::string& job_id,
     auto it = outbound_.find(job_id);
     if (it == outbound_.end() || it->second.generation != generation) return;
     switch (it->second.state) {
-      case OutboundForward::State::kAwaitingRanking:
-        // Broker unreachable; the job never left the local queue.
-        ++stats_.forward_timeouts;
-        retry_after_[job_id] = env_.now() + jittered(policy_.forward_retry_backoff);
-        outbound_.erase(it);
-        return;
       case OutboundForward::State::kAwaitingReply:
         // Unanswered offer: treat like a refusal.  A late accept is
         // ignored (awaiting_gateway moved on), and the target's
@@ -865,7 +662,7 @@ void RegionGateway::handle_forward_accept(const ForwardAccept& accept) {
   }
   forward.offer_sent_at = -1;
   forward.state = OutboundForward::State::kAwaitingTransferAck;
-  forward.handoff_id = next_request_id_++;
+  forward.handoff_id = next_handoff_id_++;
   ++stats_.forwards_admitted;
   send_transfer(accept.job_id);
 }
@@ -1227,10 +1024,6 @@ void RegionGateway::sweep_remote_jobs() {
 void RegionGateway::handle_message(net::Message&& msg) {
   if (crashed_) return;  // the process is down; packets fall on the floor
   switch (msg.kind) {
-    case kRankingResponse:
-      handle_ranking_response(
-          std::any_cast<const RankingResponse&>(msg.payload));
-      break;
     case kForwardRequest:
       handle_forward_request(
           std::any_cast<const ForwardRequest&>(msg.payload));

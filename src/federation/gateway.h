@@ -1,16 +1,12 @@
 // Region gateway: one campus's membership in the federation.
 //
 // Wraps the local Coordinator without touching its internals:
-//  - MESH topology (default): maintains a replicated RegionDirectory and
-//    pushes it peer-to-peer every digest interval (rotating fanout); ranks
-//    candidate regions LOCALLY from the replica with a WAN-cost-aware
-//    score (digest staleness, modeled inter-region RTT and bandwidth,
-//    checkpoint shipping time vs. expected queue wait) — zero broker
-//    round-trips per placement query, and no single component whose death
-//    blinds the federation;
-//  - HUB topology (legacy, A/B benching): gossips a capacity digest (the
-//    O(1) Directory::capacity_summary()) to the FederationBroker and asks
-//    it for a free-capacity ranking when a job must leave the campus;
+//  - maintains a replicated RegionDirectory and pushes it peer-to-peer
+//    every digest interval (rotating fanout); ranks candidate regions
+//    LOCALLY from the replica with a WAN-cost-aware score (digest
+//    staleness, modeled inter-region RTT and bandwidth, checkpoint
+//    shipping time vs. expected queue wait) — no round-trip per placement
+//    query, and no single component whose death blinds the federation;
 //  - watches the local pending queue and, when a job has waited past the
 //    forwarding threshold with no local capacity in sight, withdraws the
 //    job and offers it to candidate regions in rank order;
@@ -28,7 +24,7 @@
 //    both databases, and kept acyclic by path-vector loop avoidance (a job
 //    is never offered to a region already in its chain).
 //
-// Rankings may be computed on stale replicas/digests; the refusal/re-route
+// Rankings may be computed on stale replicas; the refusal/re-route
 // loop here is what makes that safe (forward refused at the target -> next
 // region in the ranking -> local requeue with backoff when everyone says
 // no).
@@ -55,7 +51,7 @@ namespace gpunion::federation {
 /// Modeled WAN path between two gateways, supplied by the platform (the
 /// gateway itself only sees the abstract Transport): control round-trip
 /// and the effective shipping rate for bulk checkpoint payloads.  Feeds
-/// the mesh ranking's cost terms and the interactive latency budget.
+/// the ranking's cost terms and the interactive latency budget.
 struct WanPathModel {
   util::Duration rtt = 0;
   double gbps = 1.0;
@@ -78,7 +74,7 @@ struct RegionPolicy {
   bool forward_interactive = false;  // cross-campus Jupyter: off by default
   /// Pending age before a job becomes a forward candidate.
   util::Duration forward_after = 60.0;
-  /// Give up on an unanswered ranking/forward request after this long.
+  /// Give up on an unanswered forward offer after this long.
   util::Duration forward_timeout = 30.0;
   /// After every candidate region refused, wait this long before trying to
   /// forward the same job again.
@@ -107,21 +103,18 @@ struct RegionPolicy {
   /// slot after this long.
   util::Duration reservation_ttl = 60.0;
 
-  /// --- Mesh topology -------------------------------------------------------
+  /// --- Directory gossip ----------------------------------------------------
   /// Peers pushed to per gossip tick (rotating deterministically, so every
   /// peer is reached within ceil(peers / fanout) ticks even when the
   /// federation outgrows the fanout).
   int gossip_fanout = 3;
   /// Replica entries whose origin stamp is older than this are dropped
-  /// from rankings entirely (region presumed unreachable) — the mesh
-  /// counterpart of BrokerConfig::digest_hard_ttl.
+  /// from rankings entirely (region presumed unreachable).  Staleness
+  /// below the cutoff is not filtered: the ranking discounts it and the
+  /// target's live admission catches the drift.
   util::Duration directory_hard_ttl = 120.0;
-  /// On recover(), pull the full directory from one live peer instead of
-  /// waiting O(peers / fanout) push-gossip rounds to re-learn the
-  /// federation (anti-entropy region rejoin).  Mesh topology only.
-  bool anti_entropy_pull = true;
 
-  /// --- WAN-cost ranking (mesh) ---------------------------------------------
+  /// --- WAN-cost ranking ----------------------------------------------------
   /// Seconds of ranking cost per second of replica staleness: an old
   /// digest is less trustworthy, so fresher regions win ties.
   double stale_cost_weight = 0.5;
@@ -137,8 +130,7 @@ struct RegionPolicy {
 
 struct GatewayStats {
   // Outbound (jobs this region pushed elsewhere).
-  std::uint64_t ranking_requests = 0;    // hub round-trips
-  std::uint64_t local_rankings = 0;      // mesh: answered from the replica
+  std::uint64_t local_rankings = 0;      // answered from the replica
   std::uint64_t forwards_attempted = 0;  // ForwardRequests sent
   std::uint64_t forwards_admitted = 0;   // accepted by a remote region
   std::uint64_t forwards_refused = 0;    // refusals received
@@ -156,8 +148,7 @@ struct GatewayStats {
   // Ranking filters.
   std::uint64_t chain_loops_avoided = 0;      // candidate already in chain
   std::uint64_t interactive_rtt_filtered = 0;  // RTT budget exceeded
-  /// Replica staleness actually ranked on (mesh counterpart of the
-  /// broker's digest_age_at_query).
+  /// Replica staleness actually ranked on.
   util::SampleSet directory_age_at_rank;
   // Inbound (jobs other regions pushed here).
   std::uint64_t remote_admitted = 0;     // accepts issued (reservations)
@@ -172,12 +163,52 @@ struct GatewayStats {
   std::uint64_t reservations_expired = 0;
   // Gossip.
   std::uint64_t digests_published = 0;  // own digest (re)stamped
-  std::uint64_t gossips_sent = 0;       // mesh directory pushes sent
-  std::uint64_t gossips_received = 0;   // mesh directory pushes received
+  std::uint64_t gossips_sent = 0;       // directory pushes sent
+  std::uint64_t gossips_received = 0;   // directory pushes received
   // Anti-entropy (region rejoin).
   std::uint64_t anti_entropy_pulls = 0;    // pull requests sent
   std::uint64_t anti_entropy_served = 0;   // pull requests answered
   std::uint64_t anti_entropy_entries = 0;  // entries merged from pulls
+};
+
+/// The GatewayStats counters the stats journal persists, in journal order.
+/// persist_stats() and the recovery rebuild both walk this one table, so
+/// the durable layout cannot drift between writer and reader.
+/// directory_age_at_rank is a SampleSet and deliberately non-durable.
+inline constexpr std::uint64_t GatewayStats::*kJournaledStats[] = {
+    &GatewayStats::local_rankings,
+    &GatewayStats::forwards_attempted,
+    &GatewayStats::forwards_admitted,
+    &GatewayStats::forwards_refused,
+    &GatewayStats::forward_timeouts,
+    &GatewayStats::reroutes,
+    &GatewayStats::forwards_returned,
+    &GatewayStats::forwards_aborted,
+    &GatewayStats::transfers_delivered,
+    &GatewayStats::transfer_retries,
+    &GatewayStats::transfers_bounced,
+    &GatewayStats::checkpoints_shipped,
+    &GatewayStats::checkpoint_bytes_shipped,
+    &GatewayStats::remote_completions,
+    &GatewayStats::remote_failures,
+    &GatewayStats::chain_loops_avoided,
+    &GatewayStats::interactive_rtt_filtered,
+    &GatewayStats::remote_admitted,
+    &GatewayStats::remote_jobs_taken,
+    &GatewayStats::remote_refused_policy,
+    &GatewayStats::remote_refused_cap,
+    &GatewayStats::remote_refused_capacity,
+    &GatewayStats::remote_refused_duplicate,
+    &GatewayStats::transfers_received,
+    &GatewayStats::transfers_unreserved,
+    &GatewayStats::cross_campus_migrations_in,
+    &GatewayStats::reservations_expired,
+    &GatewayStats::digests_published,
+    &GatewayStats::gossips_sent,
+    &GatewayStats::gossips_received,
+    &GatewayStats::anti_entropy_pulls,
+    &GatewayStats::anti_entropy_served,
+    &GatewayStats::anti_entropy_entries,
 };
 
 /// What a gateway recover() rebuilt / settled, for tests and benches.
@@ -202,9 +233,8 @@ class RegionGateway {
   RegionGateway(sim::Environment& env, sched::Coordinator& coordinator,
                 storage::CheckpointStore& store, db::Database& database,
                 net::Transport& wan, std::string region_name,
-                std::string broker_id, RegionPolicy policy = {},
-                FederationTopology topology = FederationTopology::kHub,
-                WanPathFn wan_path = {}, sim::LaneId lane = sim::kMainLane);
+                RegionPolicy policy = {}, WanPathFn wan_path = {},
+                sim::LaneId lane = sim::kMainLane);
   ~RegionGateway();
 
   RegionGateway(const RegionGateway&) = delete;
@@ -214,7 +244,7 @@ class RegionGateway {
   /// starts the gossip/sweep timer.
   void start();
 
-  /// Seeds a mesh peer (the platform introduces the initial membership;
+  /// Seeds a gossip peer (the platform introduces the initial membership;
   /// gossip discovers regions that join later).
   void add_peer(const std::string& region, const std::string& gateway_id);
 
@@ -223,31 +253,23 @@ class RegionGateway {
   const std::string& gateway_id() const { return gateway_id_; }
   const GatewayStats& stats() const { return stats_; }
   const RegionPolicy& policy() const { return policy_; }
-  FederationTopology topology() const { return topology_; }
-  /// This gateway's replica of the federation directory (mesh mode; empty
-  /// in hub mode, where the broker holds the only directory).
+  /// This gateway's replica of the federation directory.
   const RegionDirectory& directory() const { return directory_; }
   /// Forwarded jobs currently reserved or running here.
   int remote_jobs_active() const {
     return static_cast<int>(remote_jobs_.size() + pending_inbound_.size());
   }
-  /// Outbound forwards currently in flight (ranking or offer outstanding).
-  int forwards_in_flight() const { return static_cast<int>(outbound_.size()); }
   /// True while `job_id` has an outbound forward in flight (the job may be
   /// absent from the coordinator without having landed anywhere yet).
   bool forwarding(const std::string& job_id) const {
     return outbound_.contains(job_id);
   }
-  /// In-flight forwards whose job has already been withdrawn from the
-  /// local coordinator (offer or transfer outstanding).  Closes the
-  /// accounting identity: jobs_withdrawn == transfers_delivered +
+  /// Outbound forwards in flight (offer or transfer outstanding); each
+  /// one's job is already withdrawn from the local coordinator.  Closes
+  /// the accounting identity: jobs_withdrawn == transfers_delivered +
   /// forwards_returned + withdrawn_in_flight.
   int withdrawn_in_flight() const {
-    int n = 0;
-    for (const auto& [job_id, forward] : outbound_) {
-      if (forward.withdrawn) ++n;
-    }
-    return n;
+    return static_cast<int>(outbound_.size());
   }
   /// Hop chain of a job admitted here via a federation transfer (origin
   /// first, this region last), or nullptr for jobs never hosted here.
@@ -272,19 +294,15 @@ class RegionGateway {
   // in-memory table is wiped.  recover() rebuilds from the durable tables
   // the gateway wrote as it worked: forward-state rows (the ONLY copy of a
   // withdrawn job in flight), hand-off dedup rows, hosted-job provenance
-  // and the stats journal.  epoch_ invalidates one-shot timeouts armed
-  // before the crash.
+  // and the stats journal, then anti-entropy-pulls the directory from one
+  // live peer.  epoch_ invalidates one-shot timeouts armed before the
+  // crash.
   void crash();
   void recover();
   bool crashed() const { return crashed_; }
   const GatewayRecoveryStats& recovery_stats() const {
     return recovery_stats_;
   }
-  /// Pulls the full directory from one live peer (rotating), merging the
-  /// response like gossip.  recover() calls this when anti_entropy_pull is
-  /// set; public so tests and benches can A/B rejoin convergence.
-  void request_anti_entropy();
-
   /// `base` +/- retry_jitter fraction, drawn from this gateway's private
   /// stream (see RegionPolicy::retry_jitter).  Every retry/backoff delay
   /// goes through this; public so tests can assert the de-correlation.
@@ -296,11 +314,10 @@ class RegionGateway {
   /// until the target acknowledges the transfer, so no single lost WAN
   /// message can lose the job.
   struct OutboundForward {
-    enum class State { kAwaitingRanking, kAwaitingReply, kAwaitingTransferAck };
-    State state = State::kAwaitingRanking;
+    enum class State { kAwaitingReply, kAwaitingTransferAck };
+    State state = State::kAwaitingReply;
     std::uint64_t generation = 0;  // guards stale timeout events
-    std::uint64_t request_id = 0;
-    workload::JobSpec spec;  // populated once withdrawn
+    workload::JobSpec spec;
     double start_progress = 0;
     std::uint64_t checkpoint_bytes = 0;
     int transfer_attempts = 0;
@@ -317,7 +334,6 @@ class RegionGateway {
     std::size_t next_region = 0;
     std::string awaiting_gateway;
     int attempts = 0;
-    bool withdrawn = false;
     /// Causal trace carried over from the withdrawn job; the gateway's
     /// fed_* spans chain onto it and it crosses the WAN in JobTransfer.
     obs::TraceContext trace;
@@ -339,7 +355,6 @@ class RegionGateway {
   };
 
   void handle_message(net::Message&& msg);
-  void handle_ranking_response(const RankingResponse& response);
   void handle_forward_request(const ForwardRequest& request);
   void handle_forward_accept(const ForwardAccept& accept);
   void handle_forward_refuse(const ForwardRefuse& refuse);
@@ -357,24 +372,12 @@ class RegionGateway {
   void sweep_remote_jobs();
   void scan_for_forwards();
   void initiate_forward(const std::string& job_id);
-  /// WAN-cost-aware candidate ranking from the local replica (mesh mode):
-  /// staleness-filtered, envelope-filtered, loop-avoided, RTT-budgeted,
+  /// WAN-cost-aware candidate ranking from the local replica:
+  /// loop-avoided, RTT-budgeted, staleness-filtered, envelope-filtered,
   /// ordered by expected cost.  `checkpoint_bytes` sizes the shipping term.
   std::vector<RegionScore> rank_locally(const workload::JobSpec& job,
                                         std::uint64_t checkpoint_bytes,
                                         const std::vector<std::string>& chain);
-  /// Shared ranking-eligibility predicate (stats-counting): true when a
-  /// candidate region may not be offered this job — already in the job's
-  /// hop chain, or (interactive) beyond the RTT budget.  Used by BOTH the
-  /// mesh ranking and the hub ranking filter so the rules cannot drift.
-  bool ranking_excluded(const workload::JobSpec& job,
-                        const std::string& region,
-                        const std::string& target_gateway,
-                        const std::vector<std::string>& chain);
-  /// Drops broker-ranking candidates that fail ranking_excluded().
-  void filter_ranking(std::vector<RegionScore>& ranking,
-                      const workload::JobSpec& job,
-                      const std::vector<std::string>& chain);
   /// Resolves the true origin + hop chain for forwarding `job_id` out of
   /// here (a chained forward keeps the original submitter's identity).
   void resolve_origin(const std::string& job_id, OutboundForward& forward);
@@ -396,11 +399,10 @@ class RegionGateway {
   bool admit_transfer(const JobTransfer& transfer);
   void send(const std::string& to, int kind, std::any payload,
             std::uint64_t bytes);
-  /// Mirrors an in-flight forward to its durable row (no-op until the job
-  /// is withdrawn — before that the coordinator's own row covers it) and
-  /// journals the stats counters in the same breath, so the accounting
-  /// identity (withdrawn == delivered + returned + in flight) survives a
-  /// crash at any event boundary.
+  /// Mirrors an in-flight forward to its durable row (the withdrawn job's
+  /// only home) and journals the stats counters in the same breath, so the
+  /// accounting identity (withdrawn == delivered + returned + in flight)
+  /// survives a crash at any event boundary.
   void persist_forward(const std::string& job_id,
                        const OutboundForward& forward);
   void erase_forward(const std::string& job_id);
@@ -408,6 +410,10 @@ class RegionGateway {
   /// Reloads stats, dedup table, hosted guests and in-flight forwards from
   /// the durable tables; resumes or repatriates each recovered forward.
   void rebuild_from_db();
+  /// Pulls the full directory from one live peer (rotating), merging the
+  /// response like gossip: a rejoining gateway regains the whole view in
+  /// one round trip instead of O(peers / fanout) push-gossip rounds.
+  void request_anti_entropy();
 
   sim::Environment& env_;
   sim::LaneId lane_ = sim::kMainLane;
@@ -417,16 +423,16 @@ class RegionGateway {
   net::Transport& wan_;
   std::string region_;
   std::string gateway_id_;
-  std::string broker_id_;
   RegionPolicy policy_;
-  FederationTopology topology_;
   WanPathFn wan_path_;
   sim::PeriodicTimer tick_timer_;
 
   std::uint64_t digest_seq_ = 0;
-  std::uint64_t next_request_id_ = 1;
+  /// Next hand-off id; journaled after the counters so ids stay unique
+  /// across restarts (the receiver dedups on (sender, handoff_id)).
+  std::uint64_t next_handoff_id_ = 1;
   // All ordered maps: deterministic iteration for reproducible runs.
-  /// Replicated federation directory (mesh; holds only self in hub mode).
+  /// Replicated federation directory.
   RegionDirectory directory_;
   /// Known peer gateways by region (seeded by the platform, extended by
   /// gossip).  The rotation cursor spreads fanout-limited pushes evenly.

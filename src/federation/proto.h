@@ -1,16 +1,14 @@
 // Inter-campus federation protocol.
 //
 // The federation layer generalizes GPUnion's single-campus model to a set of
-// autonomous campuses (SHARY-style).  In the default MESH topology each
-// region's gateway replicates the federation's capacity directory via
-// peer-to-peer gossip, ranks candidate regions locally (WAN-cost-aware:
-// staleness, RTT, checkpoint shipping time vs. expected queue wait) and
-// forwards jobs it cannot serve — shipping their latest checkpoint across
-// the WAN — to a region that admits them.  The legacy HUB topology keeps a
-// single FederationBroker as the gossip sink and ranking oracle (A/B
-// benching).  Either way regions keep their autonomy: admission is decided
-// by the *target* gateway against its live directory, never by anyone's
-// (possibly stale) digest view.
+// autonomous campuses (SHARY-style).  Each region's gateway replicates the
+// federation's capacity directory via peer-to-peer gossip, ranks candidate
+// regions locally (WAN-cost-aware: staleness, RTT, checkpoint shipping time
+// vs. expected queue wait) and forwards jobs it cannot serve — shipping
+// their latest checkpoint across the WAN — to a region that admits them.
+// No central party ranks or admits: admission is decided by the *target*
+// gateway against its live directory, never by anyone's (possibly stale)
+// replica.
 //
 // Messages ride net::Transport exactly like the agent protocol, but on the
 // inter-campus WAN network and under TrafficClass::kFederation, so the
@@ -21,33 +19,17 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "federation/region_directory.h"
 #include "obs/trace.h"
-#include "sched/directory.h"
-#include "util/time.h"
 #include "workload/job.h"
 
 namespace gpunion::federation {
 
-/// How placement queries travel.  kMesh (default) answers them from each
-/// gateway's replicated RegionDirectory, kept convergent by peer-to-peer
-/// gossip — no hub, nothing to die that blinds the others.  kHub is the
-/// original single-FederationBroker topology, kept for A/B benching.
-enum class FederationTopology { kMesh, kHub };
-
-inline std::string_view federation_topology_name(FederationTopology t) {
-  return t == FederationTopology::kMesh ? "mesh" : "hub";
-}
-
 /// Message::kind values (disjoint from agent::MsgKind).
 enum MsgKind : int {
-  kCapacityDigest = 101,  // gateway -> broker: periodic gossip (hub mode)
-  kRankingRequest,        // gateway -> broker: where could this job go?
-  kRankingResponse,       // broker -> gateway
-  kForwardRequest,        // origin gateway -> target gateway (control)
+  kForwardRequest = 101,  // origin gateway -> target gateway (control)
   kForwardAccept,         // target -> origin: admitted, send the job
   kForwardRefuse,         // target -> origin: admission denied
   kJobTransfer,           // origin -> target: spec + checkpoint payload bytes
@@ -58,57 +40,22 @@ enum MsgKind : int {
   kDirectoryPullResponse, // peer -> rejoining gateway: full directory state
 };
 
-/// One region's gossip digest: the O(1) capacity summary its directory
-/// already maintains, stamped for staleness accounting.  This is the whole
-/// point of the broker seeing O(regions) traffic — a digest replaces the
-/// thousands of per-node heartbeats that stay inside the region.
-struct DigestMessage {
-  std::string region;
-  std::string gateway_id;
-  sched::CapacitySummary capacity;
-  std::uint64_t seq = 0;
-  util::SimTime generated_at = 0;
-};
-
-struct RankingRequest {
-  std::string origin_region;
-  std::string reply_to;  // gateway endpoint id
-  std::uint64_t request_id = 0;
-  // Job shape, for basic fit filtering.
-  int gpu_count = 1;
-  double gpu_memory_gb = 0;
-  double min_compute_capability = 0;
-};
-
-/// One ranked candidate region, with the staleness of the digest the
-/// ranking was computed from (the gossip trade-off made visible).  The
-/// WAN-aware fields are filled by the mesh topology's local ranking; the
-/// hub broker ranks on free capacity alone and leaves them zero.
+/// One ranked candidate region (the local WAN-cost ranking's output).
 struct RegionScore {
   std::string region;
   std::string gateway_id;
-  int free_gpus = 0;
-  int free_fractional_seats = 0;
-  util::Duration digest_age = 0;
-  /// Modeled control round-trip to the region's gateway.
-  util::Duration rtt = 0;
   /// Expected seconds until the job makes progress there: checkpoint
   /// shipping time + RTT + staleness distrust + busy-wait penalty.
   double expected_cost = 0;
 };
 
-/// Brokerless capacity gossip: one gateway pushing its whole replicated
-/// directory (own entry freshly stamped, peers' entries relayed with the
-/// ORIGIN's version stamps) to a rotating subset of peers.
+/// Capacity gossip: one gateway pushing its whole replicated directory (own
+/// entry freshly stamped, peers' entries relayed with the ORIGIN's version
+/// stamps) to a rotating subset of peers.
 struct DirectoryGossip {
   std::string from_region;
   std::string from_gateway;
   std::vector<DirectoryEntry> entries;
-};
-
-struct RankingResponse {
-  std::uint64_t request_id = 0;
-  std::vector<RegionScore> ranking;  // best first
 };
 
 /// Anti-entropy: a gateway rejoining after a crash starts with an EMPTY
@@ -212,8 +159,8 @@ struct JobTransferAck {
 /// Typical encoded sizes (bytes) for federation control messages.
 constexpr std::uint64_t kDigestBytes = 260;
 constexpr std::uint64_t kControlBytes = 420;  // carries a JobSpec
-/// A DirectoryGossip pays one digest per relayed entry: mesh gossip costs
-/// O(regions) bytes per push, still independent of node count.
+/// A DirectoryGossip pays one digest per relayed entry: gossip costs
+/// O(regions) bytes per push, independent of node count.
 constexpr std::uint64_t kGossipEntryBytes = kDigestBytes;
 
 }  // namespace gpunion::federation

@@ -1,23 +1,21 @@
 // Replicated region directory: each gateway's own copy of the federation.
 //
-// The brokerless (mesh) topology replaces the FederationBroker's single
-// global directory with one replica per RegionGateway, kept convergent by
-// peer-to-peer push gossip: every digest interval a gateway stamps its own
-// entry from the local Directory::capacity_summary() and pushes its whole
-// directory to a rotating subset of peers.  Receivers merge per entry by
-// version dominance, so placement queries are answered from the local
-// replica — zero broker round-trips in steady state — and any region
-// (or the legacy hub) can die without blinding the others.
+// There is no global directory: every RegionGateway holds a replica, kept
+// convergent by peer-to-peer push gossip.  Every digest interval a gateway
+// stamps its own entry from the local Directory::capacity_summary() and
+// pushes its whole directory to a rotating subset of peers.  Receivers
+// merge per entry by version dominance, so placement queries are answered
+// from the local replica with no round-trip, and any region can die
+// without blinding the others.
 //
 // Versioning: each entry carries the ORIGIN's (generated_at, version)
 // stamp.  generated_at is the dominance key — a restarted gateway resets
 // its version counter but stamps fresh times, so it re-enters rankings
-// immediately (the same restart-safety rule the hub broker applies);
-// version breaks exact-time ties.  The WAN-cost ranking measures
-// staleness against the origin's generated_at stamp (all campuses share
-// the simulation clock); received_at is purely local bookkeeping — when
-// this replica last learned something new about the region — kept for
-// debugging gossip propagation.  The per-replica version vector
+// immediately; version breaks exact-time ties.  The WAN-cost ranking
+// measures staleness against the origin's generated_at stamp (all campuses
+// share the simulation clock); received_at is purely local bookkeeping —
+// when this replica last learned something new about the region — kept
+// for debugging gossip propagation.  The per-replica version vector
 // (region -> version) is exposed for convergence checks: once gossip
 // quiesces, every replica's vector is identical.
 #pragma once

@@ -2,18 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 #include <stdexcept>
 
 #include "util/logging.h"
 
 namespace gpunion {
 
+namespace {
+
+/// Checked before anything is built, in every build type.
+FederationConfig validated(FederationConfig config) {
+  if (config.regions.empty()) {
+    throw std::invalid_argument("federation requires at least one region");
+  }
+  std::set<std::string> names;
+  for (const auto& region : config.regions) {
+    if (region.name.empty()) {
+      throw std::invalid_argument("federation region requires a name");
+    }
+    if (!names.insert(region.name).second) {
+      throw std::invalid_argument("duplicate federation region name " +
+                                  region.name);
+    }
+  }
+  return config;
+}
+
+}  // namespace
+
 FederatedPlatform::FederatedPlatform(sim::Environment& env,
                                      FederationConfig config)
     : env_(env),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       wan_(std::make_unique<net::SimNetwork>(env, config_.wan)) {
-  assert(!config_.regions.empty() && "federation requires at least one region");
   // One tracer for the whole federation: a forwarded job's spans from every
   // region land in one ring, so A -> B -> C reads as one trace.
   if (config_.tracer == nullptr) config_.tracer = &own_tracer_;
@@ -23,7 +45,7 @@ FederatedPlatform::FederatedPlatform(sim::Environment& env,
     wan_->set_path_latency("gw-" + link.region_a, "gw-" + link.region_b,
                            link.one_way_latency);
   }
-  // The mesh ranking's view of the WAN: control RTT from the path latency,
+  // The ranking's view of the WAN: control RTT from the path latency,
   // shipping rate from the path bottleneck clamped to the federation
   // channel cap (checkpoints ride the capped class, not the raw links).
   federation::WanPathFn wan_path = [this](const std::string& from,
@@ -36,13 +58,8 @@ FederatedPlatform::FederatedPlatform(sim::Environment& env,
     }
     return path;
   };
-  if (config_.topology == federation::FederationTopology::kHub) {
-    broker_ = std::make_unique<federation::FederationBroker>(env_, *wan_,
-                                                             config_.broker);
-  }
   regions_.reserve(config_.regions.size());
   for (auto& region_config : config_.regions) {
-    assert(!region_config.name.empty() && "region requires a name");
     // Regions run on separate campus LANs, so the default coordinator id
     // cannot actually collide — but unique ids keep logs and DB rows
     // attributable when several regions share one process.
@@ -62,13 +79,12 @@ FederatedPlatform::FederatedPlatform(sim::Environment& env,
     region.gateway = std::make_unique<federation::RegionGateway>(
         env_, region.platform->coordinator(),
         region.platform->checkpoint_store(), region.platform->database(),
-        *wan_, region.name, config_.broker.id, region_config.policy,
-        config_.topology, wan_path, region.platform->lane());
+        *wan_, region.name, region_config.policy, wan_path,
+        region.platform->lane());
     by_name_[region.name] = regions_.size();
     names_.push_back(region.name);
     regions_.push_back(std::move(region));
   }
-  assert(by_name_.size() == regions_.size() && "duplicate region name");
   // Seed the mesh membership: every gateway knows every founding region.
   // Regions that join later are discovered through gossip relays.
   for (auto& region : regions_) {
@@ -86,7 +102,6 @@ FederatedPlatform::~FederatedPlatform() = default;
 void FederatedPlatform::start() {
   assert(!started_ && "FederatedPlatform::start called twice");
   started_ = true;
-  if (broker_) broker_->start();  // before the gateways: digests flow now
   for (auto& region : regions_) {
     region.platform->start();
     region.gateway->start();
@@ -109,13 +124,6 @@ federation::RegionGateway& FederatedPlatform::gateway(
     throw std::out_of_range("unknown region " + name);
   }
   return *regions_[it->second].gateway;
-}
-
-federation::FederationBroker& FederatedPlatform::broker() {
-  if (!broker_) {
-    throw std::logic_error("mesh topology has no federation broker");
-  }
-  return *broker_;
 }
 
 int FederatedPlatform::total_gpus() const {
@@ -152,16 +160,8 @@ FederatedStats FederatedPlatform::stats() const {
       replica_ages.add(age);
     }
   }
-  if (broker_) {
-    const federation::BrokerStats& broker_stats = broker_->stats();
-    out.broker_digests_received = broker_stats.digests_received;
-    out.broker_ranking_requests = broker_stats.ranking_requests;
-    out.digest_age_mean = broker_stats.digest_age_at_query.mean();
-    out.digest_age_max = broker_stats.digest_age_at_query.max();
-  } else {
-    out.digest_age_mean = replica_ages.mean();
-    out.digest_age_max = replica_ages.max();
-  }
+  out.digest_age_mean = replica_ages.mean();
+  out.digest_age_max = replica_ages.max();
   return out;
 }
 
@@ -178,13 +178,6 @@ void FederatedPlatform::inject_region_outage(const std::string& region_name,
     event.downtime = downtime;
     platform.inject_interruption(event);
   }
-}
-
-void FederatedPlatform::kill_broker() {
-  if (!broker_ || broker_killed_) return;
-  broker_killed_ = true;
-  GPUNION_ILOG("federation") << "federation broker killed";
-  wan_->unregister_endpoint(broker_->id());
 }
 
 void FederatedPlatform::set_region_wan_partitioned(
@@ -259,8 +252,7 @@ void FederatedPlatform::refresh_metrics() {
       "Admitted forwards that resumed from a shipped checkpoint");
   auto& staleness = metrics_.gauge_family(
       "gpunion_federation_digest_age_seconds",
-      "Age of each region's digest at the broker (hub) or the freshest "
-      "peer replica entry for it (mesh)");
+      "Age of the freshest peer replica entry for each region's digest");
   for (const auto& region : regions_) {
     const monitor::Labels labels{{"region", region.name}};
     const federation::GatewayStats& gw = region.gateway->stats();
@@ -271,14 +263,7 @@ void FederatedPlatform::refresh_metrics() {
         static_cast<double>(region.gateway->remote_jobs_active()));
     migrations.gauge(labels).set(
         static_cast<double>(gw.cross_campus_migrations_in));
-    if (broker_) {
-      auto entry = broker_->regions().find(region.name);
-      if (entry != broker_->regions().end()) {
-        staleness.gauge(labels).set(env_.now() - entry->second.received_at);
-      }
-      continue;
-    }
-    // Mesh: the freshest view any OTHER replica holds of this region.
+    // The freshest view any OTHER replica holds of this region.
     double best_age = -1;
     for (const auto& peer : regions_) {
       if (peer.name == region.name) continue;

@@ -4,21 +4,19 @@
 // LAN, coordinator, database and checkpoint store) on ONE simulation
 // environment, plus the federation tier that joins them: an inter-campus
 // WAN SimNetwork (federation traffic rides its own capped channel) and one
-// RegionGateway per campus.  Under the default MESH topology the gateways
-// replicate the region directory among themselves via peer-to-peer gossip
-// and rank forwarding targets locally (WAN-cost-aware); under the legacy
-// HUB topology a single FederationBroker collects digests and answers
-// ranking queries (kept for A/B benching — kill_broker() lets a bench
-// show exactly what dies with it).
+// RegionGateway per campus.  The gateways replicate the region directory
+// among themselves via peer-to-peer gossip and rank forwarding targets
+// locally (WAN-cost-aware); there is no central broker whose death could
+// blind the federation.
 //
 // The scalability story this enables: each region's coordinator fans in
 // only its own heartbeats, while inter-region traffic is O(regions)
-// digests per gossip interval — at a hub in hub mode, spread across the
-// mesh otherwise.  And the scenario family it opens: a full-campus outage
-// whose displaced jobs the rest of the federation absorbs via cross-campus
-// checkpoint migration (re-forwarded onward, provenance chains intact, if
-// the absorber degrades in turn), asymmetric region sizes and WAN
-// distances, WAN-bandwidth-constrained migration, WAN partitions.
+// digests per gossip interval, spread across the mesh of gateways.  And
+// the scenario family it opens: a full-campus outage whose displaced jobs
+// the rest of the federation absorbs via cross-campus checkpoint migration
+// (re-forwarded onward, provenance chains intact, if the absorber degrades
+// in turn), asymmetric region sizes and WAN distances,
+// WAN-bandwidth-constrained migration, WAN partitions.
 #pragma once
 
 #include <map>
@@ -26,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "federation/broker.h"
 #include "federation/gateway.h"
 #include "gpunion/platform.h"
 #include "monitor/metrics.h"
@@ -53,14 +50,9 @@ struct FederationConfig {
   /// Inter-campus WAN model; `federation_wan_gbps` caps the shared channel
   /// all federation traffic (gossip, forwards, checkpoints) rides.
   net::SimNetworkConfig wan;
-  /// Asymmetric campus distances (feeds the mesh ranking's RTT terms and
-  /// the interactive latency budget).
+  /// Asymmetric campus distances (feeds the ranking's RTT terms and the
+  /// interactive latency budget).
   std::vector<InterRegionLink> links;
-  /// kMesh (default): brokerless replicated directories, local rankings.
-  /// kHub: the original single-broker topology (A/B benching).
-  federation::FederationTopology topology =
-      federation::FederationTopology::kMesh;
-  federation::BrokerConfig broker;
   /// Cadence of the federated metrics refresh.
   util::Duration metrics_interval = 60.0;
   /// Shared causal tracer injected into every region's control plane, so a
@@ -69,8 +61,7 @@ struct FederationConfig {
   obs::Tracer* tracer = nullptr;
 };
 
-/// Federation-wide aggregate of the per-gateway (and, in hub mode, broker)
-/// counters.
+/// Federation-wide aggregate of the per-gateway counters.
 struct FederatedStats {
   std::uint64_t forwards_attempted = 0;
   std::uint64_t forwards_admitted = 0;
@@ -84,44 +75,39 @@ struct FederatedStats {
   std::uint64_t checkpoint_bytes_shipped = 0;
   std::uint64_t remote_completions = 0;
   std::uint64_t digests_published = 0;
-  /// Placement queries answered WITHOUT a broker round-trip (mesh) vs. the
-  /// hub round-trips the broker served.
+  /// Placement queries, each answered from the asking gateway's replica.
   std::uint64_t local_rankings = 0;
-  std::uint64_t broker_digests_received = 0;
-  std::uint64_t broker_ranking_requests = 0;
-  /// Mesh gossip volume (directory pushes between gateways).
+  /// Gossip volume (directory pushes between gateways).
   std::uint64_t gossips_sent = 0;
   std::uint64_t gossips_received = 0;
   /// Ranking filters (loop avoidance, interactive RTT budget).
   std::uint64_t chain_loops_avoided = 0;
   std::uint64_t interactive_rtt_filtered = 0;
-  /// Digest staleness actually ranked on (seconds): broker-side in hub
-  /// mode, replica-side in mesh mode.
+  /// Replica staleness actually ranked on (seconds).
   double digest_age_mean = 0;
   double digest_age_max = 0;
 };
 
 class FederatedPlatform {
  public:
+  /// Throws std::invalid_argument when `config` has no regions, or a region
+  /// whose name is empty or repeats another's (a name keys region(),
+  /// gateway() and the gateway's WAN endpoint).
   FederatedPlatform(sim::Environment& env, FederationConfig config);
   ~FederatedPlatform();
 
   FederatedPlatform(const FederatedPlatform&) = delete;
   FederatedPlatform& operator=(const FederatedPlatform&) = delete;
 
-  /// Starts every regional platform, the broker (hub mode), then the
-  /// gateways (first digests flow immediately).
+  /// Starts every regional platform and its gateway (first digests flow
+  /// immediately).
   void start();
 
   std::size_t region_count() const { return regions_.size(); }
   const std::vector<std::string>& region_names() const { return names_; }
-  federation::FederationTopology topology() const { return config_.topology; }
   Platform& region(const std::string& name);
   Platform& region(std::size_t index) { return *regions_.at(index).platform; }
   federation::RegionGateway& gateway(const std::string& name);
-  /// Hub mode only; throws std::logic_error under the mesh topology
-  /// (there is deliberately no broker to return).
-  federation::FederationBroker& broker();
   net::SimNetwork& wan() { return *wan_; }
   monitor::MetricRegistry& metrics() { return metrics_; }
   /// The federation-wide tracer every region records into.
@@ -132,7 +118,7 @@ class FederatedPlatform {
   /// Every GPU across every region.
   int total_gpus() const;
 
-  /// Aggregated federation counters (gateways + broker).
+  /// Aggregated federation counters.
   FederatedStats stats() const;
 
   /// Full-campus outage: every provider node in `region` departs
@@ -140,13 +126,6 @@ class FederatedPlatform {
   /// absorbs the displaced load via cross-campus forwarding.
   void inject_region_outage(const std::string& region_name,
                             util::Duration downtime);
-
-  /// Kills the hub: the broker's WAN endpoint is unregistered, so digests
-  /// and ranking requests vanish into the void from now on.  The mesh-vs-
-  /// hub A/B lever — a no-op under the mesh topology, where there is
-  /// nothing to kill.  Irreversible for the run.
-  void kill_broker();
-  bool broker_killed() const { return broker_killed_; }
 
   /// WAN partition of one region's gateway: federation messages to/from it
   /// are silently dropped until healed.  The campus itself keeps running —
@@ -179,7 +158,6 @@ class FederatedPlatform {
   /// caller injected one.
   obs::Tracer own_tracer_;
   std::unique_ptr<net::SimNetwork> wan_;
-  std::unique_ptr<federation::FederationBroker> broker_;
   struct Region {
     std::string name;
     std::unique_ptr<Platform> platform;
@@ -190,7 +168,6 @@ class FederatedPlatform {
   std::vector<std::string> names_;
   monitor::MetricRegistry metrics_;
   std::unique_ptr<sim::PeriodicTimer> metrics_timer_;
-  bool broker_killed_ = false;
   bool started_ = false;
 };
 

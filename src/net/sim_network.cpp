@@ -207,8 +207,8 @@ util::Status SimNetwork::send(Message msg) {
     // Inter-campus WAN channel: federation traffic (digests, forwards,
     // shipped checkpoints) shares one capped pipe.  FIFO within the class
     // — a large cross-campus checkpoint shipment delays the digests
-    // queued behind it, which is the staleness the broker has to live
-    // with.
+    // queued behind it, which is the staleness every gateway's replica
+    // has to live with.
     t = via_paced_channel(wan_channel_, config_.federation_wan_gbps);
   } else if (msg.traffic_class == TrafficClass::kCheckpoint &&
              config_.backup_pace_gbps > 0) {

@@ -93,10 +93,10 @@ struct CapacitySummary {
   hw::SeatCounts free_seats;  // free seats per mode on schedulable nodes
   /// Hardware envelope: the best any single registered node offers
   /// (departed nodes included — hardware survives churn; recomputed when
-  /// a re-registration shrinks a maximum).  Lets the federation broker
-  /// drop never-feasible regions from a ranking — a job needing 4 GPUs on
-  /// one node, 40 GB VRAM or CC 9.0 is not sent to a campus of 1-GPU
-  /// 24 GB CC-8.6 workstations.
+  /// a re-registration shrinks a maximum).  Lets a federation gateway's
+  /// ranking drop never-feasible regions — a job needing 4 GPUs on one
+  /// node, 40 GB VRAM or CC 9.0 is not sent to a campus of 1-GPU 24 GB
+  /// CC-8.6 workstations.
   int max_node_gpus = 0;
   double max_gpu_memory_gb = 0;
   double max_compute_capability = 0;

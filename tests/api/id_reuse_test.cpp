@@ -106,7 +106,6 @@ TEST(IdReuseTest, CrashClearsReservations) {
 TEST(IdReuseTest, ForwardInFlightGuardsIdEndToEnd) {
   sim::Environment env(11);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   federation::RegionPolicy policy;
   policy.digest_interval = 5.0;
   policy.forward_after = 10.0;

@@ -147,7 +147,7 @@ void check_quiesced(FederatedPlatform& fed,
                     const std::vector<std::string>& submitted_ids) {
   // Nothing in flight anywhere, and every job is in exactly one region.
   for (const auto& name : fed.region_names()) {
-    EXPECT_EQ(fed.gateway(name).forwards_in_flight(), 0) << name;
+    EXPECT_EQ(fed.gateway(name).withdrawn_in_flight(), 0) << name;
   }
   for (const std::string& job_id : submitted_ids) {
     int hosted = 0;

@@ -10,14 +10,16 @@
 //    offers are repatriated to the home coordinator;
 //  * a receiving region's restart keeps its guests: remote jobs and the
 //    hand-off dedup table are rebuilt from provenance and handoff rows;
+//  * an origin's restart restores every journaled counter and keeps
+//    hand-off ids unique (new ids continue above every id it used before);
 //  * a rejoining region anti-entropy-pulls the directory from one live
-//    peer and converges in about a WAN round trip, against the multi-
-//    second push-gossip wait the pull replaces (the PR 5 leftover);
+//    peer and converges in about a WAN round trip;
 //  * every retry/backoff delay is jittered per-gateway from forked RNG
 //    streams, so two regions with identical policies retry at different
 //    times instead of thundering-herd into a recovering peer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -166,47 +168,98 @@ TEST(FederationRecoveryTest, ReceiverRestartKeepsGuestsAndDedupTable) {
   EXPECT_GE(fed.gateway("alpha").stats().remote_completions, 1u);
 }
 
-TEST(FederationRecoveryTest, AntiEntropyPullConvergesFasterThanPushGossip) {
+TEST(FederationRecoveryTest, OriginRestartRestoresStatsJournalAndHandoffIds) {
+  sim::Environment env(21);
+  FederationConfig config;
+  config.regions.push_back(make_region("alpha", 1));
+  config.regions.push_back(make_region("beta", 3));
+  FederatedPlatform fed(env, config);
+  fed.start();
+  env.run_until(5.0);
+
+  // Overflow alpha's single GPU and let every forward settle at beta.
+  auto overflow = [&](const std::string& prefix) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(fed.region("alpha")
+                      .coordinator()
+                      .submit(training(prefix + std::to_string(i),
+                                       "group-alpha", 60.0, env.now()))
+                      .is_ok());
+    }
+  };
+  overflow("before-");
+  env.run_until(402.5);  // between ticks, away from any gossip arrival
+  federation::RegionGateway& alpha = fed.gateway("alpha");
+  ASSERT_GE(alpha.stats().transfers_delivered, 2u);
+  ASSERT_EQ(alpha.withdrawn_in_flight(), 0);
+  auto& beta_db = fed.region("beta").database();
+  std::uint64_t max_handoff_id = 0;
+  for (const db::HandoffRecord& row : beta_db.handoffs()) {
+    max_handoff_id = std::max(max_handoff_id, row.handoff_id);
+  }
+  ASSERT_GT(max_handoff_id, 0u);
+
+  // A tick journals the counters, so the durable copy equals the live one.
+  alpha.tick();
+  const federation::GatewayStats before = alpha.stats();
+  const double downtime = 2.0;
+  fed.crash_region_control_plane("alpha", downtime);
+  env.run_until(env.now() + downtime);  // the restart fires at this instant
+  ASSERT_FALSE(alpha.crashed());
+
+  // recover() restores the journal, then ticks once (one digest pushed to
+  // the single peer) and sends one anti-entropy pull; nothing else has
+  // reached the gateway yet.
+  federation::GatewayStats expected = before;
+  ++expected.digests_published;
+  ++expected.gossips_sent;
+  ++expected.anti_entropy_pulls;
+  for (std::size_t i = 0; i < std::size(federation::kJournaledStats); ++i) {
+    const auto counter = federation::kJournaledStats[i];
+    EXPECT_EQ(alpha.stats().*counter, expected.*counter)
+        << "journal slot " << i;
+  }
+
+  // The hand-off id high-water mark rode the same journal: forwards after
+  // the restart never reuse an id the receiver has already recorded.
+  overflow("after-");
+  env.run_until(env.now() + 400.0);
+  int after_rows = 0;
+  for (const db::HandoffRecord& row : beta_db.handoffs()) {
+    if (row.job_id.starts_with("after-")) {
+      ++after_rows;
+      EXPECT_GT(row.handoff_id, max_handoff_id) << row.job_id;
+    }
+  }
+  EXPECT_GE(after_rows, 1);
+}
+
+TEST(FederationRecoveryTest, RejoinPullRestoresFullViewWithinOneSecond) {
   const int regions = 5;
   const double crash_at = 40.0;
   const double downtime = 1.0;
-  // Measures how long after recovery region r0's directory regains a full
-  // view of the federation, with and without the anti-entropy pull.
-  auto rejoin_time = [&](bool anti_entropy) {
-    sim::Environment env(23);
-    FederationConfig config;
-    for (int i = 0; i < regions; ++i) {
-      federation::RegionPolicy policy = fast_policy();
-      policy.anti_entropy_pull = anti_entropy;
-      config.regions.push_back(
-          make_region("r" + std::to_string(i), 1, policy));
-    }
-    FederatedPlatform fed(env, config);
-    fed.start();
-    env.run_until(crash_at);
-    EXPECT_EQ(fed.gateway("r0").directory().entries().size(),
-              static_cast<std::size_t>(regions));
-    fed.crash_region_control_plane("r0", downtime);
-    const double recovered_at = env.now() + downtime;
-    EXPECT_TRUE(run_until_pred(env, recovered_at + 60.0, 0.01, [&] {
-      return fed.gateway("r0").directory().entries().size() ==
-             static_cast<std::size_t>(regions);
-    })) << "directory never reconverged";
-    if (anti_entropy) {
-      EXPECT_GE(fed.gateway("r0").stats().anti_entropy_pulls, 1u);
-      EXPECT_GE(fed.stats().gossips_sent, 1u);
-    }
-    return env.now() - recovered_at;
-  };
-
-  const double with_pull = rejoin_time(true);
-  const double push_only = rejoin_time(false);
-  // The pull converges in about one WAN round trip; push-gossip has to
-  // wait for peers' digest ticks to happen to select the rejoiner.
-  EXPECT_LT(with_pull, 1.0) << "anti-entropy pull took " << with_pull << " s";
-  EXPECT_LT(with_pull, push_only)
-      << "pull (" << with_pull << " s) not faster than push-gossip alone ("
-      << push_only << " s)";
+  sim::Environment env(23);
+  FederationConfig config;
+  for (int i = 0; i < regions; ++i) {
+    config.regions.push_back(make_region("r" + std::to_string(i), 1));
+  }
+  FederatedPlatform fed(env, config);
+  fed.start();
+  env.run_until(crash_at);
+  EXPECT_EQ(fed.gateway("r0").directory().entries().size(),
+            static_cast<std::size_t>(regions));
+  fed.crash_region_control_plane("r0", downtime);
+  const double recovered_at = env.now() + downtime;
+  EXPECT_TRUE(run_until_pred(env, recovered_at + 60.0, 0.01, [&] {
+    return fed.gateway("r0").directory().entries().size() ==
+           static_cast<std::size_t>(regions);
+  })) << "directory never reconverged";
+  EXPECT_GE(fed.gateway("r0").stats().anti_entropy_pulls, 1u);
+  EXPECT_GE(fed.stats().gossips_sent, 1u);
+  // The pull converges in about one WAN round trip, long before peers'
+  // digest ticks would happen to push to the rejoiner.
+  const double rejoin_s = env.now() - recovered_at;
+  EXPECT_LT(rejoin_s, 1.0) << "anti-entropy pull took " << rejoin_s << " s";
 }
 
 TEST(FederationRecoveryTest, RetryBackoffJitterDecorrelatesGateways) {

@@ -1,13 +1,14 @@
-// Federation-layer tests under the legacy HUB topology: broker gossip
-// digests, cross-campus forwarding with regional autonomy (admission caps,
-// refusals), stale-digest re-routing, and checkpoint migration across a
-// full-campus outage.  The offer/transfer/ack machinery exercised here is
-// shared with the mesh topology; mesh-specific behaviour (replicated
-// directories, WAN-cost ranking, chained re-forwarding) lives in
+// Federation-layer tests: cross-campus forwarding with regional autonomy
+// (admission caps, refusals), stale-digest re-routing, checkpoint migration
+// across a full-campus outage, forwarding over a lossy WAN and through
+// unflushed write-behind ledgers, and configuration validation.  Replicated
+// directories, WAN-cost ranking and chained re-forwarding live in
 // federation_mesh_test.cpp and the randomized chaos harness.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "gpunion/federated_platform.h"
 #include "workload/profiles.h"
@@ -56,37 +57,9 @@ int completed_in(Platform& platform) {
   return platform.coordinator().stats().jobs_completed;
 }
 
-TEST(FederationBrokerTest, DigestGossipTracksRegionCapacity) {
-  sim::Environment env(7);
-  FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
-  config.regions.push_back(make_region("alpha", 2));
-  config.regions.push_back(make_region("beta", 3));
-  FederatedPlatform fed(env, config);
-  fed.start();
-  env.run_until(31.0);
-
-  const auto& regions = fed.broker().regions();
-  ASSERT_EQ(regions.size(), 2u);
-  ASSERT_TRUE(regions.contains("alpha"));
-  ASSERT_TRUE(regions.contains("beta"));
-  EXPECT_EQ(regions.at("alpha").capacity.total_gpus, 2);
-  EXPECT_EQ(regions.at("beta").capacity.total_gpus, 3);
-  EXPECT_EQ(regions.at("alpha").capacity.nodes, 2);
-  EXPECT_EQ(regions.at("beta").gateway_id, "gw-beta");
-
-  // 31 s at a 5 s digest interval: first digest at start plus 6 ticks.
-  EXPECT_GE(fed.broker().stats().digests_received, 2u * 6u);
-  // Sequence numbers advance; nothing dropped over a loss-free WAN.
-  EXPECT_EQ(fed.broker().stats().stale_digests_dropped, 0u);
-  // Freshness: the newest digest is no older than one interval.
-  EXPECT_LE(env.now() - regions.at("alpha").received_at, 5.5);
-}
-
 TEST(FederationForwardTest, OverflowForwardsToFreeRegionAndCompletes) {
   sim::Environment env(11);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 1));
   config.regions.push_back(make_region("beta", 3));
   FederatedPlatform fed(env, config);
@@ -141,7 +114,6 @@ TEST(FederationForwardTest, OverflowForwardsToFreeRegionAndCompletes) {
 TEST(FederationForwardTest, AdmissionCapRefusesAndReroutes) {
   sim::Environment env(13);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 1));
   federation::RegionPolicy capped = fast_policy();
   capped.max_remote_jobs = 1;
@@ -179,7 +151,6 @@ TEST(FederationForwardTest, AdmissionCapRefusesAndReroutes) {
 TEST(FederationForwardTest, RemoteRefusalByPolicy) {
   sim::Environment env(17);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 1));
   federation::RegionPolicy closed = fast_policy();
   closed.accept_remote = false;
@@ -209,10 +180,13 @@ TEST(FederationForwardTest, RemoteRefusalByPolicy) {
 TEST(FederationForwardTest, StaleDigestIsRefusedThenRerouted) {
   sim::Environment env(19);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
-  config.regions.push_back(make_region("alpha", 1));
-  // Beta gossips every 30 s: its t=30 digest shows 4 free GPUs, and the
-  // broker keeps ranking it on that snapshot long after beta has filled up.
+  // Alpha ranks without a staleness discount, so a stale "free" entry ties
+  // a fresh one and the region name puts beta first.
+  federation::RegionPolicy trusting = fast_policy();
+  trusting.stale_cost_weight = 0;
+  config.regions.push_back(make_region("alpha", 1, trusting));
+  // Beta gossips every 30 s: its t=30 digest shows 4 free GPUs, and alpha's
+  // replica keeps ranking it on that snapshot long after beta has filled up.
   federation::RegionPolicy quiet = fast_policy();
   quiet.digest_interval = 30.0;
   config.regions.push_back(make_region("beta", 4, quiet));
@@ -245,20 +219,19 @@ TEST(FederationForwardTest, StaleDigestIsRefusedThenRerouted) {
   const auto& alpha = fed.gateway("alpha").stats();
   const auto& beta = fed.gateway("beta").stats();
   const auto& gamma = fed.gateway("gamma").stats();
-  // The broker ranked beta first on stale data; beta's live admission
-  // refused; the forward re-routed to gamma and ran there.
+  // Alpha ranked beta first on stale data; beta's live admission refused;
+  // the forward re-routed to gamma and ran there.
   EXPECT_GE(beta.remote_refused_capacity, 1u);
   EXPECT_GE(alpha.reroutes, 1u);
   EXPECT_GE(gamma.remote_admitted, 1u);
   EXPECT_GE(completed_in(fed.region("gamma")), 1);
-  // The broker really was deciding on old news when it ranked beta.
+  // Alpha really was deciding on old news when it ranked beta.
   EXPECT_GT(fed.stats().digest_age_max, 2 * fast_policy().digest_interval);
 }
 
 TEST(FederationOutageTest, FullCampusOutageMigratesCheckpointsCrossCampus) {
   sim::Environment env(23);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 2));
   config.regions.push_back(make_region("beta", 3));
   FederatedPlatform fed(env, config);
@@ -304,7 +277,6 @@ TEST(FederationOutageTest, FullCampusOutageMigratesCheckpointsCrossCampus) {
 TEST(FederationForwardTest, MultiGpuJobUnplaceableOnFragmentedFleetForwards) {
   sim::Environment env(31);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   // Alpha has 2 free GPUs in aggregate — but on two separate single-GPU
   // workstations, so a 2-GPU job can never be placed locally.
   config.regions.push_back(make_region("alpha", 2));
@@ -340,12 +312,11 @@ TEST(FederationForwardTest, MultiGpuJobUnplaceableOnFragmentedFleetForwards) {
 TEST(FederationForwardTest, LossyWanNeverLosesJobs) {
   sim::Environment env(37);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 1));
   config.regions.push_back(make_region("beta", 3));
   // One in five WAN messages silently vanishes.  Every protocol step must
-  // recover: rankings/offers via timeouts, transfers via the ack/retry
-  // loop (the origin keeps the job until the target acknowledges it).
+  // recover: offers via timeouts, transfers via the ack/retry loop (the
+  // origin keeps the job until the target acknowledges it).
   config.wan.drop_probability = 0.2;
   FederatedPlatform fed(env, config);
   fed.start();
@@ -373,7 +344,7 @@ TEST(FederationForwardTest, LossyWanNeverLosesJobs) {
     EXPECT_TRUE((in_alpha != nullptr) != (in_beta != nullptr)) << id;
   }
   // No forward is stuck in flight once the dust settles.
-  EXPECT_EQ(fed.gateway("alpha").forwards_in_flight(), 0);
+  EXPECT_EQ(fed.gateway("alpha").withdrawn_in_flight(), 0);
 }
 
 TEST(FederationForwardTest, ForwardWhileLedgerUnflushedKeepsProvenance) {
@@ -383,7 +354,6 @@ TEST(FederationForwardTest, ForwardWhileLedgerUnflushedKeepsProvenance) {
   // both sides of the hand-off, and no job may be lost or duplicated.
   sim::Environment env(41);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 1));
   config.regions.push_back(make_region("beta", 3));
   for (auto& region : config.regions) {
@@ -460,7 +430,6 @@ TEST(FederationForwardTest, ForwardWhileLedgerUnflushedKeepsProvenance) {
 TEST(FederationOutageTest, NoCandidateRegionsKeepsJobQueuedLocally) {
   sim::Environment env(29);
   FederationConfig config;
-  config.topology = federation::FederationTopology::kHub;
   config.regions.push_back(make_region("alpha", 1));
   FederatedPlatform fed(env, config);  // a federation of one
   fed.start();
@@ -483,6 +452,24 @@ TEST(FederationOutageTest, NoCandidateRegionsKeepsJobQueuedLocally) {
   EXPECT_GE(fed.gateway("alpha").stats().forwards_aborted, 1u);
   EXPECT_EQ(fed.gateway("alpha").stats().forwards_attempted, 0u);
   EXPECT_EQ(completed_in(fed.region("alpha")), 2);
+}
+
+TEST(FederationConfigTest, RejectsMissingEmptyAndDuplicateRegionNames) {
+  // Checked in every build type: a region name keys region(), gateway()
+  // and the gateway's WAN endpoint, so a second "alpha" would hide the
+  // first and both gateways would claim gw-alpha.
+  auto construct = [](const std::vector<std::string>& names) {
+    sim::Environment env(43);
+    FederationConfig config;
+    for (const auto& name : names) {
+      config.regions.push_back(make_region(name, 1));
+    }
+    FederatedPlatform fed(env, config);
+  };
+  EXPECT_THROW(construct({}), std::invalid_argument);
+  EXPECT_THROW(construct({"alpha", ""}), std::invalid_argument);
+  EXPECT_THROW(construct({"alpha", "beta", "alpha"}), std::invalid_argument);
+  EXPECT_NO_THROW(construct({"alpha", "beta"}));
 }
 
 }  // namespace
