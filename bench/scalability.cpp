@@ -6,9 +6,9 @@
 //
 // Two measurements:
 //  (1) real micro-benchmark (google-benchmark): wall-clock cost of one
-//      placement decision through the indexed ClusterView vs the legacy
-//      full directory rescan, and of one heartbeat-monitor sweep over an
-//      N-node directory;
+//      placement decision through the indexed ClusterView and of one
+//      heartbeat-monitor sweep over an N-node directory, plus the event
+//      queues' push/cancel/pop cost;
 //  (2) analytic control-plane model: heartbeat + telemetry + scheduling DB
 //      operations per second against the database's M/M/1 service model,
 //      reporting end-to-end scheduling latency per fleet size.
@@ -78,31 +78,6 @@ void BM_PlacementDecisionIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementDecisionIndexed)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
 
-/// The legacy O(fleet) path: full rescan + eligibility per decision.
-void BM_PlacementDecisionFullScan(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  sched::Directory directory;
-  populate_directory(directory, nodes);
-  sched::ReliabilityPredictor reliability;
-  auto strategy = sched::PlacementStrategyFactory::instance().create(
-      std::string(sched::kRoundRobin));
-  const workload::JobSpec job = workload::make_training_job(
-      "bench-job", workload::cnn_small(), 4.0, "g1", 0.0);
-  const sched::PlacementContext context{&reliability, 0.0};
-  for (auto _ : state) {
-    std::vector<const sched::NodeInfo*> eligible;
-    for (const sched::NodeInfo* node : directory.schedulable()) {
-      if (sched::node_eligible(*node, job, true, reliability, 0.0, false)) {
-        eligible.push_back(node);
-      }
-    }
-    benchmark::DoNotOptimize(
-        strategy->select(eligible, job, context, hw::Tenancy::kWhole));
-  }
-  state.SetLabel(std::to_string(nodes) + " nodes");
-}
-BENCHMARK(BM_PlacementDecisionFullScan)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
-
 /// Expiry-ordered sweep: steady state (no expirations) pops nothing, so
 /// the cost is O(1) regardless of fleet size.
 void BM_HeartbeatSweep(benchmark::State& state) {
@@ -120,41 +95,6 @@ void BM_HeartbeatSweep(benchmark::State& state) {
   state.SetLabel(std::to_string(nodes) + " nodes");
 }
 BENCHMARK(BM_HeartbeatSweep)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
-
-/// The pre-PR sweep shape: every sweep walks the whole directory.
-void BM_HeartbeatSweepFullScan(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  sched::Directory directory;
-  populate_directory(directory, nodes);
-  const double deadline = 6.0;
-  for (auto _ : state) {
-    std::vector<std::string> lost;
-    for (const sched::NodeInfo* node : directory.all()) {
-      if (node->status != db::NodeStatus::kActive) continue;
-      if (0.0 - node->last_heartbeat > deadline) {
-        lost.push_back(node->machine_id);
-      }
-    }
-    benchmark::DoNotOptimize(lost);
-  }
-  state.SetLabel(std::to_string(nodes) + " nodes");
-}
-BENCHMARK(BM_HeartbeatSweepFullScan)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
-
-void BM_DatabaseHeartbeatTouch(benchmark::State& state) {
-  db::SystemDatabase database;
-  for (int i = 0; i < 400; ++i) {
-    db::NodeRecord record;
-    record.machine_id = "m-" + std::to_string(i);
-    record.gpu_count = 4;
-    (void)database.upsert_node(std::move(record));
-  }
-  int i = 0;
-  for (auto _ : state) {
-    (void)database.touch_heartbeat("m-" + std::to_string(i++ % 400), 1.0);
-  }
-}
-BENCHMARK(BM_DatabaseHeartbeatTouch);
 
 // ---------------------------------------------------------------------------
 // Event-queue microbenches: single binary heap vs the sharded queue the

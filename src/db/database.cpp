@@ -46,17 +46,6 @@ util::Status SystemDatabase::set_node_status(const std::string& machine_id,
   return util::Status();
 }
 
-util::Status SystemDatabase::touch_heartbeat(const std::string& machine_id,
-                                             util::SimTime at) {
-  count_op();
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
-    return util::not_found_error("node " + machine_id + " not registered");
-  }
-  it->second.last_heartbeat = at;
-  return util::Status();
-}
-
 std::size_t SystemDatabase::touch_heartbeats(
     const std::vector<std::pair<std::string, util::SimTime>>& batch) {
   count_op();

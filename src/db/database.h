@@ -183,8 +183,8 @@ struct DatabaseConfig {
 /// Abstract system-database surface every store implements.  The control
 /// plane (Coordinator, RegionGateway, Scraper, Platform) programs against
 /// this interface so the single-writer SystemDatabase and the sharded,
-/// write-behind ShardedDatabase are interchangeable — the legacy path stays
-/// selectable for A/B benching without touching any consumer.
+/// write-behind ShardedDatabase are interchangeable; the platform runs the
+/// sharded store and SystemDatabase is the reference it is tested against.
 class Database {
  public:
   virtual ~Database() = default;
@@ -195,8 +195,6 @@ class Database {
       const = 0;
   virtual util::Status set_node_status(const std::string& machine_id,
                                        NodeStatus s) = 0;
-  virtual util::Status touch_heartbeat(const std::string& machine_id,
-                                       util::SimTime at) = 0;
   /// Applies many heartbeat touches as one batched write per writer (see
   /// SystemDatabase::touch_heartbeats).  Returns rows updated.
   virtual std::size_t touch_heartbeats(
@@ -241,8 +239,8 @@ class Database {
   // Written by the Coordinator / RegionGateway so a crashed control plane
   // can rebuild itself from the database.  Each row rides the group commit
   // of the decision that produced it (the decision already paid its round
-  // trip), so none of these charge ops — the PR 4 decision-path accounting
-  // and every A/B bench stay comparable by construction.
+  // trip), so none of these charge ops and the op accounting of both
+  // stores stays comparable by construction.
   virtual void put_job_state(JobStateRecord record) = 0;
   virtual bool erase_job_state(const std::string& job_id) = 0;
   virtual const JobStateRecord* job_state(const std::string& job_id) const = 0;
@@ -280,8 +278,6 @@ class SystemDatabase : public Database {
       const override;
   util::Status set_node_status(const std::string& machine_id,
                                NodeStatus s) override;
-  util::Status touch_heartbeat(const std::string& machine_id,
-                               util::SimTime at) override;
   /// Applies many heartbeat touches as ONE modeled database operation (a
   /// single batched UPDATE).  Coalescing per-beat writes into periodic
   /// flushes is what keeps the §5.2 "database contention" op rate

@@ -8,7 +8,6 @@ std::string_view wal_op_name(WalOp op) {
   switch (op) {
     case WalOp::kUpsertNode: return "upsert_node";
     case WalOp::kSetNodeStatus: return "set_node_status";
-    case WalOp::kTouchHeartbeat: return "touch_heartbeat";
     case WalOp::kTouchHeartbeatBatch: return "touch_heartbeat_batch";
     case WalOp::kOpenAllocation: return "open_allocation";
     case WalOp::kCloseAllocation: return "close_allocation";
@@ -42,11 +41,6 @@ void apply_to_image(TableImage& image, const WalRecord& record,
     case WalOp::kSetNodeStatus: {
       auto it = image.nodes.find(record.key);
       if (it != image.nodes.end()) it->second.status = record.status;
-      break;
-    }
-    case WalOp::kTouchHeartbeat: {
-      auto it = image.nodes.find(record.key);
-      if (it != image.nodes.end()) it->second.last_heartbeat = record.at;
       break;
     }
     case WalOp::kTouchHeartbeatBatch:

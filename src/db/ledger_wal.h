@@ -20,8 +20,8 @@
 // because every live mutation was WAL'd first.
 //
 // The WAL is bookkeeping, not cost: op charging (shard counters, M/M/1
-// latency model, decision-path accounting) is completely unchanged, so the
-// PR 4 A/B benches and op-parity tests hold by construction.
+// latency model) is completely unchanged, so the op-parity tests hold by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,6 @@ namespace gpunion::db {
 enum class WalOp {
   kUpsertNode,
   kSetNodeStatus,
-  kTouchHeartbeat,       // one node, assignment semantics
   kTouchHeartbeatBatch,  // one record per touched shard, max-merge semantics
   kOpenAllocation,
   kCloseAllocation,

@@ -26,9 +26,6 @@ ShardedDatabase::ShardedDatabase(DbConfig config)
       armed_commit_failures_(shards_.size(), false),
       queue_parts_(shards_.size()) {
   config_.shard_count = static_cast<int>(shards_.size());
-  if (config_.flush_interval_min > config_.flush_interval_max) {
-    config_.flush_interval_min = config_.flush_interval_max;
-  }
 }
 
 std::size_t ShardedDatabase::route(std::string_view key) const {
@@ -42,10 +39,9 @@ std::size_t ShardedDatabase::route(std::string_view key) const {
   return static_cast<std::size_t>(h % shards_.size());
 }
 
-void ShardedDatabase::charge(std::size_t shard, bool decision_path) const {
+void ShardedDatabase::charge(std::size_t shard) const {
   ++shards_[shard].ops;
   ++sync_ops_;
-  if (decision_path) ++decision_path_sync_ops_;
 }
 
 std::size_t ShardedDatabase::rotate() const {
@@ -58,9 +54,7 @@ void ShardedDatabase::absorb(LedgerOpKind kind, std::size_t shard,
                              std::string key, std::uint64_t allocation_id,
                              util::SimTime at) {
   if (!config_.write_behind) {
-    // Monitoring writes are background traffic, never scheduler decisions
-    // — they must not inflate the legacy side of the decision-path A/B.
-    charge(shard, /*decision_path=*/kind != LedgerOpKind::kMetric);
+    charge(shard);
     return;
   }
   if (ledger_log_.absorb(
@@ -137,21 +131,6 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
   armed_flush_crash_ = -1;
   if (!flush_interrupted_) wal_.truncate_applied();
   return committed;
-}
-
-util::Duration ShardedDatabase::recommended_flush_interval() const {
-  if (!config_.adaptive_flush) return config_.flush_interval;
-  const std::size_t depth = std::max(ledger_log_.pending(), wal_.depth());
-  // Contention knee: half the threshold.  Past it the next absorbs are
-  // about to force a threshold flush anyway — run at the floor so group
-  // commits stay small; idle logs stretch to the ceiling.
-  const double knee =
-      0.5 * static_cast<double>(std::max<std::size_t>(1, config_.flush_threshold));
-  if (depth == 0) return config_.flush_interval_max;
-  const double frac =
-      std::min(1.0, static_cast<double>(depth) / knee);
-  return config_.flush_interval_max -
-         frac * (config_.flush_interval_max - config_.flush_interval_min);
 }
 
 void ShardedDatabase::wal_append(WalRecord record, bool deferred) {
@@ -285,7 +264,7 @@ void ShardedDatabase::rebuild_live_tables() {
 util::Status ShardedDatabase::upsert_node(NodeRecord record) {
   // The round trip happens before validation (legacy op-accounting parity).
   const std::size_t shard = shard_for_node(record.machine_id);
-  charge(shard, /*decision_path=*/false);
+  charge(shard);
   if (record.machine_id.empty()) {
     return util::invalid_argument_error("node record requires a machine id");
   }
@@ -301,7 +280,7 @@ util::Status ShardedDatabase::upsert_node(NodeRecord record) {
 
 util::StatusOr<NodeRecord> ShardedDatabase::node(
     const std::string& machine_id) const {
-  charge(shard_for_node(machine_id), /*decision_path=*/false);
+  charge(shard_for_node(machine_id));
   auto it = nodes_.find(machine_id);
   if (it == nodes_.end()) {
     return util::not_found_error("node " + machine_id + " not registered");
@@ -312,7 +291,7 @@ util::StatusOr<NodeRecord> ShardedDatabase::node(
 util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
                                               NodeStatus s) {
   const std::size_t shard = shard_for_node(machine_id);
-  charge(shard, /*decision_path=*/false);
+  charge(shard);
   auto it = nodes_.find(machine_id);
   if (it == nodes_.end()) {
     return util::not_found_error("node " + machine_id + " not registered");
@@ -324,28 +303,13 @@ util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
   return util::Status();
 }
 
-util::Status ShardedDatabase::touch_heartbeat(const std::string& machine_id,
-                                              util::SimTime at) {
-  const std::size_t shard = shard_for_node(machine_id);
-  charge(shard, /*decision_path=*/false);
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
-    return util::not_found_error("node " + machine_id + " not registered");
-  }
-  it->second.last_heartbeat = at;
-  WalRecord wal = make_wal(WalOp::kTouchHeartbeat, shard, machine_id);
-  wal.at = at;
-  wal_append(std::move(wal), /*deferred=*/false);
-  return util::Status();
-}
-
 std::size_t ShardedDatabase::touch_heartbeats(
     const std::vector<std::pair<std::string, util::SimTime>>& batch) {
   // One batched write per shard owning at least one row of the batch (the
   // PR 2 coalescing contract, now multi-writer).  An empty batch is still
   // one round trip (legacy op-accounting parity).
   if (batch.empty()) {
-    charge(rotate(), /*decision_path=*/false);
+    charge(rotate());
     return 0;
   }
   // Rows grouped per shard: one batched write AND one WAL record per
@@ -362,7 +326,7 @@ std::size_t ShardedDatabase::touch_heartbeats(
   }
   for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
     if (by_shard[shard].empty()) continue;
-    charge(shard, /*decision_path=*/false);
+    charge(shard);
     WalRecord wal = make_wal(WalOp::kTouchHeartbeatBatch, shard, {});
     wal.batch_rows = std::move(by_shard[shard]);
     wal_append(std::move(wal), /*deferred=*/false);
@@ -373,7 +337,7 @@ std::size_t ShardedDatabase::touch_heartbeats(
 std::vector<NodeRecord> ShardedDatabase::nodes() const {
   // Scatter-gather: every shard serves its partition of the scan.
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard, /*decision_path=*/false);
+    charge(shard);
   }
   std::vector<NodeRecord> out;
   out.reserve(nodes_.size());
@@ -384,7 +348,7 @@ std::vector<NodeRecord> ShardedDatabase::nodes() const {
 std::vector<NodeRecord> ShardedDatabase::nodes_with_status(
     NodeStatus s) const {
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard, /*decision_path=*/false);
+    charge(shard);
   }
   std::vector<NodeRecord> out;
   for (const auto& [id, record] : nodes_) {
@@ -453,7 +417,7 @@ std::vector<AllocationRecord> ShardedDatabase::allocations_for_job(
     const std::string& job_id) const {
   // A by-job query over a node-partitioned table: scatter to every shard.
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard, /*decision_path=*/false);
+    charge(shard);
   }
   std::vector<AllocationRecord> out;
   for (const auto& record : ledger_) {
@@ -507,7 +471,7 @@ std::optional<PendingRequest> ShardedDatabase::pop_request() {
   // (priority desc, insertion order) result as the legacy single queue,
   // with per-shard storage.
   const std::size_t server = rotate();
-  charge(server, /*decision_path=*/true);
+  charge(server);
   std::size_t best_shard = queue_parts_.size();
   int best_priority = 0;
   std::int64_t best_seq = 0;
@@ -551,7 +515,7 @@ bool ShardedDatabase::remove_request(const std::string& job_id) {
   // Partitioning makes this O(owning partition): the job can only live in
   // its owner shard's slice of the queue.
   const std::size_t shard = shard_for_job(job_id);
-  charge(shard, /*decision_path=*/true);
+  charge(shard);
   auto& parts = queue_parts_[shard].by_priority;
   for (auto it = parts.begin(); it != parts.end(); ++it) {
     auto& fifo = it->second;
@@ -574,7 +538,7 @@ std::size_t ShardedDatabase::queue_depth() const {
   // Depth probe (heartbeat path): a metadata read any lane can answer.
   // The row count is maintained on mutation, so the probe is O(1) instead
   // of a scan over every partition.
-  charge(rotate(), /*decision_path=*/false);
+  charge(rotate());
   return queued_rows_;
 }
 
@@ -597,7 +561,7 @@ void ShardedDatabase::record_provenance(JobProvenance provenance) {
 
 const JobProvenance* ShardedDatabase::provenance(
     const std::string& job_id) const {
-  charge(shard_for_job(job_id), /*decision_path=*/false);
+  charge(shard_for_job(job_id));
   auto it = provenance_index_.find(job_id);
   return it == provenance_index_.end() ? nullptr
                                        : &provenance_log_[it->second];
@@ -623,7 +587,7 @@ void ShardedDatabase::record_metric(const std::string& series,
 const std::deque<MetricPoint>& ShardedDatabase::series(
     const std::string& name) const {
   static const std::deque<MetricPoint> kEmpty;
-  charge(route(name), /*decision_path=*/false);
+  charge(route(name));
   auto it = metrics_.find(name);
   return it == metrics_.end() ? kEmpty : it->second;
 }

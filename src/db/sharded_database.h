@@ -28,10 +28,9 @@
 // established for touch_heartbeats (apply all rows, count one batched
 // write).
 //
-// DbConfig{shard_count = 1, write_behind = false} reproduces the legacy
-// single-writer behaviour exactly (same final table contents AND the same
-// op accounting as SystemDatabase), which is what bench/scalability_campus
-// A/Bs against.
+// DbConfig{shard_count = 1, write_behind = false} reproduces the
+// single-writer SystemDatabase exactly (same final table contents AND the
+// same op accounting), which tests/db/sharded_db_test.cpp checks.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +60,7 @@ struct DbConfig {
   /// Writer shards the tables are partitioned across.
   int shard_count = 4;
   /// Absorb per-decision mutations into the write-behind ledger (off = every
-  /// mutation is one synchronous shard write, the legacy path).
+  /// mutation is one synchronous shard write, as in SystemDatabase).
   bool write_behind = true;
   /// Background ledger-flush cadence.  The database is passive (no event
   /// loop of its own); the owner — Platform — drives flush_ledger() from a
@@ -69,13 +68,6 @@ struct DbConfig {
   util::Duration flush_interval = 2.0;
   /// Pending ledger entries that force an immediate threshold flush.
   std::size_t flush_threshold = 256;
-  /// Contention-aware adaptive flush: the owner's timer asks
-  /// recommended_flush_interval() after each flush and re-paces itself —
-  /// shorter as the pending ledger/WAL fills toward the threshold, longer
-  /// when idle.  Off by default: the fixed flush_interval stays in force.
-  bool adaptive_flush = false;
-  util::Duration flush_interval_min = 0.5;
-  util::Duration flush_interval_max = 8.0;
   /// Mean service time of one op on ONE writer shard, seconds.
   double op_service_time = 0.0008;
   /// Ring-buffer length per monitoring series.
@@ -105,8 +97,6 @@ class ShardedDatabase : public Database {
       const override;
   util::Status set_node_status(const std::string& machine_id,
                                NodeStatus s) override;
-  util::Status touch_heartbeat(const std::string& machine_id,
-                               util::SimTime at) override;
   /// One batched write per shard holding at least one row of the batch.
   std::size_t touch_heartbeats(
       const std::vector<std::pair<std::string, util::SimTime>>& batch)
@@ -194,6 +184,9 @@ class ShardedDatabase : public Database {
     return shards_.at(shard).rows;
   }
   std::vector<std::uint64_t> shard_op_counts() const;
+  /// Ops charged synchronously at call time (everything except ledger
+  /// group commits).
+  std::uint64_t sync_op_count() const { return sync_ops_; }
   /// M/M/1 sojourn time on ONE shard sustaining `shard_ops_per_sec`.
   double estimated_shard_latency(double shard_ops_per_sec) const;
 
@@ -221,13 +214,6 @@ class ShardedDatabase : public Database {
   void set_executor(ShardExecutor* executor) { executor_ = executor; }
   ShardExecutor* executor() const { return executor_; }
 
-  /// Contention-aware flush pacing (DbConfig::adaptive_flush): the period
-  /// the owner's flush timer should run at given the current pending
-  /// ledger/WAL depth — flush_interval_min when the log is within half the
-  /// threshold of forcing a flush, flush_interval_max when idle, linear in
-  /// between.  Returns the fixed flush_interval when adaptation is off.
-  util::Duration recommended_flush_interval() const;
-
   // --- Write-ahead log & crash recovery ----------------------------------------
   const LedgerWal& wal() const { return wal_; }
   /// The durable image a restarted process would read back (tests/benches).
@@ -239,8 +225,8 @@ class ShardedDatabase : public Database {
   /// records at/below a shard's applied watermark are skipped).  Because
   /// every mutation was WAL'd before its caller saw the ack, the rebuilt
   /// tables equal the pre-crash live tables exactly; op counters and the
-  /// WriteBehindLedger's pending (cost) entries survive, so charging and
-  /// the A/B benches stay continuous across the crash.
+  /// WriteBehindLedger's pending (cost) entries survive, so op charging
+  /// stays continuous across the crash.
   RecoveryReport crash_and_recover();
 
   /// Report of the most recent crash_and_recover() (all-zero before the
@@ -268,19 +254,6 @@ class ShardedDatabase : public Database {
   /// (the stealing cross-partition case).
   std::uint64_t stolen_pops() const { return stolen_pops_; }
 
-  // --- Decision-path accounting -------------------------------------------------
-  /// Ops charged synchronously at call time (everything except ledger
-  /// group commits).
-  std::uint64_t sync_op_count() const { return sync_ops_; }
-  /// Synchronous ops on the scheduler's decision path: pending-queue
-  /// mutations, allocation open/close, provenance.  With write-behind on,
-  /// only the queue pops/removals remain here — the rest moves to the
-  /// ledger; this
-  /// counter (over dispatches) is the bench's "ops per decision".
-  std::uint64_t decision_path_sync_ops() const {
-    return decision_path_sync_ops_;
-  }
-
   const DbConfig& config() const { return config_; }
 
  private:
@@ -306,7 +279,7 @@ class ShardedDatabase : public Database {
 
   std::size_t route(std::string_view key) const;
   /// Charges one synchronous op to `shard`.
-  void charge(std::size_t shard, bool decision_path) const;
+  void charge(std::size_t shard) const;
   /// Rotating writer for unkeyed ops (queue pops / depth probes): any lane
   /// can serve them, so the load spreads deterministically.
   std::size_t rotate() const;
@@ -350,7 +323,6 @@ class ShardedDatabase : public Database {
   std::uint64_t next_allocation_id_ = 1;
 
   mutable std::uint64_t sync_ops_ = 0;
-  mutable std::uint64_t decision_path_sync_ops_ = 0;
   mutable std::size_t rotate_cursor_ = 0;
   std::uint64_t local_pops_ = 0;
   std::uint64_t stolen_pops_ = 0;

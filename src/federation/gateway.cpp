@@ -479,7 +479,9 @@ std::vector<RegionScore> RegionGateway::rank_locally(
     const bool digest_fits =
         entry.capacity.free_gpus >= req.gpu_count ||
         (req.shareable && req.gpu_count == 1 &&
-         entry.capacity.free_seats[hw::Tenancy::kFractional] > 0);
+         std::ranges::any_of(hw::kSharedTenancies, [&](hw::Tenancy mode) {
+           return entry.capacity.free_seats[mode] > 0;
+         }));
     score.expected_cost =
         path.rtt + static_cast<double>(checkpoint_bytes) / ship_rate +
         policy_.stale_cost_weight * age +
@@ -828,11 +830,15 @@ std::string RegionGateway::admission_verdict(const workload::JobSpec& job) {
   if (policy_.min_free_gpus_reserve > 0) {
     sched::CapacitySummary summary =
         coordinator_.directory().capacity_summary();
-    // A shareable job that can land in an already-open shared slot leaves
-    // every free whole GPU untouched, so the reserve does not apply.
-    const bool slot_bound = job.requirements.shareable &&
-                            job.requirements.gpu_count == 1 &&
-                            summary.free_seats[hw::Tenancy::kFractional] > 0;
+    // A job that can land in an already-open seat of a mode this campus's
+    // strategy would give it leaves every free whole GPU untouched, so the
+    // reserve does not apply.
+    const sched::PlacementStrategy& strategy =
+        coordinator_.placement_engine().strategy();
+    const bool slot_bound =
+        std::ranges::any_of(hw::kSharedTenancies, [&](hw::Tenancy mode) {
+          return summary.free_seats[mode] > 0 && strategy.wants(mode, job);
+        });
     if (!slot_bound && summary.free_gpus - policy_.min_free_gpus_reserve <
                            job.requirements.gpu_count) {
       return "capacity";

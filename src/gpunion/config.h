@@ -37,8 +37,7 @@ struct CampusConfig {
   net::SimNetworkConfig network;
   storage::CheckpointStoreConfig checkpoint_store;
   /// System-database model: writer shard count, write-behind ledgering and
-  /// its flush knobs.  {shard_count = 1, write_behind = false} selects the
-  /// legacy single-writer path for A/B benching.
+  /// its flush cadence.
   db::DbConfig db;
   /// Monitoring scrape interval into the system database.
   util::Duration scrape_interval = 60.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "agent/proto.h"
 #include "container/image.h"
@@ -37,17 +38,26 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
   }
   register_default_images();
 
+  // The config is checked in every build type: a duplicate would leave
+  // one of the two entries unreachable by id.
   for (const auto& storage_config : config_.storage) {
-    auto added = store_.add_node(storage_config.id,
-                                 storage_config.capacity_bytes);
-    assert(added.is_ok() && "duplicate storage node id");
-    (void)added;
+    if (!store_.add_node(storage_config.id, storage_config.capacity_bytes)
+             .is_ok()) {
+      throw std::invalid_argument("duplicate storage node id " +
+                                  storage_config.id);
+    }
   }
 
   coordinator_ = std::make_unique<sched::Coordinator>(
       env_, *network_, database_, store_, config_.coordinator);
 
   for (const auto& campus_node : config_.nodes) {
+    auto [by_hostname, fresh] =
+        agents_by_hostname_.try_emplace(campus_node.spec.hostname);
+    if (!fresh) {
+      throw std::invalid_argument("duplicate node hostname " +
+                                  campus_node.spec.hostname);
+    }
     auto model = std::make_unique<hw::NodeModel>(campus_node.spec);
     agent::AgentConfig agent_config = config_.agent_defaults;
     agent_config.coordinator_id = config_.coordinator.id;
@@ -57,7 +67,7 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
     network_->set_access_gbps(provider->machine_id(),
                               campus_node.spec.access_link_gbps);
     agents_by_id_[provider->machine_id()] = provider.get();
-    agents_by_hostname_[campus_node.spec.hostname] = provider.get();
+    by_hostname->second = provider.get();
     node_models_.push_back(std::move(model));
     agents_.push_back(std::move(provider));
   }
@@ -95,12 +105,6 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
       env_, config_.db.flush_interval,
       [this] {
         database_.flush_ledger(db::FlushTrigger::kInterval, env_.now());
-        if (config_.db.adaptive_flush) {
-          // Contention-aware pacing: deep log -> flush sooner (bounds the
-          // recovery replay window), idle log -> stretch out (fewer group
-          // commits).  Takes effect at the next tick.
-          db_flush_timer_->set_period(database_.recommended_flush_interval());
-        }
       },
       lane_);
   faults_ = std::make_unique<sim::FaultInjector>(env_);

@@ -34,6 +34,8 @@ namespace gpunion {
 
 class Platform {
  public:
+  /// Throws std::invalid_argument when two nodes share a hostname or two
+  /// storage nodes share an id.
   Platform(sim::Environment& env, CampusConfig config);
   ~Platform();
 
@@ -54,7 +56,7 @@ class Platform {
   const api::ApiServer& api() const { return *api_; }
   net::SimNetwork& network() { return *network_; }
   /// The campus system database: sharded writers + write-behind ledger,
-  /// configured by CampusConfig::db (legacy single-writer selectable).
+  /// configured by CampusConfig::db.
   db::ShardedDatabase& database() { return database_; }
   const db::ShardedDatabase& database() const { return database_; }
   storage::CheckpointStore& checkpoint_store() { return store_; }
@@ -173,9 +175,7 @@ class Platform {
   std::unique_ptr<monitor::Scraper> scraper_;
   std::unique_ptr<sim::PeriodicTimer> metrics_timer_;
   /// Background write-behind commits (CampusConfig::db.flush_interval); the
-  /// threshold flush happens inside the database itself.  Under
-  /// DbConfig::adaptive_flush the tick re-paces itself from
-  /// recommended_flush_interval() after every flush.
+  /// threshold flush happens inside the database itself.
   std::unique_ptr<sim::PeriodicTimer> db_flush_timer_;
   std::unique_ptr<sim::FaultInjector> faults_;
   std::function<void()> crash_hook_;

@@ -196,13 +196,6 @@ util::Status SimNetwork::send(Message msg) {
     t = now + size / bottleneck_rate + latency;
     account(msg, now, now);
   } else if (msg.traffic_class == TrafficClass::kFederation &&
-             config_.federation_pair_gbps > 0) {
-    // Per-pair WAN circuits: each endpoint pair gets its own capped pipe,
-    // so one saturated pair never queues another pair's traffic (the cap
-    // binds per pair, not globally).
-    t = via_paced_channel(federation_pair_links_[pair_key(msg.from, msg.to)],
-                          config_.federation_pair_gbps);
-  } else if (msg.traffic_class == TrafficClass::kFederation &&
              config_.federation_wan_gbps > 0) {
     // Inter-campus WAN channel: federation traffic (digests, forwards,
     // shipped checkpoints) shares one capped pipe.  FIFO within the class

@@ -47,12 +47,6 @@ struct SimNetworkConfig {
   /// its gossip + migration traffic never crowds campus links.  0 disables
   /// the cap (federation traffic competes as ordinary bulk).
   double federation_wan_gbps = 1.0;
-  /// Per-region-pair WAN byte cap: when > 0, federation traffic between any
-  /// two endpoints paces through a dedicated per-pair pipe at this rate
-  /// INSTEAD of the shared wan_channel_, so a saturated A<->B shipment
-  /// never delays C<->D digests (distinct WAN circuits, as leased campus
-  /// interconnects actually are).  0 keeps the single shared channel.
-  double federation_pair_gbps = 0.0;
 };
 
 class SimNetwork : public Transport {
@@ -179,9 +173,6 @@ class SimNetwork : public Transport {
   Link backbone_;
   Link backup_channel_;  // shared scavenger-class pipe for checkpoints
   Link wan_channel_;     // shared capped pipe for inter-campus federation
-  // Per-pair WAN circuits (federation_pair_gbps > 0): lazily created, one
-  // Link per endpoint pair so saturation stays pairwise.
-  std::map<std::pair<NodeId, NodeId>, Link> federation_pair_links_;
   std::array<std::uint64_t, static_cast<std::size_t>(TrafficClass::kClassCount)>
       class_bytes_{};
   // bucket index -> per-class bytes

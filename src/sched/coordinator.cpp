@@ -141,7 +141,7 @@ void Coordinator::start() {
       [this](net::Message&& msg) { handle_message(std::move(msg)); },
       config_.lane);
   heartbeat_monitor_.start();
-  if (config_.batch_heartbeat_writes) heartbeat_flush_timer_.start();
+  heartbeat_flush_timer_.start();
 }
 
 // ---------------------------------------------------------------------------
@@ -434,15 +434,6 @@ void Coordinator::settle_in_flight(const JobRecord& record,
   if (it->second.empty()) in_flight_dispatches_.erase(it);
 }
 
-void Coordinator::touch_heartbeat_db(const std::string& machine_id) {
-  if (!config_.batch_heartbeat_writes) {
-    (void)database_.touch_heartbeat(machine_id, env_.now());
-    return;
-  }
-  pending_heartbeat_touches_[machine_id] = env_.now();
-  ++stats_.heartbeat_db_touches_coalesced;
-}
-
 void Coordinator::flush_heartbeat_db() {
   if (pending_heartbeat_touches_.empty()) return;
   const std::vector<std::pair<std::string, util::SimTime>> batch(
@@ -462,18 +453,11 @@ void Coordinator::persist_job(const JobRecord& record) {
 }
 
 void Coordinator::persist_stats() {
-  // Integer counters only, declaration order.  queue_wait samples and the
-  // heartbeat coalescing counters are observability, not control state —
-  // documented non-durable (a restart resets them).
-  database_.put_journal(
-      kStatsJournalKey,
-      {stats_.jobs_submitted, stats_.training_submitted,
-       stats_.sessions_submitted, stats_.jobs_completed,
-       stats_.training_completed, stats_.sessions_served,
-       stats_.sessions_denied, stats_.sessions_disrupted,
-       stats_.dispatches_sent, stats_.dispatches_rejected,
-       stats_.jobs_withdrawn, stats_.interruptions, stats_.auth_failures,
-       stats_.displaced_by_temporary, stats_.migrate_back_successes});
+  // Every job transition lands here: one allocation per call.
+  std::vector<std::int64_t> journal;
+  journal.reserve(std::size(kJournaledStats));
+  for (const auto counter : kJournaledStats) journal.push_back(stats_.*counter);
+  database_.put_journal(kStatsJournalKey, std::move(journal));
 }
 
 void Coordinator::crash() {
@@ -507,7 +491,7 @@ void Coordinator::recover() {
   ++epoch_;
   rebuild_from_db();
   heartbeat_monitor_.start();
-  if (config_.batch_heartbeat_writes) heartbeat_flush_timer_.start();
+  heartbeat_flush_timer_.start();
   ++recovery_stats_.recoveries;
   GPUNION_ILOG("coordinator")
       << config_.id << " recovered: " << recovery_stats_.nodes_rebuilt
@@ -522,25 +506,12 @@ void Coordinator::rebuild_from_db() {
   recovery_stats_.jobs_archived = 0;
   recovery_stats_.redispatched = 0;
 
-  // Stats counters from the journal blob (same order as persist_stats).
+  // Stats counters from the journal blob (kJournaledStats order).
   if (const auto* j = database_.journal(kStatsJournalKey);
-      j != nullptr && j->size() >= 15) {
-    auto at = [&](std::size_t i) { return static_cast<int>((*j)[i]); };
-    stats_.jobs_submitted = at(0);
-    stats_.training_submitted = at(1);
-    stats_.sessions_submitted = at(2);
-    stats_.jobs_completed = at(3);
-    stats_.training_completed = at(4);
-    stats_.sessions_served = at(5);
-    stats_.sessions_denied = at(6);
-    stats_.sessions_disrupted = at(7);
-    stats_.dispatches_sent = at(8);
-    stats_.dispatches_rejected = at(9);
-    stats_.jobs_withdrawn = at(10);
-    stats_.interruptions = at(11);
-    stats_.auth_failures = at(12);
-    stats_.displaced_by_temporary = at(13);
-    stats_.migrate_back_successes = at(14);
+      j != nullptr && j->size() == std::size(kJournaledStats)) {
+    for (std::size_t i = 0; i < j->size(); ++i) {
+      stats_.*kJournaledStats[i] = static_cast<int>((*j)[i]);
+    }
   }
 
   // Directory from the durable registry: full hardware profile, status and
@@ -811,7 +782,9 @@ void Coordinator::handle_heartbeat(const agent::Heartbeat& beat) {
     node->free_seats[mode] = beat.free_seats[mode];
     for (int i = flying.seats[mode]; i > 0; --i) (void)node->take_seat(mode);
   }
-  touch_heartbeat_db(beat.machine_id);
+  // The registry write waits for the next batched flush.
+  pending_heartbeat_touches_[beat.machine_id] = env_.now();
+  ++stats_.heartbeat_db_touches_coalesced;
 
   if (was_unavailable) {
     node->status = db::NodeStatus::kActive;

@@ -52,10 +52,6 @@ struct CoordinatorConfig {
   util::Duration migration_success_window = 600.0;
   /// Human resubmission delay when auto_migration is off (manual baseline).
   util::Duration manual_resubmit_delay = 3600.0;
-  /// Coalesce per-beat database heartbeat writes into one batched flush at
-  /// most every heartbeat_interval (the §5.2 DB-contention mitigation).
-  /// Off = the legacy one-write-per-beat behaviour (bench baseline).
-  bool batch_heartbeat_writes = true;
   /// Actor lane the coordinator's decision loop runs on (timeouts, passes,
   /// message deliveries).  The platform assigns its own lane here.
   sim::LaneId lane = sim::kMainLane;
@@ -163,6 +159,28 @@ struct CoordinatorStats {
                : static_cast<double>(migrate_back_successes) /
                      displaced_by_temporary;
   }
+};
+
+/// The CoordinatorStats counters the stats journal persists, in journal
+/// order.  persist_stats() and the recovery rebuild both walk this one
+/// table, so the durable layout cannot drift between writer and reader.
+/// queue_wait and the heartbeat counters are deliberately non-durable.
+inline constexpr int CoordinatorStats::*kJournaledStats[] = {
+    &CoordinatorStats::jobs_submitted,
+    &CoordinatorStats::training_submitted,
+    &CoordinatorStats::sessions_submitted,
+    &CoordinatorStats::jobs_completed,
+    &CoordinatorStats::training_completed,
+    &CoordinatorStats::sessions_served,
+    &CoordinatorStats::sessions_denied,
+    &CoordinatorStats::sessions_disrupted,
+    &CoordinatorStats::dispatches_sent,
+    &CoordinatorStats::dispatches_rejected,
+    &CoordinatorStats::jobs_withdrawn,
+    &CoordinatorStats::interruptions,
+    &CoordinatorStats::auth_failures,
+    &CoordinatorStats::displaced_by_temporary,
+    &CoordinatorStats::migrate_back_successes,
 };
 
 /// What a recovery rebuilt from the durable database.
@@ -383,9 +401,8 @@ class Coordinator {
   /// (erasing the entry at zero keeps the map O(nodes with in-flight)).
   void settle_in_flight(const JobRecord& record,
                         const std::string& machine_id);
-  /// Queues a DB heartbeat write; flushes the batch at most once per
-  /// heartbeat interval (or writes through when batching is off).
-  void touch_heartbeat_db(const std::string& machine_id);
+  /// Writes the heartbeats queued since the last flush as one batch; the
+  /// flush timer calls it once per heartbeat interval.
   void flush_heartbeat_db();
 
   // churn handling

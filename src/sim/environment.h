@@ -302,15 +302,12 @@ class PeriodicTimer {
   bool running() const { return event_ != kInvalidEvent; }
   util::Duration period() const { return period_; }
 
-  /// Changes the period; takes effect at the next (re)start or tick.
-  void set_period(util::Duration period) { period_ = period; }
-
  private:
   void tick();
   EventId arm(util::Duration delay);
 
   Environment& env_;
-  util::Duration period_;
+  const util::Duration period_;
   std::function<void()> on_tick_;
   LaneId lane_ = kMainLane;
   bool exclusive_ = false;

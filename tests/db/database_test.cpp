@@ -42,10 +42,10 @@ TEST(DatabaseTest, StatusTransitions) {
 TEST(DatabaseTest, HeartbeatTouch) {
   SystemDatabase database;
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
-  ASSERT_TRUE(database.touch_heartbeat("m-1", 42.0).is_ok());
+  ASSERT_EQ(database.touch_heartbeats({{"m-1", 42.0}}), 1u);
   EXPECT_DOUBLE_EQ(database.node("m-1")->last_heartbeat, 42.0);
-  EXPECT_EQ(database.touch_heartbeat("ghost", 1.0).code(),
-            util::StatusCode::kNotFound);
+  // An unknown machine updates no row.
+  EXPECT_EQ(database.touch_heartbeats({{"ghost", 1.0}}), 0u);
 }
 
 TEST(DatabaseTest, BatchedHeartbeatTouchIsOneOperation) {

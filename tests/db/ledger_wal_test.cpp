@@ -321,38 +321,5 @@ TEST(LedgerWalTest, RandomizedCrashEqualsOracle) {
   }
 }
 
-TEST(LedgerWalTest, AdaptiveFlushPacesWithLogDepth) {
-  DbConfig config = wal_config(/*threshold=*/32);
-  config.adaptive_flush = true;
-  config.flush_interval_min = 0.5;
-  config.flush_interval_max = 8.0;
-  ShardedDatabase db(config);
-  // Idle log: stretch to the ceiling.
-  EXPECT_DOUBLE_EQ(db.recommended_flush_interval(), 8.0);
-  // Fill toward the knee (half the threshold): the recommendation must
-  // fall monotonically to the floor.
-  double last = db.recommended_flush_interval();
-  for (int i = 0; i < 16; ++i) {
-    db.enqueue_request({"job-" + std::to_string(i), 0, 1.0});
-    const double now = db.recommended_flush_interval();
-    EXPECT_LE(now, last) << "recommendation rose as the log filled (" << i
-                         << " entries)";
-    last = now;
-  }
-  // At/past the knee: the floor.
-  EXPECT_DOUBLE_EQ(db.recommended_flush_interval(), 0.5);
-  // A flush empties the log and the recommendation relaxes again.
-  db.flush_ledger();
-  EXPECT_DOUBLE_EQ(db.recommended_flush_interval(), 8.0);
-
-  // Adaptation off: the fixed interval, regardless of depth.
-  ShardedDatabase fixed(wal_config(/*threshold=*/32));
-  EXPECT_DOUBLE_EQ(fixed.recommended_flush_interval(), 2.0);
-  for (int i = 0; i < 16; ++i) {
-    fixed.enqueue_request({"job-" + std::to_string(i), 0, 1.0});
-  }
-  EXPECT_DOUBLE_EQ(fixed.recommended_flush_interval(), 2.0);
-}
-
 }  // namespace
 }  // namespace gpunion::db

@@ -77,7 +77,7 @@ TEST(ShardedDbTest, PerShardOpAccounting) {
   EXPECT_EQ(sharded.shard_ops(shard_a), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_b), 0u);
   ASSERT_TRUE(sharded.upsert_node(node(second)).is_ok());
-  ASSERT_TRUE(sharded.touch_heartbeat(second, 5.0).is_ok());
+  ASSERT_EQ(sharded.touch_heartbeats({{second, 5.0}}), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_a), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_b), 2u);
   // Rows are owned where the ops landed.

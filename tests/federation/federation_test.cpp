@@ -1,9 +1,10 @@
 // Federation-layer tests: cross-campus forwarding with regional autonomy
 // (admission caps, refusals), stale-digest re-routing, checkpoint migration
 // across a full-campus outage, forwarding over a lossy WAN and through
-// unflushed write-behind ledgers, and configuration validation.  Replicated
-// directories, WAN-cost ranking and chained re-forwarding live in
-// federation_mesh_test.cpp and the randomized chaos harness.
+// unflushed write-behind ledgers, time-slice seats in ranking and admission,
+// and configuration validation.  Replicated directories, WAN-cost ranking
+// and chained re-forwarding live in federation_mesh_test.cpp and the
+// randomized chaos harness.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -452,6 +453,113 @@ TEST(FederationOutageTest, NoCandidateRegionsKeepsJobQueuedLocally) {
   EXPECT_GE(fed.gateway("alpha").stats().forwards_aborted, 1u);
   EXPECT_EQ(fed.gateway("alpha").stats().forwards_attempted, 0u);
   EXPECT_EQ(completed_in(fed.region("alpha")), 2);
+}
+
+/// A campus of one workstation whose GPU opens into 4 time-slice seats,
+/// under adaptive_sharing.
+RegionConfig timesliced_region(const std::string& name,
+                               federation::RegionPolicy policy =
+                                   fast_policy()) {
+  CampusConfig campus = small_campus(name, 0);
+  campus.nodes.push_back(
+      {hw::with_timeslicing(hw::workstation_3090(name + "-ws-0"), 4),
+       "group-" + name});
+  campus.coordinator.strategy = std::string(sched::kAdaptiveSharing);
+  return RegionConfig{name, std::move(campus), policy};
+}
+
+/// A shareable single-GPU job with a bursty duty cycle: adaptive_sharing
+/// wants a time-slice seat for it.
+workload::JobSpec low_duty(const std::string& id, const std::string& group,
+                           util::SimTime at) {
+  auto job = training(id, group, 120.0, at);
+  job.requirements.shareable = true;
+  job.requirements.duty_cycle = 0.3;
+  return job;
+}
+
+/// Opens `region`'s GPU into time-slice seats with a local session (no
+/// whole GPU free, three seats free), then fills alpha's only GPU and
+/// submits a low-duty job there that can only leave the campus.
+void open_seats_and_overflow(sim::Environment& env, FederatedPlatform& fed,
+                             const std::string& region) {
+  ASSERT_TRUE(fed.region(region)
+                  .coordinator()
+                  .submit(workload::make_interactive_session(
+                      region + "-session", 2.0, "group-" + region,
+                      env.now()))
+                  .is_ok());
+  env.run_until(env.now() + 30.0);
+  const sched::CapacitySummary summary =
+      fed.region(region).coordinator().directory().capacity_summary();
+  ASSERT_EQ(summary.free_gpus, 0);
+  ASSERT_EQ(summary.free_seats[hw::Tenancy::kTimeslice], 3);
+  ASSERT_EQ(summary.free_seats[hw::Tenancy::kFractional], 0);
+  auto& origin = fed.region("alpha").coordinator();
+  ASSERT_TRUE(
+      origin.submit(training("alpha-busy", "group-alpha", 3600.0, env.now()))
+          .is_ok());
+  ASSERT_TRUE(
+      origin.submit(low_duty("alpha-low-duty", "group-alpha", env.now()))
+          .is_ok());
+}
+
+TEST(FederationTimesliceTest, RankingCountsFreeTimesliceSeats) {
+  sim::Environment env(47);
+  FederationConfig config;
+  // No staleness discount: two regions with the same fit tie exactly and
+  // the name puts bravo first, so only the fit term can rank zulu ahead.
+  federation::RegionPolicy trusting = fast_policy();
+  trusting.stale_cost_weight = 0;
+  config.regions.push_back(make_region("alpha", 1, trusting));
+  config.regions.push_back(make_region("bravo", 1));
+  config.regions.push_back(timesliced_region("zulu"));
+  FederatedPlatform fed(env, config);
+  fed.start();
+  env.run_until(5.0);
+  // Bravo's only GPU runs a whole-GPU job: nothing there fits.
+  ASSERT_TRUE(fed.region("bravo")
+                  .coordinator()
+                  .submit(training("bravo-busy", "group-bravo", 3600.0,
+                                   env.now()))
+                  .is_ok());
+  open_seats_and_overflow(env, fed, "zulu");
+  env.run_until(env.now() + 120.0);
+
+  // Zulu's free time-slice seat makes its digest fit the job, so alpha
+  // offers it there first and nobody refuses.
+  const auto& alpha = fed.gateway("alpha").stats();
+  EXPECT_EQ(alpha.forwards_refused, 0u);
+  EXPECT_EQ(fed.gateway("bravo").stats().remote_refused_capacity, 0u);
+  EXPECT_EQ(fed.gateway("zulu").stats().remote_admitted, 1u);
+  const sched::JobRecord* hosted =
+      fed.region("zulu").coordinator().job("alpha-low-duty");
+  ASSERT_NE(hosted, nullptr);
+  EXPECT_EQ(hosted->tenancy, hw::Tenancy::kTimeslice);
+}
+
+TEST(FederationTimesliceTest, ReserveSparesJobsBoundForTimesliceSeats) {
+  sim::Environment env(53);
+  FederationConfig config;
+  config.regions.push_back(make_region("alpha", 1));
+  federation::RegionPolicy reserving = fast_policy();
+  reserving.min_free_gpus_reserve = 1;
+  config.regions.push_back(timesliced_region("beta", reserving));
+  FederatedPlatform fed(env, config);
+  fed.start();
+  env.run_until(5.0);
+  open_seats_and_overflow(env, fed, "beta");
+  env.run_until(env.now() + 120.0);
+
+  // Beta has no free whole GPU to keep back, but the job takes a seat on
+  // the already time-sliced GPU, so the reserve does not refuse it.
+  const auto& beta = fed.gateway("beta").stats();
+  EXPECT_EQ(beta.remote_refused_capacity, 0u);
+  EXPECT_EQ(beta.remote_admitted, 1u);
+  const sched::JobRecord* hosted =
+      fed.region("beta").coordinator().job("alpha-low-duty");
+  ASSERT_NE(hosted, nullptr);
+  EXPECT_EQ(hosted->tenancy, hw::Tenancy::kTimeslice);
 }
 
 TEST(FederationConfigTest, RejectsMissingEmptyAndDuplicateRegionNames) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gpunion/client.h"
 #include "monitor/exposition.h"
 
@@ -165,6 +167,26 @@ TEST(PlatformTest, MachineIdsAreStable) {
   EXPECT_EQ(platform.agent(Platform::machine_id_for("ws-vision-0")),
             platform.agent_by_hostname("ws-vision-0"));
   EXPECT_EQ(platform.machine_ids().size(), 11u);
+}
+
+TEST(PlatformTest, RejectsDuplicateHostnamesAndStorageIds) {
+  // Checked in every build type: a hostname keys the agent and its machine
+  // id, a storage id keys its NAS, so a duplicate would hide the first.
+  auto construct = [](const CampusConfig& config) {
+    sim::Environment env(10);
+    Platform platform(env, config);
+  };
+  CampusConfig twice_host = paper_campus();
+  ASSERT_EQ(twice_host.nodes[0].spec.hostname, "ws-vision-0");
+  twice_host.nodes.push_back(twice_host.nodes[0]);
+  EXPECT_THROW(construct(twice_host), std::invalid_argument);
+
+  CampusConfig twice_nas = paper_campus();
+  ASSERT_EQ(twice_nas.storage[0].id, "nas-campus");
+  twice_nas.storage.push_back(twice_nas.storage[0]);
+  EXPECT_THROW(construct(twice_nas), std::invalid_argument);
+
+  EXPECT_NO_THROW(construct(paper_campus()));
 }
 
 }  // namespace

@@ -314,18 +314,5 @@ TEST_F(CoordinatorIndexTest, HeartbeatDbWritesAreBatched) {
   EXPECT_GT(database_.node(agents_[0]->machine_id())->last_heartbeat, 0.0);
 }
 
-TEST_F(CoordinatorIndexTest, UnbatchedModeWritesThrough) {
-  CoordinatorConfig config;
-  config.batch_heartbeat_writes = false;
-  make_coordinator(config);
-  add_agent("ws-0");
-  const auto& stats = coordinator_->stats();
-  env_.run_until(env_.now() + 60.0);
-  EXPECT_GT(stats.heartbeats_processed, 0u);
-  EXPECT_EQ(stats.heartbeat_db_flushes, 0u);
-  EXPECT_EQ(stats.heartbeat_db_touches_coalesced, 0u);
-  EXPECT_GT(database_.node(agents_[0]->machine_id())->last_heartbeat, 0.0);
-}
-
 }  // namespace
 }  // namespace gpunion::sched

@@ -169,12 +169,14 @@ TEST_F(CoordinatorRecoveryTest, CountersAndArchiveSurviveRecovery) {
   env_.run_until(env_.now() + 1.0);
   coordinator_->recover();
 
-  // Journal-restored counters: conservation math still closes after the
-  // restart (live + archived + withdrawn == submitted).
+  // Every journaled counter comes back as it was...
   const auto& after = coordinator_->stats();
-  EXPECT_EQ(after.jobs_submitted, before.jobs_submitted);
-  EXPECT_EQ(after.jobs_completed, before.jobs_completed);
-  EXPECT_EQ(after.jobs_withdrawn, before.jobs_withdrawn);
+  for (std::size_t i = 0; i < std::size(kJournaledStats); ++i) {
+    EXPECT_EQ(after.*kJournaledStats[i], before.*kJournaledStats[i])
+        << "journaled counter " << i;
+  }
+  // ...and conservation math still closes after the restart (live +
+  // archived + withdrawn == submitted).
   EXPECT_EQ(coordinator_->archive().size(), archived_before);
   EXPECT_EQ(after.jobs_submitted,
             static_cast<int>(coordinator_->jobs().size() +
