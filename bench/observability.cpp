@@ -1,6 +1,6 @@
 // Observability bench: what end-to-end tracing costs and what it buys.
 //
-// Three experiments, emitted as machine-readable BENCH_observability.json
+// Two experiments, emitted as machine-readable BENCH_observability.json
 // (override with --out; `--smoke` shrinks everything for CI):
 //
 //   1. Tracing overhead A/B — the scalability suite's churn campus (10k
@@ -15,10 +15,6 @@
 //      actually goes (queue, WAN transfer, remote run...).  The full trace
 //      is also written as Chrome/Perfetto JSON next to the report — open
 //      it in ui.perfetto.dev.
-//
-//   3. Actor-lane profile — the same churn campus under the parallel
-//      runtime with lane profiling on: per-shard busy/idle split,
-//      critical-path attribution and exclusive-event stalls.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -43,7 +39,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 /// Process CPU seconds.  The overhead gate compares CPU, not wall: the A/B
-/// arms run single-threaded (kDeterministic), so CPU time measures the
+/// arms run single-threaded, so CPU time measures the
 /// work tracing adds while staying immune to co-tenant preemption on a
 /// shared box — where wall clock alone swings ±10% run to run.
 double process_cpu_seconds() {
@@ -78,17 +74,15 @@ struct ChurnRun {
   std::uint64_t heartbeats = 0;
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
-  sim::ProfilerReport profile;
 };
 
 /// One full churn-campus run: jobs on a quarter of the fleet, churn across
 /// all of it.  Identical seed + config in both arms — only `tracing`
 /// differs.
 ChurnRun run_churn_campus(int nodes, double horizon, double churn_per_day,
-                          std::uint64_t seed, bool tracing,
-                          const sim::EnvConfig& exec = {}) {
+                          std::uint64_t seed, bool tracing) {
   ChurnRun r;
-  sim::Environment env(seed, exec);
+  sim::Environment env(seed);
   Platform platform(env, churn_campus(nodes));
   platform.tracer().set_enabled(tracing);
   const double cpu_start = process_cpu_seconds();
@@ -126,7 +120,6 @@ ChurnRun run_churn_campus(int nodes, double horizon, double churn_per_day,
   r.heartbeats = platform.coordinator().stats().heartbeats_processed;
   r.spans_recorded = platform.tracer().recorded();
   r.spans_dropped = platform.tracer().dropped();
-  r.profile = env.lane_profile();
   return r;
 }
 
@@ -286,29 +279,12 @@ ForwardBreakdown forwarded_job_breakdown() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Actor-lane profile under the parallel runtime
-// ---------------------------------------------------------------------------
-
-sim::ProfilerReport profile_lanes(int nodes, double horizon,
-                                  double churn_per_day, unsigned workers,
-                                  std::uint64_t seed) {
-  sim::EnvConfig exec;
-  exec.mode = sim::ExecutionMode::kParallel;
-  exec.worker_threads = workers;
-  exec.profile_lanes = true;
-  return run_churn_campus(nodes, horizon, churn_per_day, seed,
-                          /*tracing=*/true, exec)
-      .profile;
-}
-
-// ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
 
 void write_json(const std::string& path, const std::string& trace_path,
                 const std::string& mode, const OverheadResult& overhead,
-                const ForwardBreakdown& breakdown,
-                const sim::ProfilerReport& profile) {
+                const ForwardBreakdown& breakdown) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -343,23 +319,6 @@ void write_json(const std::string& path, const std::string& trace_path,
         << ", \"mean_s\": " << stat.mean_s << "}"
         << (i + 1 < breakdown.stages.size() ? "," : "") << "\n";
   }
-  out << "  ]},\n";
-  out << "  \"lane_profile\": {\"windows\": " << profile.windows
-      << ", \"exclusive_events\": " << profile.exclusive_events
-      << ", \"exclusive_stall_s\": " << profile.exclusive_stall_s
-      << ", \"shards\": [\n";
-  for (std::size_t i = 0; i < profile.shards.size(); ++i) {
-    const sim::LaneProfile& shard = profile.shards[i];
-    out << "    {\"shard\": " << shard.shard
-        << ", \"lanes\": " << shard.lanes.size()
-        << ", \"events\": " << shard.events
-        << ", \"busy_s\": " << shard.busy_s
-        << ", \"idle_s\": " << shard.idle_s
-        << ", \"critical_windows\": " << shard.critical_windows
-        << ", \"critical_busy_s\": " << shard.critical_busy_s
-        << ", \"max_queue_depth\": " << shard.max_queue_depth << "}"
-        << (i + 1 < profile.shards.size() ? "," : "") << "\n";
-  }
   out << "  ]}\n";
   out << "}\n";
   std::printf("\nwrote %s\n", path.c_str());
@@ -386,8 +345,7 @@ int main(int argc, char** argv) {
   if (dot != std::string::npos) trace_path.resize(dot);
   trace_path += ".trace.json";
 
-  banner("Observability — tracing overhead, forwarded-job latency anatomy, "
-         "lane profile",
+  banner("Observability — tracing overhead, forwarded-job latency anatomy",
          "cost and value of end-to-end causal tracing in GPUnion");
 
   // 1. Tracing overhead A/B.
@@ -433,34 +391,9 @@ int main(int argc, char** argv) {
                 trace_path.c_str());
   }
 
-  // 3. Lane profile under the parallel runtime.
-  const int profile_nodes = smoke ? 500 : 2000;
-  const sim::ProfilerReport profile = profile_lanes(
-      profile_nodes, horizon, churn_per_day, /*workers=*/4, /*seed=*/42);
-  std::printf("\nActor-lane profile (%d nodes, 4 workers, parallel mode): "
-              "%llu windows, %llu exclusive events, %.3f s exclusive "
-              "stall:\n\n",
-              profile_nodes,
-              static_cast<unsigned long long>(profile.windows),
-              static_cast<unsigned long long>(profile.exclusive_events),
-              profile.exclusive_stall_s);
-  std::printf("%6s %6s %10s %10s %10s %9s %10s\n", "shard", "lanes",
-              "events", "busy-s", "idle-s", "critical", "max-depth");
-  row_divider(68);
-  for (const sim::LaneProfile& shard : profile.shards) {
-    std::printf("%6zu %6zu %10llu %10.3f %10.3f %9llu %10zu\n", shard.shard,
-                shard.lanes.size(),
-                static_cast<unsigned long long>(shard.events), shard.busy_s,
-                shard.idle_s,
-                static_cast<unsigned long long>(shard.critical_windows),
-                shard.max_queue_depth);
-  }
-
   write_json(out_path, trace_path, smoke ? "smoke" : "full", overhead,
-             breakdown, profile);
+             breakdown);
 
-  std::uint64_t profiled_events = 0;
-  for (const auto& shard : profile.shards) profiled_events += shard.events;
   // The < 5% claim is gated on the full 10k-node run; smoke arms are
   // ~0.2 s of CPU, where allocator warmup alone swings a few percent, so
   // CI only rejects a blowup.
@@ -470,8 +403,7 @@ int main(int argc, char** argv) {
                     overhead.jobs_completed_off == overhead.jobs_completed_on &&
                     breakdown.completed_in_charlie &&
                     breakdown.regions_in_trace >= 3 &&
-                    breakdown.span_count > 0 && profile.enabled &&
-                    profile.windows > 0 && profiled_events > 0;
+                    breakdown.span_count > 0;
   std::printf("\n%s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -8,15 +8,13 @@
 //  (1) real micro-benchmark (google-benchmark): wall-clock cost of one
 //      placement decision through the indexed ClusterView and of one
 //      heartbeat-monitor sweep over an N-node directory, plus the event
-//      queues' push/cancel/pop cost;
+//      queue's push/cancel/pop cost;
 //  (2) analytic control-plane model: heartbeat + telemetry + scheduling DB
 //      operations per second against the database's M/M/1 service model,
 //      reporting end-to-end scheduling latency per fleet size.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <limits>
-#include <thread>
 #include <vector>
 
 #include "db/database.h"
@@ -26,7 +24,6 @@
 #include "sched/policy.h"
 #include "sched/strategies.h"
 #include "sim/environment.h"
-#include "sim/sharded_event_queue.h"
 #include "workload/profiles.h"
 
 namespace gpunion::bench {
@@ -97,13 +94,10 @@ void BM_HeartbeatSweep(benchmark::State& state) {
 BENCHMARK(BM_HeartbeatSweep)->Arg(10)->Arg(50)->Arg(200)->Arg(400);
 
 // ---------------------------------------------------------------------------
-// Event-queue microbenches: single binary heap vs the sharded queue the
-// parallel execution core uses (per-shard lanes, finely locked).
+// Event-queue microbenches: the simulation's one binary heap.
 // ---------------------------------------------------------------------------
 
-constexpr double kQueueInf = std::numeric_limits<double>::infinity();
-
-/// Steady-state push/cancel/pop cycle on the legacy single heap.
+/// Steady-state push/cancel/pop cycle.
 void BM_EventQueuePushCancelPop(benchmark::State& state) {
   sim::EventQueue queue;
   double t = 0;
@@ -117,59 +111,6 @@ void BM_EventQueuePushCancelPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 3);
 }
 BENCHMARK(BM_EventQueuePushCancelPop);
-
-/// Same cycle through the sharded queue (single caller): the locking and
-/// id-encoding overhead the parallel core pays per op, at 1 / 8 shards.
-void BM_ShardedQueuePushCancelPop(benchmark::State& state) {
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  sim::ShardedEventQueue queue(shards);
-  double t = 0;
-  std::size_t shard = 0;
-  sim::EventQueue::Event event;
-  for (auto _ : state) {
-    t += 1.0;
-    shard = (shard + 1) % shards;
-    const sim::EventId cancelled = queue.push(shard, t, [] {});
-    queue.push(shard, t + 0.5, [] {});
-    queue.cancel(cancelled);
-    queue.shard_try_pop(shard, kQueueInf, &event);
-    benchmark::DoNotOptimize(event);
-  }
-  state.SetItemsProcessed(state.iterations() * 3);
-  state.SetLabel(std::to_string(shards) + " shards");
-}
-BENCHMARK(BM_ShardedQueuePushCancelPop)->Arg(1)->Arg(8);
-
-/// Contended throughput: 4 threads, each pushing onto a neighbour's shard
-/// and draining its own.  1 shard = everything behind one mutex (the
-/// single-heap shape); 8 shards = the parallel core's fine-grained locking.
-void BM_ShardedQueueContention(benchmark::State& state) {
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 2000;
-  for (auto _ : state) {
-    sim::ShardedEventQueue queue(shards);
-    std::vector<std::thread> pool;
-    pool.reserve(kThreads);
-    for (int thread_index = 0; thread_index < kThreads; ++thread_index) {
-      pool.emplace_back([&queue, shards, thread_index] {
-        const std::size_t own =
-            static_cast<std::size_t>(thread_index) % shards;
-        const std::size_t peer =
-            static_cast<std::size_t>(thread_index + 1) % shards;
-        sim::EventQueue::Event event;
-        for (int i = 0; i < kOpsPerThread; ++i) {
-          queue.push(peer, 1.0 + i, [] {});
-          queue.shard_try_pop(own, kQueueInf, &event);
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-  }
-  state.SetItemsProcessed(state.iterations() * kThreads * kOpsPerThread * 2);
-  state.SetLabel(std::to_string(shards) + " shards, 4 threads");
-}
-BENCHMARK(BM_ShardedQueueContention)->Arg(1)->Arg(8)->UseRealTime();
 
 /// Tombstone-compaction stress: cancel nearly everything, then pop — the
 /// skim has to chew through the tombstones and the amortized compaction
@@ -190,30 +131,6 @@ void BM_EventQueueTombstoneCompaction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EventQueueTombstoneCompaction)->Arg(1024)->Arg(8192);
-
-/// The same stress sharded: cancels hash across shards, so compaction work
-/// is per-shard and a hot shard cannot stall the others' lanes.
-void BM_ShardedQueueTombstoneCompaction(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  constexpr std::size_t kShards = 8;
-  sim::EventQueue::Event event;
-  for (auto _ : state) {
-    sim::ShardedEventQueue queue(kShards);
-    std::vector<sim::EventId> ids;
-    ids.reserve(static_cast<std::size_t>(batch));
-    for (int i = 0; i < batch; ++i) {
-      ids.push_back(queue.push(static_cast<std::size_t>(i) % kShards,
-                               1.0 + i, [] {}));
-    }
-    for (int i = 0; i + 1 < batch; ++i) queue.cancel(ids[static_cast<std::size_t>(i)]);
-    queue.shard_try_pop((static_cast<std::size_t>(batch) - 1) % kShards,
-                        kQueueInf, &event);
-    benchmark::DoNotOptimize(queue.compactions());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-  state.SetLabel("8 shards");
-}
-BENCHMARK(BM_ShardedQueueTombstoneCompaction)->Arg(1024)->Arg(8192);
 
 void print_control_plane_model() {
   std::printf("\nControl-plane load model (analytic, from the database's "

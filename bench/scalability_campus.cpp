@@ -11,14 +11,6 @@
 //     write (the batched flushes' counters give it exactly),
 //   - event-queue health (tombstone compaction).
 //
-// PR 6 adds the parallel-execution-core sweep: the same campus under
-// kDeterministic (legacy single-thread order) and kParallel with 1/2/4/8
-// workers, reporting wall clock, per-worker CPU busy time, the critical-path
-// "ideal parallel wall" (sum over conservative windows of the busiest
-// worker's CPU time) and the exposed speedup total_busy/ideal — the honest
-// concurrency number on a machine with fewer cores than workers — plus a
-// 100k-node completion run.
-//
 // Emits machine-readable BENCH_scalability.json (override with --out).
 // `--smoke` shrinks everything for CI.
 #include <algorithm>
@@ -26,11 +18,9 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
-#include "gpunion/federated_platform.h"
 #include "util/logging.h"
 #include "workload/profiles.h"
 #include "workload/provider_behavior.h"
@@ -66,34 +56,7 @@ struct CampusRunResult {
   double db_sync_ops_per_sim_s = 0;
   std::uint64_t ledger_absorbed = 0;
   std::uint64_t ledger_flushes = 0;
-  // Execution-core accounting (PR 6).
-  std::string exec_mode = "deterministic";
-  int regions = 1;  // >1: federated run (one control-plane actor per region)
-  int workers = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t exclusive_events = 0;
-  std::uint64_t causality_clamps = 0;
-  double total_busy_s = 0;       // summed worker CPU time
-  double ideal_wall_s = 0;       // critical path across windows
-  double exposed_speedup = 0;    // total_busy / ideal (kParallel only)
-  std::size_t processed_events = 0;
 };
-
-/// Execution-core counters shared by the single-campus and federated runs.
-void fill_exec_stats(CampusRunResult& r, const sim::Environment& env) {
-  r.exec_mode = env.mode() == sim::ExecutionMode::kParallel ? "parallel"
-                                                            : "deterministic";
-  r.workers = static_cast<int>(env.worker_count());
-  r.processed_events = env.processed_events();
-  const sim::ParallelStats& ps = env.parallel_stats();
-  r.windows = ps.windows;
-  r.exclusive_events = ps.exclusive_events;
-  r.causality_clamps = ps.causality_clamps;
-  r.total_busy_s = ps.total_busy_s;
-  r.ideal_wall_s = ps.ideal_wall_s;
-  r.exposed_speedup =
-      ps.ideal_wall_s > 0 ? ps.total_busy_s / ps.ideal_wall_s : 0.0;
-}
 
 CampusConfig synthetic_campus(int nodes) {
   CampusConfig config;
@@ -115,13 +78,12 @@ CampusConfig synthetic_campus(int nodes) {
 }
 
 CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
-                           std::uint64_t seed,
-                           const sim::EnvConfig& exec = sim::EnvConfig{}) {
+                           std::uint64_t seed) {
   CampusRunResult r;
   r.nodes = nodes;
   r.sim_horizon_s = horizon;
 
-  sim::Environment env(seed, exec);
+  sim::Environment env(seed);
   Platform platform(env, synthetic_campus(nodes));
   r.wall_s = wall_seconds([&] {
     platform.start();
@@ -155,8 +117,6 @@ CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
     auto interruptions = workload::generate_interruptions(
         platform.machine_ids(), horizon, model, util::Rng(seed + 1));
     for (const auto& event : interruptions) {
-      // Exclusive in kParallel (interruptions touch the coordinator AND an
-      // agent); an ordinary event in kDeterministic — same legacy order.
       platform.schedule_interruption(std::max(event.at, env.now()), event);
     }
     env.run_until(horizon);
@@ -196,79 +156,6 @@ CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
       r.heartbeats == 0
           ? 0
           : r.wall_s * 1e6 / static_cast<double>(r.heartbeats);
-  fill_exec_stats(r, env);
-  return r;
-}
-
-/// The same control-plane workload split across `region_count` federated
-/// campuses (one coordinator/database/gateway actor set per region, joined
-/// by the WAN).  A single campus has exactly ONE control-plane actor, so
-/// its heartbeat fan-in IS the critical path no matter how many workers
-/// run — this is the configuration where the runtime has genuinely
-/// concurrent control planes to spread across workers.
-CampusRunResult run_federated_exec(int total_nodes, int region_count,
-                                   double horizon, double churn_per_day,
-                                   std::uint64_t seed,
-                                   const sim::EnvConfig& exec) {
-  CampusRunResult r;
-  r.nodes = total_nodes;
-  r.regions = region_count;
-  r.sim_horizon_s = horizon;
-
-  sim::Environment env(seed, exec);
-  FederationConfig config;
-  const int per_region = total_nodes / region_count;
-  for (int g = 0; g < region_count; ++g) {
-    const std::string name = "campus-" + std::to_string(g);
-    CampusConfig campus = synthetic_campus(per_region);
-    for (auto& node : campus.nodes) {
-      node.spec.hostname = name + "-" + node.spec.hostname;
-    }
-    campus.storage.front().id = "nas-" + name;
-    federation::RegionPolicy policy;
-    policy.digest_interval = 10.0;
-    config.regions.push_back({name, std::move(campus), policy});
-  }
-  config.wan.base_latency = 0.010;
-  config.metrics_interval = 1e9;
-  FederatedPlatform fed(env, config);
-
-  r.wall_s = wall_seconds([&] {
-    fed.start();
-    env.run_until(5.0);
-    for (std::size_t g = 0; g < fed.region_count(); ++g) {
-      Platform& platform = fed.region(g);
-      auto& coordinator = platform.coordinator();
-      for (int i = 0; i < per_region / 4; ++i) {
-        auto job = workload::make_training_job(
-            "train-" + std::to_string(g) + "-" + std::to_string(i),
-            workload::cnn_small(), /*hours=*/0.02 + 0.02 * (i % 4),
-            "group-" + std::to_string(i % 16), env.now());
-        job.checkpoint_interval = 120.0;
-        (void)coordinator.submit(std::move(job));
-      }
-      workload::InterruptionModel model;
-      model.events_per_day = churn_per_day;
-      model.min_downtime = 60.0;
-      model.max_downtime = 600.0;
-      model.temporary_downtime = 120.0;
-      auto interruptions = workload::generate_interruptions(
-          platform.machine_ids(), horizon, model, util::Rng(seed + 1 + g));
-      for (const auto& event : interruptions) {
-        platform.schedule_interruption(std::max(event.at, env.now()), event);
-      }
-    }
-    env.run_until(horizon);
-  });
-
-  for (std::size_t g = 0; g < fed.region_count(); ++g) {
-    const auto& stats = fed.region(g).coordinator().stats();
-    r.jobs_submitted += stats.jobs_submitted;
-    r.jobs_completed += stats.jobs_completed;
-    r.interruptions += stats.interruptions;
-    r.heartbeats += stats.heartbeats_processed;
-  }
-  fill_exec_stats(r, env);
   return r;
 }
 
@@ -288,8 +175,7 @@ void print_campus(const CampusRunResult& r) {
 }
 
 void write_json(const std::string& path, const std::string& mode,
-                const std::vector<CampusRunResult>& runs,
-                const std::vector<CampusRunResult>& exec_runs) {
+                const std::vector<CampusRunResult>& runs) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -326,36 +212,7 @@ void write_json(const std::string& path, const std::string& mode,
         << ", \"wall_us_per_heartbeat\": " << r.wall_us_per_heartbeat << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"execution\": {\n";
-  out << "    \"hw_concurrency\": " << std::thread::hardware_concurrency()
-      << ",\n";
-  out << "    \"note\": \"ideal_parallel_wall_s is the critical path: per "
-         "conservative window, the busiest worker's CPU time; "
-         "exposed_speedup = total_busy_s / ideal_parallel_wall_s.  Wall "
-         "clock only reflects it when hw_concurrency >= workers.\",\n";
-  out << "    \"runs\": [\n";
-  for (std::size_t i = 0; i < exec_runs.size(); ++i) {
-    const auto& r = exec_runs[i];
-    out << "      {\"mode\": \"" << r.exec_mode << "\""
-        << ", \"regions\": " << r.regions
-        << ", \"workers\": " << r.workers
-        << ", \"nodes\": " << r.nodes
-        << ", \"sim_horizon_s\": " << r.sim_horizon_s
-        << ", \"wall_s\": " << r.wall_s
-        << ", \"processed_events\": " << r.processed_events
-        << ", \"total_busy_s\": " << r.total_busy_s
-        << ", \"ideal_parallel_wall_s\": " << r.ideal_wall_s
-        << ", \"exposed_speedup\": " << r.exposed_speedup
-        << ", \"windows\": " << r.windows
-        << ", \"exclusive_events\": " << r.exclusive_events
-        << ", \"causality_clamps\": " << r.causality_clamps
-        << ", \"heartbeats\": " << r.heartbeats
-        << ", \"jobs_completed\": " << r.jobs_completed << "}"
-        << (i + 1 < exec_runs.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n";
-  out << "  }\n";
+  out << "  ]\n";
   out << "}\n";
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -403,80 +260,6 @@ int main(int argc, char** argv) {
               "coalesce them); swept = total expiry-pops across\n"
               "all sweeps.\n");
 
-  // Parallel execution core: the same campus under kDeterministic and
-  // kParallel at 1/2/4/8 workers, plus a large completion run.
-  std::printf("\nParallel execution core (threaded actor runtime, sharded "
-              "event queue):\nexposed speedup = summed worker CPU busy / "
-              "critical path across windows\n(wall clock only tracks it "
-              "when the machine has >= workers cores; this host\nhas %u).\n\n",
-              std::thread::hardware_concurrency());
-  std::printf("%14s %8s %8s %7s %8s %8s %8s %9s %8s %8s\n", "mode",
-              "regions", "workers", "nodes", "wall-s", "busy-s", "ideal-s",
-              "speedup", "windows", "clamps");
-  row_divider(98);
-  std::vector<CampusRunResult> exec_runs;
-  const int sweep_nodes = smoke ? 200 : 10000;
-  const double sweep_horizon = smoke ? 60.0 : 120.0;
-  auto print_exec = [](const CampusRunResult& r) {
-    std::printf("%14s %8d %8d %7d %8.2f %8.2f %8.2f %8.2fx %8llu %8llu\n",
-                r.exec_mode.c_str(), r.regions, r.workers, r.nodes, r.wall_s,
-                r.total_busy_s, r.ideal_wall_s, r.exposed_speedup,
-                static_cast<unsigned long long>(r.windows),
-                static_cast<unsigned long long>(r.causality_clamps));
-  };
-  {
-    auto r = run_campus(sweep_nodes, sweep_horizon, /*churn_per_day=*/24.0,
-                        1234);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
-  for (const int workers : {1, 2, 4, 8}) {
-    sim::EnvConfig exec;
-    exec.mode = sim::ExecutionMode::kParallel;
-    exec.worker_threads = static_cast<std::size_t>(workers);
-    auto r = run_campus(sweep_nodes, sweep_horizon, /*churn_per_day=*/24.0,
-                        1234, exec);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
-  // The same fleet split across 4 federated campuses: one control-plane
-  // actor (coordinator + database + gateway) per region instead of one
-  // total.  A single campus's coordinator IS the critical path regardless
-  // of worker count; this is the shape with genuine control-plane
-  // concurrency for the runtime to expose.
-  std::printf("\n");
-  {
-    sim::EnvConfig det;
-    auto r = run_federated_exec(sweep_nodes, /*region_count=*/4,
-                                sweep_horizon, /*churn_per_day=*/24.0, 1234,
-                                det);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
-  for (const int workers : {1, 2, 4, 8}) {
-    sim::EnvConfig exec;
-    exec.mode = sim::ExecutionMode::kParallel;
-    exec.worker_threads = static_cast<std::size_t>(workers);
-    auto r = run_federated_exec(sweep_nodes, /*region_count=*/4,
-                                sweep_horizon, /*churn_per_day=*/24.0, 1234,
-                                exec);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
-  {
-    // Completion run at an order of magnitude beyond the sweep: does the
-    // runtime hold together at 100k actors?
-    const int large_nodes = smoke ? 400 : 100000;
-    const double large_horizon = smoke ? 30.0 : 30.0;
-    sim::EnvConfig exec;
-    exec.mode = sim::ExecutionMode::kParallel;
-    exec.worker_threads = 4;
-    auto r = run_campus(large_nodes, large_horizon, /*churn_per_day=*/4.0,
-                        1234, exec);
-    exec_runs.push_back(r);
-    print_exec(r);
-  }
-
-  write_json(out_path, smoke ? "smoke" : "full", runs, exec_runs);
+  write_json(out_path, smoke ? "smoke" : "full", runs);
   return 0;
 }

@@ -33,9 +33,7 @@ ProviderAgent::ProviderAgent(sim::Environment& env, net::Transport& transport,
       sampler_(node, env.fork_rng("nvml." + node.hostname())),
       rng_(env.fork_rng("agent." + node.hostname())),
       machine_id_(util::make_machine_id(node.hostname(), kMachineIdSalt)),
-      lane_(env.register_lane("agent:" + machine_id_)),
       slicer_(env, node, config_.timeslice) {
-  slicer_.set_lane(lane_);
   TimesliceHooks slicer_hooks;
   slicer_hooks.on_residency_change = [this](const std::string& job_id,
                                             bool resident,
@@ -60,7 +58,7 @@ void ProviderAgent::join() {
   assert(state_ == AgentState::kOffline && "join from non-offline state");
   transport_.register_endpoint(
       machine_id_,
-      [this](net::Message&& msg) { handle_message(std::move(msg)); }, lane_);
+      [this](net::Message&& msg) { handle_message(std::move(msg)); });
   send_register_request();
   GPUNION_ILOG("agent") << machine_id_ << " joining as " << node_.hostname();
 }
@@ -86,7 +84,7 @@ void ProviderAgent::send_register_request() {
   send_control(kRegisterRequest, request, kRegisterBytes);
   // The request or its response may be lost; retry until activated (the
   // paper's "automatic registration scripts" keep trying).
-  env_.schedule_after_on(lane_, 10.0, [this] { send_register_request(); });
+  env_.schedule_after(10.0, [this] { send_register_request(); });
 }
 
 std::vector<std::string> ProviderAgent::kill_switch() {
@@ -257,13 +255,11 @@ void ProviderAgent::handle_message(net::Message&& msg) {
       state_ = AgentState::kActive;
       config_.heartbeat_interval = response.heartbeat_interval;
       heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
-          env_, config_.heartbeat_interval, [this] { send_heartbeat(); },
-          lane_);
+          env_, config_.heartbeat_interval, [this] { send_heartbeat(); });
       heartbeat_timer_->start_after(0);
       if (config_.enable_telemetry) {
         telemetry_timer_ = std::make_unique<sim::PeriodicTimer>(
-            env_, config_.telemetry_interval, [this] { send_telemetry(); },
-            lane_);
+            env_, config_.telemetry_interval, [this] { send_telemetry(); });
         telemetry_timer_->start();
       }
       break;
@@ -447,7 +443,7 @@ void ProviderAgent::advance_dispatch(const std::string& job_id) {
       job.pending_pull = false;
       runtime_.mark_image_cached(job.spec.image_ref);
     } else {
-      env_.schedule_after_on(lane_, 90.0,
+      env_.schedule_after(90.0,
                           [this, job_id] { retry_stalled_dispatch(job_id); });
       return;  // wait for kImageData
     }
@@ -468,13 +464,13 @@ void ProviderAgent::advance_dispatch(const std::string& job_id) {
     if (!transport_.send(std::move(msg)).is_ok()) {
       job.pending_restore = false;  // storage gone; resume without transfer
     } else {
-      env_.schedule_after_on(lane_, 180.0,
+      env_.schedule_after(180.0,
                           [this, job_id] { retry_stalled_dispatch(job_id); });
       return;  // wait for kRestoreData
     }
   }
 
-  env_.schedule_after_on(lane_, runtime_.startup_overhead(),
+  env_.schedule_after(runtime_.startup_overhead(),
                       [this, job_id] { begin_compute(job_id); });
 }
 
@@ -571,21 +567,21 @@ void ProviderAgent::begin_compute(const std::string& job_id) {
   if (job.spec.type == workload::JobType::kInteractive) {
     // Sessions are wall-clock (including any quantum swap pauses a
     // time-sliced session sits through).
-    job.completion_event = env_.schedule_after_on(
-        lane_, job.spec.reference_duration,
-        [this, job_id] { complete_job(job_id); });
+    job.completion_event =
+        env_.schedule_after(job.spec.reference_duration,
+                            [this, job_id] { complete_job(job_id); });
   } else if (job.tenancy != hw::Tenancy::kTimeslice || job.resident) {
     const util::Duration remaining =
         (1.0 - job.start_progress) * job.spec.reference_duration / job.speed;
-    job.completion_event = env_.schedule_after_on(
-        lane_, remaining, [this, job_id] { complete_job(job_id); });
+    job.completion_event = env_.schedule_after(
+        remaining, [this, job_id] { complete_job(job_id); });
   }
   // else: swapped-out time-sliced training — completion is armed when the
   // slicer rotates the tenant in.
 
   if (job.spec.type == workload::JobType::kTraining &&
       job.spec.checkpoint_interval > 0) {
-    job.checkpoint_event = env_.schedule_after_on(lane_, 
+    job.checkpoint_event = env_.schedule_after(
         job.spec.checkpoint_interval,
         [this, job_id] { periodic_checkpoint(job_id); });
   }
@@ -657,7 +653,7 @@ util::StatusOr<storage::Checkpoint> ProviderAgent::write_checkpoint(
     const util::SimTime completion_at =
         job.effective_start + remaining_work / job.speed;
     const std::string job_id = job.spec.id;
-    job.completion_event = env_.schedule_at_on(lane_, 
+    job.completion_event = env_.schedule_at(
         std::max(env_.now(), completion_at),
         [this, job_id] { complete_job(job_id); });
   }
@@ -681,7 +677,7 @@ void ProviderAgent::periodic_checkpoint(const std::string& job_id) {
       checkpoint.ok() ? workload::checkpoint_pause_seconds(job.spec.state)
                       : 0.0;
   job.checkpoint_event =
-      env_.schedule_after_on(lane_, job.spec.checkpoint_interval + pause,
+      env_.schedule_after(job.spec.checkpoint_interval + pause,
                           [this, job_id] { periodic_checkpoint(job_id); });
 }
 
@@ -738,8 +734,8 @@ void ProviderAgent::on_residency_change(const std::string& job_id,
   const util::SimTime completion_at =
       job.effective_start + remaining_work / job.speed;
   job.completion_event =
-      env_.schedule_at_on(lane_, std::max(env_.now(), completion_at),
-                          [this, job_id] { complete_job(job_id); });
+      env_.schedule_at(std::max(env_.now(), completion_at),
+                       [this, job_id] { complete_job(job_id); });
 }
 
 void ProviderAgent::evict_timeslice_tenant(const std::string& job_id) {

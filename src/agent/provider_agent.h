@@ -92,8 +92,6 @@ class ProviderAgent {
   AgentState state() const { return state_; }
   bool paused() const { return paused_; }
   const std::string& machine_id() const { return machine_id_; }
-  /// The actor lane all of this agent's events and deliveries run on.
-  sim::LaneId lane() const { return lane_; }
   std::size_t running_jobs() const { return jobs_.size(); }
   std::vector<std::string> running_job_ids() const;
   /// Live (not yet durable) progress of a running job; -1 when unknown.
@@ -178,7 +176,6 @@ class ProviderAgent {
   AgentState state_ = AgentState::kOffline;
   bool paused_ = false;
   std::string machine_id_;
-  sim::LaneId lane_ = sim::kMainLane;
   GpuTimeSlicer slicer_;
   std::string auth_token_;
   std::uint64_t heartbeat_seq_ = 0;

@@ -85,8 +85,8 @@ util::Duration GpuTimeSlicer::quantum(int gpu_index) const {
 }
 
 void GpuTimeSlicer::arm_tick(int gpu_index, Slice& slice) {
-  slice.tick_event = env_.schedule_after_on(
-      lane_, slice.quantum, [this, gpu_index] { tick(gpu_index); });
+  slice.tick_event = env_.schedule_after(
+      slice.quantum, [this, gpu_index] { tick(gpu_index); });
 }
 
 void GpuTimeSlicer::tick(int gpu_index) {

@@ -17,9 +17,9 @@
 //     largest swapped-out working set via the eviction hook.
 //
 // The slicer owns no network or container state: it is a pure scheduling
-// component the ProviderAgent embeds.  All ticks run on the agent's actor
-// lane, and all containers (tenant lists, rotation order) are deterministic,
-// so kDeterministic replays bit-identically.
+// component the ProviderAgent embeds.  Ticks are ordinary simulation events
+// and all containers (tenant lists, rotation order) are deterministic, so a
+// seed replays bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,7 @@ struct TimesliceStats {
 };
 
 /// Callbacks into the owning agent.  Both run synchronously inside the
-/// slicer's tick (on the agent lane).
+/// slicer's tick.
 struct TimesliceHooks {
   /// `resident` flips for the outgoing (false) and incoming (true) tenant
   /// of a rotation; `swap_pause` is the swap cost the incoming tenant pays
@@ -76,7 +76,6 @@ class GpuTimeSlicer {
   GpuTimeSlicer(const GpuTimeSlicer&) = delete;
   GpuTimeSlicer& operator=(const GpuTimeSlicer&) = delete;
 
-  void set_lane(sim::LaneId lane) { lane_ = lane; }
   void set_hooks(TimesliceHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Registers a tenant already bound to `gpu_index` by the node model.
@@ -119,7 +118,6 @@ class GpuTimeSlicer {
   sim::Environment& env_;
   hw::NodeModel& node_;
   TimesliceConfig config_;
-  sim::LaneId lane_ = sim::kMainLane;
   TimesliceHooks hooks_;
   std::map<int, Slice> slices_;  // ordered for determinism
   TimesliceStats stats_;

@@ -17,10 +17,9 @@ double gpu_seconds_estimate(const DrfQueue::Item& item) {
 
 }  // namespace
 
-ApiServer::ApiServer(sim::Environment& env, ApiConfig config, sim::LaneId lane)
+ApiServer::ApiServer(sim::Environment& env, ApiConfig config)
     : env_(env),
       config_(std::move(config)),
-      lane_(lane),
       bucket_(config_.admission_rate, config_.admission_burst),
       queue_() {}
 
@@ -42,7 +41,7 @@ void ApiServer::start() {
   if (started_) return;
   started_ = true;
   drain_timer_ = std::make_unique<sim::PeriodicTimer>(
-      env_, config_.drain_interval, [this] { drain(); }, lane_);
+      env_, config_.drain_interval, [this] { drain(); });
   drain_timer_->start();
 }
 
@@ -97,7 +96,7 @@ void ApiServer::note_queue_depths(const std::string& tenant) {
 void ApiServer::schedule_threshold_drain() {
   if (threshold_drain_pending_ || !started_) return;
   threshold_drain_pending_ = true;
-  env_.schedule_after_on(lane_, 0.0, [this] {
+  env_.schedule_after(0.0, [this] {
     if (threshold_drain_pending_) drain();
   });
 }

@@ -28,12 +28,11 @@
 //  - a trace root (obs::stage::kApiAdmit) on every accepted submit, so
 //    PR 8 causal traces start at the tenant edge, not at the coordinator.
 //
-// Threading/determinism: the server lives on the platform's control-plane
-// lane.  Submits are synchronous calls from that lane's context (tests and
-// benches schedule them there); draining runs from a periodic timer on the
-// same lane plus an immediate threshold drain when a burst fills a batch —
-// mirroring the ledger's dual interval/threshold trigger.  Everything uses
-// ordered maps, so kDeterministic replays bit-identically.
+// Determinism: submits are synchronous calls from event callbacks (tests
+// and benches schedule them); draining runs from a periodic timer plus an
+// immediate threshold drain when a burst fills a batch — mirroring the
+// ledger's dual interval/threshold trigger.  Everything uses ordered maps,
+// so a seed replays bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -160,8 +159,7 @@ class ApiServer {
   using DispatchFn = std::function<util::Status(
       workload::JobSpec, double, obs::TraceContext)>;
 
-  ApiServer(sim::Environment& env, ApiConfig config,
-            sim::LaneId lane = sim::kMainLane);
+  ApiServer(sim::Environment& env, ApiConfig config);
   ~ApiServer();
 
   ApiServer(const ApiServer&) = delete;
@@ -249,7 +247,6 @@ class ApiServer {
 
   sim::Environment& env_;
   ApiConfig config_;
-  sim::LaneId lane_;
   obs::Tracer* tracer_ = nullptr;
   sched::Coordinator* coordinator_ = nullptr;
   db::ShardedDatabase* database_ = nullptr;

@@ -89,8 +89,8 @@ class DrfQueue {
   void push(const std::string& tenant, Item item);
 
   /// Pops the head item of the eligible backlogged tenant with the minimum
-  /// weighted dominant share (ties broken by tenant name, so kDeterministic
-  /// replays bit-identically).  `eligible` filters tenants (quota gates);
+  /// weighted dominant share (ties broken by tenant name, so a seed replays
+  /// bit-identically).  `eligible` filters tenants (quota gates);
   /// empty = all eligible.  Does NOT charge usage — the caller charges after
   /// a successful dispatch.
   std::optional<std::pair<std::string, Item>> pop_next(

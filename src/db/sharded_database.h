@@ -45,7 +45,6 @@
 
 #include "db/database.h"
 #include "db/ledger_wal.h"
-#include "db/shard_executor.h"
 #include "db/write_behind_ledger.h"
 #include "util/status.h"
 #include "util/time.h"
@@ -195,8 +194,6 @@ class ShardedDatabase : public Database {
   /// Group-commits pending ledger entries to their shards.  Threshold
   /// flushes happen automatically inside absorbing mutations; the interval
   /// flush is driven by the owner's timer.  Returns entries committed.
-  /// With an executor attached, each shard's commit runs on that shard's
-  /// thread (fork-join: all commits complete before this returns).
   /// `at` is the commit time for trace spans (owner timers pass now();
   /// callers without a clock leave -1 and the newest absorbed entry's
   /// timestamp stands in).
@@ -208,11 +205,6 @@ class ShardedDatabase : public Database {
   /// key it carries — ack-to-durable latency becomes visible per job.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
-
-  /// Attaches per-shard commit threads (parallel execution mode).  The
-  /// executor must outlive the database or be detached with nullptr.
-  void set_executor(ShardExecutor* executor) { executor_ = executor; }
-  ShardExecutor* executor() const { return executor_; }
 
   // --- Write-ahead log & crash recovery ----------------------------------------
   const LedgerWal& wal() const { return wal_; }
@@ -326,7 +318,6 @@ class ShardedDatabase : public Database {
   mutable std::size_t rotate_cursor_ = 0;
   std::uint64_t local_pops_ = 0;
   std::uint64_t stolen_pops_ = 0;
-  ShardExecutor* executor_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   RecoveryReport last_recovery_report_;
   std::uint64_t recoveries_ = 0;

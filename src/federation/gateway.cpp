@@ -49,9 +49,8 @@ RegionGateway::RegionGateway(sim::Environment& env,
                              storage::CheckpointStore& store,
                              db::Database& database, net::Transport& wan,
                              std::string region_name, RegionPolicy policy,
-                             WanPathFn wan_path, sim::LaneId lane)
+                             WanPathFn wan_path)
     : env_(env),
-      lane_(lane),
       coordinator_(coordinator),
       store_(store),
       database_(database),
@@ -60,7 +59,7 @@ RegionGateway::RegionGateway(sim::Environment& env,
       gateway_id_("gw-" + region_),
       policy_(policy),
       wan_path_(std::move(wan_path)),
-      tick_timer_(env, policy.digest_interval, [this] { tick(); }, lane),
+      tick_timer_(env, policy.digest_interval, [this] { tick(); }),
       directory_(region_),
       rng_(env.fork_rng("gateway:" + region_)) {
   assert(!region_.empty() && "region requires a name");
@@ -73,7 +72,7 @@ void RegionGateway::start() {
   started_ = true;
   wan_.register_endpoint(
       gateway_id_,
-      [this](net::Message&& msg) { handle_message(std::move(msg)); }, lane_);
+      [this](net::Message&& msg) { handle_message(std::move(msg)); });
   tick();  // first digest goes out immediately, not one interval late
   tick_timer_.start();
 }
@@ -608,8 +607,7 @@ void RegionGateway::arm_timeout(const std::string& job_id,
   // The epoch guard outranks the generation guard: a rebuilt forward walks
   // generations from zero again, so a pre-crash timeout could otherwise
   // collide with a post-recovery generation number.
-  env_.schedule_after_on(lane_, delay, [this, job_id, generation,
-                                        epoch = epoch_] {
+  env_.schedule_after(delay, [this, job_id, generation, epoch = epoch_] {
     if (epoch != epoch_) return;  // armed before a crash/restart
     auto it = outbound_.find(job_id);
     if (it == outbound_.end() || it->second.generation != generation) return;

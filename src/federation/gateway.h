@@ -227,14 +227,10 @@ struct GatewayRecoveryStats {
 
 class RegionGateway {
  public:
-  /// `lane`: actor lane the gateway runs on.  Must be the lane of the
-  /// region's coordinator/platform — the gateway calls straight into the
-  /// coordinator, so they form one actor.
   RegionGateway(sim::Environment& env, sched::Coordinator& coordinator,
                 storage::CheckpointStore& store, db::Database& database,
                 net::Transport& wan, std::string region_name,
-                RegionPolicy policy = {}, WanPathFn wan_path = {},
-                sim::LaneId lane = sim::kMainLane);
+                RegionPolicy policy = {}, WanPathFn wan_path = {});
   ~RegionGateway();
 
   RegionGateway(const RegionGateway&) = delete;
@@ -416,7 +412,6 @@ class RegionGateway {
   void request_anti_entropy();
 
   sim::Environment& env_;
-  sim::LaneId lane_ = sim::kMainLane;
   sched::Coordinator& coordinator_;
   storage::CheckpointStore& store_;
   db::Database& database_;

@@ -74,13 +74,10 @@ FederatedPlatform::FederatedPlatform(sim::Environment& env,
     }
     region.platform =
         std::make_unique<Platform>(env_, region_config.campus);
-    // The gateway calls straight into its region's coordinator, so it runs
-    // on that platform's control-plane lane (one actor per region).
     region.gateway = std::make_unique<federation::RegionGateway>(
         env_, region.platform->coordinator(),
         region.platform->checkpoint_store(), region.platform->database(),
-        *wan_, region.name, region_config.policy, wan_path,
-        region.platform->lane());
+        *wan_, region.name, region_config.policy, wan_path);
     by_name_[region.name] = regions_.size();
     names_.push_back(region.name);
     regions_.push_back(std::move(region));

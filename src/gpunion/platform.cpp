@@ -17,25 +17,12 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
       network_(std::make_unique<net::SimNetwork>(env, config_.network)),
       database_(config_.db),
       store_(config_.checkpoint_store) {
-  // The control plane — coordinator, database, write-behind flushes, the
-  // scraper — is one actor: they all touch the same tables synchronously,
-  // so they share one lane and never race.
-  lane_ = env_.register_lane("platform");
-  config_.coordinator.lane = lane_;
   // One tracer per campus unless the owner (federation tier) injected a
   // shared one — cross-region traces need every hop in one ring.
   if (config_.coordinator.tracer == nullptr) {
     config_.coordinator.tracer = &own_tracer_;
   }
   database_.set_tracer(config_.coordinator.tracer);
-  if (env_.mode() == sim::ExecutionMode::kParallel &&
-      config_.db.write_behind) {
-    shard_executor_ = std::make_unique<db::ShardExecutor>(
-        std::min<std::size_t>(
-            static_cast<std::size_t>(database_.shard_count()),
-            std::max<std::size_t>(1, env_.worker_count())));
-    database_.set_executor(shard_executor_.get());
-  }
   register_default_images();
 
   // The config is checked in every build type: a duplicate would leave
@@ -75,10 +62,7 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
   wire_owner_reclaim();
 
   if (config_.api.enabled) {
-    // The request plane shares the control-plane lane: submits, drains and
-    // coordinator hand-offs all mutate the same tables, so they are one
-    // actor and kDeterministic keeps their relative order bit-stable.
-    api_ = std::make_unique<api::ApiServer>(env_, config_.api, lane_);
+    api_ = std::make_unique<api::ApiServer>(env_, config_.api);
     api_->attach_coordinator(coordinator_.get());
     api_->attach_database(&database_);
     api_->set_tracer(config_.coordinator.tracer);
@@ -94,19 +78,13 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
   }
 
   scraper_ = std::make_unique<monitor::Scraper>(
-      env_, metrics_, database_, config_.scrape_interval, lane_);
-  // refresh_metrics reads across actors (coordinator directory, node models
-  // the agents mutate), so the tick is exclusive.  In kDeterministic an
-  // exclusive event is an ordinary one — the legacy order is unchanged.
+      env_, metrics_, database_, config_.scrape_interval);
   metrics_timer_ = std::make_unique<sim::PeriodicTimer>(
-      env_, config_.scrape_interval, [this] { refresh_metrics(); }, lane_,
-      /*exclusive=*/true);
+      env_, config_.scrape_interval, [this] { refresh_metrics(); });
   db_flush_timer_ = std::make_unique<sim::PeriodicTimer>(
-      env_, config_.db.flush_interval,
-      [this] {
+      env_, config_.db.flush_interval, [this] {
         database_.flush_ledger(db::FlushTrigger::kInterval, env_.now());
-      },
-      lane_);
+      });
   faults_ = std::make_unique<sim::FaultInjector>(env_);
 }
 
@@ -134,9 +112,6 @@ void Platform::attach_storage_endpoints() {
   for (const auto& storage_config : config_.storage) {
     const std::string id = storage_config.id;
     network_->set_access_gbps(id, 10.0);  // NAS on a 10 GbE uplink
-    // Each NAS is its own actor: the handler only reads the message and
-    // sends, so restore streams from different nodes can serve in parallel.
-    const sim::LaneId storage_lane = env_.register_lane("storage:" + id);
     network_->register_endpoint(id, [this, id](net::Message&& msg) {
       switch (msg.kind) {
         case agent::kRestoreRequest: {
@@ -159,15 +134,12 @@ void Platform::attach_storage_endpoints() {
           GPUNION_WLOG("storage") << id << " unexpected message kind "
                                   << msg.kind;
       }
-    }, storage_lane);
+    });
   }
 }
 
 void Platform::attach_image_registry_endpoint() {
   network_->set_access_gbps("image-registry", 10.0);
-  // Own actor lane; resolve() is a const read of a registry that is only
-  // mutated before start(), so concurrent pulls are safe.
-  const sim::LaneId registry_lane = env_.register_lane("image-registry");
   network_->register_endpoint("image-registry", [this](net::Message&& msg) {
     if (msg.kind != agent::kImagePullRequest) return;
     const auto& request =
@@ -181,7 +153,7 @@ void Platform::attach_image_registry_endpoint() {
     data.size_bytes = image.ok() ? image->size_bytes : 1;
     data.payload = agent::ImageData{request.image_ref};
     (void)network_->send(std::move(data));
-  }, registry_lane);
+  });
 }
 
 void Platform::wire_owner_reclaim() {
@@ -196,23 +168,10 @@ void Platform::wire_owner_reclaim() {
     // The owner only reclaims from guests; if the machine is running the
     // group's own work there is nothing to take back.
     if (owner_agent->runtime().live_count() == 0) return;
-    const auto reclaim = [this, owner_agent, owner_node,
-                          job_id = job.id, gpus_needed] {
-      if (owner_agent->state() != agent::AgentState::kActive) return;
-      const int freed = owner_agent->reclaim_gpus(gpus_needed);
-      if (freed > 0) {
-        GPUNION_ILOG("platform")
-            << "owner of " << owner_node << " reclaimed " << freed
-            << " GPU(s) for " << job_id;
-      }
-    };
-    if (env_.mode() == sim::ExecutionMode::kParallel) {
-      // This callback fires on the coordinator's lane, but reclaim mutates
-      // the owner's agent — a different actor.  Hop to its lane (the push
-      // gets the standard causality clamp if it lands inside the window).
-      env_.schedule_at_on(owner_agent->lane(), env_.now(), reclaim);
-    } else {
-      reclaim();  // legacy synchronous reclaim: exact PR-3 behaviour
+    const int freed = owner_agent->reclaim_gpus(gpus_needed);
+    if (freed > 0) {
+      GPUNION_ILOG("platform") << "owner of " << owner_node << " reclaimed "
+                               << freed << " GPU(s) for " << job.id;
     }
   });
 }
@@ -271,21 +230,18 @@ void Platform::inject_interruption(const workload::Interruption& event) {
       provider->kill_switch();
       return;  // node stays online; no rejoin needed
   }
-  // Rejoin only touches the returning agent (registration flows back to the
-  // coordinator over the network), so it runs on that agent's lane.
-  env_.schedule_after_on(
-      provider->lane(), event.downtime, [this, machine = event.machine_id] {
-        agent::ProviderAgent* returning = agent(machine);
-        if (returning != nullptr &&
-            returning->state() == agent::AgentState::kDeparted) {
-          returning->rejoin();
-        }
-      });
+  env_.schedule_after(event.downtime, [this, machine = event.machine_id] {
+    agent::ProviderAgent* returning = agent(machine);
+    if (returning != nullptr &&
+        returning->state() == agent::AgentState::kDeparted) {
+      returning->rejoin();
+    }
+  });
 }
 
 void Platform::schedule_interruption(util::SimTime t,
                                      const workload::Interruption& event) {
-  env_.schedule_exclusive_at(t, [this, event] { inject_interruption(event); });
+  env_.schedule_at(t, [this, event] { inject_interruption(event); });
 }
 
 void Platform::set_crash_hooks(std::function<void()> on_crash,
@@ -308,7 +264,7 @@ void Platform::crash_control_plane(util::Duration downtime) {
   // mutation the ledger had not flushed.
   db_flush_timer_->stop();
   if (crash_hook_) crash_hook_();
-  env_.schedule_exclusive_after(downtime, [this] {
+  env_.schedule_after(downtime, [this] {
     // Restart order matters: durable tables first (the coordinator rebuilds
     // FROM them), then the coordinator, then anything hooked on top (the
     // region gateway repatriates via coordinator_.submit).
@@ -457,8 +413,7 @@ void Platform::refresh_metrics() {
   }
 
   // Span-derived stage latencies + ring accounting (tracer-side histograms
-  // copied in here, on the owning thread — the tracer never touches the
-  // registry at record time).
+  // copied in here — the tracer never touches the registry at record time).
   if (auto* tracer = config_.coordinator.tracer; tracer != nullptr) {
     tracer->publish_metrics(metrics_);
   }
@@ -525,7 +480,7 @@ void Platform::refresh_metrics() {
 
   const sim::QueueStats queue_stats = env_.queue_stats();
   auto& sim_family = metrics_.gauge_family(
-      "gpunion_sim_queue", "Event-queue internals across all shards");
+      "gpunion_sim_queue", "Event-queue internals");
   sim_family.gauge({{"stat", "live"}})
       .set(static_cast<double>(queue_stats.live));
   sim_family.gauge({{"stat", "tombstones"}})

@@ -69,9 +69,6 @@ class Platform {
   const obs::Tracer& tracer() const { return *config_.coordinator.tracer; }
   sim::Environment& env() { return env_; }
   const CampusConfig& config() const { return config_; }
-  /// Control-plane actor lane (coordinator + database + scraper share it —
-  /// they touch the same tables, so they are one actor).
-  sim::LaneId lane() const { return lane_; }
 
   /// Agent by machine id; nullptr when unknown.
   agent::ProviderAgent* agent(const std::string& machine_id);
@@ -84,15 +81,10 @@ class Platform {
 
   // --- Experiment helpers -----------------------------------------------------
   /// Applies one provider-churn event: the provider departs per the event's
-  /// kind and automatically rejoins after event.downtime.  Touches the
-  /// coordinator AND the provider actor, so in kParallel it must run
-  /// exclusively — call it from the main thread between runs, or go through
-  /// schedule_interruption().
+  /// kind and automatically rejoins after event.downtime.
   void inject_interruption(const workload::Interruption& event);
 
-  /// Schedules inject_interruption(event) at absolute time `t` as an
-  /// exclusive event (every worker quiesced; an ordinary event in
-  /// kDeterministic).  The mode-safe way for experiments to inject churn.
+  /// Schedules inject_interruption(event) at absolute time `t`.
   void schedule_interruption(util::SimTime t,
                              const workload::Interruption& event);
 
@@ -108,8 +100,7 @@ class Platform {
   /// rebuilds live jobs, indexes and in-flight dispatches from the durable
   /// tables.  Nodes, agents and running work are untouched — this is the
   /// coordinator-process outage the paper's centralized design fears.
-  /// No-op while already crashed.  Like inject_interruption, call it from
-  /// the main thread between runs or via an exclusive event.
+  /// No-op while already crashed.
   void crash_control_plane(util::Duration downtime);
 
   /// Couples extra components to the control-plane outage (the federation
@@ -157,12 +148,8 @@ class Platform {
   /// Default tracer; config_.coordinator.tracer points here unless the
   /// owner injected a shared one before construction.
   obs::Tracer own_tracer_;
-  sim::LaneId lane_ = sim::kMainLane;
   std::unique_ptr<net::SimNetwork> network_;
   db::ShardedDatabase database_;
-  /// Per-shard commit threads, attached to the database in kParallel when
-  /// write-behind is on (flush_ledger group commits fork-join across them).
-  std::unique_ptr<db::ShardExecutor> shard_executor_;
   container::ImageRegistry registry_;
   storage::CheckpointStore store_;
   monitor::MetricRegistry metrics_;

@@ -3,12 +3,11 @@
 namespace gpunion::monitor {
 
 Scraper::Scraper(sim::Environment& env, const MetricRegistry& registry,
-                 db::Database& database, util::Duration interval,
-                 sim::LaneId lane)
+                 db::Database& database, util::Duration interval)
     : env_(env),
       registry_(registry),
       database_(database),
-      timer_(env, interval, [this] { scrape_once(); }, lane) {}
+      timer_(env, interval, [this] { scrape_once(); }) {}
 
 std::string Scraper::series_name(const std::string& family,
                                  const Labels& labels) {

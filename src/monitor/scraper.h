@@ -19,11 +19,8 @@ class Scraper {
  public:
   /// Scrapes `registry` every `interval` into `database`.  Series are named
   /// "<family>{label=value,...}".
-  /// `lane`: actor lane the scrape timer fires on (the platform's lane,
-  /// since scrapes read platform-wide metrics).
   Scraper(sim::Environment& env, const MetricRegistry& registry,
-          db::Database& database, util::Duration interval,
-          sim::LaneId lane = sim::kMainLane);
+          db::Database& database, util::Duration interval);
 
   void start() { timer_.start(); }
   void stop() { timer_.stop(); }

@@ -34,21 +34,13 @@ SimNetwork::Endpoint& SimNetwork::endpoint_for(const NodeId& id) {
 }
 
 void SimNetwork::register_endpoint(const NodeId& id, MessageHandler handler) {
-  register_endpoint(id, std::move(handler), sim::kMainLane);
-}
-
-void SimNetwork::register_endpoint(const NodeId& id, MessageHandler handler,
-                                   std::uint32_t lane) {
   assert(handler && "endpoint requires a handler");
-  std::lock_guard<std::mutex> lock(mu_);
   Endpoint& ep = endpoint_for(id);
   ep.handler = std::move(handler);
-  ep.lane = lane;
   ep.registered = true;
 }
 
 void SimNetwork::unregister_endpoint(const NodeId& id) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = endpoints_.find(id);
   if (it == endpoints_.end()) return;
   it->second.registered = false;
@@ -57,19 +49,17 @@ void SimNetwork::unregister_endpoint(const NodeId& id) {
 
 void SimNetwork::set_access_gbps(const NodeId& id, double gbps) {
   assert(gbps > 0);
-  std::lock_guard<std::mutex> lock(mu_);
   endpoint_for(id).access.bytes_per_sec = gbps * kBytesPerGbit;
 }
 
 void SimNetwork::set_path_latency(const NodeId& a, const NodeId& b,
                                   util::Duration latency) {
   assert(latency >= 0);
-  std::lock_guard<std::mutex> lock(mu_);
   path_latency_[pair_key(a, b)] = latency;
 }
 
-util::Duration SimNetwork::path_latency_locked(const NodeId& a,
-                                               const NodeId& b) const {
+util::Duration SimNetwork::path_latency(const NodeId& a,
+                                        const NodeId& b) const {
   // Campus LANs never set overrides; keep their per-message send cost free
   // of the pair-key construction and map probe.
   if (path_latency_.empty()) return config_.base_latency;
@@ -77,14 +67,7 @@ util::Duration SimNetwork::path_latency_locked(const NodeId& a,
   return it == path_latency_.end() ? config_.base_latency : it->second;
 }
 
-util::Duration SimNetwork::path_latency(const NodeId& a,
-                                        const NodeId& b) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return path_latency_locked(a, b);
-}
-
 double SimNetwork::path_gbps(const NodeId& a, const NodeId& b) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto rate_of = [this](const NodeId& id) {
     auto it = endpoints_.find(id);
     return it == endpoints_.end()
@@ -96,19 +79,16 @@ double SimNetwork::path_gbps(const NodeId& a, const NodeId& b) const {
 }
 
 void SimNetwork::set_partitioned(const NodeId& id, bool partitioned) {
-  std::lock_guard<std::mutex> lock(mu_);
   endpoint_for(id).partitioned = partitioned;
 }
 
 bool SimNetwork::is_partitioned(const NodeId& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = endpoints_.find(id);
   return it != endpoints_.end() && it->second.partitioned;
 }
 
 void SimNetwork::set_drop_probability(double p) {
   assert(p >= 0.0 && p <= 1.0);
-  std::lock_guard<std::mutex> lock(mu_);
   config_.drop_probability = p;
 }
 
@@ -147,16 +127,14 @@ void SimNetwork::account(const Message& msg, util::SimTime start,
 }
 
 util::Status SimNetwork::send(Message msg) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto dst_it = endpoints_.find(msg.to);
   if (dst_it == endpoints_.end()) {
     ++dropped_;
     return util::not_found_error("unknown destination " + msg.to);
   }
 
-  Endpoint& src = endpoint_for(msg.from);
   Endpoint& dst = dst_it->second;
-  const sim::LaneId dst_lane = dst.lane;
+  Endpoint& src = endpoint_for(msg.from);
 
   const util::SimTime now = env_.now();
 
@@ -174,7 +152,7 @@ util::Status SimNetwork::send(Message msg) {
 
   const auto size = static_cast<double>(msg.size_bytes);
   // Propagation: per-path override (WAN distances) or the network default.
-  const util::Duration latency = path_latency_locked(msg.from, msg.to);
+  const util::Duration latency = path_latency(msg.from, msg.to);
   const double bottleneck_rate =
       std::min({src.access.bytes_per_sec, backbone_.bytes_per_sec,
                 dst.access.bytes_per_sec});
@@ -224,62 +202,50 @@ util::Status SimNetwork::send(Message msg) {
     account(msg, start, t - latency);
   }
 
-  // Delivery fires on the receiver's lane, so the handler runs on the
-  // worker that owns the destination actor.  The handler is copied out
-  // under the lock and invoked without it (it may call send() again).
-  env_.schedule_at_on(dst_lane, t, [this, m = std::move(msg)]() mutable {
-    MessageHandler handler;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = endpoints_.find(m.to);
-      // Re-check on delivery: the endpoint may have departed or partitioned
-      // while the message was in flight.
-      if (it == endpoints_.end() || !it->second.registered ||
-          it->second.partitioned || !it->second.handler) {
-        ++dropped_;
-        GPUNION_DLOG("net") << "dropped in-flight message to " << m.to;
-        return;
-      }
-      ++delivered_;
-      handler = it->second.handler;
+  env_.schedule_at(t, [this, m = std::move(msg)]() mutable {
+    auto it = endpoints_.find(m.to);
+    // Re-check on delivery: the endpoint may have departed or partitioned
+    // while the message was in flight.
+    if (it == endpoints_.end() || !it->second.registered ||
+        it->second.partitioned || !it->second.handler) {
+      ++dropped_;
+      GPUNION_DLOG("net") << "dropped in-flight message to " << m.to;
+      return;
     }
+    ++delivered_;
+    // Invoke a copy: the handler may unregister its own endpoint.
+    const MessageHandler handler = it->second.handler;
     handler(std::move(m));
   });
   return util::Status();
 }
 
 std::uint64_t SimNetwork::bytes_sent(TrafficClass c) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return class_bytes_[static_cast<std::size_t>(c)];
 }
 
 std::uint64_t SimNetwork::federation_bytes_between(const NodeId& a,
                                                    const NodeId& b) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = federation_peer_bytes_.find(pair_key(a, b));
   return it == federation_peer_bytes_.end() ? 0 : it->second;
 }
 
 std::uint64_t SimNetwork::total_bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
   for (auto b : class_bytes_) total += b;
   return total;
 }
 
 util::Duration SimNetwork::backup_lag(util::SimTime now) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return std::max(0.0, backup_channel_.busy_until - now);
 }
 
 util::Duration SimNetwork::federation_lag(util::SimTime now) const {
-  std::lock_guard<std::mutex> lock(mu_);
   return std::max(0.0, wan_channel_.busy_until - now);
 }
 
 std::uint64_t SimNetwork::bytes_in_window(TrafficClass c, util::SimTime t0,
                                           util::SimTime t1) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto cls = static_cast<std::size_t>(c);
   const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
   const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
@@ -303,7 +269,6 @@ double SimNetwork::peak_backbone_utilization(util::SimTime t0,
 double SimNetwork::peak_class_utilization(
     std::initializer_list<TrafficClass> classes, util::SimTime t0,
     util::SimTime t1) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
   const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
   const double capacity_per_bucket =
@@ -323,7 +288,6 @@ double SimNetwork::peak_class_utilization(
 double SimNetwork::mean_backbone_utilization(util::SimTime t0,
                                              util::SimTime t1) const {
   assert(t1 > t0);
-  std::lock_guard<std::mutex> lock(mu_);
   const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
   const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
   std::uint64_t total = 0;

@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,15 +52,12 @@ class SimNetwork : public Transport {
  public:
   SimNetwork(sim::Environment& env, SimNetworkConfig config = {});
 
+  // Scheduled deliveries hold `this`.
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
+
   // --- Transport interface -------------------------------------------------
-  // All entry points are thread-safe: the internal mutex covers topology,
-  // link and accounting state, and is never held while a handler runs.
   void register_endpoint(const NodeId& id, MessageHandler handler) override;
-  /// Deliveries to `id` are scheduled on actor lane `lane`, so in the
-  /// parallel execution mode the handler runs on the worker owning that
-  /// actor (the receiver-side mailbox discipline).
-  void register_endpoint(const NodeId& id, MessageHandler handler,
-                         std::uint32_t lane) override;
   void unregister_endpoint(const NodeId& id) override;
   util::Status send(Message msg) override;
 
@@ -146,13 +142,11 @@ class SimNetwork : public Transport {
   struct Endpoint {
     MessageHandler handler;
     Link access;
-    sim::LaneId lane = sim::kMainLane;
     bool partitioned = false;
     bool registered = false;
   };
 
   Endpoint& endpoint_for(const NodeId& id);
-  util::Duration path_latency_locked(const NodeId& a, const NodeId& b) const;
   /// Books `msg`'s bytes into accounting buckets, spread uniformly over the
   /// transmission interval [start, end] (a point in time for control).
   void account(const Message& msg, util::SimTime start, util::SimTime end);
@@ -164,10 +158,6 @@ class SimNetwork : public Transport {
 
   sim::Environment& env_;
   SimNetworkConfig config_;
-  // Guards every mutable member below: agents on different worker threads
-  // send concurrently in the parallel execution mode.  Held only for state
-  // bookkeeping — handlers are copied out and invoked without it.
-  mutable std::mutex mu_;
   util::Rng drop_rng_;
   std::unordered_map<NodeId, Endpoint> endpoints_;
   Link backbone_;

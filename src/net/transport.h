@@ -6,9 +6,7 @@
 // messages).
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "net/message.h"
 #include "util/status.h"
@@ -25,16 +23,6 @@ class Transport {
   /// Attaches `handler` as the receiver for `id`.  Replaces any previous
   /// handler (a node re-joining after departure re-attaches).
   virtual void register_endpoint(const NodeId& id, MessageHandler handler) = 0;
-
-  /// Lane-aware registration: deliveries to `id` fire on the actor lane
-  /// `lane` (a sim::LaneId) so the endpoint's handler always runs on the
-  /// worker owning that actor.  Transports without an execution model
-  /// ignore the lane.
-  virtual void register_endpoint(const NodeId& id, MessageHandler handler,
-                                 std::uint32_t lane) {
-    (void)lane;
-    register_endpoint(id, std::move(handler));
-  }
 
   /// Detaches the endpoint; in-flight messages to it are dropped.
   virtual void unregister_endpoint(const NodeId& id) = 0;

@@ -104,6 +104,9 @@ struct Reader {
 
 constexpr std::uint32_t kMagic = 0x52545047;  // "GPTR" little-endian
 constexpr std::uint32_t kVersion = 1;
+/// Smallest encoded span: five 8-byte fields and three empty strings'
+/// 4-byte length prefixes.
+constexpr std::size_t kMinSpanBytes = 5 * 8 + 3 * 4;
 
 }  // namespace
 
@@ -171,6 +174,9 @@ bool decode_spans(const std::vector<std::uint8_t>& bytes,
   if (!r.u32(&magic) || magic != kMagic) return false;
   if (!r.u32(&version) || version != kVersion) return false;
   if (!r.u64(&count)) return false;
+  // A count the remaining bytes cannot hold is hostile or corrupt: reject
+  // it before reserving room for it.
+  if (count > (bytes.size() - r.pos) / kMinSpanBytes) return false;
   out->reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Span span;
@@ -183,7 +189,11 @@ bool decode_spans(const std::vector<std::uint8_t>& bytes,
     }
     out->push_back(std::move(span));
   }
-  return r.pos == bytes.size();
+  if (r.pos != bytes.size()) {  // trailing bytes after the last span
+    out->clear();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace gpunion::obs

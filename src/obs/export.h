@@ -25,7 +25,8 @@ std::string perfetto_trace_json(const std::vector<Span>& spans);
 std::vector<std::uint8_t> encode_spans(const std::vector<Span>& spans);
 
 /// Inverse of encode_spans.  Returns false (leaving *out empty) on a
-/// truncated or foreign buffer.
+/// truncated, foreign or corrupt buffer, including one whose span count
+/// exceeds what its bytes can hold; never throws on malformed input.
 bool decode_spans(const std::vector<std::uint8_t>& bytes,
                   std::vector<Span>* out);
 

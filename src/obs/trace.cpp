@@ -22,7 +22,6 @@ std::uint64_t Tracer::trace_for_job(std::string_view job_id) {
 
 std::uint64_t Tracer::open_span() {
   if (!enabled()) return 0;
-  std::lock_guard lock(mu_);
   return next_span_id_++;
 }
 
@@ -40,7 +39,6 @@ void Tracer::close_span(std::uint64_t span_id, std::uint64_t trace_id,
   span.start = start;
   span.end = end;
   span.detail = std::move(detail);
-  std::lock_guard lock(mu_);
   auto it = stage_latency_.find(span.stage);
   if (it == stage_latency_.end()) {
     it = stage_latency_
@@ -48,7 +46,7 @@ void Tracer::close_span(std::uint64_t span_id, std::uint64_t trace_id,
              .first;
   }
   it->second.observe(std::max(0.0, span.duration()));
-  push_locked(std::move(span));
+  push(std::move(span));
 }
 
 std::uint64_t Tracer::record(TraceContext& ctx, std::string_view stage,
@@ -63,7 +61,7 @@ std::uint64_t Tracer::record(TraceContext& ctx, std::string_view stage,
   return span_id;
 }
 
-void Tracer::push_locked(Span span) {
+void Tracer::push(Span span) {
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(span));
   } else {
@@ -75,7 +73,6 @@ void Tracer::push_locked(Span span) {
 }
 
 std::vector<Span> Tracer::snapshot() const {
-  std::lock_guard lock(mu_);
   std::vector<Span> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
@@ -93,18 +90,7 @@ std::vector<Span> Tracer::trace(std::uint64_t trace_id) const {
   return out;
 }
 
-std::uint64_t Tracer::recorded() const {
-  std::lock_guard lock(mu_);
-  return recorded_;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::lock_guard lock(mu_);
-  return dropped_;
-}
-
 void Tracer::clear() {
-  std::lock_guard lock(mu_);
   ring_.clear();
   head_ = 0;
   recorded_ = 0;
@@ -113,7 +99,6 @@ void Tracer::clear() {
 }
 
 void Tracer::publish_metrics(monitor::MetricRegistry& registry) const {
-  std::lock_guard lock(mu_);
   auto& stage_family = registry.histogram_family(
       "gpunion_trace_stage_seconds",
       "Span-derived latency per trace stage", stage_bounds());

@@ -13,10 +13,9 @@
 //    transfer) derives the SAME trace id without any plumbing, so a job
 //    forwarded A -> B -> C yields ONE trace whose spans come from three
 //    regions' components.
-//  - span ids are allocated from a counter under the ring mutex.  In
-//    kDeterministic mode everything runs single-threaded in the legacy
-//    global order, so the full span stream is bit-identical across runs AND
-//    across configured worker counts (the mode ignores worker_threads).
+//  - span ids are allocated from a counter.  Every span is recorded from
+//    an event callback of the one simulation thread, in the global event
+//    order, so the full span stream is bit-identical across runs.
 //  - parent edges: each recorded span may advance its TraceContext's
 //    parent_span, so the next stage parents to it.  Cross-region edges ride
 //    JobTransfer (the sender's transfer span id becomes the receiver's
@@ -30,10 +29,8 @@
 // bounded no matter how long the run is.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,8 +81,8 @@ struct TraceContext {
   bool valid() const { return trace_id != 0; }
 };
 
-/// One completed stage of one trace.  Ring order is CLOSE order, which in
-/// kDeterministic mode is a deterministic function of the event order.
+/// One completed stage of one trace.  Ring order is CLOSE order, which is a
+/// deterministic function of the event order.
 struct Span {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
@@ -99,7 +96,7 @@ struct Span {
   double duration() const { return end - start; }
 };
 
-/// Thread-safe span sink: a drop-oldest ring buffer plus per-stage latency
+/// Span sink: a drop-oldest ring buffer plus per-stage latency
 /// histograms.  One Tracer is shared by every component of a platform (or
 /// every region of a federation) so a cross-region trace lands in one ring.
 class Tracer {
@@ -107,14 +104,14 @@ class Tracer {
   /// `capacity` bounds the ring (spans beyond it evict the oldest).
   explicit Tracer(std::size_t capacity = 1 << 16);
 
+  // Components keep its address: a copy would split one trace in two.
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
+
   /// Cheap guard every instrumentation site checks first.  Constant false
   /// when tracing is compiled out.
-  bool enabled() const {
-    return kTracingCompiledIn && enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool on) {
-    enabled_.store(kTracingCompiledIn && on, std::memory_order_relaxed);
-  }
+  bool enabled() const { return kTracingCompiledIn && enabled_; }
+  void set_enabled(bool on) { enabled_ = kTracingCompiledIn && on; }
 
   /// Deterministic trace id of a job: FNV-1a of the id string (never 0).
   /// Stable across regions, processes and runs — the property that lets the
@@ -146,9 +143,9 @@ class Tracer {
   std::vector<Span> trace(std::uint64_t trace_id) const;
 
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t recorded() const;
+  std::uint64_t recorded() const { return recorded_; }
   /// Spans evicted by the drop-oldest policy.
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return dropped_; }
   /// Drops every retained span and resets counters (benches reuse a tracer
   /// across A/B phases); span ids keep counting up.
   void clear();
@@ -156,28 +153,24 @@ class Tracer {
   /// Copies the per-stage latency histograms and ring counters into
   /// `registry` (families gpunion_trace_stage_seconds,
   /// gpunion_trace_spans_*), so expose_registry serves stage-level p50/p99.
-  /// Called from the owning platform's metrics refresh — the registry is
-  /// only ever touched from its owner's thread, the tracer's own state
-  /// stays under its mutex.
+  /// Called from the owning platform's metrics refresh.
   void publish_metrics(monitor::MetricRegistry& registry) const;
 
   /// Bucket bounds of the stage latency histograms (seconds).
   static const std::vector<double>& stage_bounds();
 
  private:
-  void push_locked(Span span);
+  void push(Span span);
 
   const std::size_t capacity_;
-  std::atomic<bool> enabled_{kTracingCompiledIn};
-
-  mutable std::mutex mu_;
+  bool enabled_ = kTracingCompiledIn;
   std::vector<Span> ring_;       // ring_[head_] is the oldest once full
   std::size_t head_ = 0;
   std::uint64_t next_span_id_ = 1;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
   /// Per-stage latency, accumulated tracer-side and copied out by
-  /// publish_metrics (keeps registry access single-threaded).
+  /// publish_metrics.
   std::map<std::string, monitor::Histogram, std::less<>> stage_latency_;
 };
 

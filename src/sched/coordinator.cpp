@@ -125,10 +125,9 @@ Coordinator::Coordinator(sim::Environment& env, net::Transport& transport,
       engine_(directory_, reliability_, config_.policy, config_.strategy),
       heartbeat_monitor_(env, directory_, config_.heartbeat_interval,
                          config_.heartbeat_miss_threshold,
-                         [this](const std::string& id) { on_node_lost(id); },
-                         config_.lane),
+                         [this](const std::string& id) { on_node_lost(id); }),
       heartbeat_flush_timer_(env, config_.heartbeat_interval,
-                             [this] { flush_heartbeat_db(); }, config_.lane),
+                             [this] { flush_heartbeat_db(); }),
       rng_(env.fork_rng("coordinator")) {}
 
 Coordinator::~Coordinator() = default;
@@ -138,8 +137,7 @@ void Coordinator::start() {
   started_ = true;
   transport_.register_endpoint(
       config_.id,
-      [this](net::Message&& msg) { handle_message(std::move(msg)); },
-      config_.lane);
+      [this](net::Message&& msg) { handle_message(std::move(msg)); });
   heartbeat_monitor_.start();
   heartbeat_flush_timer_.start();
 }
@@ -191,8 +189,8 @@ util::Status Coordinator::submit(workload::JobSpec job, double start_progress,
     // not be denied by its predecessor's patience window.
     const util::SimTime submitted = env_.now();
     const std::uint64_t epoch = epoch_;
-    env_.schedule_after_on(config_.lane, config_.session_patience,
-                           [this, job_id, submitted, epoch] {
+    env_.schedule_after(config_.session_patience,
+                        [this, job_id, submitted, epoch] {
       if (epoch != epoch_) return;  // armed before a crash
       session_timeout(job_id, submitted);
     });
@@ -600,8 +598,8 @@ void Coordinator::rebuild_from_db() {
           0.0, live.submitted_at + config_.session_patience - env_.now());
       const util::SimTime submitted = live.submitted_at;
       const std::uint64_t epoch = epoch_;
-      env_.schedule_after_on(config_.lane, remaining,
-                             [this, job_id, submitted, epoch] {
+      env_.schedule_after(remaining,
+                          [this, job_id, submitted, epoch] {
                                if (epoch != epoch_) return;
                                session_timeout(job_id, submitted);
                              });
@@ -612,8 +610,8 @@ void Coordinator::rebuild_from_db() {
       // Re-arm one; the enqueue is guarded by the pending check and a
       // duplicate queue row is skimmed off by the next scheduling pass.
       const std::uint64_t epoch = epoch_;
-      env_.schedule_after_on(config_.lane, config_.manual_resubmit_delay,
-                             [this, job_id, epoch] {
+      env_.schedule_after(config_.manual_resubmit_delay,
+                          [this, job_id, epoch] {
         if (epoch != epoch_) return;
         auto jt = jobs_.find(job_id);
         if (jt == jobs_.end() || jt->second.phase != JobPhase::kPending) {
@@ -1132,7 +1130,7 @@ void Coordinator::request_pass() {
   if (pass_scheduled_ || !started_ || crashed_) return;
   pass_scheduled_ = true;
   const std::uint64_t epoch = epoch_;
-  env_.schedule_after_on(config_.lane, 0.0, [this, epoch] {
+  env_.schedule_after(0.0, [this, epoch] {
     if (epoch != epoch_) return;  // armed before a crash/recovery
     pass_scheduled_ = false;
     schedule_pass();
@@ -1235,8 +1233,8 @@ void Coordinator::dispatch_to(JobRecord& record, const NodeInfo& node,
   persist_job(record);
   const std::string job_id = record.spec.id;
   const std::uint64_t epoch = epoch_;
-  env_.schedule_after_on(config_.lane, config_.dispatch_timeout,
-                         [this, job_id, generation, epoch] {
+  env_.schedule_after(config_.dispatch_timeout,
+                      [this, job_id, generation, epoch] {
     if (epoch != epoch_) return;  // armed before a crash
     dispatch_timeout(job_id, generation);
   });
@@ -1392,8 +1390,8 @@ void Coordinator::interrupt_job(JobRecord& record, agent::DepartureKind cause,
     record.queued_since = env_.now();
     persist_job(record);
     const std::uint64_t epoch = epoch_;
-    env_.schedule_after_on(config_.lane, config_.manual_resubmit_delay,
-                           [this, job_id, epoch] {
+    env_.schedule_after(config_.manual_resubmit_delay,
+                        [this, job_id, epoch] {
       if (epoch != epoch_) return;  // armed before a crash
       auto it = jobs_.find(job_id);
       if (it == jobs_.end() || it->second.phase != JobPhase::kPending) return;

@@ -52,9 +52,6 @@ struct CoordinatorConfig {
   util::Duration migration_success_window = 600.0;
   /// Human resubmission delay when auto_migration is off (manual baseline).
   util::Duration manual_resubmit_delay = 3600.0;
-  /// Actor lane the coordinator's decision loop runs on (timeouts, passes,
-  /// message deliveries).  The platform assigns its own lane here.
-  sim::LaneId lane = sim::kMainLane;
   /// Optional span sink: when set, every job carries a TraceContext and the
   /// coordinator records submit/queue_wait/placement/dispatch/run/
   /// checkpoint/interrupt spans into it.  Null = tracing off (no cost

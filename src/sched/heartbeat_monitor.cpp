@@ -6,14 +6,13 @@ namespace gpunion::sched {
 
 HeartbeatMonitor::HeartbeatMonitor(sim::Environment& env, Directory& directory,
                                    util::Duration heartbeat_interval,
-                                   int miss_threshold, OnNodeLost on_node_lost,
-                                   sim::LaneId lane)
+                                   int miss_threshold, OnNodeLost on_node_lost)
     : env_(env),
       directory_(directory),
       heartbeat_interval_(heartbeat_interval),
       miss_threshold_(miss_threshold),
       on_node_lost_(std::move(on_node_lost)),
-      timer_(env, heartbeat_interval, [this] { sweep(); }, lane) {}
+      timer_(env, heartbeat_interval, [this] { sweep(); }) {}
 
 void HeartbeatMonitor::observe(const std::string& machine_id,
                                util::SimTime at) {

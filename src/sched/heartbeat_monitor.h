@@ -31,10 +31,9 @@ class HeartbeatMonitor {
  public:
   using OnNodeLost = std::function<void(const std::string& machine_id)>;
 
-  /// `lane`: actor lane the sweep timer fires on (the coordinator's lane).
   HeartbeatMonitor(sim::Environment& env, Directory& directory,
                    util::Duration heartbeat_interval, int miss_threshold,
-                   OnNodeLost on_node_lost, sim::LaneId lane = sim::kMainLane);
+                   OnNodeLost on_node_lost);
 
   void start() { timer_.start(); }
   void stop() { timer_.stop(); }

@@ -1,403 +1,67 @@
 #include "sim/environment.h"
 
-#include <time.h>
-
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace gpunion::sim {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Per-thread execution context.  Set only on worker threads in kParallel;
-// the coordinator (main) thread and kDeterministic mode publish time through
-// Environment::now_ instead, which is safe because workers are quiesced
-// whenever anything else runs events.
-struct ThreadContext {
-  const void* env = nullptr;
-  util::SimTime now = 0.0;
-  double window_bound = kInf;
-  int shard = -1;
-};
-thread_local ThreadContext tls_ctx;
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-}  // namespace
-
-Environment::Environment(std::uint64_t seed, EnvConfig config)
-    : config_(config), root_rng_(seed) {
-  lane_labels_.push_back("main");
-  if (parallel()) {
-    config_.worker_threads = std::max(1u, config_.worker_threads);
-    if (!(config_.lookahead > 0.0)) config_.lookahead = 1e-9;
-    queue_ = std::make_unique<ShardedEventQueue>(config_.worker_threads);
-    worker_states_.resize(config_.worker_threads);
-    parallel_stats_.worker_events.assign(config_.worker_threads, 0);
-    workers_.reserve(config_.worker_threads);
-    for (unsigned i = 0; i < config_.worker_threads; ++i) {
-      workers_.emplace_back([this, i] { worker_main(i); });
-    }
-  } else {
-    // One shard: every lane folds onto it, so the global fire order is the
-    // legacy (time, insertion order) — bit-identical seed replay.
-    queue_ = std::make_unique<ShardedEventQueue>(1);
-  }
-  profile_.resize(queue_->shard_count());
-}
-
-Environment::~Environment() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      shutdown_ = true;
-    }
-    wake_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-}
-
-LaneId Environment::register_lane(std::string_view label) {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  lane_labels_.emplace_back(label);
-  return static_cast<LaneId>(lane_labels_.size() - 1);
-}
-
-std::size_t Environment::lane_count() const {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  return lane_labels_.size();
-}
-
-util::SimTime Environment::now() const {
-  if (tls_ctx.env == this) return tls_ctx.now;
-  return now_.load(std::memory_order_relaxed);
-}
-
-EventId Environment::post(std::size_t shard, util::SimTime t,
-                          EventQueue::Callback fn) {
-  assert(t >= now() && "cannot schedule into the past");
-  if (parallel() && tls_ctx.env == this && t < tls_ctx.window_bound &&
-      static_cast<int>(shard) != tls_ctx.shard) {
-    // Cross-lane event inside the current conservative window: the target
-    // worker may already have drained past `t`, so defer to the boundary.
-    // Network-mediated events never land here (path latency >= lookahead);
-    // only direct cross-lane schedule_*_on calls with sub-lookahead delays.
-    t = tls_ctx.window_bound;
-    causality_clamps_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return queue_->push(shard, t, std::move(fn));
-}
-
-EventId Environment::post_exclusive(util::SimTime t, EventQueue::Callback fn) {
-  assert(t >= now() && "cannot schedule into the past");
-  if (!parallel()) return queue_->push(0, t, std::move(fn));
-  if (tls_ctx.env == this && t < tls_ctx.window_bound) {
-    t = tls_ctx.window_bound;
-    causality_clamps_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return queue_->push_exclusive(t, std::move(fn));
-}
+Environment::Environment(std::uint64_t seed, EnvConfig) : root_rng_(seed) {}
 
 EventId Environment::schedule_at(util::SimTime t, EventQueue::Callback fn) {
-  return post(shard_for_lane(kMainLane), t, std::move(fn));
+  assert(t >= now_ && "cannot schedule into the past");
+  return queue_.push(t, std::move(fn));
 }
 
 EventId Environment::schedule_after(util::Duration delay,
                                     EventQueue::Callback fn) {
   assert(delay >= 0 && "negative delay");
-  return post(shard_for_lane(kMainLane), now() + delay, std::move(fn));
-}
-
-EventId Environment::schedule_at_on(LaneId lane, util::SimTime t,
-                                    EventQueue::Callback fn) {
-  return post(shard_for_lane(lane), t, std::move(fn));
-}
-
-EventId Environment::schedule_after_on(LaneId lane, util::Duration delay,
-                                       EventQueue::Callback fn) {
-  assert(delay >= 0 && "negative delay");
-  return post(shard_for_lane(lane), now() + delay, std::move(fn));
-}
-
-EventId Environment::schedule_exclusive_at(util::SimTime t,
-                                           EventQueue::Callback fn) {
-  return post_exclusive(t, std::move(fn));
-}
-
-EventId Environment::schedule_exclusive_after(util::Duration delay,
-                                              EventQueue::Callback fn) {
-  assert(delay >= 0 && "negative delay");
-  return post_exclusive(now() + delay, std::move(fn));
+  return queue_.push(now_ + delay, std::move(fn));
 }
 
 std::size_t Environment::run(std::size_t limit) {
-  // kNever (not +inf) as the bound: an empty shard reports kNever, so the
-  // loop in run_parallel terminates once nothing real is pending.
-  if (parallel()) return run_parallel(util::kNever, limit);
   std::size_t n = 0;
-  while (n < limit && step_deterministic()) ++n;
+  while (n < limit && step()) ++n;
   return n;
 }
 
 std::size_t Environment::run_until(util::SimTime t) {
-  assert(t >= now());
+  assert(t >= now_);
   std::size_t n = 0;
-  if (parallel()) {
-    n = run_parallel(std::nextafter(t, kInf), SIZE_MAX);
-  } else {
-    while (queue_->shard_next_time(0) <= t) {
-      step_deterministic();
-      ++n;
-    }
+  while (!queue_.empty() && queue_.next_time() <= t) {
+    step();
+    ++n;
   }
-  now_.store(t, std::memory_order_relaxed);
+  now_ = t;
   return n;
 }
 
 bool Environment::step() {
-  return parallel() ? step_parallel() : step_deterministic();
-}
-
-bool Environment::step_deterministic() {
-  EventQueue::Event event;
-  if (!queue_->shard_try_pop(0, kInf, &event)) return false;
-  fire_on_caller(std::move(event));
-  return true;
-}
-
-bool Environment::step_parallel() {
-  const double tex = queue_->exclusive_next_time();
-  std::size_t best = SIZE_MAX;
-  double tmin = tex;
-  for (std::size_t i = 0; i < queue_->shard_count(); ++i) {
-    const double t = queue_->shard_next_time(i);
-    if (t < tmin) {
-      tmin = t;
-      best = i;
-    }
-  }
-  if (tmin == util::kNever) return false;
-  EventQueue::Event event;
-  const double bound = std::nextafter(tmin, kInf);
-  const bool popped = best == SIZE_MAX
-                          ? queue_->exclusive_try_pop(bound, &event)
-                          : queue_->shard_try_pop(best, bound, &event);
-  if (!popped) return false;
-  fire_on_caller(std::move(event));
-  return true;
-}
-
-void Environment::fire_on_caller(EventQueue::Event&& event) {
-  assert(event.time >= now());
-  now_.store(event.time, std::memory_order_relaxed);
+  if (queue_.empty()) return false;
+  EventQueue::Event event = queue_.pop();
+  assert(event.time >= now_);
+  now_ = event.time;
   ++processed_;
   if (fire_observer_) fire_observer_(event.time, event.id);
-  if (config_.profile_lanes && !parallel()) {
-    // Single-shard profiling: every lane folds onto shard 0.  +1 counts the
-    // event being fired (already popped when sampled).
-    profile_[0].max_queue_depth = std::max(profile_[0].max_queue_depth,
-                                           queue_->shard_live_size(0) + 1);
-    const double cpu = thread_cpu_seconds();
-    event.fn();
-    profile_[0].busy_s += thread_cpu_seconds() - cpu;
-    ++profile_[0].events;
-    return;
-  }
   event.fn();
-}
-
-std::size_t Environment::run_parallel(double limit, std::size_t max_events) {
-  std::size_t fired = 0;
-  while (fired < max_events) {
-    const double tq = queue_->next_time();
-    if (!(tq < limit)) break;
-    const double tex = queue_->exclusive_next_time();
-    if (tex <= tq) {
-      // The exclusive event is the global minimum: run it alone on this
-      // thread, all workers quiesced.
-      EventQueue::Event event;
-      if (queue_->exclusive_try_pop(std::nextafter(tex, kInf), &event)) {
-        ++parallel_stats_.exclusive_events;
-        if (config_.profile_lanes) {
-          // Every worker sits quiesced while this runs: its CPU time is
-          // pure stall for the whole pool.
-          const double cpu = thread_cpu_seconds();
-          fire_on_caller(std::move(event));
-          exclusive_stall_s_ += thread_cpu_seconds() - cpu;
-        } else {
-          fire_on_caller(std::move(event));
-        }
-        ++fired;
-      }
-      continue;
-    }
-    // Conservative window [tq, bound): each worker drains its own shard.
-    // bound > tq guarantees progress even when lookahead underflows.
-    double bound = std::min(std::min(tq + config_.lookahead, limit), tex);
-    bound = std::max(bound, std::nextafter(tq, kInf));
-    fired += run_window(bound);
-  }
-  return fired;
-}
-
-std::size_t Environment::run_window(double bound) {
-  std::unique_lock<std::mutex> lock(run_mu_);
-  window_bound_ = bound;
-  window_events_ = 0;
-  window_max_busy_ = 0.0;
-  window_max_time_ = -kInf;
-  done_count_ = 0;
-  ++generation_;
-  wake_cv_.notify_all();
-  done_cv_.wait(lock, [this] { return done_count_ == workers_.size(); });
-  ++parallel_stats_.windows;
-  parallel_stats_.ideal_wall_s += window_max_busy_;
-  parallel_stats_.total_busy_s = 0.0;
-  for (std::size_t i = 0; i < worker_states_.size(); ++i) {
-    parallel_stats_.worker_events[i] = worker_states_[i].events;
-    parallel_stats_.total_busy_s += worker_states_[i].busy_s;
-  }
-  parallel_stats_.causality_clamps =
-      causality_clamps_.load(std::memory_order_relaxed);
-  if (config_.profile_lanes) {
-    // Critical-path attribution: the busiest worker bounded this window's
-    // wall clock; everyone else's shortfall is barrier idle time.
-    ++profiled_windows_;
-    std::size_t critical = SIZE_MAX;
-    for (std::size_t i = 0; i < worker_states_.size(); ++i) {
-      profile_[i].idle_s +=
-          std::max(0.0, window_max_busy_ - worker_states_[i].last_window_busy);
-      if (critical == SIZE_MAX &&
-          worker_states_[i].last_window_busy == window_max_busy_) {
-        critical = i;
-      }
-    }
-    if (critical != SIZE_MAX && window_max_busy_ > 0) {
-      ++profile_[critical].critical_windows;
-      profile_[critical].critical_busy_s += window_max_busy_;
-    }
-  }
-  processed_ += window_events_;
-  if (window_events_ > 0) {
-    now_.store(std::max(now_.load(std::memory_order_relaxed), window_max_time_),
-               std::memory_order_relaxed);
-  }
-  return window_events_;
-}
-
-void Environment::worker_main(std::size_t index) {
-  tls_ctx.env = this;
-  tls_ctx.shard = static_cast<int>(index);
-  std::unique_lock<std::mutex> lock(run_mu_);
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    wake_cv_.wait(lock, [this, &seen_generation] {
-      return shutdown_ || generation_ != seen_generation;
-    });
-    if (shutdown_) return;
-    seen_generation = generation_;
-    const double bound = window_bound_;
-    lock.unlock();
-
-    tls_ctx.window_bound = bound;
-    const std::size_t depth =
-        config_.profile_lanes ? queue_->shard_live_size(index) : 0;
-    const double cpu_start = thread_cpu_seconds();
-    std::uint64_t fired = 0;
-    double max_time = -kInf;
-    EventQueue::Event event;
-    while (queue_->shard_try_pop(index, bound, &event)) {
-      tls_ctx.now = event.time;
-      max_time = std::max(max_time, event.time);
-      if (fire_observer_) fire_observer_(event.time, event.id);
-      event.fn();
-      ++fired;
-    }
-    const double busy = thread_cpu_seconds() - cpu_start;
-    tls_ctx.window_bound = kInf;
-
-    lock.lock();
-    worker_states_[index].events += fired;
-    worker_states_[index].busy_s += busy;
-    worker_states_[index].last_window_busy = busy;
-    if (config_.profile_lanes) {
-      profile_[index].events += fired;
-      profile_[index].busy_s += busy;
-      profile_[index].max_queue_depth =
-          std::max(profile_[index].max_queue_depth, depth);
-    }
-    window_events_ += fired;
-    window_max_busy_ = std::max(window_max_busy_, busy);
-    if (fired > 0) window_max_time_ = std::max(window_max_time_, max_time);
-    if (++done_count_ == workers_.size()) done_cv_.notify_one();
-  }
+  return true;
 }
 
 QueueStats Environment::queue_stats() const {
-  return QueueStats{queue_->live_size(), queue_->tombstones(),
-                    queue_->compactions()};
-}
-
-ProfilerReport Environment::lane_profile() const {
-  ProfilerReport report;
-  report.enabled = config_.profile_lanes;
-  report.windows = profiled_windows_;
-  report.exclusive_events = parallel_stats_.exclusive_events;
-  report.exclusive_stall_s = exclusive_stall_s_;
-  report.shards.reserve(profile_.size());
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (std::size_t shard = 0; shard < profile_.size(); ++shard) {
-    LaneProfile lane;
-    lane.shard = shard;
-    for (std::size_t l = 0; l < lane_labels_.size(); ++l) {
-      if (l % profile_.size() == shard) lane.lanes.push_back(lane_labels_[l]);
-    }
-    lane.events = profile_[shard].events;
-    lane.busy_s = profile_[shard].busy_s;
-    lane.idle_s = profile_[shard].idle_s;
-    lane.critical_windows = profile_[shard].critical_windows;
-    lane.critical_busy_s = profile_[shard].critical_busy_s;
-    lane.max_queue_depth = profile_[shard].max_queue_depth;
-    report.shards.push_back(std::move(lane));
-  }
-  return report;
+  return QueueStats{queue_.live_size(), queue_.tombstones(),
+                    queue_.compactions()};
 }
 
 PeriodicTimer::PeriodicTimer(Environment& env, util::Duration period,
                              std::function<void()> on_tick)
-    : PeriodicTimer(env, period, std::move(on_tick), kMainLane, false) {}
-
-PeriodicTimer::PeriodicTimer(Environment& env, util::Duration period,
-                             std::function<void()> on_tick, LaneId lane,
-                             bool exclusive)
-    : env_(env),
-      period_(period),
-      on_tick_(std::move(on_tick)),
-      lane_(lane),
-      exclusive_(exclusive) {
+    : env_(env), period_(period), on_tick_(std::move(on_tick)) {
   assert(period_ > 0 && "PeriodicTimer requires a positive period");
   assert(on_tick_ && "PeriodicTimer requires a callback");
-}
-
-EventId PeriodicTimer::arm(util::Duration delay) {
-  if (exclusive_) {
-    return env_.schedule_exclusive_after(delay, [this] { tick(); });
-  }
-  return env_.schedule_after_on(lane_, delay, [this] { tick(); });
 }
 
 void PeriodicTimer::start() { start_after(period_); }
 
 void PeriodicTimer::start_after(util::Duration initial_delay) {
   stop();
-  event_ = arm(initial_delay);
+  event_ = env_.schedule_after(initial_delay, [this] { tick(); });
 }
 
 void PeriodicTimer::stop() {
@@ -409,7 +73,7 @@ void PeriodicTimer::stop() {
 
 void PeriodicTimer::tick() {
   // Re-arm before the callback so on_tick may call stop() to end the cycle.
-  event_ = arm(period_);
+  event_ = env_.schedule_after(period_, [this] { tick(); });
   on_tick_();
 }
 

@@ -18,12 +18,12 @@ bool FaultInjector::inject_now(const std::string& name) {
 }
 
 void FaultInjector::inject_at(util::SimTime t, std::string name) {
-  env_.schedule_exclusive_at(
+  env_.schedule_at(
       t, [this, name = std::move(name)] { (void)inject_now(name); });
 }
 
 void FaultInjector::inject_after(util::Duration delay, std::string name) {
-  env_.schedule_exclusive_after(
+  env_.schedule_after(
       delay, [this, name = std::move(name)] { (void)inject_now(name); });
 }
 

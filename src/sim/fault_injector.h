@@ -2,11 +2,10 @@
 //
 // A registry of *named* crash points: components (platform, federation)
 // register callbacks under well-known names, and harnesses trigger them by
-// name at chosen simulation times.  Triggers are scheduled as EXCLUSIVE
-// events — in kParallel every worker is quiesced while a fault runs, so a
-// crash may touch any actor's state; in kDeterministic they are ordinary
-// events in the legacy global order, which keeps every
-// GPUNION_INVARIANT_SEED harness bit-replayable with crashes enabled.
+// name at chosen simulation times.  Triggers are ordinary events in the
+// global (time, insertion) order, so a crash may touch any component's state
+// and every GPUNION_INVARIANT_SEED harness replays bit-identically with
+// crashes enabled.
 //
 // sim/ cannot depend on gpunion/ (layering), so the injector knows nothing
 // about coordinators or gateways: it is a generic named-callback registry
@@ -60,12 +59,11 @@ class FaultInjector {
     return out;
   }
 
-  /// Fires a registered fault immediately (caller already holds an
-  /// appropriate execution context, e.g. inside an exclusive event).
-  /// Returns false for unknown names.
+  /// Fires a registered fault immediately.  Returns false for unknown
+  /// names.
   bool inject_now(const std::string& name);
 
-  /// Schedules a fault as an exclusive event at / after the given time.
+  /// Schedules a fault as an event at / after the given time.
   /// Unknown-at-fire-time names are counted in misfires() and skipped.
   void inject_at(util::SimTime t, std::string name);
   void inject_after(util::Duration delay, std::string name);

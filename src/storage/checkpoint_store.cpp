@@ -14,7 +14,6 @@ CheckpointStore::CheckpointStore(CheckpointStoreConfig config)
 
 util::Status CheckpointStore::add_node(const std::string& id,
                                        std::uint64_t capacity_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (nodes_.contains(id)) {
     return util::already_exists_error("storage node " + id);
   }
@@ -50,7 +49,6 @@ void CheckpointStore::release_bytes(const Checkpoint& checkpoint) {
 
 void CheckpointStore::set_preference(const std::string& job_id,
                                      std::vector<std::string> node_ids) {
-  std::lock_guard<std::mutex> lock(mu_);
   preferences_[job_id] = std::move(node_ids);
 }
 
@@ -86,7 +84,6 @@ util::StatusOr<Checkpoint> CheckpointStore::write(const std::string& job_id,
                                                   double dirty_fraction,
                                                   double progress,
                                                   util::SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (state_bytes == 0) {
     return util::invalid_argument_error("checkpoint of empty state");
   }
@@ -129,7 +126,6 @@ util::StatusOr<Checkpoint> CheckpointStore::write(const std::string& job_id,
 
 util::StatusOr<Checkpoint> CheckpointStore::latest(
     const std::string& job_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = chains_.find(job_id);
   if (it == chains_.end() || it->second.empty()) {
     return util::not_found_error("no checkpoint for job " + job_id);
@@ -144,7 +140,6 @@ util::StatusOr<Checkpoint> CheckpointStore::latest(
 
 util::StatusOr<std::uint64_t> CheckpointStore::restore_bytes(
     const std::string& job_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = chains_.find(job_id);
   if (it == chains_.end() || it->second.empty()) {
     return util::not_found_error("no checkpoint for job " + job_id);
@@ -186,7 +181,6 @@ void CheckpointStore::collect(const std::string& job_id) {
 }
 
 void CheckpointStore::forget(const std::string& job_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = chains_.find(job_id);
   if (it == chains_.end()) return;
   for (const auto& c : it->second) {
@@ -199,26 +193,22 @@ void CheckpointStore::forget(const std::string& job_id) {
 const std::vector<Checkpoint>& CheckpointStore::chain(
     const std::string& job_id) const {
   static const std::vector<Checkpoint> kEmpty;
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = chains_.find(job_id);
   return it == chains_.end() ? kEmpty : it->second;
 }
 
 std::uint64_t CheckpointStore::total_stored_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
   for (const auto& [id, node] : nodes_) total += node.used_bytes();
   return total;
 }
 
 const StorageNode* CheckpointStore::node(const std::string& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = nodes_.find(id);
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> CheckpointStore::node_ids() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   out.reserve(nodes_.size());
   for (const auto& [id, node] : nodes_) out.push_back(id);

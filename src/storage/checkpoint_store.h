@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -34,11 +33,13 @@ struct CheckpointStoreConfig {
 
 class CheckpointStore {
  public:
-  // Thread-safe: agents on different worker threads write checkpoints
-  // concurrently in the parallel execution mode.  References returned by
-  // chain()/node() stay valid across other jobs' writes (node-based maps),
-  // but reading a chain while its own job writes needs external ordering.
+  // References returned by chain()/node() stay valid across other jobs'
+  // writes (node-based maps); a job's own write may reallocate its chain.
   explicit CheckpointStore(CheckpointStoreConfig config = {});
+
+  // Agents and the coordinator keep its address.
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// Registers a storage destination.  Id must be unique.
   util::Status add_node(const std::string& id, std::uint64_t capacity_bytes);
@@ -80,7 +81,6 @@ class CheckpointStore {
   void release_bytes(const Checkpoint& checkpoint);
 
   CheckpointStoreConfig config_;
-  mutable std::mutex mu_;
   std::map<std::string, StorageNode> nodes_;  // ordered for determinism
   /// Fallback-placement order: least used-fraction first, id tiebreak.
   /// Maintained on every reserve/release so pick_node probes from the

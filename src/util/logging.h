@@ -30,8 +30,9 @@ class Logger {
   void set_sink(Sink sink);
 
   bool enabled(LogLevel level) const { return level >= level_; }
-  /// Thread-safe: worker threads in the parallel execution mode log
-  /// concurrently; lines are serialized through an internal mutex.
+  /// Thread-safe: the logger is a process-wide singleton, so lines from
+  /// concurrent callers (e.g. simulations run on separate threads) are
+  /// serialized through an internal mutex.
   void write(LogLevel level, const std::string& message);
 
  private:

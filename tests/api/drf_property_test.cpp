@@ -177,7 +177,7 @@ TEST(DrfPropertyTest, SingleTenantDegeneratesToFifo) {
 }
 
 // Ties break by tenant name: two identical runs grant identically (the
-// determinism the kDeterministic golden traces lean on).
+// determinism the golden traces lean on).
 TEST(DrfPropertyTest, GrantOrderIsDeterministic) {
   const std::uint64_t base = base_seed();
   for (std::uint64_t seed = base; seed < base + 25; ++seed) {

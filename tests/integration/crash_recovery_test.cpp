@@ -12,8 +12,8 @@
 //    named points are demonstrably different states, not one crash with
 //    four labels;
 //  * determinism — the same seed re-runs to bit-identical per-job
-//    completion times with crashes enabled (kDeterministic schedules
-//    fault triggers as ordinary events in the global order).
+//    completion times with crashes enabled (fault triggers are ordinary
+//    events in the global order).
 //
 // GPUNION_INVARIANT_SEED pins the seed family, same contract as the
 // coordinator invariants harness (CI runs fixed seeds plus $RANDOM).

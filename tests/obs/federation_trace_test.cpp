@@ -1,9 +1,8 @@
 // Cross-region tracing: a job forwarded A -> B (and chained on to C when
 // B dies) yields ONE trace whose spans come from every region's gateway
 // and coordinator, with the WAN edge stitched by the transfer span id that
-// rides JobTransfer.  Plus the determinism contract: in kDeterministic
-// mode the encoded span stream is bit-identical across repeated runs AND
-// across configured worker counts.
+// rides JobTransfer.  Plus the determinism contract: the encoded span
+// stream is bit-identical across repeated runs.
 #include <algorithm>
 #include <set>
 #include <string>
@@ -212,11 +211,8 @@ TEST(FederationTraceTest, ChainedReforwardStitchesThreeRegions) {
   EXPECT_TRUE(charlie_ran);
 }
 
-std::vector<std::uint8_t> encoded_span_stream(unsigned worker_threads) {
-  sim::EnvConfig env_config;
-  env_config.mode = sim::ExecutionMode::kDeterministic;
-  env_config.worker_threads = worker_threads;  // must be a no-op
-  sim::Environment env(23, env_config);
+std::vector<std::uint8_t> encoded_span_stream() {
+  sim::Environment env(23);
   FederatedPlatform fed(env, overflow_config());
   fed.start();
   env.run_until(5.0);
@@ -228,16 +224,14 @@ std::vector<std::uint8_t> encoded_span_stream(unsigned worker_threads) {
   return obs::encode_spans(fed.tracer().snapshot());
 }
 
-TEST(FederationTraceTest, SpanStreamBitIdenticalAcrossRunsAndWorkerCounts) {
-  const auto first = encoded_span_stream(1);
+TEST(FederationTraceTest, SpanStreamBitIdenticalAcrossRuns) {
+  const auto first = encoded_span_stream();
   ASSERT_FALSE(first.empty());
   std::vector<obs::Span> decoded;
   ASSERT_TRUE(obs::decode_spans(first, &decoded));
   ASSERT_FALSE(decoded.empty());
-  // Same seed, same mode -> the same bytes; and kDeterministic ignores the
-  // configured worker count, so 8 "workers" change nothing either.
-  EXPECT_EQ(encoded_span_stream(1), first);
-  EXPECT_EQ(encoded_span_stream(8), first);
+  // Same seed -> the same bytes.
+  EXPECT_EQ(encoded_span_stream(), first);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // of the run, and the write-behind ledger's group commits joining the
 // same trace by key-derived trace id.
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "monitor/exposition.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "util/rng.h"
 #include "workload/profiles.h"
 
 namespace gpunion::obs {
@@ -176,6 +178,77 @@ TEST(SpanCodecTest, DecodeRejectsTruncatedAndForeignBuffers) {
   std::vector<std::uint8_t> trailing = bytes;
   trailing.push_back(0);  // junk after the last span
   EXPECT_FALSE(decode_spans(trailing, &out));
+}
+
+TEST(SpanCodecTest, HostileAndMutatedBuffersNeverThrow) {
+  // A 16-byte header (magic, version, count) claiming more spans than the
+  // buffer can hold must be refused before anything is reserved for them.
+  std::vector<Span> out;
+  for (std::uint64_t count : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    std::vector<std::uint8_t> bytes = encode_spans({});
+    ASSERT_EQ(bytes.size(), 16u);
+    for (int i = 0; i < 8; ++i) {
+      bytes[8 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    bool ok = true;
+    EXPECT_NO_THROW(ok = decode_spans(bytes, &out)) << "count " << count;
+    EXPECT_FALSE(ok) << "count " << count;
+    EXPECT_TRUE(out.empty());
+  }
+
+  // Seeded mutations of a 6-span stream: no input throws, a rejected one
+  // leaves the output empty, and an accepted one re-encodes byte for byte.
+  std::vector<Span> spans;
+  for (std::uint64_t copy = 0; copy < 3; ++copy) {
+    for (Span span : sample_spans()) {
+      span.span_id += 2 * copy;
+      spans.push_back(std::move(span));
+    }
+  }
+  const std::vector<std::uint8_t> clean = encode_spans(spans);
+  util::Rng rng(8);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::uint8_t> bytes = clean;
+    const auto offset = [&](std::size_t width) {
+      return static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(bytes.size() - width)));
+    };
+    const auto overwrite = [&](std::size_t at, std::size_t width,
+                               std::uint64_t value) {
+      for (std::size_t b = 0; b < width; ++b) {
+        bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+      }
+    };
+    switch (rng.uniform_int(0, 4)) {
+      case 0: {  // bit flip
+        const std::size_t at = offset(1);
+        bytes[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+        break;
+      }
+      case 1:
+        overwrite(offset(4), 4, rng.next_u64());
+        break;
+      case 2:
+        overwrite(offset(8), 8, rng.next_u64());
+        break;
+      case 3:  // span count, at every magnitude
+        overwrite(8, 8, rng.next_u64() >> rng.uniform_int(0, 63));
+        break;
+      default:  // truncation
+        bytes.resize(offset(1));
+    }
+    std::vector<Span> decoded;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = decode_spans(bytes, &decoded)) << "mutation " << i;
+    if (!ok) {
+      ASSERT_TRUE(decoded.empty()) << "mutation " << i;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(encode_spans(decoded), bytes) << "mutation " << i;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(SpanExportTest, PerfettoJsonNamesActorsAndEvents) {
