@@ -7,7 +7,7 @@
 //      loaded node) — the costs a provider actually pays;
 //  (2) the throughput-overhead table: effective training throughput under
 //      each execution mode.  Container passthrough overhead (1%) is this
-//      runtime's configured model; the VM/API-remoting reference points are
+//      runtime's model; the VM/API-remoting reference points are
 //      literature constants included for context, as the paper argues
 //      against full virtualization.
 #include <benchmark/benchmark.h>
@@ -102,21 +102,17 @@ void BM_Sha256ImageDigest(benchmark::State& state) {
 BENCHMARK(BM_Sha256ImageDigest);
 
 void print_overhead_table() {
-  hw::NodeModel node(hw::server_8x4090("srv"));
-  const auto registry = make_registry();
-  container::ContainerRuntime runtime(node, registry);
-
   std::printf("\nEffective training throughput by execution mode "
               "(reference GPU = 1.00):\n");
   for (int i = 0; i < 64; ++i) std::printf("-");
   std::printf("\n%-36s %12s %14s\n", "execution mode", "throughput",
               "startup cost");
-  const double container = 1.0 - runtime.gpu_overhead_fraction();
+  const double passthrough = 1.0 - container::kGpuOverheadFraction;
   std::printf("%-36s %12.3f %12.1f s\n", "bare metal (no isolation)", 1.000,
               0.0);
   std::printf("%-36s %12.3f %12.1f s   <- GPUnion\n",
-              "OCI container + GPU passthrough", container,
-              runtime.startup_overhead());
+              "OCI container + GPU passthrough", passthrough,
+              container::kStartupOverhead);
   std::printf("%-36s %12.3f %12.1f s\n",
               "full VM + PCIe passthrough (ref.)", 0.95, 45.0);
   std::printf("%-36s %12.3f %12.1f s\n", "GPU API remoting (ref.)", 0.82,

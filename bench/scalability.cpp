@@ -4,14 +4,11 @@
 // scheduling latency.  However, beyond 200 nodes, heartbeat monitoring and
 // database contention could become bottlenecks."
 //
-// Two measurements:
-//  (1) real micro-benchmark (google-benchmark): wall-clock cost of one
-//      placement decision through the indexed ClusterView and of one
-//      heartbeat-monitor sweep over an N-node directory, plus the event
-//      queue's push/cancel/pop cost;
-//  (2) analytic control-plane model: heartbeat + telemetry + scheduling DB
-//      operations per second against the database's M/M/1 service model,
-//      reporting end-to-end scheduling latency per fleet size.
+// Real micro-benchmarks (google-benchmark): wall-clock cost of one
+// placement decision through the indexed ClusterView and of one
+// heartbeat-monitor sweep over an N-node directory, plus the event queue's
+// push/cancel/pop cost.  bench_scalability_campus measures the real system
+// end to end.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -132,58 +129,6 @@ void BM_EventQueueTombstoneCompaction(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueTombstoneCompaction)->Arg(1024)->Arg(8192);
 
-void print_control_plane_model() {
-  std::printf("\nControl-plane load model (analytic, from the database's "
-              "M/M/1 service model):\n");
-  std::printf("legacy: heartbeats every 2 s write through (6 DB ops each); "
-              "batched: one\ncoalesced flush per interval (heartbeats cost "
-              "~1 op per 2 s + 5 amortized ops).\nTelemetry every 30 s; "
-              "~0.2 scheduling decisions/node/s at 10 DB ops each.\n\n");
-  std::printf("%8s %14s %14s %16s %16s\n", "nodes", "legacy ops/s",
-              "batched ops/s", "legacy sched", "batched sched");
-  for (int i = 0; i < 74; ++i) std::printf("-");
-  std::printf("\n");
-  db::SystemDatabase database;  // service rate 1/0.8 ms = 1250 ops/s
-  auto sched_latency = [&database](double ops) -> double {
-    const double db_latency = database.estimated_latency(ops);
-    if (db_latency >= util::kNever) return util::kNever;
-    // One scheduling decision touches ~10 DB rows plus the decision itself.
-    return db_latency * 1000.0 * 10.0 + 0.1;
-  };
-  for (int nodes : {10, 25, 50, 100, 200, 400, 1000, 4000, 10000}) {
-    const double telemetry_ops = nodes / 30.0;
-    const double scheduling_ops = nodes * 0.2 * 10.0 / 2.0;
-    const double legacy_ops =
-        nodes / 2.0 * 6.0 + telemetry_ops + scheduling_ops;
-    // Batching collapses the per-beat touch into one flush per interval;
-    // the other ~5 per-beat reads amortize across the batch as well.
-    const double batched_ops = 0.5 + nodes / 2.0 * 0.05 + telemetry_ops +
-                               scheduling_ops;
-    const double legacy_ms = sched_latency(legacy_ops);
-    const double batched_ms = sched_latency(batched_ops);
-    std::printf("%8d %14.0f %14.0f ", nodes, legacy_ops, batched_ops);
-    if (legacy_ms >= util::kNever) {
-      std::printf("%16s ", "saturated");
-    } else {
-      std::printf("%13.1f ms ", legacy_ms);
-    }
-    if (batched_ms >= util::kNever) {
-      std::printf("%16s\n", "saturated");
-    } else {
-      std::printf("%13.1f ms\n", batched_ms);
-    }
-  }
-  std::printf("\nPaper anchors: sub-second scheduling latency at <= 50 "
-              "nodes; the legacy\nwrite-through model hits the M/M/1 knee "
-              "beyond ~200 nodes — matching \"beyond\n200 nodes ... could "
-              "become bottlenecks\".  Batching removes heartbeats as the\n"
-              "first wall (the knee moves ~4x out); past ~2k nodes the "
-              "modeled per-decision\nscheduler writes become the next "
-              "bottleneck — that is the remaining limit the\nROADMAP "
-              "records.  bench_scalability_campus measures the real system "
-              "end-to-end.\n\n");
-}
-
 }  // namespace
 }  // namespace gpunion::bench
 
@@ -193,6 +138,5 @@ int main(int argc, char** argv) {
   std::printf("================================================================\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  gpunion::bench::print_control_plane_model();
   return 0;
 }

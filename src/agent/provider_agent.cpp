@@ -8,6 +8,14 @@
 
 namespace gpunion::agent {
 
+namespace {
+
+/// GPU utilization a container drives (for telemetry/power).
+constexpr double kTrainingUtilization = 0.95;
+constexpr double kInteractiveUtilization = 0.55;
+
+}  // namespace
+
 std::string_view departure_kind_name(DepartureKind k) {
   switch (k) {
     case DepartureKind::kScheduled: return "scheduled";
@@ -33,7 +41,7 @@ ProviderAgent::ProviderAgent(sim::Environment& env, net::Transport& transport,
       sampler_(node, env.fork_rng("nvml." + node.hostname())),
       rng_(env.fork_rng("agent." + node.hostname())),
       machine_id_(util::make_machine_id(node.hostname(), kMachineIdSalt)),
-      slicer_(env, node, config_.timeslice) {
+      slicer_(env, node) {
   TimesliceHooks slicer_hooks;
   slicer_hooks.on_residency_change = [this](const std::string& job_id,
                                             bool resident,
@@ -257,11 +265,9 @@ void ProviderAgent::handle_message(net::Message&& msg) {
       heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
           env_, config_.heartbeat_interval, [this] { send_heartbeat(); });
       heartbeat_timer_->start_after(0);
-      if (config_.enable_telemetry) {
-        telemetry_timer_ = std::make_unique<sim::PeriodicTimer>(
-            env_, config_.telemetry_interval, [this] { send_telemetry(); });
-        telemetry_timer_->start();
-      }
+      telemetry_timer_ = std::make_unique<sim::PeriodicTimer>(
+          env_, config_.telemetry_interval, [this] { send_telemetry(); });
+      telemetry_timer_->start();
       break;
     }
     case kDispatch:
@@ -367,8 +373,8 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   cfg.limits.cpu_cores = shared_tenant ? 2.0 : 4.0;
   const double utilization =
       request.job.type == workload::JobType::kInteractive
-          ? config_.interactive_utilization
-          : config_.training_utilization;
+          ? kInteractiveUtilization
+          : kTrainingUtilization;
   cfg.env["NVIDIA_VISIBLE_DEVICES"] = "";  // filled after create
 
   auto container_id = runtime_.create(cfg, job_id, utilization, env_.now());
@@ -385,7 +391,7 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   const double tflops =
       node_.gpu(static_cast<std::size_t>(gpu_indices[0])).spec().fp32_tflops;
   job.speed = workload::speed_factor(tflops) *
-              (1.0 - runtime_.gpu_overhead_fraction()) *
+              (1.0 - container::kGpuOverheadFraction) *
               std::max(1, job.spec.requirements.gpu_count);
   if (mode == hw::Tenancy::kFractional) {
     // Spatial tenant: the slice delivers a fraction of the device
@@ -470,7 +476,7 @@ void ProviderAgent::advance_dispatch(const std::string& job_id) {
     }
   }
 
-  env_.schedule_after(runtime_.startup_overhead(),
+  env_.schedule_after(container::kStartupOverhead,
                       [this, job_id] { begin_compute(job_id); });
 }
 

@@ -35,18 +35,14 @@ namespace gpunion::agent {
 struct AgentConfig {
   std::string coordinator_id = "coordinator";
   std::string owner_group;
+  /// Overwritten by the coordinator's RegisterResponse before anything
+  /// reads it: an agent always heartbeats at its coordinator's interval.
   util::Duration heartbeat_interval = 2.0;
+  /// A huge interval (1e9) keeps telemetry off the control plane.
   util::Duration telemetry_interval = 30.0;
   /// Checkpoint window honoured by graceful departures ("configurable
   /// periods for checkpoint creation", §3.4).
   util::Duration departure_grace = 120.0;
-  bool enable_telemetry = true;
-  /// GPU utilization a training container drives (for telemetry/power).
-  double training_utilization = 0.95;
-  double interactive_utilization = 0.55;
-  /// Per-GPU quantum scheduler knobs (nvshare mode); only exercised on
-  /// nodes whose spec enables timeslice_tenants_per_gpu.
-  TimesliceConfig timeslice;
 };
 
 enum class AgentState { kOffline, kActive, kDeparted };

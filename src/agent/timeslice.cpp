@@ -4,9 +4,20 @@
 
 namespace gpunion::agent {
 
-GpuTimeSlicer::GpuTimeSlicer(sim::Environment& env, hw::NodeModel& node,
-                             TimesliceConfig config)
-    : env_(env), node_(node), config_(config) {}
+namespace {
+
+/// Initial scheduler time quantum (nvshare defaults to ~30 s).
+constexpr util::Duration kQuantum = 30.0;
+/// Widening ceiling for thrash avoidance.
+constexpr util::Duration kMaxQuantum = 240.0;
+/// A rotation whose swap cost exceeds this fraction of the quantum is
+/// thrashing: widen the quantum, or evict once already at kMaxQuantum.
+constexpr double kThrashFraction = 0.5;
+
+}  // namespace
+
+GpuTimeSlicer::GpuTimeSlicer(sim::Environment& env, hw::NodeModel& node)
+    : env_(env), node_(node) {}
 
 GpuTimeSlicer::~GpuTimeSlicer() { clear(); }
 
@@ -17,7 +28,7 @@ double GpuTimeSlicer::swap_gbps() const {
 void GpuTimeSlicer::add_tenant(int gpu_index, const std::string& job_id,
                                double working_set_gb) {
   Slice& slice = slices_[gpu_index];
-  if (slice.quantum <= 0) slice.quantum = config_.quantum;
+  if (slice.quantum <= 0) slice.quantum = kQuantum;
   slice.tenants.push_back(Tenant{job_id, working_set_gb});
   // One tenant computes uninterrupted; the second arms the rotation.
   if (slice.tenants.size() == 2 && slice.tick_event == sim::kInvalidEvent) {
@@ -81,7 +92,7 @@ const std::string& GpuTimeSlicer::resident(int gpu_index) const {
 
 util::Duration GpuTimeSlicer::quantum(int gpu_index) const {
   auto it = slices_.find(gpu_index);
-  return it == slices_.end() ? config_.quantum : it->second.quantum;
+  return it == slices_.end() ? kQuantum : it->second.quantum;
 }
 
 void GpuTimeSlicer::arm_tick(int gpu_index, Slice& slice) {
@@ -95,8 +106,8 @@ void GpuTimeSlicer::tick(int gpu_index) {
   it->second.tick_event = sim::kInvalidEvent;
 
   // Thrash control before rotating: the candidate swap must fit within
-  // thrash_fraction of the quantum.  Widen first (nvshare's TQ adaptation);
-  // once at max_quantum, evict the largest swapped-out working set — the
+  // kThrashFraction of the quantum.  Widen first (nvshare's TQ adaptation);
+  // once at kMaxQuantum, evict the largest swapped-out working set — the
   // resident's pages are already on-device, so it is never the victim.
   while (it->second.tenants.size() >= 2) {
     Slice& slice = it->second;
@@ -105,9 +116,9 @@ void GpuTimeSlicer::tick(int gpu_index) {
     const double cost =
         (outgoing.working_set_gb + slice.tenants[next].working_set_gb) /
         swap_gbps();
-    if (cost <= config_.thrash_fraction * slice.quantum) break;
-    if (slice.quantum < config_.max_quantum) {
-      slice.quantum = std::min(config_.max_quantum, slice.quantum * 2.0);
+    if (cost <= kThrashFraction * slice.quantum) break;
+    if (slice.quantum < kMaxQuantum) {
+      slice.quantum = std::min(kMaxQuantum, slice.quantum * 2.0);
       ++stats_.quantum_widenings;
       continue;
     }

@@ -11,10 +11,11 @@
 //     tenant arrival order per device);
 //   - charges swap_cost = (outgoing_ws + incoming_ws) / host_swap_gbps at
 //     each rotation, handed to the agent so progress accrual excludes it;
-//   - detects thrashing (swap_cost > thrash_fraction x quantum) and first
-//     WIDENS the quantum (doubling, up to max_quantum — nvshare's TQ
-//     adaptation), then, if even the widest quantum thrashes, EVICTS the
-//     largest swapped-out working set via the eviction hook.
+//   - starts every device at a 30 s quantum (nvshare's default), detects
+//     thrashing (swap_cost > 0.5 x quantum) and first WIDENS the quantum
+//     (doubling, up to 240 s — nvshare's TQ adaptation), then, if even the
+//     widest quantum thrashes, EVICTS the largest swapped-out working set
+//     via the eviction hook.
 //
 // The slicer owns no network or container state: it is a pure scheduling
 // component the ProviderAgent embeds.  Ticks are ordinary simulation events
@@ -33,16 +34,6 @@
 #include "util/time.h"
 
 namespace gpunion::agent {
-
-struct TimesliceConfig {
-  /// Initial scheduler time quantum (nvshare defaults to ~30 s).
-  util::Duration quantum = 30.0;
-  /// Widening ceiling for thrash avoidance.
-  util::Duration max_quantum = 240.0;
-  /// A rotation whose swap cost exceeds this fraction of the quantum is
-  /// thrashing: widen the quantum, or evict once already at max_quantum.
-  double thrash_fraction = 0.5;
-};
 
 struct TimesliceStats {
   std::uint64_t quanta = 0;           // completed residency rotations
@@ -69,8 +60,7 @@ struct TimesliceHooks {
 
 class GpuTimeSlicer {
  public:
-  GpuTimeSlicer(sim::Environment& env, hw::NodeModel& node,
-                TimesliceConfig config);
+  GpuTimeSlicer(sim::Environment& env, hw::NodeModel& node);
   ~GpuTimeSlicer();
 
   GpuTimeSlicer(const GpuTimeSlicer&) = delete;
@@ -117,7 +107,6 @@ class GpuTimeSlicer {
 
   sim::Environment& env_;
   hw::NodeModel& node_;
-  TimesliceConfig config_;
   TimesliceHooks hooks_;
   std::map<int, Slice> slices_;  // ordered for determinism
   TimesliceStats stats_;

@@ -10,6 +10,10 @@
 namespace gpunion::api {
 namespace {
 
+/// Cap on per-tenant gauge cardinality in the metric registry (top-K by
+/// accepted count; the aggregate families always cover everyone).
+constexpr std::size_t kMetricsTopTenants = 16;
+
 /// Modeled GPU-seconds a job will charge against its tenant's budget.
 double gpu_seconds_estimate(const DrfQueue::Item& item) {
   return item.demand.gpus * std::max(0.0, item.spec.reference_duration);
@@ -125,8 +129,7 @@ SubmitResult ApiServer::submit(const std::string& tenant,
         util::already_exists_error("job id known to the core: " + job.id));
 
   const ResourceVector demand = demand_of(job);
-  if (!ResourceVector{}.fits(demand, queue_.capacity(),
-                             config_.core_load_factor))
+  if (!ResourceVector{}.fits(demand, queue_.capacity(), kCoreLoadFactor))
     return reject_invalid(util::resource_exhausted_error(
         "demand can never fit the campus working set"));
 
@@ -303,7 +306,7 @@ void ApiServer::drain() {
       // Bounded core working set: hold the queue rather than flooding the
       // coordinator arbitrarily far past capacity.
       return queue_.total_usage().fits(item.demand, queue_.capacity(),
-                                       config_.core_load_factor);
+                                       kCoreLoadFactor);
     });
     if (!next) break;
     auto& [tenant, item] = *next;
@@ -421,8 +424,7 @@ void ApiServer::publish_metrics(monitor::MetricRegistry& registry) const {
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
-  if (ranked.size() > config_.metrics_top_tenants)
-    ranked.resize(config_.metrics_top_tenants);
+  if (ranked.size() > kMetricsTopTenants) ranked.resize(kMetricsTopTenants);
   auto& queued_family = registry.gauge_family(
       "gpunion_api_tenant_queued", "Queued jobs per tenant (top-K)");
   auto& inflight_family = registry.gauge_family(

@@ -19,7 +19,7 @@
 //    so accepted == dispatched + queued + quota_dropped + cancelled
 //    holds exactly — the conservation law the invariant harness pins);
 //  - a bounded core working set: queues only drain while total in-flight
-//    demand fits within capacity x core_load_factor, keeping the
+//    demand fits within capacity x kCoreLoadFactor, keeping the
 //    coordinator's tables O(campus) instead of O(everything ever
 //    submitted) while leaving enough pending pressure for federation
 //    overflow forwarding;
@@ -62,6 +62,10 @@ class Coordinator;
 
 namespace gpunion::api {
 
+/// In-flight demand may reach capacity x this factor before queues hold
+/// (>1 keeps the coordinator backlogged enough to overflow-forward).
+inline constexpr double kCoreLoadFactor = 2.0;
+
 /// Per-tenant admission quotas.
 struct TenantQuota {
   /// Max jobs this tenant may have live in the scheduler core at once.
@@ -91,12 +95,6 @@ struct ApiConfig {
   /// Max dispatches per drain pass — the burst one ledger group commit
   /// amortizes over.
   std::size_t drain_batch = 64;
-  /// In-flight demand may reach capacity x this factor before queues hold
-  /// (>1 keeps the coordinator backlogged enough to overflow-forward).
-  double core_load_factor = 2.0;
-  /// Cap on per-tenant gauge cardinality in the metric registry (top-K by
-  /// accepted count; the aggregate families always cover everyone).
-  std::size_t metrics_top_tenants = 16;
 };
 
 enum class AdmitOutcome {

@@ -27,11 +27,6 @@ void DrfQueue::set_weight(const std::string& tenant, double weight) {
   tenants_[tenant].weight = weight;
 }
 
-double DrfQueue::weight(const std::string& tenant) const {
-  auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 1.0 : it->second.weight;
-}
-
 void DrfQueue::push(const std::string& tenant, Item item) {
   tenants_[tenant].queue.push_back(std::move(item));
   backlogged_.insert(tenant);

@@ -84,7 +84,6 @@ class DrfQueue {
   const ResourceVector& capacity() const { return capacity_; }
   /// DRF weight of a tenant (default 1.0); larger = entitled to more.
   void set_weight(const std::string& tenant, double weight);
-  double weight(const std::string& tenant) const;
 
   void push(const std::string& tenant, Item item);
 

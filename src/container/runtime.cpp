@@ -5,12 +5,8 @@
 namespace gpunion::container {
 
 ContainerRuntime::ContainerRuntime(hw::NodeModel& node,
-                                   const ImageRegistry& registry,
-                                   RuntimeConfig config)
-    : node_(node),
-      registry_(registry),
-      config_(config),
-      ids_("ctr-" + node.hostname()) {}
+                                   const ImageRegistry& registry)
+    : node_(node), registry_(registry), ids_("ctr-" + node.hostname()) {}
 
 util::StatusOr<std::string> ContainerRuntime::create(
     const ContainerConfig& config, const std::string& workload_id,
@@ -76,20 +72,6 @@ util::Status ContainerRuntime::start(const std::string& container_id,
   return (*c)->start(now);
 }
 
-util::Status ContainerRuntime::pause(const std::string& container_id,
-                                     util::SimTime now) {
-  auto c = live_container(container_id);
-  if (!c.ok()) return c.status();
-  return (*c)->pause(now);
-}
-
-util::Status ContainerRuntime::resume(const std::string& container_id,
-                                      util::SimTime now) {
-  auto c = live_container(container_id);
-  if (!c.ok()) return c.status();
-  return (*c)->resume(now);
-}
-
 util::Status ContainerRuntime::begin_checkpoint(
     const std::string& container_id, util::SimTime now) {
   auto c = live_container(container_id);
@@ -147,14 +129,6 @@ void ContainerRuntime::mark_image_cached(const std::string& reference) {
 const Container* ContainerRuntime::find(const std::string& container_id) const {
   auto it = containers_.find(container_id);
   return it == containers_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const Container*> ContainerRuntime::live_containers() const {
-  std::vector<const Container*> out;
-  for (const auto& [id, container] : containers_) {
-    if (container->live()) out.push_back(container.get());
-  }
-  return out;
 }
 
 std::size_t ContainerRuntime::live_count() const {

@@ -21,18 +21,16 @@
 
 namespace gpunion::container {
 
-struct RuntimeConfig {
-  /// Fixed container create+start cost (namespace/cgroup setup).
-  util::Duration startup_overhead = 1.5;
-  /// GPU workload slowdown inside the container vs bare metal; the paper
-  /// claims near-native performance with passthrough (§3.3).
-  double gpu_overhead_fraction = 0.01;
-};
+/// Fixed container create+start cost (namespace/cgroup setup).  The image
+/// pull, if uncached, is the caller's to model via the network.
+inline constexpr util::Duration kStartupOverhead = 1.5;
+/// GPU workload slowdown inside the container vs bare metal; the paper
+/// claims near-native performance with passthrough (§3.3).
+inline constexpr double kGpuOverheadFraction = 0.01;
 
 class ContainerRuntime {
  public:
-  ContainerRuntime(hw::NodeModel& node, const ImageRegistry& registry,
-                   RuntimeConfig config = {});
+  ContainerRuntime(hw::NodeModel& node, const ImageRegistry& registry);
 
   /// Validates and creates a container:
   ///  - image digest + allow-list verification,
@@ -46,8 +44,6 @@ class ContainerRuntime {
                                      util::SimTime now);
 
   util::Status start(const std::string& container_id, util::SimTime now);
-  util::Status pause(const std::string& container_id, util::SimTime now);
-  util::Status resume(const std::string& container_id, util::SimTime now);
   util::Status begin_checkpoint(const std::string& container_id,
                                 util::SimTime now);
   util::Status end_checkpoint(const std::string& container_id,
@@ -69,14 +65,7 @@ class ContainerRuntime {
   void mark_image_cached(const std::string& reference);
 
   const Container* find(const std::string& container_id) const;
-  std::vector<const Container*> live_containers() const;
   std::size_t live_count() const;
-
-  /// Total container create+start latency for a dispatch, including the
-  /// image pull if uncached (pull time is the caller's to model via the
-  /// network; this returns only local startup cost).
-  util::Duration startup_overhead() const { return config_.startup_overhead; }
-  double gpu_overhead_fraction() const { return config_.gpu_overhead_fraction; }
 
   hw::NodeModel& node() { return node_; }
   const hw::NodeModel& node() const { return node_; }
@@ -87,7 +76,6 @@ class ContainerRuntime {
 
   hw::NodeModel& node_;
   const ImageRegistry& registry_;
-  RuntimeConfig config_;
   util::IdSequence ids_;
   std::unordered_map<std::string, std::unique_ptr<Container>> containers_;
   std::unordered_set<std::string> cached_images_;

@@ -4,18 +4,6 @@
 
 namespace gpunion::db {
 
-std::string_view node_status_name(NodeStatus s) {
-  switch (s) {
-    case NodeStatus::kActive: return "active";
-    case NodeStatus::kPaused: return "paused";
-    case NodeStatus::kUnavailable: return "unavailable";
-    case NodeStatus::kDeparted: return "departed";
-  }
-  return "unknown";
-}
-
-SystemDatabase::SystemDatabase(DatabaseConfig config) : config_(config) {}
-
 util::Status SystemDatabase::upsert_node(NodeRecord record) {
   count_op();
   if (record.machine_id.empty()) {
@@ -64,15 +52,6 @@ std::vector<NodeRecord> SystemDatabase::nodes() const {
   std::vector<NodeRecord> out;
   out.reserve(nodes_.size());
   for (const auto& [id, record] : nodes_) out.push_back(record);
-  return out;
-}
-
-std::vector<NodeRecord> SystemDatabase::nodes_with_status(NodeStatus s) const {
-  count_op();
-  std::vector<NodeRecord> out;
-  for (const auto& [id, record] : nodes_) {
-    if (record.status == s) out.push_back(record);
-  }
   return out;
 }
 
@@ -191,7 +170,7 @@ void SystemDatabase::record_metric(const std::string& series, util::SimTime at,
   count_op();
   auto& points = metrics_[series];
   points.push_back(MetricPoint{at, value});
-  while (points.size() > config_.history_limit) points.pop_front();
+  while (points.size() > kHistoryLimit) points.pop_front();
 }
 
 const std::deque<MetricPoint>& SystemDatabase::series(
@@ -266,12 +245,6 @@ std::vector<HandoffRecord> SystemDatabase::handoffs() const {
   out.reserve(handoffs_.size());
   for (const auto& [id, record] : handoffs_) out.push_back(record);
   return out;
-}
-
-double SystemDatabase::estimated_latency(double ops_per_sec) const {
-  const double mu = service_rate();
-  if (ops_per_sec >= mu) return util::kNever;  // saturated
-  return 1.0 / (mu - ops_per_sec);
 }
 
 }  // namespace gpunion::db

@@ -3,9 +3,9 @@
 // §3.2: "State persistence is handled through a centralized database that
 // maintains node registrations, resource allocations, and historical
 // monitoring data."  §5.2 identifies this database (with heartbeat
-// processing) as the scalability bottleneck beyond ~200 nodes, so the model
-// tracks an operation rate and exposes an M/M/1 latency estimate that
-// bench/scalability sweeps.
+// processing) as the scalability bottleneck beyond ~200 nodes, so every
+// store counts its operations.  The simulation charges database work no
+// time: op counts feed no event.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,8 @@ namespace gpunion::db {
 
 enum class NodeStatus { kActive, kPaused, kUnavailable, kDeparted };
 
-std::string_view node_status_name(NodeStatus s);
+/// Ring-buffer length per monitoring series.
+inline constexpr std::size_t kHistoryLimit = 4096;
 
 struct NodeRecord {
   std::string machine_id;
@@ -173,13 +174,6 @@ struct HandoffRecord {
   util::SimTime recorded_at = 0;
 };
 
-struct DatabaseConfig {
-  /// Mean service time of one DB operation (single writer), seconds.
-  double op_service_time = 0.0008;
-  /// Ring-buffer length per monitoring series.
-  std::size_t history_limit = 4096;
-};
-
 /// Abstract system-database surface every store implements.  The control
 /// plane (Coordinator, RegionGateway, Scraper, Platform) programs against
 /// this interface so the single-writer SystemDatabase and the sharded,
@@ -200,7 +194,6 @@ class Database {
   virtual std::size_t touch_heartbeats(
       const std::vector<std::pair<std::string, util::SimTime>>& batch) = 0;
   virtual std::vector<NodeRecord> nodes() const = 0;
-  virtual std::vector<NodeRecord> nodes_with_status(NodeStatus s) const = 0;
 
   // --- Allocation ledger -----------------------------------------------------
   virtual std::uint64_t open_allocation(const std::string& job_id,
@@ -262,15 +255,12 @@ class Database {
   /// All rows, job-id order.
   virtual std::vector<HandoffRecord> handoffs() const = 0;
 
-  // --- Contention model --------------------------------------------------------
+  // --- Op accounting -----------------------------------------------------------
   virtual std::uint64_t op_count() const = 0;
-  virtual double estimated_latency(double ops_per_sec) const = 0;
-  virtual double service_rate() const = 0;
 };
 
 class SystemDatabase : public Database {
  public:
-  explicit SystemDatabase(DatabaseConfig config = {});
 
   // --- Node registry --------------------------------------------------------
   util::Status upsert_node(NodeRecord record) override;
@@ -287,7 +277,6 @@ class SystemDatabase : public Database {
       const std::vector<std::pair<std::string, util::SimTime>>& batch)
       override;
   std::vector<NodeRecord> nodes() const override;
-  std::vector<NodeRecord> nodes_with_status(NodeStatus s) const override;
 
   // --- Allocation ledger -----------------------------------------------------
   std::uint64_t open_allocation(const std::string& job_id,
@@ -349,20 +338,13 @@ class SystemDatabase : public Database {
   void put_handoff(HandoffRecord record) override;
   std::vector<HandoffRecord> handoffs() const override;
 
-  // --- Contention model --------------------------------------------------------
+  // --- Op accounting -----------------------------------------------------------
   /// Every public mutation/query above counts as one operation.
   std::uint64_t op_count() const override { return ops_; }
-
-  /// M/M/1 sojourn-time estimate for a sustained `ops_per_sec` load.
-  /// Saturates (returns kNever) at/above the service rate — this is the
-  /// ">200 nodes" wall in §5.2.
-  double estimated_latency(double ops_per_sec) const override;
-  double service_rate() const override { return 1.0 / config_.op_service_time; }
 
  private:
   void count_op() const { ++ops_; }
 
-  DatabaseConfig config_;
   std::map<std::string, NodeRecord> nodes_;  // ordered: deterministic scans
   std::vector<AllocationRecord> ledger_;
   std::unordered_map<std::uint64_t, std::size_t> ledger_index_;

@@ -4,36 +4,13 @@
 
 namespace gpunion::db {
 
-std::string_view wal_op_name(WalOp op) {
-  switch (op) {
-    case WalOp::kUpsertNode: return "upsert_node";
-    case WalOp::kSetNodeStatus: return "set_node_status";
-    case WalOp::kTouchHeartbeatBatch: return "touch_heartbeat_batch";
-    case WalOp::kOpenAllocation: return "open_allocation";
-    case WalOp::kCloseAllocation: return "close_allocation";
-    case WalOp::kEnqueue: return "enqueue";
-    case WalOp::kPop: return "pop";
-    case WalOp::kRemoveRequest: return "remove_request";
-    case WalOp::kProvenance: return "provenance";
-    case WalOp::kMetric: return "metric";
-    case WalOp::kPutJobState: return "put_job_state";
-    case WalOp::kEraseJobState: return "erase_job_state";
-    case WalOp::kJournalPut: return "journal_put";
-    case WalOp::kPutForward: return "put_forward";
-    case WalOp::kEraseForward: return "erase_forward";
-    case WalOp::kPutHandoff: return "put_handoff";
-  }
-  return "unknown";
-}
-
 std::size_t TableImage::queue_rows() const {
   std::size_t n = 0;
   for (const auto& [priority, bucket] : queue) n += bucket.size();
   return n;
 }
 
-void apply_to_image(TableImage& image, const WalRecord& record,
-                    std::size_t history_limit) {
+void apply_to_image(TableImage& image, const WalRecord& record) {
   switch (record.op) {
     case WalOp::kUpsertNode:
       image.nodes[record.key] = record.node;
@@ -112,7 +89,7 @@ void apply_to_image(TableImage& image, const WalRecord& record,
     case WalOp::kMetric: {
       auto& points = image.metrics[record.key];
       points.push_back(MetricPoint{record.at, record.value});
-      while (points.size() > history_limit) points.pop_front();
+      while (points.size() > kHistoryLimit) points.pop_front();
       break;
     }
     case WalOp::kPutJobState:

@@ -19,9 +19,8 @@
 // idempotent — and the result equals the pre-crash live tables exactly,
 // because every live mutation was WAL'd first.
 //
-// The WAL is bookkeeping, not cost: op charging (shard counters, M/M/1
-// latency model) is completely unchanged, so the op-parity tests hold by
-// construction.
+// The WAL is bookkeeping, not cost: op charging (shard counters) is
+// completely unchanged, so the op-parity tests hold by construction.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +54,6 @@ enum class WalOp {
   kEraseForward,
   kPutHandoff,
 };
-
-std::string_view wal_op_name(WalOp op);
 
 /// One logged mutation, payload included — the log alone must be able to
 /// reconstruct the mutation on replay.  Flat optional fields per op (the
@@ -116,8 +113,7 @@ struct TableImage {
 /// disagree).  Replay of an already-applied record is the caller's job to
 /// prevent (seq <= applied_seq(shard)); applications themselves assume
 /// records arrive in seq order per shard.
-void apply_to_image(TableImage& image, const WalRecord& record,
-                    std::size_t history_limit);
+void apply_to_image(TableImage& image, const WalRecord& record);
 
 struct WalStats {
   std::uint64_t appended = 0;

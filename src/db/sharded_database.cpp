@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/trace.h"
+#include "util/ids.h"
 
 namespace gpunion::db {
 
@@ -29,14 +30,9 @@ ShardedDatabase::ShardedDatabase(DbConfig config)
 }
 
 std::size_t ShardedDatabase::route(std::string_view key) const {
-  // FNV-1a 64: deterministic across platforms and runs (std::hash is not
+  // FNV-1a: deterministic across platforms and runs (std::hash is not
   // guaranteed to be), so shard ownership is reproducible.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::size_t>(h % shards_.size());
+  return static_cast<std::size_t>(util::fnv1a64(key) % shards_.size());
 }
 
 void ShardedDatabase::charge(std::size_t shard) const {
@@ -133,7 +129,7 @@ void ShardedDatabase::advance_image(std::size_t shard,
     if (record.shard != shard || record.seq <= wal_.applied_seq(shard)) {
       continue;
     }
-    apply_to_image(image_, record, config_.history_limit);
+    apply_to_image(image_, record);
   }
   wal_.mark_applied(shard, upto_seq);
 }
@@ -160,7 +156,7 @@ RecoveryReport ShardedDatabase::crash_and_recover() {
       ++report.skipped_applied;
       continue;
     }
-    apply_to_image(image_, record, config_.history_limit);
+    apply_to_image(image_, record);
     ++report.replayed;
   }
   // The replayed image is the recovery checkpoint: every shard is now
@@ -327,18 +323,6 @@ std::vector<NodeRecord> ShardedDatabase::nodes() const {
   std::vector<NodeRecord> out;
   out.reserve(nodes_.size());
   for (const auto& [id, record] : nodes_) out.push_back(record);
-  return out;
-}
-
-std::vector<NodeRecord> ShardedDatabase::nodes_with_status(
-    NodeStatus s) const {
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard);
-  }
-  std::vector<NodeRecord> out;
-  for (const auto& [id, record] : nodes_) {
-    if (record.status == s) out.push_back(record);
-  }
   return out;
 }
 
@@ -560,7 +544,7 @@ void ShardedDatabase::record_metric(const std::string& series,
                                     util::SimTime at, double value) {
   auto& points = metrics_[series];
   points.push_back(MetricPoint{at, value});
-  while (points.size() > config_.history_limit) points.pop_front();
+  while (points.size() > kHistoryLimit) points.pop_front();
   const std::size_t shard = route(series);
   WalRecord wal = make_wal(WalOp::kMetric, shard, series);
   wal.at = at;
@@ -681,18 +665,6 @@ std::vector<std::uint64_t> ShardedDatabase::shard_op_counts() const {
   out.reserve(shards_.size());
   for (const Shard& shard : shards_) out.push_back(shard.ops);
   return out;
-}
-
-double ShardedDatabase::estimated_shard_latency(
-    double shard_ops_per_sec) const {
-  const double mu = service_rate();
-  if (shard_ops_per_sec >= mu) return util::kNever;  // this writer saturated
-  return 1.0 / (mu - shard_ops_per_sec);
-}
-
-double ShardedDatabase::estimated_latency(double ops_per_sec) const {
-  return estimated_shard_latency(ops_per_sec /
-                                 static_cast<double>(shards_.size()));
 }
 
 }  // namespace gpunion::db

@@ -1,18 +1,16 @@
 // Sharded, multi-writer system database with write-behind ledgering.
 //
-// PR 2 batched the heartbeat writes; bench_scalability's M/M/1 model then
-// showed the next wall (ROADMAP): the ~10 synchronous DB ops the scheduler
-// pays per decision saturate the single-writer database past ~2k nodes
-// under load.  This store removes that wall along two axes:
+// PR 2 batched the heartbeat writes; the next wall is the ~10 synchronous
+// DB ops the scheduler pays per decision, which saturate a single writer
+// past ~2k nodes under load.  This store spreads that load along two axes:
 //
 //  * Sharding: tables are partitioned by key — queue rows and provenance
 //    by JOB id, node registry / heartbeats / allocations by NODE id
 //    (deterministic FNV-1a routing) — across N writer shards, each with
-//    its own op counter and M/M/1 latency model.  Synchronous load that
-//    used to queue behind one writer spreads across N lanes; unkeyed ops
-//    (queue pops, depth probes) rotate round-robin, and fan-out reads
-//    (nodes(), allocations_for_job on a node-partitioned table) pay one
-//    scatter-gather op per shard.
+//    its own op counter.  Synchronous load that used to queue behind one
+//    writer spreads across N lanes; unkeyed ops (queue pops, depth probes)
+//    rotate round-robin, and fan-out reads (nodes(), allocations_for_job
+//    on a node-partitioned table) pay one scatter-gather op per shard.
 //
 //  * Write-behind: the coordinator's per-decision mutations (allocation
 //    open/close, pending-queue inserts, provenance, metric points) are
@@ -67,10 +65,6 @@ struct DbConfig {
   util::Duration flush_interval = 2.0;
   /// Pending ledger entries that force an immediate threshold flush.
   std::size_t flush_threshold = 256;
-  /// Mean service time of one op on ONE writer shard, seconds.
-  double op_service_time = 0.0008;
-  /// Ring-buffer length per monitoring series.
-  std::size_t history_limit = 4096;
 };
 
 /// What crash_and_recover() reconstructed (observability + bench fodder).
@@ -101,7 +95,6 @@ class ShardedDatabase : public Database {
       const std::vector<std::pair<std::string, util::SimTime>>& batch)
       override;
   std::vector<NodeRecord> nodes() const override;
-  std::vector<NodeRecord> nodes_with_status(NodeStatus s) const override;
 
   std::uint64_t open_allocation(const std::string& job_id,
                                 const std::string& machine_id,
@@ -154,13 +147,6 @@ class ShardedDatabase : public Database {
 
   /// Total charged ops summed across shards (sync + flush commits).
   std::uint64_t op_count() const override;
-  /// M/M/1 sojourn time for `ops_per_sec` split evenly across the shards
-  /// (per-shard arrival rate ops/N against the per-shard service rate).
-  double estimated_latency(double ops_per_sec) const override;
-  /// Service rate of ONE writer shard (the fleet serves shard_count x this).
-  double service_rate() const override {
-    return 1.0 / config_.op_service_time;
-  }
 
   // --- Sharding introspection -------------------------------------------------
   int shard_count() const { return static_cast<int>(shards_.size()); }
@@ -186,8 +172,6 @@ class ShardedDatabase : public Database {
   /// Ops charged synchronously at call time (everything except ledger
   /// group commits).
   std::uint64_t sync_op_count() const { return sync_ops_; }
-  /// M/M/1 sojourn time on ONE shard sustaining `shard_ops_per_sec`.
-  double estimated_shard_latency(double shard_ops_per_sec) const;
 
   // --- Write-behind ledger ------------------------------------------------------
   const WriteBehindLedger& ledger() const { return ledger_log_; }

@@ -11,6 +11,28 @@ namespace gpunion::federation {
 
 namespace {
 
+/// Regions tried per ranking before returning the job to the local queue.
+constexpr int kMaxForwardAttempts = 3;
+/// Base ack deadline per transfer attempt (doubles per retry, capped at
+/// 8x).  Much larger than forward_timeout: a shipment carries gigabytes
+/// through the capped WAN channel and queues FIFO behind its peers (an
+/// outage burst backs the channel up for tens of seconds), and a premature
+/// retry re-ships the whole payload.  Transfers retry until acked —
+/// at-least-once with an idempotent receiver — because giving up after an
+/// accepted hand-off could run the job twice.
+constexpr util::Duration kTransferAckTimeout = 120.0;
+/// Peers pushed to per gossip tick (rotating deterministically, so every
+/// peer is reached within ceil(peers / fanout) ticks even when the
+/// federation outgrows the fanout).
+constexpr std::size_t kGossipFanout = 3;
+/// Seconds of ranking cost per second of replica staleness: an old digest
+/// is less trustworthy, so fresher regions win ties.
+constexpr double kStaleCostWeight = 0.5;
+/// Expected extra wait when the replica shows no free GPU/slot fitting the
+/// job (the region may still admit — its live view decides — but a
+/// digest-busy region ranks behind a digest-free one).
+constexpr util::Duration kBusyWaitPenalty = 120.0;
+
 /// "A>B>C" — the hop chain as recorded in JobProvenance::route.
 std::string join_chain(const std::vector<std::string>& chain) {
   std::string out;
@@ -95,8 +117,7 @@ void RegionGateway::tick() {
 }
 
 util::Duration RegionGateway::jittered(util::Duration base) {
-  if (policy_.retry_jitter <= 0) return base;
-  return base * (1.0 + policy_.retry_jitter * (2.0 * rng_.next_double() - 1.0));
+  return base * (1.0 + kRetryJitter * (2.0 * rng_.next_double() - 1.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -326,8 +347,7 @@ void RegionGateway::publish_digest() {
     // everyone is entry-less, the fresh list is empty and the rotation
     // covers the whole stale list, so nobody is starved.
     const bool stale = entry == nullptr ||
-                       env_.now() - entry->generated_at >
-                           policy_.directory_hard_ttl;
+                       env_.now() - entry->generated_at > kDirectoryHardTtl;
     (stale ? stale_peers : peer_gateways).push_back(&gateway);
   }
   peer_gateways.insert(peer_gateways.end(), stale_peers.begin(),
@@ -342,9 +362,7 @@ void RegionGateway::publish_digest() {
   }
   // The self entry was stamped above, so entries is never empty.
   const std::uint64_t bytes = kGossipEntryBytes * gossip.entries.size();
-  const std::size_t fanout =
-      std::min<std::size_t>(std::max(1, policy_.gossip_fanout),
-                            peer_gateways.size());
+  const std::size_t fanout = std::min(kGossipFanout, peer_gateways.size());
   for (std::size_t i = 0; i < fanout; ++i) {
     const std::string& target =
         *peer_gateways[(gossip_cursor_ + i) % peer_gateways.size()];
@@ -383,7 +401,6 @@ bool RegionGateway::locally_placeable(const workload::JobSpec& job) {
 }
 
 void RegionGateway::scan_for_forwards() {
-  if (!policy_.forward_training && !policy_.forward_interactive) return;
   // Expired backoff entries are dead weight either way: the next check is
   // a fresh decision.  Pruning here bounds the map to the backoff window.
   for (auto it = retry_after_.begin(); it != retry_after_.end();) {
@@ -397,10 +414,8 @@ void RegionGateway::scan_for_forwards() {
   for (const auto& [job_id, record] : coordinator_.jobs()) {
     if (record.phase != sched::JobPhase::kPending) continue;
     if (outbound_.contains(job_id)) continue;
-    const bool interactive =
-        record.spec.type == workload::JobType::kInteractive;
-    if (interactive ? !policy_.forward_interactive
-                    : !policy_.forward_training) {
+    if (record.spec.type == workload::JobType::kInteractive &&
+        !policy_.forward_interactive) {
       continue;
     }
     if (env_.now() - record.submitted_at < policy_.forward_after) continue;
@@ -456,7 +471,7 @@ std::vector<RegionScore> RegionGateway::rank_locally(
       continue;
     }
     const util::Duration age = now - entry.generated_at;
-    if (age > policy_.directory_hard_ttl) continue;  // presumed unreachable
+    if (age > kDirectoryHardTtl) continue;  // presumed unreachable
     // Hardware envelope: could this region *ever* host the shape?
     // Free-capacity staleness is deliberately tolerated (target-side
     // admission settles it); the envelope only changes on (re)registration.
@@ -483,8 +498,7 @@ std::vector<RegionScore> RegionGateway::rank_locally(
          }));
     score.expected_cost =
         path.rtt + static_cast<double>(checkpoint_bytes) / ship_rate +
-        policy_.stale_cost_weight * age +
-        (digest_fits ? 0.0 : policy_.busy_wait_penalty);
+        kStaleCostWeight * age + (digest_fits ? 0.0 : kBusyWaitPenalty);
     ranking.push_back(std::move(score));
   }
   // Cheapest expected progress first; region name breaks exact ties so
@@ -551,7 +565,7 @@ void RegionGateway::try_next_region(const std::string& job_id) {
   assert(it != outbound_.end());
   OutboundForward& forward = it->second;
   if (forward.next_region >= forward.ranking.size() ||
-      forward.attempts >= policy_.max_forward_attempts) {
+      forward.attempts >= kMaxForwardAttempts) {
     return_job_home(job_id);
     return;
   }
@@ -708,7 +722,7 @@ void RegionGateway::send_transfer(const std::string& job_id) {
   // (it is a protocol timeout, not a backoff).
   const int exponent = std::min(3, forward.transfer_attempts - 1);
   const util::Duration deadline =
-      policy_.transfer_ack_timeout * static_cast<double>(1 << exponent);
+      kTransferAckTimeout * static_cast<double>(1 << exponent);
   arm_timeout(job_id, forward.generation,
               exponent > 0 ? jittered(deadline) : deadline);
 }

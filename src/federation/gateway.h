@@ -59,6 +59,19 @@ struct WanPathModel {
 using WanPathFn = std::function<WanPathModel(const std::string& from_gateway,
                                              const std::string& to_gateway)>;
 
+/// Multiplicative jitter (+/- this fraction, uniform) applied to every
+/// retry/backoff delay (forward retry backoff, transfer resend backoff).
+/// Without it, every gateway that backed off a crashed region retries at
+/// the exact same instant it comes back — a synchronized thundering herd
+/// into the recovering coordinator.  Protocol *timeouts* (forward_timeout,
+/// the base transfer ack deadline) stay exact.
+inline constexpr double kRetryJitter = 0.15;
+/// Replica entries whose origin stamp is older than this are dropped from
+/// rankings entirely (region presumed unreachable).  Staleness below the
+/// cutoff is not filtered: the ranking discounts it and the target's live
+/// admission catches the drift.
+inline constexpr util::Duration kDirectoryHardTtl = 120.0;
+
 /// Per-region federation policy: what this campus forwards out, and what it
 /// is willing to take in.  Regional autonomy lives here.
 struct RegionPolicy {
@@ -69,8 +82,7 @@ struct RegionPolicy {
   /// Free whole GPUs kept back for local submitters when admitting.
   int min_free_gpus_reserve = 0;
 
-  /// Outbound forwarding.
-  bool forward_training = true;      // also covers batch jobs
+  /// Outbound forwarding.  Training and batch jobs always may leave.
   bool forward_interactive = false;  // cross-campus Jupyter: off by default
   /// Pending age before a job becomes a forward candidate.
   util::Duration forward_after = 60.0;
@@ -79,49 +91,12 @@ struct RegionPolicy {
   /// After every candidate region refused, wait this long before trying to
   /// forward the same job again.
   util::Duration forward_retry_backoff = 120.0;
-  /// Regions tried per ranking before returning the job to the local queue.
-  int max_forward_attempts = 3;
-  /// Multiplicative jitter (+/- this fraction, uniform) applied to every
-  /// retry/backoff delay (forward retry backoff, transfer resend backoff).
-  /// Without it, every gateway that backed off a crashed region retries at
-  /// the exact same instant it comes back — a synchronized thundering herd
-  /// into the recovering coordinator.  Protocol *timeouts* (forward_timeout,
-  /// the base transfer ack deadline) stay exact.  0 disables.
-  double retry_jitter = 0.15;
-  /// Base ack deadline per transfer attempt (doubles per retry, capped at
-  /// 8x).  Much larger than forward_timeout: a shipment carries gigabytes
-  /// through the capped WAN channel and queues FIFO behind its peers (an
-  /// outage burst backs the channel up for tens of seconds), and a
-  /// premature retry re-ships the whole payload.  Transfers retry until
-  /// acked — at-least-once with an idempotent receiver — because giving
-  /// up after an accepted hand-off could run the job twice.
-  util::Duration transfer_ack_timeout = 120.0;
-
   /// Gossip cadence (also drives the remote-job outcome sweep).
   util::Duration digest_interval = 10.0;
   /// An accepted forward whose transfer never arrives frees its admission
   /// slot after this long.
   util::Duration reservation_ttl = 60.0;
 
-  /// --- Directory gossip ----------------------------------------------------
-  /// Peers pushed to per gossip tick (rotating deterministically, so every
-  /// peer is reached within ceil(peers / fanout) ticks even when the
-  /// federation outgrows the fanout).
-  int gossip_fanout = 3;
-  /// Replica entries whose origin stamp is older than this are dropped
-  /// from rankings entirely (region presumed unreachable).  Staleness
-  /// below the cutoff is not filtered: the ranking discounts it and the
-  /// target's live admission catches the drift.
-  util::Duration directory_hard_ttl = 120.0;
-
-  /// --- WAN-cost ranking ----------------------------------------------------
-  /// Seconds of ranking cost per second of replica staleness: an old
-  /// digest is less trustworthy, so fresher regions win ties.
-  double stale_cost_weight = 0.5;
-  /// Expected extra wait when the replica shows no free GPU/slot fitting
-  /// the job (the region may still admit — its live view decides — but a
-  /// digest-busy region ranks behind a digest-free one).
-  util::Duration busy_wait_penalty = 120.0;
   /// Interactive sessions are forwarded only to regions whose modeled WAN
   /// RTT fits this budget (a cross-country Jupyter kernel is useless);
   /// with no region inside the budget the session stays pending locally.
@@ -299,9 +274,9 @@ class RegionGateway {
   const GatewayRecoveryStats& recovery_stats() const {
     return recovery_stats_;
   }
-  /// `base` +/- retry_jitter fraction, drawn from this gateway's private
-  /// stream (see RegionPolicy::retry_jitter).  Every retry/backoff delay
-  /// goes through this; public so tests can assert the de-correlation.
+  /// `base` +/- kRetryJitter fraction, drawn from this gateway's private
+  /// stream.  Every retry/backoff delay goes through this; public so tests
+  /// can assert the de-correlation.
   util::Duration jittered(util::Duration base);
 
  private:

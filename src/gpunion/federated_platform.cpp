@@ -123,12 +123,6 @@ federation::RegionGateway& FederatedPlatform::gateway(
   return *regions_[it->second].gateway;
 }
 
-int FederatedPlatform::total_gpus() const {
-  int total = 0;
-  for (const auto& region : regions_) total += region.platform->total_gpus();
-  return total;
-}
-
 FederatedStats FederatedPlatform::stats() const {
   FederatedStats out;
   util::SampleSet replica_ages;

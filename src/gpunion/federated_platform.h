@@ -115,9 +115,6 @@ class FederatedPlatform {
   const obs::Tracer& tracer() const { return *config_.tracer; }
   sim::Environment& env() { return env_; }
 
-  /// Every GPU across every region.
-  int total_gpus() const;
-
   /// Aggregated federation counters.
   FederatedStats stats() const;
 

@@ -9,6 +9,8 @@ namespace gpunion::net {
 namespace {
 
 constexpr double kBytesPerGbit = 1e9 / 8.0;
+/// Traffic histogram granularity.
+constexpr util::Duration kAccountingBucket = 60.0;
 
 /// Control-plane classes are prioritized (QoS) and bypass bulk queueing.
 bool is_control_plane(TrafficClass c) {
@@ -82,16 +84,6 @@ void SimNetwork::set_partitioned(const NodeId& id, bool partitioned) {
   endpoint_for(id).partitioned = partitioned;
 }
 
-bool SimNetwork::is_partitioned(const NodeId& id) const {
-  auto it = endpoints_.find(id);
-  return it != endpoints_.end() && it->second.partitioned;
-}
-
-void SimNetwork::set_drop_probability(double p) {
-  assert(p >= 0.0 && p <= 1.0);
-  config_.drop_probability = p;
-}
-
 void SimNetwork::account(const Message& msg, util::SimTime start,
                          util::SimTime end) {
   const auto cls = static_cast<std::size_t>(msg.traffic_class);
@@ -99,10 +91,8 @@ void SimNetwork::account(const Message& msg, util::SimTime start,
   if (msg.traffic_class == TrafficClass::kFederation) {
     federation_peer_bytes_[pair_key(msg.from, msg.to)] += msg.size_bytes;
   }
-  const auto first =
-      static_cast<std::uint64_t>(start / config_.accounting_bucket);
-  const auto last =
-      static_cast<std::uint64_t>(end / config_.accounting_bucket);
+  const auto first = static_cast<std::uint64_t>(start / kAccountingBucket);
+  const auto last = static_cast<std::uint64_t>(end / kAccountingBucket);
   if (last <= first) {
     buckets_[first][cls] += msg.size_bytes;
     return;
@@ -113,10 +103,9 @@ void SimNetwork::account(const Message& msg, util::SimTime start,
   std::uint64_t booked = 0;
   for (std::uint64_t bucket = first; bucket <= last; ++bucket) {
     const double bucket_start =
-        static_cast<double>(bucket) * config_.accounting_bucket;
-    const double overlap =
-        std::min(end, bucket_start + config_.accounting_bucket) -
-        std::max(start, bucket_start);
+        static_cast<double>(bucket) * kAccountingBucket;
+    const double overlap = std::min(end, bucket_start + kAccountingBucket) -
+                           std::max(start, bucket_start);
     const auto share = static_cast<std::uint64_t>(
         static_cast<double>(msg.size_bytes) * overlap / duration);
     buckets_[bucket][cls] += share;
@@ -247,8 +236,8 @@ util::Duration SimNetwork::federation_lag(util::SimTime now) const {
 std::uint64_t SimNetwork::bytes_in_window(TrafficClass c, util::SimTime t0,
                                           util::SimTime t1) const {
   const auto cls = static_cast<std::size_t>(c);
-  const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
-  const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
+  const auto b0 = static_cast<std::uint64_t>(t0 / kAccountingBucket);
+  const auto b1 = static_cast<std::uint64_t>(t1 / kAccountingBucket);
   std::uint64_t total = 0;
   for (const auto& [bucket, bytes] : buckets_) {
     if (bucket >= b0 && bucket <= b1) total += bytes[cls];
@@ -269,10 +258,10 @@ double SimNetwork::peak_backbone_utilization(util::SimTime t0,
 double SimNetwork::peak_class_utilization(
     std::initializer_list<TrafficClass> classes, util::SimTime t0,
     util::SimTime t1) const {
-  const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
-  const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
+  const auto b0 = static_cast<std::uint64_t>(t0 / kAccountingBucket);
+  const auto b1 = static_cast<std::uint64_t>(t1 / kAccountingBucket);
   const double capacity_per_bucket =
-      backbone_.bytes_per_sec * config_.accounting_bucket;
+      backbone_.bytes_per_sec * kAccountingBucket;
   double peak = 0;
   for (const auto& [bucket, bytes] : buckets_) {
     if (bucket < b0 || bucket > b1) continue;
@@ -288,8 +277,8 @@ double SimNetwork::peak_class_utilization(
 double SimNetwork::mean_backbone_utilization(util::SimTime t0,
                                              util::SimTime t1) const {
   assert(t1 > t0);
-  const auto b0 = static_cast<std::uint64_t>(t0 / config_.accounting_bucket);
-  const auto b1 = static_cast<std::uint64_t>(t1 / config_.accounting_bucket);
+  const auto b0 = static_cast<std::uint64_t>(t0 / kAccountingBucket);
+  const auto b1 = static_cast<std::uint64_t>(t1 / kAccountingBucket);
   std::uint64_t total = 0;
   for (const auto& [bucket, bytes] : buckets_) {
     if (bucket < b0 || bucket > b1) continue;

@@ -31,7 +31,6 @@ struct SimNetworkConfig {
   double default_access_gbps = 1.0;     // per-node access link
   util::Duration base_latency = 0.0002; // 0.2 ms LAN propagation
   double drop_probability = 0.0;        // random loss (fault injection)
-  util::Duration accounting_bucket = 60.0;  // traffic histogram granularity
   /// Checkpoint backups ride a shared scavenger-class channel capped at
   /// this aggregate rate (per-class QoS, like a campus switch's background
   /// queue): §4's "resilience mechanisms operate transparently without
@@ -83,13 +82,6 @@ class SimNetwork : public Transport {
   /// Partitions a node: messages to/from it are silently dropped until
   /// healed.  Models emergency departure (power pull, cable yank).
   void set_partitioned(const NodeId& id, bool partitioned);
-  bool is_partitioned(const NodeId& id) const;
-
-  /// Message-loss fault mode: changes the random drop probability at
-  /// runtime (FaultInjector's lossy-network phase; 0 restores a clean
-  /// network).  Applies to sends after the call; in-flight messages are
-  /// unaffected.
-  void set_drop_probability(double p);
 
   // --- Traffic accounting ---------------------------------------------------
   std::uint64_t bytes_sent(TrafficClass c) const;

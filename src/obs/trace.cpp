@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/ids.h"
+
 namespace gpunion::obs {
 
 Tracer::Tracer(std::size_t capacity)
@@ -11,12 +13,8 @@ Tracer::Tracer(std::size_t capacity)
 }
 
 std::uint64_t Tracer::trace_for_job(std::string_view job_id) {
-  // FNV-1a, 64-bit.  0 is reserved for "no trace".
-  std::uint64_t hash = 1469598103934665603ull;
-  for (unsigned char c : job_id) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
+  // 0 is reserved for "no trace".
+  const std::uint64_t hash = util::fnv1a64(job_id);
   return hash == 0 ? 1099511628211ull : hash;
 }
 

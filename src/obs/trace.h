@@ -21,12 +21,14 @@
 //    JobTransfer (the sender's transfer span id becomes the receiver's
 //    admit span's parent), mirroring the PR 5 hop chains.
 //
-// Cost model: tracing is OFF unless a Tracer is wired into the configs
-// (null pointer = not even a branch beyond the null check), and a compiled
-// tracer can be disabled at build time with -DGPUNION_TRACING=0, which
-// turns enabled() into a constant-false the optimizer deletes.  The ring
-// drops oldest spans at capacity (dropped() counts them) so memory is
-// bounded no matter how long the run is.
+// Cost model: a component records spans only when a Tracer is wired into
+// its config (a null pointer costs one branch).  Platform and
+// FederatedPlatform always wire their own tracer, enabled from
+// construction, so every campus and federation run records spans unless
+// its owner calls set_enabled(false); components built outside a platform
+// (unit tests) trace only when handed one.  The ring drops oldest spans at
+// capacity (dropped() counts them) so memory is bounded no matter how long
+// the run is.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +40,7 @@
 #include "monitor/metrics.h"
 #include "util/time.h"
 
-#ifndef GPUNION_TRACING
-#define GPUNION_TRACING 1
-#endif
-
 namespace gpunion::obs {
-
-/// Compile-time kill switch: with -DGPUNION_TRACING=0 every enabled() guard
-/// folds to `false` and the instrumentation inlines away.
-inline constexpr bool kTracingCompiledIn = GPUNION_TRACING != 0;
 
 /// Span taxonomy.  Stage names double as the `stage` label of the
 /// auto-registered latency histograms, so keep them exposition-safe.
@@ -108,10 +102,9 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Cheap guard every instrumentation site checks first.  Constant false
-  /// when tracing is compiled out.
-  bool enabled() const { return kTracingCompiledIn && enabled_; }
-  void set_enabled(bool on) { enabled_ = kTracingCompiledIn && on; }
+  /// Cheap guard every instrumentation site checks first.
+  bool enabled() const { return enabled_; }
+  void set_enabled(bool on) { enabled_ = on; }
 
   /// Deterministic trace id of a job: FNV-1a of the id string (never 0).
   /// Stable across regions, processes and runs — the property that lets the
@@ -163,7 +156,7 @@ class Tracer {
   void push(Span span);
 
   const std::size_t capacity_;
-  bool enabled_ = kTracingCompiledIn;
+  bool enabled_ = true;
   std::vector<Span> ring_;       // ring_[head_] is the oldest once full
   std::size_t head_ = 0;
   std::uint64_t next_span_id_ = 1;

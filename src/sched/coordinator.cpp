@@ -41,6 +41,9 @@ namespace {
 /// Journal key for the durable stats counters (one coordinator per DB).
 constexpr const char* kStatsJournalKey = "coordinator.stats";
 
+/// Dispatch ack deadline before the target is assumed dead.
+constexpr util::Duration kDispatchTimeout = 30.0;
+
 db::JobStateRecord to_state(const JobRecord& r) {
   db::JobStateRecord s;
   s.job_id = r.spec.id;
@@ -189,7 +192,7 @@ util::Status Coordinator::submit(workload::JobSpec job, double start_progress,
     // not be denied by its predecessor's patience window.
     const util::SimTime submitted = env_.now();
     const std::uint64_t epoch = epoch_;
-    env_.schedule_after(config_.session_patience,
+    env_.schedule_after(kSessionPatience,
                         [this, job_id, submitted, epoch] {
       if (epoch != epoch_) return;  // armed before a crash
       session_timeout(job_id, submitted);
@@ -595,7 +598,7 @@ void Coordinator::rebuild_from_db() {
                live.spec.type == workload::JobType::kInteractive) {
       // Re-arm the patience window for the remaining time.
       const util::Duration remaining = std::max(
-          0.0, live.submitted_at + config_.session_patience - env_.now());
+          0.0, live.submitted_at + kSessionPatience - env_.now());
       const util::SimTime submitted = live.submitted_at;
       const std::uint64_t epoch = epoch_;
       env_.schedule_after(remaining,
@@ -607,20 +610,11 @@ void Coordinator::rebuild_from_db() {
                !config_.policy.auto_migration && live.interruptions > 0) {
       // Manual-coordination mode: the human-resubmit timer did not survive
       // the crash and an interrupted pending job may hold no queue row.
-      // Re-arm one; the enqueue is guarded by the pending check and a
-      // duplicate queue row is skimmed off by the next scheduling pass.
-      const std::uint64_t epoch = epoch_;
-      env_.schedule_after(config_.manual_resubmit_delay,
-                          [this, job_id, epoch] {
-        if (epoch != epoch_) return;
-        auto jt = jobs_.find(job_id);
-        if (jt == jobs_.end() || jt->second.phase != JobPhase::kPending) {
-          return;
-        }
-        database_.enqueue_request(db::PendingRequest{
-            job_id, jt->second.spec.requirements.priority, env_.now()});
-        request_pass();
-      });
+      // Re-arm one.  A resubmit that fired before the crash may already
+      // have queued the job, and a scheduling pass re-enqueues every row of
+      // a job that stays pending, so the resubmit replaces that row instead
+      // of adding a second one.
+      arm_manual_resubmit(job_id);
     }
     ++recovery_stats_.jobs_rebuilt;
   }
@@ -1233,7 +1227,7 @@ void Coordinator::dispatch_to(JobRecord& record, const NodeInfo& node,
   persist_job(record);
   const std::string job_id = record.spec.id;
   const std::uint64_t epoch = epoch_;
-  env_.schedule_after(config_.dispatch_timeout,
+  env_.schedule_after(kDispatchTimeout,
                       [this, job_id, generation, epoch] {
     if (epoch != epoch_) return;  // armed before a crash
     dispatch_timeout(job_id, generation);
@@ -1385,21 +1379,24 @@ void Coordinator::interrupt_job(JobRecord& record, agent::DepartureKind cause,
     requeue(record, /*front=*/cause != agent::DepartureKind::kReclaim);
   } else {
     // Manual coordination: a human notices the failure and resubmits later.
-    const std::string job_id = record.spec.id;
     record.phase = JobPhase::kPending;
     record.queued_since = env_.now();
     persist_job(record);
-    const std::uint64_t epoch = epoch_;
-    env_.schedule_after(config_.manual_resubmit_delay,
-                        [this, job_id, epoch] {
-      if (epoch != epoch_) return;  // armed before a crash
-      auto it = jobs_.find(job_id);
-      if (it == jobs_.end() || it->second.phase != JobPhase::kPending) return;
-      database_.enqueue_request(db::PendingRequest{
-          job_id, it->second.spec.requirements.priority, env_.now()});
-      request_pass();
-    });
+    arm_manual_resubmit(record.spec.id);
   }
+}
+
+void Coordinator::arm_manual_resubmit(const std::string& job_id) {
+  const std::uint64_t epoch = epoch_;
+  env_.schedule_after(kManualResubmitDelay, [this, job_id, epoch] {
+    if (epoch != epoch_) return;  // armed before a crash
+    auto it = jobs_.find(job_id);
+    if (it == jobs_.end() || it->second.phase != JobPhase::kPending) return;
+    (void)database_.remove_request(job_id);  // at most one row per job
+    database_.enqueue_request(db::PendingRequest{
+        job_id, it->second.spec.requirements.priority, env_.now()});
+    request_pass();
+  });
 }
 
 void Coordinator::interrupt_jobs_on(const std::string& machine_id,

@@ -34,6 +34,11 @@
 
 namespace gpunion::sched {
 
+/// How long an interactive request may queue before the student gives up.
+inline constexpr util::Duration kSessionPatience = 600.0;
+/// Human resubmission delay when auto_migration is off (manual baseline).
+inline constexpr util::Duration kManualResubmitDelay = 3600.0;
+
 struct CoordinatorConfig {
   std::string id = "coordinator";
   util::Duration heartbeat_interval = 2.0;
@@ -43,15 +48,9 @@ struct CoordinatorConfig {
   /// packed_sharing, or any externally registered policy).
   std::string strategy = std::string(kRoundRobin);
   PlatformPolicy policy;
-  /// How long an interactive request may queue before the student gives up.
-  util::Duration session_patience = 600.0;
-  /// Dispatch ack deadline before the target is assumed dead.
-  util::Duration dispatch_timeout = 30.0;
   /// Downtime threshold under which a migration counts as successful
   /// (Fig. 3 reporting).
   util::Duration migration_success_window = 600.0;
-  /// Human resubmission delay when auto_migration is off (manual baseline).
-  util::Duration manual_resubmit_delay = 3600.0;
   /// Optional span sink: when set, every job carries a TraceContext and the
   /// coordinator records submit/queue_wait/placement/dispatch/run/
   /// checkpoint/interrupt spans into it.  Null = tracing off (no cost
@@ -412,6 +411,11 @@ class Coordinator {
                      db::AllocationOutcome outcome, util::SimTime at);
   void interrupt_jobs_on(const std::string& machine_id,
                          agent::DepartureKind cause, util::SimTime at);
+  /// Manual coordination (auto_migration off): a human notices the
+  /// interruption and resubmits the job kManualResubmitDelay later, if it
+  /// is still pending then; the resubmit replaces any queue row the job
+  /// already holds.
+  void arm_manual_resubmit(const std::string& job_id);
   double estimate_progress(const JobRecord& record) const;
   void trigger_migrate_back(const std::string& machine_id);
 

@@ -22,9 +22,4 @@ void FaultInjector::inject_at(util::SimTime t, std::string name) {
       t, [this, name = std::move(name)] { (void)inject_now(name); });
 }
 
-void FaultInjector::inject_after(util::Duration delay, std::string name) {
-  env_.schedule_after(
-      delay, [this, name = std::move(name)] { (void)inject_now(name); });
-}
-
 }  // namespace gpunion::sim

@@ -63,10 +63,9 @@ class FaultInjector {
   /// names.
   bool inject_now(const std::string& name);
 
-  /// Schedules a fault as an event at / after the given time.
-  /// Unknown-at-fire-time names are counted in misfires() and skipped.
+  /// Schedules a fault as an event at the given time.  Unknown-at-fire-time
+  /// names are counted in misfires() and skipped.
   void inject_at(util::SimTime t, std::string name);
-  void inject_after(util::Duration delay, std::string name);
 
   /// Times a named fault has fired.
   std::uint64_t fired(const std::string& name) const {

@@ -9,7 +9,6 @@ namespace gpunion::storage {
 CheckpointStore::CheckpointStore(CheckpointStoreConfig config)
     : config_(config) {
   assert(config_.full_every >= 1);
-  assert(config_.keep_per_job >= 1);
 }
 
 util::Status CheckpointStore::add_node(const std::string& id,
@@ -168,11 +167,11 @@ void CheckpointStore::collect(const std::string& job_id) {
   auto it = chains_.find(job_id);
   if (it == chains_.end()) return;
   auto& chain = it->second;
-  if (static_cast<int>(chain.size()) <= config_.keep_per_job) return;
+  if (static_cast<int>(chain.size()) <= kKeepPerJob) return;
 
   // Never drop the chain needed to restore: keep from the latest full
   // snapshot that still fits the budget.
-  std::size_t cut = chain.size() - static_cast<std::size_t>(config_.keep_per_job);
+  std::size_t cut = chain.size() - static_cast<std::size_t>(kKeepPerJob);
   while (cut > 0 && chain[cut].kind != CheckpointKind::kFull) --cut;
   for (std::size_t i = 0; i < cut; ++i) {
     release_bytes(chain[i]);

@@ -23,12 +23,13 @@
 
 namespace gpunion::storage {
 
+/// Keep at most this many checkpoints per job; older entries before the
+/// previous full snapshot are collected.
+inline constexpr int kKeepPerJob = 16;
+
 struct CheckpointStoreConfig {
   /// A full snapshot every N checkpoints (1 = always full).
   int full_every = 8;
-  /// Keep at most this many checkpoints per job (>= 1); older entries
-  /// before the previous full snapshot are collected.
-  int keep_per_job = 16;
 };
 
 class CheckpointStore {

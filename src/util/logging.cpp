@@ -18,31 +18,15 @@ const char* level_tag(LogLevel level) {
 
 }  // namespace
 
-Logger::Logger() {
-  sink_ = [](LogLevel level, const std::string& message) {
-    std::fprintf(stderr, "%s %s\n", level_tag(level), message.c_str());
-  };
-}
-
 Logger& Logger::instance() {
   static Logger logger;
   return logger;
 }
 
-void Logger::set_sink(Sink sink) {
-  if (sink) {
-    sink_ = std::move(sink);
-  } else {
-    sink_ = [](LogLevel level, const std::string& message) {
-      std::fprintf(stderr, "%s %s\n", level_tag(level), message.c_str());
-    };
-  }
-}
-
 void Logger::write(LogLevel level, const std::string& message) {
   if (!enabled(level)) return;
   std::lock_guard<std::mutex> lock(write_mu_);
-  sink_(level, message);
+  std::fprintf(stderr, "%s %s\n", level_tag(level), message.c_str());
 }
 
 }  // namespace gpunion::util

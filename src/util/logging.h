@@ -2,11 +2,10 @@
 //
 // The platform logs operational events (registrations, departures,
 // migrations) at kInfo and protocol details at kDebug.  Benchmarks lower the
-// level to kWarn so tables stay clean.  The logger is process-global but the
-// sink is injectable for tests.
+// level to kWarn so tables stay clean.  The logger is process-global and
+// writes to stderr.
 #pragma once
 
-#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -18,16 +17,10 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// Global log configuration.
 class Logger {
  public:
-  using Sink = std::function<void(LogLevel, const std::string&)>;
-
   static Logger& instance();
 
   void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
-
-  /// Replaces the output sink (default: stderr).  Passing nullptr restores
-  /// the default sink.
-  void set_sink(Sink sink);
 
   bool enabled(LogLevel level) const { return level >= level_; }
   /// Thread-safe: the logger is a process-wide singleton, so lines from
@@ -36,9 +29,8 @@ class Logger {
   void write(LogLevel level, const std::string& message);
 
  private:
-  Logger();
+  Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
-  Sink sink_;
   std::mutex write_mu_;
 };
 

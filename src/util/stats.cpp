@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace gpunion::util {
 
@@ -23,8 +22,6 @@ double RunningStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double SampleSet::mean() const {
   if (samples_.empty()) return 0.0;

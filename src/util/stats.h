@@ -17,7 +17,6 @@ class RunningStats {
   double max() const { return count_ ? max_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 with fewer than two samples.
   double variance() const;
-  double stddev() const;
   double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:

@@ -58,7 +58,7 @@ class RobustnessTest : public ::testing::Test {
     node_ = std::make_unique<hw::NodeModel>(hw::workstation_3090("ws-0"));
     AgentConfig config;
     config.owner_group = "lab";
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     agent_ = std::make_unique<ProviderAgent>(env_, transport_, *node_,
                                              registry_, store_, config);
   }

@@ -69,7 +69,7 @@ class AgentTest : public ::testing::Test {
     AgentConfig config;
     config.owner_group = "vision";
     config.heartbeat_interval = 2.0;
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     agent_ = std::make_unique<ProviderAgent>(env_, net_, node_, registry_,
                                              store_, config);
   }

@@ -11,7 +11,7 @@
 //   * quota enforcement — no tenant ever exceeds max_in_flight, its queue
 //     bound, or its GPU-seconds budget;
 //   * bounded core working set — total in-flight demand stays within
-//     capacity x core_load_factor;
+//     capacity x kCoreLoadFactor;
 //   * blocked-for-cause — a tenant still backlogged after a quiescent
 //     drain is quota-blocked, budget-starved or capacity-blocked; queues
 //     never hold for no reason.
@@ -69,7 +69,6 @@ CampusConfig api_campus() {
   config.api.admission_burst = 12.0;
   config.api.drain_interval = 0.5;
   config.api.drain_batch = 8;
-  config.api.core_load_factor = 2.0;
   config.api.default_quota.max_in_flight = 4;
   config.api.default_quota.max_queued = 6;
   // Tenant personalities: a weighted heavy hitter, a budget-metered lab, a
@@ -96,7 +95,6 @@ int draw_tenant(util::Rng& rng) {
 /// point (and most of them at ANY point — the transitions are atomic).
 void check_api_invariants(Platform& platform) {
   api::ApiServer& api = platform.api();
-  const api::ApiConfig& config = api.config();
 
   api::TenantCounters rollup;
   for (const std::string& tenant : api.tenants()) {
@@ -143,9 +141,9 @@ void check_api_invariants(Platform& platform) {
   // Bounded core working set.
   const api::ResourceVector usage = api.drf_queue().total_usage();
   const api::ResourceVector& capacity = api.drf_queue().capacity();
-  EXPECT_LE(usage.gpus, capacity.gpus * config.core_load_factor + 1e-9);
+  EXPECT_LE(usage.gpus, capacity.gpus * api::kCoreLoadFactor + 1e-9);
   EXPECT_LE(usage.memory_gb,
-            capacity.memory_gb * config.core_load_factor + 1e-9);
+            capacity.memory_gb * api::kCoreLoadFactor + 1e-9);
 }
 
 /// After a quiescent drain every backlogged tenant must be blocked for a
@@ -153,7 +151,7 @@ void check_api_invariants(Platform& platform) {
 void check_blocked_for_cause(Platform& platform) {
   if (platform.control_plane_crashed()) return;  // drains are suspended
   api::ApiServer& api = platform.api();
-  const double factor = api.config().core_load_factor;
+  const double factor = api::kCoreLoadFactor;
   const api::DrfQueue& queue = api.drf_queue();
   const api::ResourceVector usage = queue.total_usage();
   for (const std::string& tenant : queue.backlogged()) {
@@ -289,7 +287,9 @@ void run_one_seed(std::uint64_t seed, int rounds,
           EXPECT_EQ(owner, "unknown");  // wrong-tenant probe leaks nothing
           for (const auto& view :
                api.status_batch(submitted.back().first, ids)) {
-            if (view.known) EXPECT_FALSE(view.phase.empty());
+            if (view.known) {
+              EXPECT_FALSE(view.phase.empty());
+            }
           }
           break;
         }

@@ -102,7 +102,7 @@ TEST(ShardedDbTest, ReadYourWritesThroughUnflushedLedger) {
   // Per-decision mutations absorb into the ledger: no shard write yet.
   const auto alloc = database.open_allocation("job-1", "m-1", {0}, 10.0);
   database.enqueue_request({"job-2", 0, 11.0});
-  database.record_provenance({"job-1", "alpha", "beta", 12.0});
+  database.record_provenance({"job-1", "alpha", "beta", 12.0, ""});
   EXPECT_EQ(database.op_count(), ops_after_registry)
       << "ledgered writes must not charge shards before the flush";
   EXPECT_EQ(database.ledger().pending(), 3u);
@@ -145,7 +145,7 @@ TEST(ShardedDbTest, ThresholdFlushVsIntervalFlush) {
   EXPECT_EQ(database.ledger().pending(), 2u);
   EXPECT_EQ(database.ledger().stats().threshold_flushes, 0u);
   // ...the third crosses it and flushes without any timer.
-  database.record_provenance({"job-1", "alpha", "alpha", 3.0});
+  database.record_provenance({"job-1", "alpha", "alpha", 3.0, ""});
   EXPECT_EQ(database.ledger().pending(), 0u);
   EXPECT_EQ(database.ledger().stats().threshold_flushes, 1u);
   EXPECT_EQ(database.ledger().stats().entries_flushed, 3u);
@@ -186,8 +186,8 @@ void drive(Database& database) {
   EXPECT_TRUE(database.remove_request("low"));
   EXPECT_FALSE(database.remove_request("ghost"));
 
-  database.record_provenance({"job-2", "alpha", "beta", 30.0});
-  database.record_provenance({"job-2", "alpha", "gamma", 40.0});
+  database.record_provenance({"job-2", "alpha", "beta", 30.0, ""});
+  database.record_provenance({"job-2", "alpha", "gamma", 40.0, ""});
   database.record_metric("util", 1.0, 0.5);
   database.record_metric("util", 2.0, 0.75);
 }
@@ -264,20 +264,6 @@ TEST(ShardedDbTest, ShardedWriteBehindConvergesToSameContents) {
   // Far fewer charged writes, identical final state.
   EXPECT_LT(sharded.sync_op_count(), single.op_count());
   expect_same_contents(single, sharded);
-}
-
-TEST(ShardedDbTest, PerShardLatencyModel) {
-  ShardedDatabase database(sharded_config(4));
-  const double mu = database.service_rate();  // one writer lane
-  // A load that saturates one writer is comfortable across four.
-  EXPECT_EQ(database.estimated_shard_latency(mu), util::kNever);
-  EXPECT_LT(database.estimated_latency(2.0 * mu), 0.01);
-  EXPECT_EQ(database.estimated_latency(4.0 * mu), util::kNever);
-  // Single-lane config degenerates to the SystemDatabase model.
-  ShardedDatabase legacy(legacy_config());
-  SystemDatabase single;
-  EXPECT_DOUBLE_EQ(legacy.estimated_latency(100.0),
-                   single.estimated_latency(100.0));
 }
 
 }  // namespace

@@ -66,9 +66,7 @@ federation::RegionPolicy chaos_policy() {
   policy.forward_after = 8.0;
   policy.forward_timeout = 10.0;
   policy.forward_retry_backoff = 20.0;
-  policy.transfer_ack_timeout = 30.0;
   policy.reservation_ttl = 60.0;
-  policy.directory_hard_ttl = 60.0;
   policy.forward_interactive = true;
   policy.max_interactive_rtt = 0.2;  // generous: partitions do the chaos
   return policy;

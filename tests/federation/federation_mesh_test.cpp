@@ -374,17 +374,15 @@ TEST(FederationMeshTest, InteractiveStaysPendingWhenNoRegionFitsBudget) {
 TEST(FederationMeshTest, PartitionedRegionAgesOutOfRankingsThenReturns) {
   sim::Environment env(41);
   FederationConfig config;
-  federation::RegionPolicy policy = fast_policy();
-  policy.directory_hard_ttl = 20.0;
-  config.regions.push_back(make_region("alpha", 1, policy));
-  config.regions.push_back(make_region("beta", 2, policy));
+  config.regions.push_back(make_region("alpha", 1));
+  config.regions.push_back(make_region("beta", 2));
   FederatedPlatform fed(env, config);
   fed.start();
   env.run_until(5.0);
 
   // Cut beta off the WAN and let its replica entry age past the TTL.
   fed.set_region_wan_partitioned("beta", true);
-  env.run_until(40.0);
+  env.run_until(5.0 + federation::kDirectoryHardTtl + 35.0);
 
   ASSERT_TRUE(fed.region("alpha")
                   .coordinator()
@@ -395,14 +393,14 @@ TEST(FederationMeshTest, PartitionedRegionAgesOutOfRankingsThenReturns) {
                   .submit(training("overflow", "group-alpha", 60.0,
                                    env.now()))
                   .is_ok());
-  env.run_until(100.0);
+  env.run_until(env.now() + 60.0);
   // Beta is presumed unreachable: no offers were wasted on it.
   EXPECT_EQ(fed.gateway("alpha").stats().forwards_attempted, 0u);
   EXPECT_GE(fed.gateway("alpha").stats().forwards_aborted, 1u);
 
   // Heal: gossip resumes, beta re-enters rankings, the job completes there.
   fed.set_region_wan_partitioned("beta", false);
-  env.run_until(400.0);
+  env.run_until(env.now() + 300.0);
   EXPECT_GE(fed.gateway("beta").stats().remote_admitted, 1u);
   EXPECT_GE(completed_in(fed.region("beta")), 1);
 }

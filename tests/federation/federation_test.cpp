@@ -181,17 +181,16 @@ TEST(FederationForwardTest, RemoteRefusalByPolicy) {
 TEST(FederationForwardTest, StaleDigestIsRefusedThenRerouted) {
   sim::Environment env(19);
   FederationConfig config;
-  // Alpha ranks without a staleness discount, so a stale "free" entry ties
-  // a fresh one and the region name puts beta first.
-  federation::RegionPolicy trusting = fast_policy();
-  trusting.stale_cost_weight = 0;
-  config.regions.push_back(make_region("alpha", 1, trusting));
+  config.regions.push_back(make_region("alpha", 1));
   // Beta gossips every 30 s: its t=30 digest shows 4 free GPUs, and alpha's
   // replica keeps ranking it on that snapshot long after beta has filled up.
+  // Gamma gossips on the same cadence, so at ranking time both entries are
+  // equally stale: the staleness discount ties and the region name puts
+  // beta first.
   federation::RegionPolicy quiet = fast_policy();
   quiet.digest_interval = 30.0;
   config.regions.push_back(make_region("beta", 4, quiet));
-  config.regions.push_back(make_region("gamma", 2));
+  config.regions.push_back(make_region("gamma", 2, quiet));
   FederatedPlatform fed(env, config);
   fed.start();
   env.run_until(31.0);  // beta's "4 free GPUs" digest is on the books
@@ -507,11 +506,10 @@ void open_seats_and_overflow(sim::Environment& env, FederatedPlatform& fed,
 TEST(FederationTimesliceTest, RankingCountsFreeTimesliceSeats) {
   sim::Environment env(47);
   FederationConfig config;
-  // No staleness discount: two regions with the same fit tie exactly and
+  // Bravo and zulu gossip on the same cadence, so their entries are equally
+  // stale at ranking time: two regions with the same fit tie exactly and
   // the name puts bravo first, so only the fit term can rank zulu ahead.
-  federation::RegionPolicy trusting = fast_policy();
-  trusting.stale_cost_weight = 0;
-  config.regions.push_back(make_region("alpha", 1, trusting));
+  config.regions.push_back(make_region("alpha", 1));
   config.regions.push_back(make_region("bravo", 1));
   config.regions.push_back(timesliced_region("zulu"));
   FederatedPlatform fed(env, config);

@@ -52,7 +52,7 @@ class CoordinatorIndexTest : public ::testing::Test {
         std::make_unique<hw::NodeModel>(hw::workstation_3090(hostname)));
     agent::AgentConfig config;
     config.owner_group = "vision";
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     agents_.push_back(std::make_unique<agent::ProviderAgent>(
         env_, net_, *nodes_.back(), registry_, store_, config));
     agents_.back()->join();
@@ -222,14 +222,12 @@ TEST_F(CoordinatorIndexTest, MigrateBackClearsDisplacedIndex) {
 }
 
 TEST_F(CoordinatorIndexTest, SessionDenialAndDisruptionArchive) {
-  CoordinatorConfig config;
-  config.session_patience = 300.0;
-  make_coordinator(config);
+  make_coordinator();
   // No capacity: the session times out in queue.
   workload::JobSpec denied = workload::make_interactive_session(
       "sess-denied", 1.0, "theory", env_.now());
   ASSERT_TRUE(coordinator_->submit(std::move(denied)).is_ok());
-  env_.run_until(env_.now() + 301.0);
+  env_.run_until(env_.now() + kSessionPatience + 1.0);
   EXPECT_TRUE(coordinator_->archive().contains("sess-denied"));
   EXPECT_EQ(coordinator_->job("sess-denied")->phase, JobPhase::kDenied);
 

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "agent/provider_agent.h"
+#include "baseline/presets.h"
 #include "net/sim_network.h"
 #include "workload/profiles.h"
 
@@ -63,7 +64,7 @@ class CoordinatorRecoveryTest : public ::testing::Test {
     nodes_.push_back(std::make_unique<hw::NodeModel>(std::move(spec)));
     agent::AgentConfig config;
     config.owner_group = "nlp";
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     config.heartbeat_interval = 2.0;
     agents_.push_back(std::make_unique<agent::ProviderAgent>(
         env_, net_, *nodes_.back(), registry_, store_, config));
@@ -270,6 +271,87 @@ TEST_F(CoordinatorRecoveryTest, SharedTenantsKeepTheirModeAndSeatsAcrossCrash) {
   expect_as_before("rebuilt from the database");
   env_.run_until(env_.now() + 2.5);  // one heartbeat
   expect_as_before("after a heartbeat");
+}
+
+TEST_F(CoordinatorRecoveryTest, PendingSessionIsDeniedOnTimeAcrossCrash) {
+  make_coordinator();
+  // No agents: the session can never be placed.
+  const util::SimTime submitted = env_.now();
+  ASSERT_TRUE(coordinator_
+                  ->submit(workload::make_interactive_session(
+                      "sess-1", 1.0, "nlp", submitted))
+                  .is_ok());
+  env_.run_until(submitted + 100.0);
+  coordinator_->crash();
+  env_.run_until(env_.now() + 1.0);
+  coordinator_->recover();
+
+  // The patience timer armed at submit died with the process; recovery
+  // re-arms it for the remaining window, so the student gives up at the
+  // same instant as without the crash.
+  while (coordinator_->job("sess-1")->phase == JobPhase::kPending) {
+    ASSERT_TRUE(env_.step());
+  }
+  EXPECT_EQ(coordinator_->job("sess-1")->phase, JobPhase::kDenied);
+  EXPECT_DOUBLE_EQ(env_.now(), submitted + kSessionPatience);
+  EXPECT_EQ(coordinator_->stats().sessions_denied, 1);
+  EXPECT_EQ(database_.queue_depth(), 0u);
+}
+
+TEST_F(CoordinatorRecoveryTest, ManualResubmitIsReArmedAcrossCrash) {
+  // Manual coordination: an interrupted job waits for a human to resubmit
+  // it.  Job "early" loses its node, is resubmitted before the crash and
+  // still waits in the queue for capacity; job "late" loses its node
+  // shortly before the crash, so its resubmit timer dies with the process.
+  CampusConfig campus;
+  baseline::apply_preset(campus, baseline::Preset::kManual);
+  make_coordinator(campus.coordinator);
+  add_agent("ws-0");
+  add_agent("ws-1");
+  ASSERT_TRUE(coordinator_->submit(training_job("job-a", 0.5)).is_ok());
+  ASSERT_TRUE(coordinator_->submit(training_job("job-b", 2.0)).is_ok());
+  env_.run_until(env_.now() + 30.0);
+  ASSERT_EQ(coordinator_->job("job-a")->phase, JobPhase::kRunning);
+  ASSERT_EQ(coordinator_->job("job-b")->phase, JobPhase::kRunning);
+  auto host_of = [this](const std::string& job_id) -> agent::ProviderAgent& {
+    return coordinator_->job(job_id)->node == agents_[0]->machine_id()
+               ? *agents_[0]
+               : *agents_[1];
+  };
+  agent::ProviderAgent& early_host = host_of("job-a");
+  agent::ProviderAgent& late_host = host_of("job-b");
+
+  early_host.depart_emergency();
+  env_.run_until(env_.now() + kManualResubmitDelay + 60.0);
+  ASSERT_EQ(coordinator_->job("job-a")->phase, JobPhase::kPending);
+  ASSERT_EQ(database_.queue_depth(), 1u);  // resubmitted, nowhere to run
+
+  late_host.depart_emergency();
+  env_.run_until(env_.now() + 60.0);
+  ASSERT_EQ(coordinator_->job("job-b")->phase, JobPhase::kPending);
+  ASSERT_EQ(database_.queue_depth(), 1u);  // job-b awaits its human
+
+  coordinator_->crash();
+  env_.run_until(env_.now() + 1.0);
+  coordinator_->recover();
+  const util::SimTime recovered_at = env_.now();
+
+  // Recovery re-arms the resubmit of both pending interrupted jobs: job-b
+  // is queued one delay later, and job-a keeps one queue row, not two.
+  env_.run_until(recovered_at + kManualResubmitDelay - 1.0);
+  EXPECT_EQ(database_.queue_depth(), 1u);
+  env_.run_until(recovered_at + kManualResubmitDelay + 1.0);
+  EXPECT_EQ(database_.queue_depth(), 2u);
+  EXPECT_EQ(coordinator_->job("job-a")->phase, JobPhase::kPending);
+  EXPECT_EQ(coordinator_->job("job-b")->phase, JobPhase::kPending);
+
+  // Capacity returns; both jobs resume from their checkpoints and finish.
+  early_host.rejoin();
+  late_host.rejoin();
+  env_.run_until(env_.now() + util::hours(2.5));
+  EXPECT_EQ(coordinator_->job("job-a")->phase, JobPhase::kCompleted);
+  EXPECT_EQ(coordinator_->job("job-b")->phase, JobPhase::kCompleted);
+  EXPECT_EQ(database_.queue_depth(), 0u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ class CoordinatorTest : public ::testing::Test {
     nodes_.push_back(std::make_unique<hw::NodeModel>(std::move(spec)));
     agent::AgentConfig config;
     config.owner_group = group;
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     agents_.push_back(std::make_unique<agent::ProviderAgent>(
         env_, net_, *nodes_.back(), registry_, store_, config));
     agents_.back()->join();
@@ -221,14 +221,12 @@ TEST_F(CoordinatorTest, NoCheckpointRestorePolicyRestartsFromScratch) {
 }
 
 TEST_F(CoordinatorTest, InteractiveSessionDeniedAfterPatience) {
-  CoordinatorConfig config;
-  config.session_patience = 300.0;
-  make_coordinator(config);
+  make_coordinator();
   // No agents at all: session can never be placed.
   workload::JobSpec session = workload::make_interactive_session(
       "sess-1", 1.0, "theory", env_.now());
   ASSERT_TRUE(coordinator_->submit(std::move(session)).is_ok());
-  env_.run_until(env_.now() + 301.0);
+  env_.run_until(env_.now() + kSessionPatience + 1.0);
   EXPECT_EQ(coordinator_->job("sess-1")->phase, JobPhase::kDenied);
   EXPECT_EQ(coordinator_->stats().sessions_denied, 1);
 }

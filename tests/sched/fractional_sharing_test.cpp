@@ -55,7 +55,7 @@ class FractionalSharingTest : public ::testing::Test {
     nodes_.push_back(std::make_unique<hw::NodeModel>(std::move(spec)));
     agent::AgentConfig config;
     config.owner_group = group;
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     agents_.push_back(std::make_unique<agent::ProviderAgent>(
         env_, net_, *nodes_.back(), registry_, store_, config));
     agents_.back()->join();

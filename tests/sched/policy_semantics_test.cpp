@@ -23,11 +23,9 @@ class PolicySemanticsTest : public ::testing::Test {
     EXPECT_TRUE(store_.add_node("nas", 1ULL << 40).is_ok());
   }
 
-  void make_coordinator(PlatformPolicy policy,
-                        util::Duration manual_delay = 3600.0) {
+  void make_coordinator(PlatformPolicy policy) {
     CoordinatorConfig config;
     config.policy = policy;
-    config.manual_resubmit_delay = manual_delay;
     coordinator_ = std::make_unique<Coordinator>(env_, net_, database_,
                                                  store_, config);
     coordinator_->start();
@@ -39,7 +37,7 @@ class PolicySemanticsTest : public ::testing::Test {
         std::make_unique<hw::NodeModel>(hw::workstation_3090(hostname)));
     agent::AgentConfig config;
     config.owner_group = group;
-    config.enable_telemetry = false;
+    config.telemetry_interval = 1e9;
     agents_.push_back(std::make_unique<agent::ProviderAgent>(
         env_, net_, *nodes_.back(), registry_, store_, config));
     agents_.back()->join();
@@ -81,7 +79,7 @@ TEST_F(PolicySemanticsTest, CrossGroupSharingOffConfinesJobsToOwnSilo) {
 TEST_F(PolicySemanticsTest, AutoMigrationOffWaitsForHumanResubmission) {
   PlatformPolicy policy;
   policy.auto_migration = false;
-  make_coordinator(policy, /*manual_delay=*/util::minutes(30));
+  make_coordinator(policy);
   auto& doomed = add_agent("ws-a", "alpha");
   add_agent("ws-b", "alpha");
   ASSERT_TRUE(coordinator_->submit(job("job-1", "alpha", 3.0)).is_ok());
@@ -90,10 +88,11 @@ TEST_F(PolicySemanticsTest, AutoMigrationOffWaitsForHumanResubmission) {
                    ? doomed
                    : *agents_[1];
   host.depart_emergency();
-  env_.run_until(env_.now() + util::minutes(10));
-  // No automatic relaunch yet: the "user" resubmits after 30 minutes.
+  const util::SimTime departed = env_.now();
+  env_.run_until(departed + kManualResubmitDelay - util::minutes(5));
+  // No automatic relaunch yet: the "user" resubmits after an hour.
   EXPECT_EQ(coordinator_->job("job-1")->phase, JobPhase::kPending);
-  env_.run_until(env_.now() + util::minutes(25));
+  env_.run_until(departed + kManualResubmitDelay + util::minutes(5));
   EXPECT_EQ(coordinator_->job("job-1")->phase, JobPhase::kRunning);
 }
 

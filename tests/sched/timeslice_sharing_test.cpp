@@ -45,13 +45,11 @@ class TimesliceSharingTest : public ::testing::Test {
   }
 
   agent::ProviderAgent& add_agent(hw::NodeSpec spec,
-                                  agent::TimesliceConfig slicing = {},
                                   const std::string& group = "vision") {
     nodes_.push_back(std::make_unique<hw::NodeModel>(std::move(spec)));
     agent::AgentConfig config;
     config.owner_group = group;
-    config.enable_telemetry = false;
-    config.timeslice = slicing;
+    config.telemetry_interval = 1e9;
     agents_.push_back(std::make_unique<agent::ProviderAgent>(
         env_, net_, *nodes_.back(), registry_, store_, config));
     agents_.back()->join();
@@ -186,13 +184,12 @@ TEST_F(TimesliceSharingTest, ThrashWideningBoundsSwapCost) {
 
 TEST_F(TimesliceSharingTest, ThrashEvictionAtMaxQuantum) {
   make_coordinator();
-  agent::TimesliceConfig slicing;
-  slicing.quantum = 30.0;
-  slicing.max_quantum = 30.0;  // no room to widen: thrash must evict
+  // A 40 GB rotation over a 0.25 GB/s host link swaps for 160 s, more than
+  // half of even the widest (240 s) quantum: widening cannot help, so the
+  // thrash must evict.
   auto& provider = add_agent(
       hw::with_timeslicing(hw::workstation_3090("ws-0"), 2,
-                           /*oversub_ratio=*/2.0, /*host_swap_gbps=*/1.0),
-      slicing);
+                           /*oversub_ratio=*/2.0, /*host_swap_gbps=*/0.25));
   ASSERT_TRUE(coordinator_->submit(session("a", 2.0, 20.0)).is_ok());
   ASSERT_TRUE(coordinator_->submit(session("b", 2.0, 20.0)).is_ok());
   env_.run_until(env_.now() + util::minutes(5));

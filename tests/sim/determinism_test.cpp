@@ -15,6 +15,7 @@
 #include "hw/node.h"
 #include "sched/strategies.h"
 #include "sim/environment.h"
+#include "util/ids.h"
 #include "workload/profiles.h"
 
 namespace gpunion::sim {
@@ -194,9 +195,8 @@ TEST(DeterminismTest, TimesliceCampusIsBitIdentical) {
   }
 }
 
-/// 64-bit FNV-1a over a byte stream, with the offset basis the project's
-/// other digests use (obs::Tracer::trace_for_job, perfbench's outcome
-/// digest).
+/// 64-bit FNV-1a over a byte stream, from the offset basis the project's
+/// other hashes use (util::fnv1a64, perfbench's outcome digest).
 class Fnv1a {
  public:
   void add_byte(std::uint8_t byte) {
@@ -219,7 +219,7 @@ class Fnv1a {
   }
 
  private:
-  std::uint64_t hash_ = 1469598103934665603ull;
+  std::uint64_t hash_ = util::kFnv1aBasis;
 };
 
 /// Digest of a fire trace: per event, the fire time's IEEE-754 bits and

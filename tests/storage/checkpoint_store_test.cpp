@@ -32,7 +32,6 @@ TEST(CheckpointStoreTest, IncrementalDeltasAreSmall) {
 TEST(CheckpointStoreTest, FullSnapshotCadence) {
   CheckpointStoreConfig config;
   config.full_every = 4;
-  config.keep_per_job = 100;
   CheckpointStore store(config);
   ASSERT_TRUE(store.add_node("nas", 1000 * kGiB).is_ok());
   for (int i = 0; i < 9; ++i) {
@@ -117,21 +116,21 @@ TEST(CheckpointStoreTest, ForgetFreesSpace) {
 TEST(CheckpointStoreTest, GarbageCollectionKeepsRestorableChain) {
   CheckpointStoreConfig config;
   config.full_every = 4;
-  config.keep_per_job = 5;
   CheckpointStore store(config);
   ASSERT_TRUE(store.add_node("nas", 1000 * kGiB).is_ok());
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(store.write("job", kGiB, 0.3, i * 0.05, i).ok());
+  for (int i = 0; i < 3 * kKeepPerJob; ++i) {
+    ASSERT_TRUE(store.write("job", kGiB, 0.3, i * 0.02, i).ok());
   }
   const auto& chain = store.chain("job");
-  EXPECT_LE(chain.size(), 8u);  // trimmed
+  // Trimmed to the budget plus at most the incrementals back to a full.
+  EXPECT_LE(chain.size(), static_cast<std::size_t>(kKeepPerJob + 3));
   // The chain must still start at a full snapshot for restore.
   EXPECT_EQ(chain.front().kind, CheckpointKind::kFull);
   EXPECT_TRUE(store.restore_bytes("job").ok());
   // Latest seq preserved.
   auto latest = store.latest("job");
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest->seq, 11u);
+  EXPECT_EQ(latest->seq, static_cast<std::uint64_t>(3 * kKeepPerJob - 1));
 }
 
 TEST(CheckpointStoreTest, DuplicateNodeRejected) {
@@ -155,13 +154,12 @@ TEST(CheckpointStoreTest, ZeroStateRejected) {
 TEST(CheckpointStoreTest, UtilizationIndexMatchesLinearScanOracle) {
   CheckpointStoreConfig config;
   config.full_every = 2;
-  config.keep_per_job = 3;  // forces garbage collection (releases)
   CheckpointStore store(config);
   // Mixed capacities so used-fraction order diverges from free-bytes order.
-  ASSERT_TRUE(store.add_node("small-a", 4 * kGiB).is_ok());
-  ASSERT_TRUE(store.add_node("small-b", 4 * kGiB).is_ok());
-  ASSERT_TRUE(store.add_node("big", 64 * kGiB).is_ok());
-  ASSERT_TRUE(store.add_node("mid", 16 * kGiB).is_ok());
+  ASSERT_TRUE(store.add_node("small-a", 16 * kGiB).is_ok());
+  ASSERT_TRUE(store.add_node("small-b", 16 * kGiB).is_ok());
+  ASSERT_TRUE(store.add_node("big", 256 * kGiB).is_ok());
+  ASSERT_TRUE(store.add_node("mid", 64 * kGiB).is_ok());
 
   auto oracle = [&store](std::uint64_t bytes) -> std::string {
     // The legacy scan: least used-fraction with space, id tiebreak.
@@ -180,10 +178,14 @@ TEST(CheckpointStoreTest, UtilizationIndexMatchesLinearScanOracle) {
     return best;
   };
 
-  for (int round = 0; round < 120; ++round) {
+  // Each job outgrows the GC budget between forgets, so collect's
+  // releases are part of the workload.
+  int collections = 0;
+  for (int round = 0; round < 240; ++round) {
     const std::string job = "job-" + std::to_string(round % 7);
     const std::uint64_t bytes = (1 + round % 3) * (kGiB / 2);
     const std::string expected = oracle(bytes);
+    const std::uint64_t stored_before = store.total_stored_bytes();
     auto written = store.write(job, bytes, 1.0, 0.5, round);
     if (expected.empty()) {
       EXPECT_FALSE(written.ok()) << "round " << round;
@@ -192,10 +194,14 @@ TEST(CheckpointStoreTest, UtilizationIndexMatchesLinearScanOracle) {
     ASSERT_TRUE(written.ok()) << "round " << round << ": "
                               << written.status();
     EXPECT_EQ(written->storage_node, expected) << "round " << round;
-    if (round % 11 == 10) {
+    if (store.total_stored_bytes() < stored_before + written->stored_bytes) {
+      ++collections;
+    }
+    if (round % 31 == 30) {
       store.forget("job-" + std::to_string(round % 7));
     }
   }
+  EXPECT_GT(collections, 0);
 }
 
 TEST(CheckpointStoreTest, IndexFollowsForgetReleases) {

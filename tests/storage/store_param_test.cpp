@@ -1,5 +1,6 @@
 // Parameterized sweeps over checkpoint-store configurations: the restore
-// invariants must hold for every full-snapshot cadence and GC budget.
+// invariants must hold for every full-snapshot cadence, below, at and above
+// the per-job GC budget (kKeepPerJob).
 #include <gtest/gtest.h>
 
 #include "storage/checkpoint_store.h"
@@ -11,7 +12,6 @@ constexpr std::uint64_t kGiB = 1ULL << 30;
 
 struct StoreParams {
   int full_every;
-  int keep_per_job;
   int writes;
 };
 
@@ -22,7 +22,6 @@ TEST_P(CheckpointStoreParamTest, ChainAlwaysRestorable) {
   const auto& params = GetParam();
   CheckpointStoreConfig config;
   config.full_every = params.full_every;
-  config.keep_per_job = params.keep_per_job;
   CheckpointStore store(config);
   ASSERT_TRUE(store.add_node("nas", 4096 * kGiB).is_ok());
 
@@ -56,7 +55,7 @@ TEST_P(CheckpointStoreParamTest, ChainAlwaysRestorable) {
     // Invariant 4: GC respects the per-job budget (modulo keeping a
     // restorable prefix back to the previous full snapshot).
     EXPECT_LE(static_cast<int>(chain.size()),
-              params.keep_per_job + params.full_every);
+              kKeepPerJob + params.full_every);
 
     // Invariant 5: sequence numbers strictly increase along the chain.
     for (std::size_t k = 1; k < chain.size(); ++k) {
@@ -71,15 +70,14 @@ TEST_P(CheckpointStoreParamTest, ChainAlwaysRestorable) {
 
 INSTANTIATE_TEST_SUITE_P(
     CadenceAndBudgetSweep, CheckpointStoreParamTest,
-    ::testing::Values(StoreParams{1, 1, 20},    // always-full, keep one
-                      StoreParams{1, 8, 30},    // always-full, history
-                      StoreParams{4, 4, 25},    // tight budget
-                      StoreParams{8, 16, 40},   // the default shape
-                      StoreParams{8, 2, 40},    // budget < cadence
-                      StoreParams{16, 8, 50}),  // sparse fulls
+    ::testing::Values(StoreParams{1, 40},    // always-full
+                      StoreParams{4, 60},    // frequent fulls
+                      StoreParams{8, 60},    // the default shape
+                      StoreParams{16, 70},   // cadence == budget
+                      StoreParams{24, 90},   // budget < cadence
+                      StoreParams{40, 130}), // sparse fulls
     [](const ::testing::TestParamInfo<StoreParams>& info) {
-      return "full" + std::to_string(info.param.full_every) + "_keep" +
-             std::to_string(info.param.keep_per_job) + "_n" +
+      return "full" + std::to_string(info.param.full_every) + "_n" +
              std::to_string(info.param.writes);
     });
 

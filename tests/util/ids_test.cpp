@@ -4,8 +4,28 @@
 
 #include <set>
 
+#include "db/sharded_database.h"
+#include "obs/trace.h"
+
 namespace gpunion::util {
 namespace {
+
+// Trace ids, DB shard routing and recorded digests depend on the exact
+// values of the project's FNV-1a, offset basis included.
+TEST(IdsTest, Fnv1aValuesArePinned) {
+  static_assert(fnv1a64("") == kFnv1aBasis);
+  EXPECT_EQ(fnv1a64(""), 1469598103934665603ULL);
+  EXPECT_NE(fnv1a64(""), 14695981039346656037ULL);  // not the stock basis
+  EXPECT_EQ(fnv1a64("job-1"), 2298265550616927036ULL);
+  // Its users return the values they returned before they shared it.
+  EXPECT_EQ(obs::Tracer::trace_for_job("job-1"), 2298265550616927036ULL);
+  db::DbConfig config;
+  config.shard_count = 7;
+  const db::ShardedDatabase database(config);
+  EXPECT_EQ(database.shard_for_job("job-1"), 5u);
+  EXPECT_EQ(database.shard_for_job("train-0042"), 3u);
+  EXPECT_EQ(database.shard_for_node("m-1"), 0u);
+}
 
 TEST(IdsTest, MachineIdDeterministic) {
   EXPECT_EQ(make_machine_id("ws-01", "salt"), make_machine_id("ws-01", "salt"));
