@@ -6,7 +6,6 @@ std::string_view container_state_name(ContainerState s) {
   switch (s) {
     case ContainerState::kCreated: return "created";
     case ContainerState::kRunning: return "running";
-    case ContainerState::kPaused: return "paused";
     case ContainerState::kCheckpointing: return "checkpointing";
     case ContainerState::kExited: return "exited";
     case ContainerState::kKilled: return "killed";
@@ -31,26 +30,6 @@ util::Status Container::start(util::SimTime now) {
   state_ = ContainerState::kRunning;
   started_at_ = now;
   record(now, "started");
-  return util::Status();
-}
-
-util::Status Container::pause(util::SimTime now) {
-  if (state_ != ContainerState::kRunning) {
-    return util::failed_precondition_error(
-        "pause from state " + std::string(container_state_name(state_)));
-  }
-  state_ = ContainerState::kPaused;
-  record(now, "paused");
-  return util::Status();
-}
-
-util::Status Container::resume(util::SimTime now) {
-  if (state_ != ContainerState::kPaused) {
-    return util::failed_precondition_error(
-        "resume from state " + std::string(container_state_name(state_)));
-  }
-  state_ = ContainerState::kRunning;
-  record(now, "resumed");
   return util::Status();
 }
 

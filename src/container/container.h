@@ -20,7 +20,6 @@ namespace gpunion::container {
 enum class ContainerState {
   kCreated,
   kRunning,
-  kPaused,
   kCheckpointing,  // running, with a checkpoint being captured
   kExited,         // finished by itself
   kKilled,         // terminated by the kill-switch or a kill command
@@ -75,15 +74,11 @@ class Container {
 
   /// created -> running.
   util::Status start(util::SimTime now);
-  /// running -> paused (allocation freeze, not checkpoint).
-  util::Status pause(util::SimTime now);
-  /// paused -> running.
-  util::Status resume(util::SimTime now);
   /// running -> checkpointing.  Only one checkpoint at a time.
   util::Status begin_checkpoint(util::SimTime now);
   /// checkpointing -> running.
   util::Status end_checkpoint(util::SimTime now);
-  /// running|paused|checkpointing -> exited (normal completion).
+  /// any live state -> exited (normal completion).
   util::Status exit(util::SimTime now);
   /// any live state -> killed.  Always succeeds on a live container: the
   /// kill-switch is unconditional (§3.4).

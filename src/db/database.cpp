@@ -114,19 +114,17 @@ void SystemDatabase::enqueue_request_front(PendingRequest request) {
   queue_[request.priority].push_front(std::move(request));
 }
 
-std::optional<PendingRequest> SystemDatabase::pop_request() {
+std::vector<PendingRequest> SystemDatabase::pending_requests() const {
   count_op();
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->second.empty()) {
-      it = queue_.erase(it);
-      continue;
-    }
-    PendingRequest request = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) queue_.erase(it);
-    return request;
+  std::vector<PendingRequest> out;
+  for (const auto& [priority, fifo] : queue_) {
+    out.insert(out.end(), fifo.begin(), fifo.end());
   }
-  return std::nullopt;
+  return out;
+}
+
+bool SystemDatabase::take_request(const std::string& job_id) {
+  return remove_request(job_id);
 }
 
 bool SystemDatabase::remove_request(const std::string& job_id) {

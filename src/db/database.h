@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +23,7 @@
 
 namespace gpunion::db {
 
-enum class NodeStatus { kActive, kPaused, kUnavailable, kDeparted };
+enum class NodeStatus { kActive, kUnavailable, kDeparted };
 
 /// Ring-buffer length per monitoring series.
 inline constexpr std::size_t kHistoryLimit = 4096;
@@ -212,7 +211,14 @@ class Database {
   // --- Pending request queue ---------------------------------------------------
   virtual void enqueue_request(PendingRequest request) = 0;
   virtual void enqueue_request_front(PendingRequest request) = 0;
-  virtual std::optional<PendingRequest> pop_request() = 0;
+  /// Every queued request in scheduling order — priority descending, then
+  /// FIFO with front-requeues first — as a copy the caller may walk while
+  /// it takes rows.  One fan-out read.
+  virtual std::vector<PendingRequest> pending_requests() const = 0;
+  /// Takes the job's first queued request off the queue (the scheduling
+  /// pass dispatched the job, or found it no longer pending); false if
+  /// absent.
+  virtual bool take_request(const std::string& job_id) = 0;
   virtual bool remove_request(const std::string& job_id) = 0;
   virtual std::size_t queue_depth() const = 0;
 
@@ -299,8 +305,9 @@ class SystemDatabase : public Database {
   /// their place under GPUnion's policy; Slurm-style resubmission uses the
   /// tail via enqueue_request).
   void enqueue_request_front(PendingRequest request) override;
-  /// Pops the highest-priority (FIFO within a priority) request.
-  std::optional<PendingRequest> pop_request() override;
+  std::vector<PendingRequest> pending_requests() const override;
+  /// The single writer has no lanes to account: a take is remove_request.
+  bool take_request(const std::string& job_id) override;
   /// Removes a queued request by job id (job cancelled); false if absent.
   bool remove_request(const std::string& job_id) override;
   std::size_t queue_depth() const override;

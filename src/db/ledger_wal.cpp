@@ -48,8 +48,8 @@ void apply_to_image(TableImage& image, const WalRecord& record) {
           std::min(image.queue_front_seq, record.queue_seq);
       break;
     case WalOp::kPop: {
-      // The live pop removed the (priority desc, seq asc) front; by seq
-      // order within the bucket that is the first row with this job id.
+      // The live take removed the job's first row in (priority desc, seq
+      // asc) order, which is its first row in the bucket it names.
       auto bucket = image.queue.find(record.priority);
       if (bucket == image.queue.end()) break;
       for (auto it = bucket->second.begin(); it != bucket->second.end();

@@ -43,7 +43,7 @@ enum class WalOp {
   kOpenAllocation,
   kCloseAllocation,
   kEnqueue,  // queue_seq > 0: tail push; < 0: front push
-  kPop,
+  kPop,      // the scheduling pass's take
   kRemoveRequest,
   kProvenance,
   kMetric,

@@ -185,7 +185,7 @@ RecoveryReport ShardedDatabase::crash_and_recover() {
 
 void ShardedDatabase::rebuild_live_tables() {
   // Live tables are rebuilt from the image alone — nothing the WAL did not
-  // make durable survives.  Op counters, local/stolen pop stats and the
+  // make durable survives.  Op counters, local/stolen take stats and the
   // WriteBehindLedger's pending COST entries are accounting, not state:
   // they persist so charging stays continuous across the crash (the
   // deferred group commits are still paid at the next flush).
@@ -396,7 +396,7 @@ std::vector<AllocationRecord> ShardedDatabase::allocations_for_job(
 }
 
 // ---------------------------------------------------------------------------
-// Pending request queue (rows sharded by job id; pops rotate)
+// Pending request queue (rows sharded by job id; takes rotate)
 // ---------------------------------------------------------------------------
 
 void ShardedDatabase::enqueue_request(PendingRequest request) {
@@ -431,76 +431,82 @@ void ShardedDatabase::enqueue_request_front(PendingRequest request) {
       QueueItem{std::move(request), seq});
 }
 
-std::optional<PendingRequest> ShardedDatabase::pop_request() {
-  // The scheduler's pop is the one queue op that stays synchronous: it is
-  // a read-modify-write whose result the decision needs NOW.  Any writer
-  // lane can serve it (multi-writer), so the load rotates.  The serving
-  // shard pops from its own partition when it holds the globally best
-  // request and STEALS from the partition that does otherwise — same
-  // (priority desc, insertion order) result as the legacy single queue,
-  // with per-shard storage.
-  const std::size_t server = rotate();
-  charge(server);
-  std::size_t best_shard = queue_parts_.size();
-  int best_priority = 0;
-  std::int64_t best_seq = 0;
-  for (std::size_t shard = 0; shard < queue_parts_.size(); ++shard) {
-    auto& parts = queue_parts_[shard].by_priority;
-    auto it = parts.begin();
-    while (it != parts.end() && it->second.empty()) it = parts.erase(it);
-    if (it == parts.end()) continue;
-    const int priority = it->first;
-    const std::int64_t seq = it->second.front().seq;
-    if (best_shard == queue_parts_.size() || priority > best_priority ||
-        (priority == best_priority && seq < best_seq)) {
-      best_shard = shard;
-      best_priority = priority;
-      best_seq = seq;
+std::vector<PendingRequest> ShardedDatabase::pending_requests() const {
+  // Scatter-gather: every shard serves its partition, and sorting the rows
+  // by (priority desc, insertion stamp asc) merges them back into the
+  // single queue's order.
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    charge(shard);
+  }
+  std::vector<const QueueItem*> rows;
+  rows.reserve(queued_rows_);
+  for (const QueuePartition& part : queue_parts_) {
+    for (const auto& [priority, fifo] : part.by_priority) {
+      for (const QueueItem& item : fifo) rows.push_back(&item);
     }
   }
-  if (best_shard == queue_parts_.size()) return std::nullopt;
-  if (best_shard == server) {
-    ++local_pops_;
-  } else {
-    ++stolen_pops_;
-  }
-  auto& parts = queue_parts_[best_shard].by_priority;
-  auto it = parts.find(best_priority);
-  PendingRequest request = std::move(it->second.front().request);
-  it->second.pop_front();
-  if (it->second.empty()) parts.erase(it);
-  if (shards_[best_shard].rows > 0) --shards_[best_shard].rows;
-  if (queued_rows_ > 0) --queued_rows_;
-  WalRecord wal = make_wal(WalOp::kPop, best_shard, request.job_id);
-  wal.priority = best_priority;
-  wal_append(std::move(wal), /*deferred=*/false);
-  return request;
+  std::sort(rows.begin(), rows.end(),
+            [](const QueueItem* a, const QueueItem* b) {
+              if (a->request.priority != b->request.priority) {
+                return a->request.priority > b->request.priority;
+              }
+              return a->seq < b->seq;
+            });
+  std::vector<PendingRequest> out;
+  out.reserve(rows.size());
+  for (const QueueItem* row : rows) out.push_back(row->request);
+  return out;
 }
 
-bool ShardedDatabase::remove_request(const std::string& job_id) {
-  // Like pop_request, a synchronous read-modify-write in BOTH modes: the
-  // found/not-found answer is consumed immediately, so the round trip to
-  // the owning shard cannot be deferred (and a miss still paid for it).
-  // Partitioning makes this O(owning partition): the job can only live in
-  // its owner shard's slice of the queue.
-  const std::size_t shard = shard_for_job(job_id);
-  charge(shard);
+std::optional<int> ShardedDatabase::erase_queued(std::size_t shard,
+                                                 const std::string& job_id) {
+  // The job can only live in its owner shard's slice of the queue.
   auto& parts = queue_parts_[shard].by_priority;
   for (auto it = parts.begin(); it != parts.end(); ++it) {
     auto& fifo = it->second;
     for (auto rit = fifo.begin(); rit != fifo.end(); ++rit) {
-      if (rit->request.job_id == job_id) {
-        fifo.erase(rit);
-        if (fifo.empty()) parts.erase(it);
-        if (shards_[shard].rows > 0) --shards_[shard].rows;
-        if (queued_rows_ > 0) --queued_rows_;
-        wal_append(make_wal(WalOp::kRemoveRequest, shard, job_id),
-                   /*deferred=*/false);
-        return true;
-      }
+      if (rit->request.job_id != job_id) continue;
+      const int priority = it->first;
+      fifo.erase(rit);
+      if (fifo.empty()) parts.erase(it);
+      if (shards_[shard].rows > 0) --shards_[shard].rows;
+      if (queued_rows_ > 0) --queued_rows_;
+      return priority;
     }
   }
-  return false;
+  return std::nullopt;
+}
+
+bool ShardedDatabase::take_request(const std::string& job_id) {
+  // One synchronous round trip that any writer lane can serve
+  // (multi-writer), so the load rotates; a take from another shard's
+  // partition steals.
+  const std::size_t server = rotate();
+  charge(server);
+  const std::size_t shard = shard_for_job(job_id);
+  const std::optional<int> priority = erase_queued(shard, job_id);
+  if (!priority.has_value()) return false;
+  if (shard == server) {
+    ++local_pops_;
+  } else {
+    ++stolen_pops_;
+  }
+  WalRecord wal = make_wal(WalOp::kPop, shard, job_id);
+  wal.priority = *priority;
+  wal_append(std::move(wal), /*deferred=*/false);
+  return true;
+}
+
+bool ShardedDatabase::remove_request(const std::string& job_id) {
+  // Like take_request, a synchronous read-modify-write in BOTH modes: the
+  // found/not-found answer is consumed immediately, so the round trip to
+  // the owning shard cannot be deferred (and a miss still paid for it).
+  const std::size_t shard = shard_for_job(job_id);
+  charge(shard);
+  if (!erase_queued(shard, job_id).has_value()) return false;
+  wal_append(make_wal(WalOp::kRemoveRequest, shard, job_id),
+             /*deferred=*/false);
+  return true;
 }
 
 std::size_t ShardedDatabase::queue_depth() const {

@@ -8,9 +8,10 @@
 //    by JOB id, node registry / heartbeats / allocations by NODE id
 //    (deterministic FNV-1a routing) — across N writer shards, each with
 //    its own op counter.  Synchronous load that used to queue behind one
-//    writer spreads across N lanes; unkeyed ops (queue pops, depth probes)
-//    rotate round-robin, and fan-out reads (nodes(), allocations_for_job
-//    on a node-partitioned table) pay one scatter-gather op per shard.
+//    writer spreads across N lanes; unkeyed ops (queue takes, depth
+//    probes) rotate round-robin, and fan-out reads (nodes(),
+//    pending_requests(), allocations_for_job on a node-partitioned table)
+//    pay one scatter-gather op per shard.
 //
 //  * Write-behind: the coordinator's per-decision mutations (allocation
 //    open/close, pending-queue inserts, provenance, metric points) are
@@ -112,7 +113,8 @@ class ShardedDatabase : public Database {
 
   void enqueue_request(PendingRequest request) override;
   void enqueue_request_front(PendingRequest request) override;
-  std::optional<PendingRequest> pop_request() override;
+  std::vector<PendingRequest> pending_requests() const override;
+  bool take_request(const std::string& job_id) override;
   bool remove_request(const std::string& job_id) override;
   std::size_t queue_depth() const override;
 
@@ -224,10 +226,10 @@ class ShardedDatabase : public Database {
   bool flush_interrupted() const { return flush_interrupted_; }
 
   // --- Pending-queue work stealing ---------------------------------------------
-  /// Pops served by the rotating (charged) shard's own partition.
+  /// Takes whose row lived in the rotating (charged) shard's own partition.
   std::uint64_t local_pops() const { return local_pops_; }
-  /// Pops whose globally best request lived in another shard's partition
-  /// (the stealing cross-partition case).
+  /// Takes whose row lived in another shard's partition (the stealing
+  /// cross-partition case).
   std::uint64_t stolen_pops() const { return stolen_pops_; }
 
   const DbConfig& config() const { return config_; }
@@ -248,7 +250,8 @@ class ShardedDatabase : public Database {
   };
   /// Per-shard slice of the pending queue, keyed like the legacy queue
   /// (priority desc).  A shard's partition holds the jobs it owns
-  /// (shard_for_job); pops steal across partitions for the global best.
+  /// (shard_for_job); the ordered read merges the partitions back into the
+  /// single queue's order.
   struct QueuePartition {
     std::map<int, std::deque<QueueItem>, std::greater<>> by_priority;
   };
@@ -256,9 +259,12 @@ class ShardedDatabase : public Database {
   std::size_t route(std::string_view key) const;
   /// Charges one synchronous op to `shard`.
   void charge(std::size_t shard) const;
-  /// Rotating writer for unkeyed ops (queue pops / depth probes): any lane
-  /// can serve them, so the load spreads deterministically.
+  /// Rotating writer for unkeyed ops (queue takes / depth probes): any
+  /// lane can serve them, so the load spreads deterministically.
   std::size_t rotate() const;
+  /// Erases the job's first row from its owner partition; the row's
+  /// priority, or nullopt if the job has none queued.
+  std::optional<int> erase_queued(std::size_t shard, const std::string& job_id);
   /// Absorbs a decision-path mutation: ledgered under write-behind
   /// (threshold-flushing when the log fills), synchronous otherwise.
   void absorb(LedgerOpKind kind, std::size_t shard, std::string key,

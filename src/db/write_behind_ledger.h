@@ -26,7 +26,7 @@
 namespace gpunion::db {
 
 enum class LedgerOpKind {
-  kEnqueue,  // pending-queue insert (submit / requeue).  Pops and removals
+  kEnqueue,  // pending-queue insert (submit / requeue).  Takes and removals
              // stay synchronous: their result is consumed immediately.
   kAllocationOpen,
   kAllocationClose,

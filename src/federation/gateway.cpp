@@ -13,14 +13,6 @@ namespace {
 
 /// Regions tried per ranking before returning the job to the local queue.
 constexpr int kMaxForwardAttempts = 3;
-/// Base ack deadline per transfer attempt (doubles per retry, capped at
-/// 8x).  Much larger than forward_timeout: a shipment carries gigabytes
-/// through the capped WAN channel and queues FIFO behind its peers (an
-/// outage burst backs the channel up for tens of seconds), and a premature
-/// retry re-ships the whole payload.  Transfers retry until acked —
-/// at-least-once with an idempotent receiver — because giving up after an
-/// accepted hand-off could run the job twice.
-constexpr util::Duration kTransferAckTimeout = 120.0;
 /// Peers pushed to per gossip tick (rotating deterministically, so every
 /// peer is reached within ceil(peers / fanout) ticks even when the
 /// federation outgrows the fanout).

@@ -66,6 +66,14 @@ using WanPathFn = std::function<WanPathModel(const std::string& from_gateway,
 /// into the recovering coordinator.  Protocol *timeouts* (forward_timeout,
 /// the base transfer ack deadline) stay exact.
 inline constexpr double kRetryJitter = 0.15;
+/// Base ack deadline per transfer attempt (doubles per retry, capped at
+/// 8x).  Much larger than forward_timeout: a shipment carries gigabytes
+/// through the capped WAN channel and queues FIFO behind its peers (an
+/// outage burst backs the channel up for tens of seconds), and a premature
+/// retry re-ships the whole payload.  Transfers retry until acked —
+/// at-least-once with an idempotent receiver — because giving up after an
+/// accepted hand-off could run the job twice.
+inline constexpr util::Duration kTransferAckTimeout = 120.0;
 /// Replica entries whose origin stamp is older than this are dropped from
 /// rankings entirely (region presumed unreachable).  Staleness below the
 /// cutoff is not filtered: the ranking discounts it and the target's live

@@ -611,9 +611,9 @@ void Coordinator::rebuild_from_db() {
       // Manual-coordination mode: the human-resubmit timer did not survive
       // the crash and an interrupted pending job may hold no queue row.
       // Re-arm one.  A resubmit that fired before the crash may already
-      // have queued the job, and a scheduling pass re-enqueues every row of
-      // a job that stays pending, so the resubmit replaces that row instead
-      // of adding a second one.
+      // have queued the job, and a scheduling pass leaves every row of a
+      // job that stays pending in place, so the resubmit replaces that row
+      // instead of adding a second one.
       arm_manual_resubmit(job_id);
     }
     ++recovery_stats_.jobs_rebuilt;
@@ -1133,18 +1133,16 @@ void Coordinator::request_pass() {
 
 void Coordinator::schedule_pass() {
   if (crashed_) return;
-  std::vector<db::PendingRequest> retry;
-  while (auto request = database_.pop_request()) {
-    auto it = jobs_.find(request->job_id);
-    if (it == jobs_.end() || it->second.phase != JobPhase::kPending) {
-      continue;  // cancelled / denied / already placed
+  // Walk a copy of the queue in order.  A request leaves the queue only
+  // when its job is dispatched or no longer pending; a blocked one keeps
+  // its place, so a pass over a deep backlog writes nothing for it.
+  for (const db::PendingRequest& request : database_.pending_requests()) {
+    auto it = jobs_.find(request.job_id);
+    const bool stale =  // cancelled / denied / already placed
+        it == jobs_.end() || it->second.phase != JobPhase::kPending;
+    if (stale || try_place(it->second)) {
+      (void)database_.take_request(request.job_id);
     }
-    if (!try_place(it->second)) {
-      retry.push_back(*request);
-    }
-  }
-  for (auto& request : retry) {
-    database_.enqueue_request(std::move(request));
   }
 }
 

@@ -27,19 +27,8 @@ TEST(ContainerTest, LifecycleHappyPath) {
   EXPECT_DOUBLE_EQ(c.finished_at(), 4.0);
 }
 
-TEST(ContainerTest, PauseResume) {
-  Container c("ctr-1", test_config(), 0.0);
-  ASSERT_TRUE(c.start(1.0).is_ok());
-  ASSERT_TRUE(c.pause(2.0).is_ok());
-  EXPECT_EQ(c.state(), ContainerState::kPaused);
-  ASSERT_TRUE(c.resume(3.0).is_ok());
-  EXPECT_EQ(c.state(), ContainerState::kRunning);
-}
-
 TEST(ContainerTest, InvalidTransitionsRejected) {
   Container c("ctr-1", test_config(), 0.0);
-  EXPECT_FALSE(c.pause(1.0).is_ok());            // not running yet
-  EXPECT_FALSE(c.resume(1.0).is_ok());           // not paused
   EXPECT_FALSE(c.begin_checkpoint(1.0).is_ok()); // not running
   ASSERT_TRUE(c.start(1.0).is_ok());
   EXPECT_FALSE(c.start(2.0).is_ok());            // double start

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/db/take_front.h"
+
 namespace gpunion::db {
 namespace {
 
@@ -96,19 +98,19 @@ TEST(DatabaseTest, QueuePriorityThenFifo) {
   database.enqueue_request({"high-1", 5, 2.0});
   database.enqueue_request({"low-2", 0, 3.0});
   database.enqueue_request({"high-2", 5, 4.0});
-  EXPECT_EQ(database.pop_request()->job_id, "high-1");
-  EXPECT_EQ(database.pop_request()->job_id, "high-2");
-  EXPECT_EQ(database.pop_request()->job_id, "low-1");
-  EXPECT_EQ(database.pop_request()->job_id, "low-2");
-  EXPECT_FALSE(database.pop_request().has_value());
+  EXPECT_EQ(take_front(database)->job_id, "high-1");
+  EXPECT_EQ(take_front(database)->job_id, "high-2");
+  EXPECT_EQ(take_front(database)->job_id, "low-1");
+  EXPECT_EQ(take_front(database)->job_id, "low-2");
+  EXPECT_FALSE(take_front(database).has_value());
 }
 
 TEST(DatabaseTest, QueueFrontInsertion) {
   SystemDatabase database;
   database.enqueue_request({"a", 0, 1.0});
   database.enqueue_request_front({"displaced", 0, 0.5});
-  EXPECT_EQ(database.pop_request()->job_id, "displaced");
-  EXPECT_EQ(database.pop_request()->job_id, "a");
+  EXPECT_EQ(take_front(database)->job_id, "displaced");
+  EXPECT_EQ(take_front(database)->job_id, "a");
 }
 
 TEST(DatabaseTest, RemoveRequest) {
@@ -118,7 +120,7 @@ TEST(DatabaseTest, RemoveRequest) {
   EXPECT_TRUE(database.remove_request("a"));
   EXPECT_FALSE(database.remove_request("a"));
   EXPECT_EQ(database.queue_depth(), 1u);
-  EXPECT_EQ(database.pop_request()->job_id, "b");
+  EXPECT_EQ(take_front(database)->job_id, "b");
 }
 
 TEST(DatabaseTest, MetricsRingBuffer) {

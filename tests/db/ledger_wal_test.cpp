@@ -19,6 +19,7 @@
 
 #include "db/database.h"
 #include "db/sharded_database.h"
+#include "tests/db/take_front.h"
 #include "util/rng.h"
 
 namespace gpunion::db {
@@ -50,6 +51,15 @@ std::string key_on_shard(const ShardedDatabase& db, std::size_t shard) {
   return "key-0";
 }
 
+/// The pending queue as "job@priority" rows, in scheduling order.
+std::vector<std::string> queue_order(const ShardedDatabase& db) {
+  std::vector<std::string> out;
+  for (const PendingRequest& request : db.pending_requests()) {
+    out.push_back(request.job_id + "@" + std::to_string(request.priority));
+  }
+  return out;
+}
+
 /// Full-table equality between two databases (the subject crashed and
 /// recovered mid-sequence; the oracle never did).
 void expect_tables_equal(ShardedDatabase& subject, ShardedDatabase& oracle,
@@ -77,9 +87,9 @@ void expect_tables_equal(ShardedDatabase& subject, ShardedDatabase& oracle,
     EXPECT_EQ(subject_ledger[i].machine_id, oracle_ledger[i].machine_id);
     EXPECT_EQ(subject_ledger[i].outcome, oracle_ledger[i].outcome);
   }
-  // Pending queue depth (contents are compared by the caller's final
-  // drain — popping here would perturb the sequence).
+  // Pending queue, in order (the ordered read leaves it as it is).
   EXPECT_EQ(subject.queue_depth(), oracle.queue_depth());
+  EXPECT_EQ(queue_order(subject), queue_order(oracle));
   // Provenance log.
   EXPECT_EQ(subject.provenance_log().size(), oracle.provenance_log().size());
   // Durable control-plane tables.
@@ -192,6 +202,35 @@ TEST(LedgerWalTest, TornGroupCommitHealsIdempotently) {
   expect_tables_equal(subject, oracle, "after torn-commit recovery");
 }
 
+TEST(LedgerWalTest, TakeFromTheMiddleIsDurableAndKeepsTheOrder) {
+  // The scheduling pass takes the requests it dispatches, wherever they
+  // sit: blocked requests ahead of them keep their places.
+  ShardedDatabase subject(wal_config());
+  ShardedDatabase oracle(wal_config());
+  for (ShardedDatabase* db : {&subject, &oracle}) {
+    db->enqueue_request({"low-1", 0, 1.0});
+    db->enqueue_request({"high-1", 5, 2.0});
+    db->enqueue_request({"low-2", 0, 3.0});
+    db->enqueue_request_front({"displaced", 0, 4.0});
+    db->enqueue_request({"high-2", 5, 5.0});
+    ASSERT_EQ(queue_order(*db),
+              (std::vector<std::string>{"high-1@5", "high-2@5", "displaced@0",
+                                        "low-1@0", "low-2@0"}));
+    EXPECT_TRUE(db->take_request("high-2"));
+    EXPECT_TRUE(db->take_request("low-1"));
+    EXPECT_FALSE(db->take_request("low-1"));
+    EXPECT_EQ(queue_order(*db),
+              (std::vector<std::string>{"high-1@5", "displaced@0", "low-2@0"}));
+  }
+  // The takes (kPop records) must survive the crash, and the rows they
+  // skipped must come back in their places.
+  const RecoveryReport report = subject.crash_and_recover();
+  EXPECT_EQ(report.queue_rows, 3u);
+  expect_tables_equal(subject, oracle, "after recovery");
+  oracle.flush_ledger();
+  expect_tables_equal(subject, oracle, "after the oracle's flush");
+}
+
 // Randomized subject-vs-oracle sweep: identical op sequences, with the
 // subject crashing (including via the armed fault points) at random cuts.
 // Any divergence means an acked mutation was lost or double-applied.
@@ -249,8 +288,8 @@ TEST(LedgerWalTest, RandomizedCrashEqualsOracle) {
           break;
         }
         case 4: {
-          const auto a = subject.pop_request();
-          const auto b = oracle.pop_request();
+          const auto a = take_front(subject);
+          const auto b = take_front(oracle);
           ASSERT_EQ(a.has_value(), b.has_value());
           if (a.has_value()) {
             EXPECT_EQ(a->job_id, b->job_id);
@@ -308,10 +347,10 @@ TEST(LedgerWalTest, RandomizedCrashEqualsOracle) {
     }
     (void)subject.crash_and_recover();
     expect_tables_equal(subject, oracle, "final");
-    // Drain both queues and compare the exact pop order.
+    // Drain both queues and compare the exact take order.
     while (true) {
-      const auto a = subject.pop_request();
-      const auto b = oracle.pop_request();
+      const auto a = take_front(subject);
+      const auto b = take_front(oracle);
       ASSERT_EQ(a.has_value(), b.has_value());
       if (!a.has_value()) break;
       EXPECT_EQ(a->job_id, b->job_id);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "tests/db/take_front.h"
 
 namespace gpunion::db {
 namespace {
@@ -115,7 +116,7 @@ TEST(ShardedDbTest, ReadYourWritesThroughUnflushedLedger) {
   ASSERT_NE(database.provenance("job-1"), nullptr);
   EXPECT_EQ(database.provenance("job-1")->executing_region, "beta");
   EXPECT_EQ(database.queue_depth(), 1u);
-  EXPECT_EQ(database.pop_request()->job_id, "job-2");
+  EXPECT_EQ(take_front(database)->job_id, "job-2");
 
   // Closing the still-unflushed allocation works (read-modify-write sees
   // the ledgered open).
@@ -233,8 +234,8 @@ void expect_same_contents(Database& a, Database& b) {
   ASSERT_EQ(a.series("util").size(), b.series("util").size());
   // Queue: identical drain order empties both.
   while (true) {
-    auto req_a = a.pop_request();
-    auto req_b = b.pop_request();
+    auto req_a = take_front(a);
+    auto req_b = take_front(b);
     ASSERT_EQ(req_a.has_value(), req_b.has_value());
     if (!req_a.has_value()) break;
     EXPECT_EQ(req_a->job_id, req_b->job_id);

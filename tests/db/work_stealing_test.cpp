@@ -1,6 +1,7 @@
-// Work-stealing pending-queue partitions: the sharded queue must reproduce
-// the legacy single-deque pop order exactly while spreading storage across
-// per-shard partitions and counting cross-partition steals.
+// Work-stealing pending-queue partitions: the sharded queue's ordered read
+// must reproduce the legacy single-deque order exactly while spreading
+// storage across per-shard partitions, and its takes count cross-partition
+// steals.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -9,6 +10,7 @@
 
 #include "db/database.h"
 #include "db/sharded_database.h"
+#include "tests/db/take_front.h"
 
 namespace gpunion::db {
 namespace {
@@ -20,11 +22,11 @@ DbConfig sharded(int shards) {
   return config;
 }
 
-/// Drains both databases and asserts the pop sequences are identical.
+/// Drains both databases and asserts the take sequences are identical.
 void expect_same_drain(ShardedDatabase& a, ShardedDatabase& b) {
   for (;;) {
-    std::optional<PendingRequest> req_a = a.pop_request();
-    std::optional<PendingRequest> req_b = b.pop_request();
+    std::optional<PendingRequest> req_a = take_front(a);
+    std::optional<PendingRequest> req_b = take_front(b);
     ASSERT_EQ(req_a.has_value(), req_b.has_value());
     if (!req_a.has_value()) return;
     EXPECT_EQ(req_a->job_id, req_b->job_id);
@@ -68,10 +70,10 @@ TEST(WorkStealingQueueTest, CountsLocalAndStolenPops) {
         {"job-" + std::to_string(i), 0, static_cast<double>(i)});
   }
   std::size_t popped = 0;
-  while (database.pop_request().has_value()) ++popped;
+  while (take_front(database).has_value()) ++popped;
   EXPECT_EQ(popped, 40u);
   EXPECT_EQ(database.local_pops() + database.stolen_pops(), 40u);
-  // FIFO across hashed partitions against a rotating server: most pops
+  // FIFO across hashed partitions against a rotating server: most takes
   // cross partitions.  The exact split is deterministic (FNV-1a routing),
   // but all we rely on is that stealing actually happens.
   EXPECT_GT(database.stolen_pops(), 0u);
@@ -89,7 +91,7 @@ TEST(WorkStealingQueueTest, RemoveOnlyScansOwnerPartition) {
   EXPECT_FALSE(database.remove_request("no-such-job"));
   EXPECT_EQ(database.queue_depth(), 15u);
   std::vector<std::string> drained;
-  while (auto request = database.pop_request()) {
+  while (auto request = take_front(database)) {
     drained.push_back(request->job_id);
   }
   EXPECT_EQ(drained.size(), 15u);
@@ -104,25 +106,30 @@ TEST(WorkStealingQueueTest, DepthIsConstantTimeAndConsistent) {
         {"job-" + std::to_string(i), i, static_cast<double>(i)});
     EXPECT_EQ(database.queue_depth(), static_cast<std::size_t>(i + 1));
   }
-  (void)database.pop_request();
+  (void)take_front(database);
   EXPECT_EQ(database.queue_depth(), 9u);
   database.enqueue_request_front({"rush", 99, 0.0});
   EXPECT_EQ(database.queue_depth(), 10u);
-  EXPECT_EQ(database.pop_request()->job_id, "rush");
+  EXPECT_EQ(take_front(database)->job_id, "rush");
   EXPECT_EQ(database.queue_depth(), 9u);
 }
 
 TEST(WorkStealingQueueTest, OpAccountingUnchangedByPartitioning) {
-  // Partitioning reorganizes storage, not the cost model: each pop still
-  // charges exactly one op to the rotating server shard.
+  // Partitioning reorganizes storage, not the cost model: the ordered read
+  // charges one scatter-gather op per shard, and each take exactly one op
+  // to the rotating server shard.
   ShardedDatabase database(sharded(4));
   for (int i = 0; i < 8; ++i) {
     database.enqueue_request(
         {"job-" + std::to_string(i), 0, static_cast<double>(i)});
   }
   const std::uint64_t before = database.sync_op_count();
-  for (int i = 0; i < 8; ++i) (void)database.pop_request();
-  EXPECT_EQ(database.sync_op_count(), before + 8);
+  const std::vector<PendingRequest> queued = database.pending_requests();
+  EXPECT_EQ(database.sync_op_count(), before + 4);
+  for (const PendingRequest& request : queued) {
+    EXPECT_TRUE(database.take_request(request.job_id));
+  }
+  EXPECT_EQ(database.sync_op_count(), before + 4 + 8);
 }
 
 }  // namespace

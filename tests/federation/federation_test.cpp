@@ -1,7 +1,8 @@
 // Federation-layer tests: cross-campus forwarding with regional autonomy
 // (admission caps, refusals), stale-digest re-routing, checkpoint migration
-// across a full-campus outage, forwarding over a lossy WAN and through
-// unflushed write-behind ledgers, time-slice seats in ranking and admission,
+// across a full-campus outage, forwarding over a lossy WAN, the transfer
+// resend backoff across a partition, forwarding through unflushed
+// write-behind ledgers, time-slice seats in ranking and admission,
 // and configuration validation.  Replicated directories, WAN-cost ranking
 // and chained re-forwarding live in federation_mesh_test.cpp and the
 // randomized chaos harness.
@@ -345,6 +346,64 @@ TEST(FederationForwardTest, LossyWanNeverLosesJobs) {
   }
   // No forward is stuck in flight once the dust settles.
   EXPECT_EQ(fed.gateway("alpha").withdrawn_in_flight(), 0);
+}
+
+TEST(FederationForwardTest, TransferResendBacksOffAcrossAPartition) {
+  sim::Environment env(23);
+  FederationConfig config;
+  config.regions.push_back(make_region("alpha", 1));
+  config.regions.push_back(make_region("beta", 3));
+  FederatedPlatform fed(env, config);
+  fed.start();
+  env.run_until(5.0);
+
+  // Two jobs into a 1-GPU campus: one runs locally, one is forwarded.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(fed.region("alpha")
+                    .coordinator()
+                    .submit(training("job-" + std::to_string(i),
+                                     "group-alpha", 1200.0, env.now()))
+                    .is_ok());
+  }
+  const auto& alpha = fed.gateway("alpha").stats();
+  const auto& beta = fed.gateway("beta").stats();
+  // Beta's accept starts the transfer; cut beta off the WAN in the same
+  // instant, so the shipment dies on the wire.
+  while (alpha.forwards_admitted == 0 && env.now() < 120.0 && env.step()) {
+  }
+  ASSERT_EQ(alpha.forwards_admitted, 1u);
+  const util::SimTime sent = env.now();
+  fed.set_region_wan_partitioned("beta", true);
+
+  // The first deadline is the exact protocol timeout; the resend's is
+  // twice that, jittered.  The partition heals between the two, after the
+  // first resend was lost, so the second resend is the one that lands.
+  std::vector<util::SimTime> resent;
+  bool healed = false;
+  while (resent.size() < 2 && env.now() < sent + 1000.0 && env.step()) {
+    if (alpha.transfer_retries > resent.size()) resent.push_back(env.now());
+    if (!healed && env.now() >= sent + 2.0 * federation::kTransferAckTimeout) {
+      fed.set_region_wan_partitioned("beta", false);
+      healed = true;
+    }
+  }
+  ASSERT_EQ(resent.size(), 2u);
+  EXPECT_DOUBLE_EQ(resent[0] - sent, federation::kTransferAckTimeout);
+  const util::Duration backoff = 2.0 * federation::kTransferAckTimeout;
+  EXPECT_GE(resent[1] - resent[0], backoff * (1.0 - federation::kRetryJitter));
+  EXPECT_LE(resent[1] - resent[0], backoff * (1.0 + federation::kRetryJitter));
+  EXPECT_GT(resent[1], sent + 2.0 * federation::kTransferAckTimeout)
+      << "the second resend must follow the heal";
+  EXPECT_EQ(beta.transfers_received, 0u) << "a shipment crossed the cut";
+
+  env.run_until(env.now() + 1800.0);
+  EXPECT_EQ(alpha.transfer_retries, 2u);
+  EXPECT_EQ(alpha.transfers_delivered, 1u);
+  EXPECT_EQ(beta.transfers_received, 1u);
+  EXPECT_EQ(beta.remote_jobs_taken, 1u);
+  EXPECT_EQ(fed.gateway("alpha").withdrawn_in_flight(), 0);
+  EXPECT_EQ(completed_in(fed.region("alpha")), 1);
+  EXPECT_EQ(completed_in(fed.region("beta")), 1);
 }
 
 TEST(FederationForwardTest, ForwardWhileLedgerUnflushedKeepsProvenance) {

@@ -46,9 +46,8 @@ CampusConfig crash_campus(int nodes) {
   config.db.shard_count = 4;
   config.db.write_behind = true;
   // Lazy flushing on purpose: only the 30 s interval commit runs, never a
-  // threshold flush — so a submission wave placed just before a scheduled
-  // crash DETERMINISTICALLY leaves acked work in the WAL for the dirty
-  // crash points to lose-or-replay.
+  // threshold flush, so a deferred record stays in the WAL until its
+  // shard's next synchronous write or the interval commit.
   config.db.flush_threshold = 1u << 20;
   config.db.flush_interval = 30.0;
   return config;
@@ -63,8 +62,8 @@ struct CampaignResult {
 };
 
 /// One seeded campaign against one named crash point: submit a backlog,
-/// fire the crash three times while it drains, assert nothing was lost
-/// or doubled.
+/// fire the crash three times while it drains, each time with deferred
+/// records in the WAL, and assert nothing was lost or doubled.
 CampaignResult run_campaign(std::uint64_t seed,
                             const std::string& crash_point) {
   SCOPED_TRACE("GPUNION_INVARIANT_SEED=" + std::to_string(seed) + " point=" +
@@ -89,15 +88,27 @@ CampaignResult run_campaign(std::uint64_t seed,
     }
   };
   submit_batch(4);
-  // Three crashes while the backlog drains, each 0.1 s after a fresh
-  // submission wave: the wave's ledgered enqueues are acked but cannot
-  // have been flushed yet (no threshold flush; the interval commits land
-  // at 30/60/90/120 s), so the dirty crash points find a dirty WAL every
-  // time.  The gaps dwarf the 1.5 s downtime, so each trigger finds a
-  // live control plane to kill.
-  for (double at : {20.0, 80.0, 140.0}) {
-    env.schedule_at(at - 0.1, [&] { submit_batch(2); });
-    platform.fault_injector().inject_at(at, crash_point);
+  // Three crashes while the backlog drains, each after a fresh submission
+  // wave.  The wave's own records do not stay in the WAL: submit's deferred
+  // enqueue is followed by its synchronous job-state write on the same
+  // shard, which applies the enqueue to that shard's image at once.  What
+  // stays deferred is an allocation a completion closes or a dispatch
+  // opens, on a node whose shard has not written since.  So each trigger
+  // fires at the first event after which the WAL holds such a record, and
+  // the dirty points always find acked work that only the WAL holds.  Each
+  // wave comes 20 s after the previous trigger, well past the 1.5 s
+  // downtime, so each trigger finds a live control plane to kill.
+  const db::LedgerWal& wal = platform.database().wal();
+  util::SimTime wave_at = 20.0;
+  for (int crash = 0; crash < 3; ++crash) {
+    env.run_until(wave_at);
+    submit_batch(2);
+    env.run_until(wave_at + 0.1);
+    while (wal.depth() == 0 && env.now() < 900.0 && env.step()) {
+    }
+    EXPECT_GT(wal.depth(), 0u) << "no deferred record by t=" << env.now();
+    EXPECT_TRUE(platform.fault_injector().inject_now(crash_point));
+    wave_at = env.now() + 20.0;
   }
   env.run_until(900.0);
 

@@ -146,13 +146,37 @@ void run_one_seed(std::uint64_t seed, int rounds,
   util::Rng rng(seed);
   sim::Environment env(seed);
   const int nodes = 6;
-  Platform platform(env, invariant_campus(nodes));
+  const CampusConfig config = invariant_campus(nodes);
+  Platform platform(env, config);
   platform.start();
   env.run_until(5.0);
 
   auto& coordinator = platform.coordinator();
   int next_job = 0;
   std::vector<std::string> submitted_ids;
+  // Submits a training job (sometimes wide) or a session.
+  auto submit_random = [&] {
+    const std::string id = "job-" + std::to_string(next_job++);
+    const std::string group = "group-" + std::to_string(rng.uniform_int(0, 1));
+    if (rng.bernoulli(0.25)) {
+      (void)coordinator.submit(workload::make_interactive_session(
+          id, rng.uniform(0.005, 0.02), group, env.now()));
+    } else {
+      auto job = workload::make_training_job(
+          id, workload::cnn_small(), rng.uniform(0.005, 0.05), group,
+          env.now());
+      job.checkpoint_interval = 30.0;
+      (void)coordinator.submit(std::move(job));
+    }
+    submitted_ids.push_back(id);
+  };
+
+  // The campaign opens with a submission wave as large as the flush
+  // threshold: its ledgered enqueues alone cross the threshold before the
+  // first explicit flush, so the threshold trigger fires every campaign.
+  for (std::size_t i = 0; i < config.db.flush_threshold; ++i) {
+    submit_random();
+  }
 
   for (int round = 0; round < rounds; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
@@ -167,23 +191,9 @@ void run_one_seed(std::uint64_t seed, int rounds,
         case 0:
         case 1:
         case 2:
-        case 3: {  // submit training (sometimes wide) or a session
-          const std::string id = "job-" + std::to_string(next_job++);
-          const std::string group =
-              "group-" + std::to_string(rng.uniform_int(0, 1));
-          if (rng.bernoulli(0.25)) {
-            (void)coordinator.submit(workload::make_interactive_session(
-                id, rng.uniform(0.005, 0.02), group, env.now()));
-          } else {
-            auto job = workload::make_training_job(
-                id, workload::cnn_small(), rng.uniform(0.005, 0.05), group,
-                env.now());
-            job.checkpoint_interval = 30.0;
-            (void)coordinator.submit(std::move(job));
-          }
-          submitted_ids.push_back(id);
+        case 3:  // submit training (sometimes wide) or a session
+          submit_random();
           break;
-        }
         case 4: {  // withdraw a pending job (the federation hand-off path)
           // Target a job that is actually pending so the path is exercised
           // every time one exists (withdraw on a non-pending id is also
