@@ -101,7 +101,6 @@ std::vector<std::string> ProviderAgent::kill_switch() {
     stop_job_events(job);
     (void)runtime_.kill(job.container_id, env_.now());
     killed.push_back(id);
-    if (hooks_.on_job_killed) hooks_.on_job_killed(id);
   }
   jobs_.clear();
   slicer_.clear();
@@ -154,7 +153,6 @@ void ProviderAgent::depart_scheduled() {
   for (auto& [id, job] : jobs_) {
     stop_job_events(job);
     (void)runtime_.kill(job.container_id, env_.now());
-    if (hooks_.on_job_killed) hooks_.on_job_killed(id);
   }
   jobs_.clear();
   slicer_.clear();
@@ -174,7 +172,6 @@ void ProviderAgent::depart_emergency() {
   for (auto& [id, job] : jobs_) {
     stop_job_events(job);
     (void)runtime_.kill(job.container_id, env_.now());
-    if (hooks_.on_job_killed) hooks_.on_job_killed(id);
   }
   jobs_.clear();
   slicer_.clear();
@@ -222,7 +219,6 @@ int ProviderAgent::reclaim_gpus(int gpus) {
     (void)runtime_.kill(job.container_id, env_.now());
     freed += job.spec.requirements.gpu_count;
     notice.killed_jobs.push_back(id);
-    if (hooks_.on_job_killed) hooks_.on_job_killed(id);
     const RunningJob departed = std::move(jobs_[id]);
     jobs_.erase(id);
     drop_from_slicer(id, departed);
@@ -527,7 +523,6 @@ void ProviderAgent::handle_kill_job(const KillJobCommand& command) {
 
   stop_job_events(job);
   (void)runtime_.kill(job.container_id, env_.now());
-  if (hooks_.on_job_killed) hooks_.on_job_killed(command.job_id);
   const RunningJob killed = std::move(job);
   jobs_.erase(it);
   drop_from_slicer(command.job_id, killed);
@@ -608,7 +603,6 @@ void ProviderAgent::complete_job(const std::string& job_id) {
   done.machine_id = machine_id_;
   done.job_id = job_id;
   send_control(kJobCompleted, done, kControlBytes);
-  if (hooks_.on_job_completed) hooks_.on_job_completed(job_id, 1.0);
   const RunningJob finished = std::move(job);
   jobs_.erase(it);
   drop_from_slicer(job_id, finished);
@@ -759,7 +753,6 @@ void ProviderAgent::evict_timeslice_tenant(const std::string& job_id) {
   }
   stop_job_events(job);
   (void)runtime_.kill(job.container_id, env_.now());
-  if (hooks_.on_job_killed) hooks_.on_job_killed(job_id);
   jobs_.erase(it);
   // The slicer's tick requires the tenant be removed before the hook
   // returns; the notice lets the coordinator requeue the job elsewhere.

@@ -47,13 +47,6 @@ struct AgentConfig {
 
 enum class AgentState { kOffline, kActive, kDeparted };
 
-/// Callbacks the embedding platform can observe (statistics, tests).
-struct AgentHooks {
-  std::function<void(const std::string& job_id, double progress)>
-      on_job_completed;
-  std::function<void(const std::string& job_id)> on_job_killed;
-};
-
 class ProviderAgent {
  public:
   ProviderAgent(sim::Environment& env, net::Transport& transport,
@@ -97,8 +90,6 @@ class ProviderAgent {
   /// Quantum-scheduler counters (rotations, swap time, thrash actions).
   const TimesliceStats& timeslice_stats() const { return slicer_.stats(); }
   const GpuTimeSlicer& slicer() const { return slicer_; }
-
-  void set_hooks(AgentHooks hooks) { hooks_ = std::move(hooks); }
 
  private:
   struct RunningJob {
@@ -179,7 +170,6 @@ class ProviderAgent {
   std::map<std::string, RunningJob> jobs_;  // ordered for determinism
   std::unique_ptr<sim::PeriodicTimer> heartbeat_timer_;
   std::unique_ptr<sim::PeriodicTimer> telemetry_timer_;
-  AgentHooks hooks_;
 };
 
 }  // namespace gpunion::agent

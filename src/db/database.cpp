@@ -163,30 +163,6 @@ const JobProvenance* SystemDatabase::provenance(
                                        : &provenance_log_[it->second];
 }
 
-void SystemDatabase::record_metric(const std::string& series, util::SimTime at,
-                                   double value) {
-  count_op();
-  auto& points = metrics_[series];
-  points.push_back(MetricPoint{at, value});
-  while (points.size() > kHistoryLimit) points.pop_front();
-}
-
-const std::deque<MetricPoint>& SystemDatabase::series(
-    const std::string& name) const {
-  static const std::deque<MetricPoint> kEmpty;
-  count_op();
-  auto it = metrics_.find(name);
-  return it == metrics_.end() ? kEmpty : it->second;
-}
-
-std::vector<std::string> SystemDatabase::series_names() const {
-  std::vector<std::string> out;
-  out.reserve(metrics_.size());
-  for (const auto& [name, points] : metrics_) out.push_back(name);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void SystemDatabase::put_job_state(JobStateRecord record) {
   job_states_[record.job_id] = std::move(record);
 }

@@ -2,10 +2,14 @@
 //
 // §3.2: "State persistence is handled through a centralized database that
 // maintains node registrations, resource allocations, and historical
-// monitoring data."  §5.2 identifies this database (with heartbeat
-// processing) as the scalability bottleneck beyond ~200 nodes, so every
-// store counts its operations.  The simulation charges database work no
-// time: op counts feed no event.
+// monitoring data."  Here it keeps control-plane state only: node
+// registrations, allocations, the pending queue, provenance and the
+// crash-recovery rows.  Monitoring lives in monitor::MetricRegistry and its
+// Prometheus exposition, from which a campus monitoring stack would keep
+// history (README, "Departures from the paper").  §5.2 identifies this
+// database (with heartbeat processing) as the scalability bottleneck
+// beyond ~200 nodes, so every store counts its operations.  The simulation
+// charges database work no time: op counts feed no event.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +28,6 @@
 namespace gpunion::db {
 
 enum class NodeStatus { kActive, kUnavailable, kDeparted };
-
-/// Ring-buffer length per monitoring series.
-inline constexpr std::size_t kHistoryLimit = 4096;
 
 struct NodeRecord {
   std::string machine_id;
@@ -79,11 +80,6 @@ struct PendingRequest {
   std::string job_id;
   int priority = 0;  // higher first
   util::SimTime submitted_at = 0;
-};
-
-struct MetricPoint {
-  util::SimTime at = 0;
-  double value = 0;
 };
 
 /// Region-scoped job provenance: which campus a job was first submitted in
@@ -174,10 +170,10 @@ struct HandoffRecord {
 };
 
 /// Abstract system-database surface every store implements.  The control
-/// plane (Coordinator, RegionGateway, Scraper, Platform) programs against
-/// this interface so the single-writer SystemDatabase and the sharded,
-/// write-behind ShardedDatabase are interchangeable; the platform runs the
-/// sharded store and SystemDatabase is the reference it is tested against.
+/// plane (Coordinator, RegionGateway) programs against this interface so
+/// the single-writer SystemDatabase and the sharded, write-behind
+/// ShardedDatabase are interchangeable; the platform runs the sharded store
+/// and SystemDatabase is the reference it is tested against.
 class Database {
  public:
   virtual ~Database() = default;
@@ -226,13 +222,6 @@ class Database {
   virtual void record_provenance(JobProvenance provenance) = 0;
   virtual const JobProvenance* provenance(const std::string& job_id) const = 0;
   virtual const std::vector<JobProvenance>& provenance_log() const = 0;
-
-  // --- Monitoring history -----------------------------------------------------
-  virtual void record_metric(const std::string& series, util::SimTime at,
-                             double value) = 0;
-  virtual const std::deque<MetricPoint>& series(
-      const std::string& name) const = 0;
-  virtual std::vector<std::string> series_names() const = 0;
 
   // --- Durable control-plane state (crash recovery) ----------------------------
   // Written by the Coordinator / RegionGateway so a crashed control plane
@@ -323,13 +312,6 @@ class SystemDatabase : public Database {
     return provenance_log_;
   }
 
-  // --- Monitoring history -----------------------------------------------------
-  void record_metric(const std::string& series, util::SimTime at,
-                     double value) override;
-  const std::deque<MetricPoint>& series(const std::string& name)
-      const override;
-  std::vector<std::string> series_names() const override;
-
   // --- Durable control-plane state (uncharged; see Database) -------------------
   void put_job_state(JobStateRecord record) override;
   bool erase_job_state(const std::string& job_id) override;
@@ -357,7 +339,6 @@ class SystemDatabase : public Database {
   std::unordered_map<std::uint64_t, std::size_t> ledger_index_;
   // priority -> FIFO of requests; processed highest priority first.
   std::map<int, std::deque<PendingRequest>, std::greater<>> queue_;
-  std::unordered_map<std::string, std::deque<MetricPoint>> metrics_;
   std::vector<JobProvenance> provenance_log_;
   std::unordered_map<std::string, std::size_t> provenance_index_;  // latest row
   // Durable control-plane state (ordered: deterministic rebuild scans).

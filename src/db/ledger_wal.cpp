@@ -86,12 +86,6 @@ void apply_to_image(TableImage& image, const WalRecord& record) {
       // append order of the live provenance log.
       image.provenance[record.seq] = record.provenance;
       break;
-    case WalOp::kMetric: {
-      auto& points = image.metrics[record.key];
-      points.push_back(MetricPoint{record.at, record.value});
-      while (points.size() > kHistoryLimit) points.pop_front();
-      break;
-    }
     case WalOp::kPutJobState:
       image.job_states[record.key] = record.job_state;
       break;

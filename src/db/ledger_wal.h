@@ -46,7 +46,6 @@ enum class WalOp {
   kPop,      // the scheduling pass's take
   kRemoveRequest,
   kProvenance,
-  kMetric,
   kPutJobState,
   kEraseJobState,
   kJournalPut,
@@ -62,7 +61,7 @@ struct WalRecord {
   std::uint64_t seq = 0;  // global, stamped by LedgerWal::append
   std::size_t shard = 0;  // owner of the durable row(s) this mutates
   WalOp op = WalOp::kUpsertNode;
-  std::string key;        // machine id / job id / series name / blob key
+  std::string key;        // machine id / job id / blob key
   util::SimTime at = 0;
 
   NodeRecord node;                          // kUpsertNode
@@ -75,7 +74,6 @@ struct WalRecord {
   PendingRequest request;                   // kEnqueue
   std::int64_t queue_seq = 0;               // kEnqueue (insertion stamp)
   int priority = 0;                         // kPop
-  double value = 0;                         // kMetric
   JobProvenance provenance;                 // kProvenance
   JobStateRecord job_state;                 // kPutJobState
   std::vector<std::int64_t> journal;        // kJournalPut
@@ -98,7 +96,6 @@ struct TableImage {
   std::int64_t queue_back_seq = 0;   // max tail stamp ever applied
   std::int64_t queue_front_seq = 0;  // min front stamp ever applied
   std::map<std::uint64_t, JobProvenance> provenance;  // key: WAL seq
-  std::map<std::string, std::deque<MetricPoint>> metrics;
   std::map<std::string, JobStateRecord> job_states;
   std::map<std::string, std::vector<std::int64_t>> journal;
   std::map<std::string, ForwardStateRecord> forwards;

@@ -63,8 +63,7 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
                                           util::SimTime at) {
   // Ack-to-durable spans: each pending entry was acked to its caller at
   // recorded_at and becomes durable now, so the group commit closes one
-  // db_group_commit span per entry on the owning job's trace.  Background
-  // metric points carry series names, not job ids — skip them.
+  // db_group_commit span per entry on the owning job's trace.
   if (tracer_ != nullptr && tracer_->enabled() && !ledger_log_.empty()) {
     util::SimTime commit_at = at;
     if (commit_at < 0) {
@@ -73,7 +72,6 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
       }
     }
     for (const LedgerEntry& entry : ledger_log_.pending_entries()) {
-      if (entry.kind == LedgerOpKind::kMetric) continue;
       tracer_->close_span(tracer_->open_span(),
                           obs::Tracer::trace_for_job(entry.key),
                           /*parent_span=*/0, obs::stage::kDbGroupCommit,
@@ -217,8 +215,6 @@ void ShardedDatabase::rebuild_live_tables() {
     provenance_index_[row.job_id] = provenance_log_.size();
     provenance_log_.push_back(row);  // WAL-seq order == append order
   }
-  metrics_.clear();
-  for (const auto& [name, points] : image_.metrics) metrics_[name] = points;
   // Row-ownership audit counters, recomputed from the rebuilt tables (the
   // same net counts the per-mutation ++/-- maintained).
   for (Shard& shard : shards_) shard.rows = 0;
@@ -540,39 +536,6 @@ const JobProvenance* ShardedDatabase::provenance(
   auto it = provenance_index_.find(job_id);
   return it == provenance_index_.end() ? nullptr
                                        : &provenance_log_[it->second];
-}
-
-// ---------------------------------------------------------------------------
-// Monitoring history (sharded by series name; write-behind)
-// ---------------------------------------------------------------------------
-
-void ShardedDatabase::record_metric(const std::string& series,
-                                    util::SimTime at, double value) {
-  auto& points = metrics_[series];
-  points.push_back(MetricPoint{at, value});
-  while (points.size() > kHistoryLimit) points.pop_front();
-  const std::size_t shard = route(series);
-  WalRecord wal = make_wal(WalOp::kMetric, shard, series);
-  wal.at = at;
-  wal.value = value;
-  wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kMetric, shard, series, 0, at);
-}
-
-const std::deque<MetricPoint>& ShardedDatabase::series(
-    const std::string& name) const {
-  static const std::deque<MetricPoint> kEmpty;
-  charge(route(name));
-  auto it = metrics_.find(name);
-  return it == metrics_.end() ? kEmpty : it->second;
-}
-
-std::vector<std::string> ShardedDatabase::series_names() const {
-  std::vector<std::string> out;
-  out.reserve(metrics_.size());
-  for (const auto& [name, points] : metrics_) out.push_back(name);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@
 //    pending_requests(), allocations_for_job on a node-partitioned table)
 //    pay one scatter-gather op per shard.
 //
-//  * Write-behind: the coordinator's per-decision mutations (allocation
-//    open/close, pending-queue inserts, provenance, metric points) are
-//    absorbed by a WriteBehindLedger and group-committed to their shards
-//    on a flush interval or size threshold — one modeled write per touched
-//    shard per flush instead of one per mutation.
+//  * Write-behind: the control plane's per-decision mutations (allocation
+//    open/close, pending-queue inserts, provenance) are absorbed by a
+//    WriteBehindLedger and group-committed to their shards on a flush
+//    interval or size threshold — one modeled write per touched shard per
+//    flush instead of one per mutation.
 //
 // Consistency model: mutations apply to the shared in-memory tables
 // immediately and only their durable shard write is deferred, so every
@@ -124,12 +124,6 @@ class ShardedDatabase : public Database {
     return provenance_log_;
   }
 
-  void record_metric(const std::string& series, util::SimTime at,
-                     double value) override;
-  const std::deque<MetricPoint>& series(const std::string& name)
-      const override;
-  std::vector<std::string> series_names() const override;
-
   // --- Durable control-plane state (uncharged; see Database) -------------------
   // Reads are served straight from the durable image: these tables are
   // WAL'd and applied synchronously, so image == live for them always.
@@ -186,9 +180,9 @@ class ShardedDatabase : public Database {
   std::size_t flush_ledger(FlushTrigger trigger = FlushTrigger::kExplicit,
                            util::SimTime at = -1);
 
-  /// Attaches a tracer: each flushed ledger entry (except background metric
-  /// points) closes one db_group_commit span on the trace of the job whose
-  /// key it carries — ack-to-durable latency becomes visible per job.
+  /// Attaches a tracer: each flushed ledger entry closes one
+  /// db_group_commit span on the trace of the job whose key it carries —
+  /// ack-to-durable latency becomes visible per job.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
@@ -299,7 +293,6 @@ class ShardedDatabase : public Database {
   std::int64_t queue_back_seq_ = 0;   // next back push stamps ++this
   std::int64_t queue_front_seq_ = 0;  // next front push stamps --this
   std::size_t queued_rows_ = 0;       // cached depth (O(1) probes)
-  std::unordered_map<std::string, std::deque<MetricPoint>> metrics_;
   std::vector<JobProvenance> provenance_log_;
   std::unordered_map<std::string, std::size_t> provenance_index_;
   std::uint64_t next_allocation_id_ = 1;

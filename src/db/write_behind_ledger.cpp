@@ -11,7 +11,6 @@ std::string_view ledger_op_name(LedgerOpKind kind) {
     case LedgerOpKind::kAllocationOpen: return "allocation_open";
     case LedgerOpKind::kAllocationClose: return "allocation_close";
     case LedgerOpKind::kProvenance: return "provenance";
-    case LedgerOpKind::kMetric: return "metric";
   }
   return "unknown";
 }

@@ -1,9 +1,8 @@
 // Write-behind allocation ledger.
 //
-// The coordinator's per-decision mutations (allocation open/close, job
-// state transitions in the pending queue, provenance, metric points) are
-// absorbed into this append-only in-memory ledger instead of paying one
-// synchronous database write each.  Pending entries are group-committed to
+// The control plane's per-decision mutations (allocation open/close,
+// pending-queue inserts, provenance) are absorbed into this append-only
+// in-memory ledger instead of paying one synchronous database write each.  Pending entries are group-committed to
 // their owning writer shards when either the size threshold is crossed
 // (absorb() tells the caller) or the owner's flush timer fires.
 //
@@ -31,7 +30,6 @@ enum class LedgerOpKind {
   kAllocationOpen,
   kAllocationClose,
   kProvenance,
-  kMetric,
 };
 
 std::string_view ledger_op_name(LedgerOpKind kind);
@@ -39,7 +37,7 @@ std::string_view ledger_op_name(LedgerOpKind kind);
 enum class FlushTrigger { kInterval, kThreshold, kExplicit };
 
 /// One absorbed mutation: what happened, which shard owns the durable row,
-/// and the row key (job id, machine id or series name) for the audit trail.
+/// and the row key (job id or machine id) for the audit trail.
 struct LedgerEntry {
   LedgerOpKind kind = LedgerOpKind::kEnqueue;
   std::size_t shard = 0;

@@ -39,7 +39,9 @@ struct CampusConfig {
   /// System-database model: writer shard count, write-behind ledgering and
   /// its flush cadence.
   db::DbConfig db;
-  /// Monitoring scrape interval into the system database.
+  /// Period of Platform::refresh_metrics, which rewrites the metric
+  /// registry's gauges for the exposition.  It keeps the name of the
+  /// retired history scraper because programs and benchmarks set it.
   util::Duration scrape_interval = 60.0;
   /// Tenant-facing request plane (api::ApiServer).  Disabled by default:
   /// existing harnesses drive Coordinator::submit directly; campuses that

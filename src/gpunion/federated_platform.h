@@ -103,7 +103,6 @@ class FederatedPlatform {
   /// immediately).
   void start();
 
-  std::size_t region_count() const { return regions_.size(); }
   const std::vector<std::string>& region_names() const { return names_; }
   Platform& region(const std::string& name);
   Platform& region(std::size_t index) { return *regions_.at(index).platform; }

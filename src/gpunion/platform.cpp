@@ -77,8 +77,6 @@ Platform::Platform(sim::Environment& env, CampusConfig config)
     api_->set_capacity(capacity);
   }
 
-  scraper_ = std::make_unique<monitor::Scraper>(
-      env_, metrics_, database_, config_.scrape_interval);
   metrics_timer_ = std::make_unique<sim::PeriodicTimer>(
       env_, config_.scrape_interval, [this] { refresh_metrics(); });
   db_flush_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -184,7 +182,6 @@ void Platform::start() {
   attach_image_registry_endpoint();
   for (auto& provider : agents_) provider->join();
   metrics_timer_->start();
-  scraper_->start();
   if (config_.db.write_behind) db_flush_timer_->start();
   if (api_) api_->start();
 }

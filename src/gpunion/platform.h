@@ -2,11 +2,13 @@
 //
 // Owns and wires every subsystem: the campus network model, system database,
 // image registry, checkpoint store (with storage endpoints on the network),
-// the coordinator, one provider agent per campus node, Prometheus-style
-// metrics and the scraper.  This is the top-level object examples and
-// benches instantiate; experiments inject provider churn through
-// inject_interruption() and read results from the coordinator, the
-// migration tracker and the allocation ledger.
+// the coordinator, one provider agent per campus node and the
+// Prometheus-style metric registry, the campus's only monitoring store
+// (refreshed every CampusConfig::scrape_interval; no history is kept).
+// This is the top-level object examples and benches instantiate;
+// experiments inject provider churn through inject_interruption() and read
+// results from the coordinator, the migration tracker and the allocation
+// ledger.
 #pragma once
 
 #include <functional>
@@ -21,7 +23,6 @@
 #include "db/sharded_database.h"
 #include "gpunion/config.h"
 #include "monitor/metrics.h"
-#include "monitor/scraper.h"
 #include "net/sim_network.h"
 #include "obs/trace.h"
 #include "sched/coordinator.h"
@@ -34,8 +35,9 @@ namespace gpunion {
 
 class Platform {
  public:
-  /// Throws std::invalid_argument when two nodes share a hostname or two
-  /// storage nodes share an id.
+  /// Throws std::invalid_argument when two nodes share a hostname, two
+  /// storage nodes share an id, or a timer period (scrape_interval,
+  /// db.flush_interval) is not positive.
   Platform(sim::Environment& env, CampusConfig config);
   ~Platform();
 
@@ -60,7 +62,6 @@ class Platform {
   db::ShardedDatabase& database() { return database_; }
   const db::ShardedDatabase& database() const { return database_; }
   storage::CheckpointStore& checkpoint_store() { return store_; }
-  container::ImageRegistry& image_registry() { return registry_; }
   monitor::MetricRegistry& metrics() { return metrics_; }
   /// The causal tracer the whole campus control plane records into.  Owned
   /// here unless CampusConfig::coordinator.tracer injected a shared one
@@ -159,7 +160,6 @@ class Platform {
   std::vector<std::unique_ptr<agent::ProviderAgent>> agents_;
   std::map<std::string, agent::ProviderAgent*> agents_by_id_;
   std::map<std::string, agent::ProviderAgent*> agents_by_hostname_;
-  std::unique_ptr<monitor::Scraper> scraper_;
   std::unique_ptr<sim::PeriodicTimer> metrics_timer_;
   /// Background write-behind commits (CampusConfig::db.flush_interval); the
   /// threshold flush happens inside the database itself.

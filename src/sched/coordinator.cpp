@@ -634,9 +634,7 @@ void Coordinator::handle_message(net::Message&& msg) {
       handle_heartbeat(std::any_cast<const agent::Heartbeat&>(msg.payload));
       break;
     case agent::kTelemetryReport:
-      handle_telemetry(
-          std::any_cast<const agent::TelemetryReport&>(msg.payload));
-      break;
+      break;  // bytes on the wire only: monitoring lives in the registry
     case agent::kDispatchResult:
       handle_dispatch_result(
           std::any_cast<const agent::DispatchResult&>(msg.payload));
@@ -844,11 +842,6 @@ void Coordinator::reconcile_with_heartbeat(const agent::Heartbeat& beat) {
       maybe_retire(job_id);  // sessions disrupt terminally
     }
   }
-}
-
-void Coordinator::handle_telemetry(const agent::TelemetryReport& report) {
-  database_.record_metric("gpu_util." + report.machine_id, env_.now(),
-                          report.telemetry.mean_gpu_utilization());
 }
 
 void Coordinator::handle_dispatch_result(const agent::DispatchResult& result) {

@@ -352,7 +352,6 @@ class Coordinator {
   /// Repairs records whose completion/kill notifications were lost, using
   /// the heartbeat's hosted-job list as the agent's ground truth.
   void reconcile_with_heartbeat(const agent::Heartbeat& beat);
-  void handle_telemetry(const agent::TelemetryReport& report);
   void handle_dispatch_result(const agent::DispatchResult& result);
   void handle_job_started(const agent::JobStarted& started);
   void handle_job_completed(const agent::JobCompleted& done);

@@ -1,6 +1,7 @@
 #include "sim/environment.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace gpunion::sim {
 
@@ -53,7 +54,11 @@ QueueStats Environment::queue_stats() const {
 PeriodicTimer::PeriodicTimer(Environment& env, util::Duration period,
                              std::function<void()> on_tick)
     : env_(env), period_(period), on_tick_(std::move(on_tick)) {
-  assert(period_ > 0 && "PeriodicTimer requires a positive period");
+  // Checked in every build type: a zero period would re-arm at now()
+  // forever, so run_until could never return.
+  if (!(period_ > 0)) {
+    throw std::invalid_argument("PeriodicTimer requires a positive period");
+  }
   assert(on_tick_ && "PeriodicTimer requires a callback");
 }
 

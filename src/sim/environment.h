@@ -95,6 +95,7 @@ class Environment {
 /// Components use this for heartbeats, telemetry and checkpoint ticks.
 class PeriodicTimer {
  public:
+  /// Throws std::invalid_argument unless `period` > 0.
   PeriodicTimer(Environment& env, util::Duration period,
                 std::function<void()> on_tick);
   ~PeriodicTimer() { stop(); }

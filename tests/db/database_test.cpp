@@ -123,26 +123,6 @@ TEST(DatabaseTest, RemoveRequest) {
   EXPECT_EQ(take_front(database)->job_id, "b");
 }
 
-TEST(DatabaseTest, MetricsRingBuffer) {
-  SystemDatabase database;
-  const int points = static_cast<int>(kHistoryLimit) + 2;
-  for (int i = 0; i < points; ++i) {
-    database.record_metric("util", i, i * 10.0);
-  }
-  const auto& series = database.series("util");
-  ASSERT_EQ(series.size(), kHistoryLimit);
-  EXPECT_DOUBLE_EQ(series.front().value, 20.0);  // oldest kept is i=2
-  EXPECT_DOUBLE_EQ(series.back().value, (points - 1) * 10.0);
-}
-
-TEST(DatabaseTest, SeriesNamesSorted) {
-  SystemDatabase database;
-  database.record_metric("zeta", 0, 1);
-  database.record_metric("alpha", 0, 1);
-  EXPECT_EQ(database.series_names(),
-            (std::vector<std::string>{"alpha", "zeta"}));
-}
-
 TEST(DatabaseTest, OpCounting) {
   SystemDatabase database;
   const auto before = database.op_count();

@@ -189,8 +189,6 @@ void drive(Database& database) {
 
   database.record_provenance({"job-2", "alpha", "beta", 30.0, ""});
   database.record_provenance({"job-2", "alpha", "gamma", 40.0, ""});
-  database.record_metric("util", 1.0, 0.5);
-  database.record_metric("util", 2.0, 0.75);
 }
 
 /// Final logical contents must be identical, field by field.
@@ -229,9 +227,6 @@ void expect_same_contents(Database& a, Database& b) {
     EXPECT_EQ(prov_a[i].origin_region, prov_b[i].origin_region);
     EXPECT_EQ(prov_a[i].executing_region, prov_b[i].executing_region);
   }
-  // Metric series.
-  EXPECT_EQ(a.series_names(), b.series_names());
-  ASSERT_EQ(a.series("util").size(), b.series("util").size());
   // Queue: identical drain order empties both.
   while (true) {
     auto req_a = take_front(a);

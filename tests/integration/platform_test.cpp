@@ -127,15 +127,36 @@ TEST(PlatformTest, MetricsExposedInPrometheusFormat) {
   sim::Environment env(7);
   Platform platform(env, paper_campus());
   platform.start();
-  env.run_until(util::minutes(3));  // two scrapes
+  env.run_until(util::minutes(3));  // two metric refreshes
   const std::string text = monitor::expose_registry(platform.metrics());
   EXPECT_NE(text.find("# TYPE gpunion_nodes_active gauge"),
             std::string::npos);
   EXPECT_NE(text.find("gpunion_nodes_active 11"), std::string::npos);
   EXPECT_NE(text.find("gpunion_gpu_busy_fraction{node=\"srv-mlsys-0\"}"),
             std::string::npos);
-  // Scraper persisted history into the system database.
-  EXPECT_FALSE(platform.database().series("gpunion_nodes_active").empty());
+}
+
+TEST(PlatformTest, MonitoringWritesNothingToTheDatabase) {
+  // The metric registry is the only monitoring store: neither telemetry
+  // reports (every 30 s per node) nor metric refreshes (every 60 s) may
+  // reach the database's write-behind ledger on an idle campus.
+  sim::Environment env(11);
+  Platform platform(env, paper_campus());
+  platform.start();
+  env.run_until(util::minutes(1));  // registration settled
+  const util::SimTime settled = env.now();
+  const std::uint64_t absorbed =
+      platform.database().ledger().stats().absorbed;
+  env.run_until(settled + util::hours(1));
+  EXPECT_EQ(platform.database().ledger().stats().absorbed, absorbed);
+  // Telemetry still crosses the network, and the exposition still reads
+  // the fleet.
+  EXPECT_GT(platform.network().bytes_in_window(net::TrafficClass::kTelemetry,
+                                               settled, env.now()),
+            0u);
+  EXPECT_NE(monitor::expose_registry(platform.metrics())
+                .find("gpunion_nodes_active 11"),
+            std::string::npos);
 }
 
 TEST(PlatformTest, CheckpointTrafficFlowsToNas) {
@@ -187,6 +208,22 @@ TEST(PlatformTest, RejectsDuplicateHostnamesAndStorageIds) {
   EXPECT_THROW(construct(twice_nas), std::invalid_argument);
 
   EXPECT_NO_THROW(construct(paper_campus()));
+}
+
+TEST(PlatformTest, RejectsZeroTimerPeriods) {
+  // A 0 s period would re-arm its timer at now() forever, so run_until
+  // would never return; construction refuses it in every build type.
+  auto construct = [](const CampusConfig& config) {
+    sim::Environment env(12);
+    Platform platform(env, config);
+  };
+  CampusConfig no_refresh = paper_campus();
+  no_refresh.scrape_interval = 0;
+  EXPECT_THROW(construct(no_refresh), std::invalid_argument);
+
+  CampusConfig no_flush = paper_campus();
+  no_flush.db.flush_interval = 0;
+  EXPECT_THROW(construct(no_flush), std::invalid_argument);
 }
 
 }  // namespace

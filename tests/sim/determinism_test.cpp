@@ -239,12 +239,12 @@ TEST(DeterminismTest, GoldenTracesMatchRecordedDigests) {
   // simulated outcomes, so it must be a declared digest rebase; the
   // failure message carries the computed values to paste here.
   const std::vector<FireRecord> golden = golden_trace();
-  EXPECT_EQ(golden.size(), 35232u) << "golden event count";
-  EXPECT_EQ(trace_digest(golden), "38388089a9e59426") << "golden digest";
+  EXPECT_EQ(golden.size(), 35187u) << "golden event count";
+  EXPECT_EQ(trace_digest(golden), "d645e83f21c75563") << "golden digest";
 
   const auto [api, dispatches] = api_golden_trace();
-  EXPECT_EQ(api.size(), 40929u) << "api event count";
-  EXPECT_EQ(trace_digest(api), "097b4bc5caca074c") << "api digest";
+  EXPECT_EQ(api.size(), 40884u) << "api event count";
+  EXPECT_EQ(trace_digest(api), "6f7a2a11fb5f1b38") << "api digest";
   // Over the recorded "tenant/job-id" entries, concatenated in order.
   Fnv1a dispatch_digest;
   for (const std::string& job : dispatches) dispatch_digest.add_string(job);
@@ -253,8 +253,8 @@ TEST(DeterminismTest, GoldenTracesMatchRecordedDigests) {
       << "api dispatch-order digest";
 
   const std::vector<FireRecord> timeslice = timeslice_golden_trace();
-  EXPECT_EQ(timeslice.size(), 35357u) << "timeslice event count";
-  EXPECT_EQ(trace_digest(timeslice), "8094c77dacd0a9b8")
+  EXPECT_EQ(timeslice.size(), 35312u) << "timeslice event count";
+  EXPECT_EQ(trace_digest(timeslice), "063b1580cf65630b")
       << "timeslice digest";
 }
 

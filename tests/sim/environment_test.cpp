@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace gpunion::sim {
@@ -114,6 +115,15 @@ TEST(PeriodicTimerTest, StopFromWithinCallback) {
   env.run_until(10.0);
   EXPECT_EQ(ticks, 3);
   EXPECT_FALSE(timer.running());
+}
+
+TEST(PeriodicTimerTest, NonPositivePeriodThrows) {
+  // Checked in release builds too: a 0 s timer would re-arm at now()
+  // forever and run_until would never return.
+  Environment env;
+  EXPECT_THROW(PeriodicTimer(env, 0.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(PeriodicTimer(env, -1.0, [] {}), std::invalid_argument);
+  EXPECT_EQ(env.pending_events(), 0u);
 }
 
 TEST(PeriodicTimerTest, DestructorCancels) {
