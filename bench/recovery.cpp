@@ -126,8 +126,8 @@ struct CampaignOutcome {
 };
 
 /// One campaign: `jobs` short training jobs drain through `nodes` machines
-/// while `point` (if non-empty) fires three times, each 0.1 s after a
-/// fresh submission wave so the dirty crash points find a dirty WAL.
+/// while `point` (if non-empty) fires three times, once after each fresh
+/// submission wave.
 CampaignOutcome run_campaign(int nodes, int jobs, const std::string& point,
                              std::uint64_t seed) {
   CampaignOutcome outcome;
@@ -153,11 +153,27 @@ CampaignOutcome run_campaign(int nodes, int jobs, const std::string& point,
       }
     };
     submit_batch(jobs - 6);
-    for (double at : {20.0, 80.0, 140.0}) {
-      env.schedule_at(at - 0.1, [&] { submit_batch(2); });
-      if (!point.empty()) {
-        platform.fault_injector().inject_at(at, point);
+    // A wave's own records do not stay in the WAL: each submit's
+    // synchronous job-state write applies its deferred enqueue to the
+    // shard image at once.  So each trigger fires at the first event after
+    // its wave at which the WAL holds a deferred record (an allocation a
+    // dispatch opens or a completion closes), and the dirty points find
+    // acked work that only the WAL holds.  The next wave comes 20 s after
+    // the trigger, well past the downtime, so every trigger finds a live
+    // control plane.  The baseline walks the same timeline, minus the
+    // crashes.
+    const db::LedgerWal& wal = platform.database().wal();
+    util::SimTime wave_at = 20.0;
+    for (int wave = 0; wave < 3; ++wave) {
+      env.run_until(wave_at);
+      submit_batch(2);
+      env.run_until(wave_at + 0.1);
+      while (wal.depth() == 0 && env.now() < 1800.0 && env.step()) {
       }
+      if (!point.empty()) {
+        (void)platform.fault_injector().inject_now(point);
+      }
+      wave_at = env.now() + 20.0;
     }
     env.run_until(1800.0);
   });

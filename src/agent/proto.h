@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "hw/telemetry.h"
+#include "hw/node_profile.h"
 #include "hw/tenancy.h"
 #include "util/time.h"
 #include "workload/job.h"
@@ -42,31 +42,11 @@ enum MsgKind : int {
   kImageData,        // registry endpoint -> agent (layer bytes)
 };
 
-/// Why a provider left; drives the coordinator's recovery path and the
-/// Fig. 3 scenario taxonomy.
-enum class DepartureKind {
-  kScheduled,    // graceful shutdown with checkpoint grace
-  kEmergency,    // immediate disconnect, no notice (detected via heartbeats)
-  kTemporary,    // short unavailability, provider returns
-  kReclaim,      // owner kill-switch / GPU reclaim (node stays in the fleet)
-};
+using DepartureKind = workload::DepartureKind;
+using workload::departure_kind_name;
 
-std::string_view departure_kind_name(DepartureKind k);
-
-struct RegisterRequest {
-  std::string machine_id;
-  std::string hostname;
-  std::string owner_group;
-  int gpu_count = 0;
-  std::string gpu_model;
-  double gpu_memory_gb = 0;
-  double compute_capability = 0;
-  double gpu_tflops = 0;
-  /// Seats one GPU opens into per shared mode (<= 1: the mode is off), and
-  /// the per-tenant VRAM cap of a fractional slot.
-  hw::SeatCounts seats_per_gpu;
-  double share_memory_cap_gb = 0;
-};
+/// Resource advertisement: the node's hardware and owner profile.
+using RegisterRequest = hw::NodeProfile;
 
 struct RegisterResponse {
   bool accepted = false;
@@ -88,9 +68,10 @@ struct Heartbeat {
   std::vector<std::string> running_jobs;
 };
 
+/// Periodic monitoring report.  The coordinator reads none of it; its
+/// kTelemetryBytesPerGpu x GPUs on the wire are what the report models.
 struct TelemetryReport {
   std::string machine_id;
-  hw::NodeTelemetry telemetry;
 };
 
 struct DispatchRequest {

@@ -16,16 +16,6 @@ constexpr double kInteractiveUtilization = 0.55;
 
 }  // namespace
 
-std::string_view departure_kind_name(DepartureKind k) {
-  switch (k) {
-    case DepartureKind::kScheduled: return "scheduled";
-    case DepartureKind::kEmergency: return "emergency";
-    case DepartureKind::kTemporary: return "temporary";
-    case DepartureKind::kReclaim: return "reclaim";
-  }
-  return "unknown";
-}
-
 ProviderAgent::ProviderAgent(sim::Environment& env, net::Transport& transport,
                              hw::NodeModel& node,
                              const container::ImageRegistry& registry,
@@ -38,7 +28,6 @@ ProviderAgent::ProviderAgent(sim::Environment& env, net::Transport& transport,
       store_(store),
       config_(std::move(config)),
       runtime_(node, registry),
-      sampler_(node, env.fork_rng("nvml." + node.hostname())),
       rng_(env.fork_rng("agent." + node.hostname())),
       machine_id_(util::make_machine_id(node.hostname(), kMachineIdSalt)),
       slicer_(env, node) {
@@ -813,7 +802,6 @@ void ProviderAgent::send_telemetry() {
   if (state_ != AgentState::kActive) return;
   TelemetryReport report;
   report.machine_id = machine_id_;
-  report.telemetry = sampler_.sample(env_.now());
   send_control(kTelemetryReport, report,
                kTelemetryBytesPerGpu * std::max<std::size_t>(1, node_.gpu_count()));
 }

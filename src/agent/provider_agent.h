@@ -24,7 +24,7 @@
 #include "agent/proto.h"
 #include "agent/timeslice.h"
 #include "container/runtime.h"
-#include "hw/telemetry.h"
+#include "hw/node.h"
 #include "net/transport.h"
 #include "sim/environment.h"
 #include "storage/checkpoint_store.h"
@@ -157,7 +157,6 @@ class ProviderAgent {
   storage::CheckpointStore& store_;
   AgentConfig config_;
   container::ContainerRuntime runtime_;
-  hw::NvmlSampler sampler_;
   util::Rng rng_;
 
   AgentState state_ = AgentState::kOffline;

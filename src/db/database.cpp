@@ -164,7 +164,7 @@ const JobProvenance* SystemDatabase::provenance(
 }
 
 void SystemDatabase::put_job_state(JobStateRecord record) {
-  job_states_[record.job_id] = std::move(record);
+  job_states_[record.spec.id] = std::move(record);
 }
 
 bool SystemDatabase::erase_job_state(const std::string& job_id) {
@@ -196,7 +196,7 @@ const std::vector<std::int64_t>* SystemDatabase::journal(
 }
 
 void SystemDatabase::put_forward_state(ForwardStateRecord record) {
-  forward_states_[record.job_id] = std::move(record);
+  forward_states_[record.spec.id] = std::move(record);
 }
 
 bool SystemDatabase::erase_forward_state(const std::string& job_id) {

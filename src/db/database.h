@@ -20,7 +20,9 @@
 #include <utility>
 #include <vector>
 
+#include "hw/node_profile.h"
 #include "hw/tenancy.h"
+#include "obs/trace_context.h"
 #include "util/status.h"
 #include "util/time.h"
 #include "workload/job.h"
@@ -29,24 +31,13 @@ namespace gpunion::db {
 
 enum class NodeStatus { kActive, kUnavailable, kDeparted };
 
-struct NodeRecord {
-  std::string machine_id;
-  std::string hostname;
-  int gpu_count = 0;
-  std::string gpu_model;
+/// One node's registry row: the advertised profile (a restarted
+/// coordinator rebuilds its scheduling directory from the registry alone,
+/// instead of waiting for every node to re-register) plus its status.
+struct NodeRecord : hw::NodeProfile {
   NodeStatus status = NodeStatus::kActive;
-  util::SimTime registered_at = 0;
   util::SimTime last_heartbeat = 0;
   std::string auth_token_hash;  // sha256 of the issued token
-  // Full hardware profile, so a restarted coordinator can rebuild its
-  // scheduling directory from the registry alone (crash recovery) instead
-  // of waiting for every node to re-register.
-  std::string owner_group;
-  double gpu_memory_gb = 0;
-  double compute_capability = 0;
-  double gpu_tflops = 0;
-  hw::SeatCounts seats_per_gpu;
-  double share_memory_cap_gb = 0;
 };
 
 enum class AllocationOutcome {
@@ -97,66 +88,81 @@ struct JobProvenance {
   std::string route;
 };
 
-/// Durable mirror of one coordinator JobRecord — everything a restarted
-/// coordinator needs to reconstruct live jobs, per-node indexes and
-/// re-dispatch decisions that were granted but never delivered.  Phases and
-/// causes are stored as ints so db/ stays independent of sched/.
+/// One job's durable row, keyed by spec.id.  sched::JobRecord is this row
+/// plus two queue/dispatch timestamps, so the coordinator persists a job
+/// by copying its record's base and a restarted coordinator rebuilds live
+/// jobs, per-node indexes and granted-but-undelivered dispatches from it.
 struct JobStateRecord {
-  std::string job_id;
   workload::JobSpec spec;
-  int phase = 0;  // sched::JobPhase
-  std::string node;
-  std::string preferred_node;
-  std::string displaced_from;
+  workload::JobPhase phase = workload::JobPhase::kPending;
+  std::string node;            // current / last assignment
+  std::string preferred_node;  // placement affinity (migrate-back target)
+  std::string displaced_from;  // origin node of the last displacement
   bool migrate_back_pending = false;
   std::string migrate_back_target;
   double checkpointed_progress = 0;
   util::SimTime last_checkpoint_at = -1;
   int interruptions = 0;
-  int migrations = 0;
-  int migrate_backs = 0;
+  int migrations = 0;      // resumes on a different node
+  int migrate_backs = 0;   // resumes back on the origin
   util::SimTime submitted_at = 0;
   util::SimTime first_dispatched_at = -1;
   util::SimTime completed_at = -1;
+  /// Wall-clock recomputation caused by interruptions (time re-spent on
+  /// the executing node redoing work since the restored checkpoint).
   double lost_work_seconds = 0;
-  int last_interruption_cause = 0;  // workload::InterruptionKind
-  std::uint64_t open_allocation = 0;
-  std::uint64_t dispatch_generation = 0;
-  bool reclaim_requested = false;
-  int dispatch_rejects = 0;
+  workload::DepartureKind last_interruption_cause =
+      workload::DepartureKind::kScheduled;
+  std::uint64_t open_allocation = 0;  // db ledger id while running
+  std::uint64_t dispatch_generation = 0;  // guards stale timeout events
+  bool reclaim_requested = false;  // owner-reclaim already triggered
+  int dispatch_rejects = 0;      // consecutive rejections (give up past limit)
+  /// Cancelled while a dispatch ack was outstanding: the record stays live
+  /// until the ack (or its timeout) settles the in-flight counter, then
+  /// retires to the archive.
   bool awaiting_dispatch_settle = false;
+  /// How the current/last assignment holds its node: whole GPUs, or a seat
+  /// of a shared mode (capacity is returned the same way).
   hw::Tenancy tenancy = hw::Tenancy::kWhole;
+  // progress-estimation state for the current run segment
   util::SimTime running_since = -1;
   double segment_start_progress = 0;
-  double node_speed = 1.0;
-  /// Causal trace carried by the job (obs::TraceContext, stored as plain
-  /// ints so db/ stays independent of obs/).  Survives crash recovery so a
-  /// redispatched job continues its trace.
-  std::uint64_t trace_id = 0;
-  std::uint64_t trace_parent_span = 0;
+  double node_speed = 1.0;  // reference-relative speed of the current node
+  /// Causal trace carried through every stage; parent_span advances as
+  /// stages complete, and a redispatched job continues it after a crash.
+  obs::TraceContext trace;
+
+  bool operator==(const JobStateRecord&) const = default;
 };
 
-/// Durable mirror of one gateway in-flight outbound forward.  Persisted
-/// only once the job is WITHDRAWN from the local coordinator — from that
-/// moment this row is the only place the job exists, so a gateway crash
-/// without it would lose the job outright.
+/// One gateway in-flight outbound forward's durable row, keyed by spec.id.
+/// Persisted only once the job is WITHDRAWN from the local coordinator —
+/// from that moment this row is the only place the job exists, so a
+/// gateway crash without it would lose the job outright.  The gateway's
+/// live forward is this row plus its transient state machine fields.
 struct ForwardStateRecord {
-  std::string job_id;
+  enum class State { kAwaitingReply, kAwaitingTransferAck };
+  State state = State::kAwaitingReply;
   workload::JobSpec spec;
   double start_progress = 0;
   std::uint64_t checkpoint_bytes = 0;
-  int state = 0;  // federation::OutboundForward::State
-  std::uint64_t handoff_id = 0;
   int transfer_attempts = 0;
-  int attempts = 0;
+  std::uint64_t handoff_id = 0;  // stamped when the offer is accepted
+  /// First-submission region/gateway.  Usually this region — but when a
+  /// job hosted here for someone else is forwarded onward (chained
+  /// forward during a local outage), provenance and outcome reporting
+  /// keep pointing at the true origin.
   std::string origin_region;
   std::string origin_gateway;
+  /// Hop provenance ending with THIS region (see JobTransfer::chain).
   std::vector<std::string> chain;
   std::string awaiting_gateway;
-  util::SimTime recorded_at = 0;
-  /// Causal trace of the in-flight forward (plain ints; see JobStateRecord).
-  std::uint64_t trace_id = 0;
-  std::uint64_t trace_parent_span = 0;
+  int attempts = 0;
+  /// Causal trace carried over from the withdrawn job; the gateway's
+  /// fed_* spans chain onto it and it crosses the WAN in JobTransfer.
+  obs::TraceContext trace;
+
+  bool operator==(const ForwardStateRecord&) const = default;
 };
 
 /// Durable receive-side hand-off dedup row: (sender gateway, handoff id)
@@ -166,7 +172,6 @@ struct HandoffRecord {
   std::string job_id;
   std::string from_gateway;
   std::uint64_t handoff_id = 0;
-  util::SimTime recorded_at = 0;
 };
 
 /// Abstract system-database surface every store implements.  The control

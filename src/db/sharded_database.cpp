@@ -348,7 +348,7 @@ std::uint64_t ShardedDatabase::open_allocation(const std::string& job_id,
   ledger_.push_back(std::move(record));
   ++shards_[shard].rows;
   wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kAllocationOpen, shard, machine_id, id, at);
+  absorb(LedgerOpKind::kAllocationOpen, shard, job_id, id, at);
   return id;
 }
 
@@ -373,8 +373,8 @@ util::Status ShardedDatabase::close_allocation(std::uint64_t allocation_id,
   wal.outcome = outcome;
   wal.at = at;
   wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kAllocationClose, shard, record.machine_id,
-         allocation_id, at);
+  absorb(LedgerOpKind::kAllocationClose, shard, record.job_id, allocation_id,
+         at);
   return util::Status();
 }
 
@@ -544,9 +544,8 @@ const JobProvenance* ShardedDatabase::provenance(
 // ---------------------------------------------------------------------------
 
 void ShardedDatabase::put_job_state(JobStateRecord record) {
-  WalRecord wal =
-      make_wal(WalOp::kPutJobState, shard_for_job(record.job_id),
-               record.job_id);
+  WalRecord wal = make_wal(WalOp::kPutJobState, shard_for_job(record.spec.id),
+                           record.spec.id);
   wal.job_state = std::move(record);
   wal_append(std::move(wal), /*deferred=*/false);
 }
@@ -585,8 +584,8 @@ const std::vector<std::int64_t>* ShardedDatabase::journal(
 }
 
 void ShardedDatabase::put_forward_state(ForwardStateRecord record) {
-  WalRecord wal = make_wal(WalOp::kPutForward, shard_for_job(record.job_id),
-                           record.job_id);
+  WalRecord wal = make_wal(WalOp::kPutForward, shard_for_job(record.spec.id),
+                           record.spec.id);
   wal.forward = std::move(record);
   wal_append(std::move(wal), /*deferred=*/false);
 }

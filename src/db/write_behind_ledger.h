@@ -37,11 +37,12 @@ std::string_view ledger_op_name(LedgerOpKind kind);
 enum class FlushTrigger { kInterval, kThreshold, kExplicit };
 
 /// One absorbed mutation: what happened, which shard owns the durable row,
-/// and the row key (job id or machine id) for the audit trail.
+/// and the job it belongs to (an allocation's row is owned by its node's
+/// shard, but its group-commit span lands on the job's trace).
 struct LedgerEntry {
   LedgerOpKind kind = LedgerOpKind::kEnqueue;
   std::size_t shard = 0;
-  std::string key;
+  std::string key;  // job id
   std::uint64_t allocation_id = 0;  // allocation ops only
   util::SimTime recorded_at = 0;
 };

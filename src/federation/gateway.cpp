@@ -116,25 +116,9 @@ util::Duration RegionGateway::jittered(util::Duration base) {
 // Durability + crash recovery
 // ---------------------------------------------------------------------------
 
-void RegionGateway::persist_forward(const std::string& job_id,
-                                    const OutboundForward& forward) {
-  db::ForwardStateRecord row;
-  row.job_id = job_id;
-  row.spec = forward.spec;
-  row.start_progress = forward.start_progress;
-  row.checkpoint_bytes = forward.checkpoint_bytes;
-  row.state = static_cast<int>(forward.state);
-  row.handoff_id = forward.handoff_id;
-  row.transfer_attempts = forward.transfer_attempts;
-  row.attempts = forward.attempts;
-  row.origin_region = forward.origin_region;
-  row.origin_gateway = forward.origin_gateway;
-  row.chain = forward.chain;
-  row.awaiting_gateway = forward.awaiting_gateway;
-  row.recorded_at = env_.now();
-  row.trace_id = forward.trace.trace_id;
-  row.trace_parent_span = forward.trace.parent_span;
-  database_.put_forward_state(std::move(row));
+void RegionGateway::persist_forward(const OutboundForward& forward) {
+  database_.put_forward_state(
+      static_cast<const db::ForwardStateRecord&>(forward));
   persist_stats();
 }
 
@@ -238,31 +222,20 @@ void RegionGateway::rebuild_from_db() {
   // target only held a TTL reservation, so resubmitting locally cannot run
   // the job twice.
   for (db::ForwardStateRecord& row : database_.forward_states()) {
+    const std::string job_id = row.spec.id;
     OutboundForward forward;
-    forward.state = static_cast<OutboundForward::State>(row.state);
-    forward.spec = std::move(row.spec);
-    forward.start_progress = row.start_progress;
-    forward.checkpoint_bytes = row.checkpoint_bytes;
-    forward.transfer_attempts = row.transfer_attempts;
-    forward.handoff_id = row.handoff_id;
-    forward.origin_region = std::move(row.origin_region);
-    forward.origin_gateway = std::move(row.origin_gateway);
-    forward.chain = std::move(row.chain);
-    forward.awaiting_gateway = std::move(row.awaiting_gateway);
-    forward.attempts = row.attempts;
-    forward.trace.trace_id = row.trace_id;
-    forward.trace.parent_span = row.trace_parent_span;
-    auto [it, inserted] = outbound_.emplace(row.job_id, std::move(forward));
+    static_cast<db::ForwardStateRecord&>(forward) = std::move(row);
+    auto [it, inserted] = outbound_.emplace(job_id, std::move(forward));
     assert(inserted && "duplicate forward-state row");
     // crash() wiped the reservation set; every rebuilt forward is still in
     // flight, so re-reserve before anything can resubmit the id.
-    coordinator_.reserve_id(row.job_id);
+    coordinator_.reserve_id(job_id);
     if (it->second.state == OutboundForward::State::kAwaitingTransferAck) {
       ++recovery_stats_.forwards_resumed;
-      send_transfer(row.job_id);
+      send_transfer(job_id);
     } else {
       ++recovery_stats_.forwards_repatriated;
-      return_job_home(row.job_id);
+      return_job_home(job_id);
     }
   }
 }
@@ -571,7 +544,7 @@ void RegionGateway::try_next_region(const std::string& job_id) {
   // The durable row mirrors the withdrawn job BEFORE the offer leaves: a
   // crash from here on recovers it (resumed or repatriated), so the
   // withdraw can never become a loss.
-  persist_forward(job_id, forward);
+  persist_forward(forward);
 
   ForwardRequest request;
   request.origin_region = forward.origin_region;
@@ -682,7 +655,7 @@ void RegionGateway::send_transfer(const std::string& job_id) {
   // Durable before the wire: the attempt counter and handoff id must
   // survive a crash, or the resumed hand-off could reuse a stale attempt
   // number and mis-settle against the ack for this very send.
-  persist_forward(job_id, forward);
+  persist_forward(forward);
   JobTransfer transfer;
   transfer.origin_region = forward.origin_region;
   transfer.origin_gateway = forward.origin_gateway;
@@ -934,8 +907,8 @@ void RegionGateway::handle_job_transfer(const JobTransfer& transfer) {
     // Dedup durable BEFORE the ack leaves: once the sender sees an accept
     // it drops the job, so a crash here must leave behind the row that
     // re-acks (never re-admits) the sender's at-least-once retries.
-    database_.put_handoff(db::HandoffRecord{job_id, transfer.reply_to,
-                                            transfer.handoff_id, env_.now()});
+    database_.put_handoff(
+        db::HandoffRecord{job_id, transfer.reply_to, transfer.handoff_id});
     persist_stats();
   }
   send(transfer.reply_to, kJobTransferAck,

@@ -288,34 +288,16 @@ class RegionGateway {
   util::Duration jittered(util::Duration base);
 
  private:
-  /// Outbound forward state machine, one entry per job in flight.  The
-  /// entry (and with it the job's spec and checkpoint chain) survives
-  /// until the target acknowledges the transfer, so no single lost WAN
-  /// message can lose the job.
-  struct OutboundForward {
-    enum class State { kAwaitingReply, kAwaitingTransferAck };
-    State state = State::kAwaitingReply;
+  /// Outbound forward state machine, one entry per job in flight: its
+  /// durable row (persist_forward() writes it, recovery reads it back) plus
+  /// the transient fields a restart resets.  The entry (and with it the
+  /// job's spec and checkpoint chain) survives until the target
+  /// acknowledges the transfer, so no single lost WAN message can lose the
+  /// job.
+  struct OutboundForward : db::ForwardStateRecord {
     std::uint64_t generation = 0;  // guards stale timeout events
-    workload::JobSpec spec;
-    double start_progress = 0;
-    std::uint64_t checkpoint_bytes = 0;
-    int transfer_attempts = 0;
-    std::uint64_t handoff_id = 0;  // stamped when the offer is accepted
-    /// First-submission region/gateway.  Usually this region — but when a
-    /// job hosted here for someone else is forwarded onward (chained
-    /// forward during a local outage), provenance and outcome reporting
-    /// keep pointing at the true origin.
-    std::string origin_region;
-    std::string origin_gateway;
-    /// Hop provenance ending with THIS region (see JobTransfer::chain).
-    std::vector<std::string> chain;
     std::vector<RegionScore> ranking;
     std::size_t next_region = 0;
-    std::string awaiting_gateway;
-    int attempts = 0;
-    /// Causal trace carried over from the withdrawn job; the gateway's
-    /// fed_* spans chain onto it and it crosses the WAN in JobTransfer.
-    obs::TraceContext trace;
     /// Pre-allocated fed_transfer span id (open at send, closed at ack) so
     /// the receiver's admit span can parent to it mid-flight.
     std::uint64_t transfer_span = 0;
@@ -382,8 +364,7 @@ class RegionGateway {
   /// only home) and journals the stats counters in the same breath, so the
   /// accounting identity (withdrawn == delivered + returned + in flight)
   /// survives a crash at any event boundary.
-  void persist_forward(const std::string& job_id,
-                       const OutboundForward& forward);
+  void persist_forward(const OutboundForward& forward);
   void erase_forward(const std::string& job_id);
   void persist_stats();
   /// Reloads stats, dedup table, hosted guests and in-flight forwards from

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "monitor/metrics.h"
+#include "obs/trace_context.h"
 #include "util/time.h"
 
 namespace gpunion::obs {
@@ -64,16 +65,6 @@ inline constexpr std::string_view kFedOffer = "fed_offer";
 inline constexpr std::string_view kFedTransfer = "fed_transfer";
 inline constexpr std::string_view kFedAdmit = "fed_admit";
 }  // namespace stage
-
-/// Carried by a job through every control-plane component.  parent_span is
-/// the id of the most recent causally-preceding span; components record
-/// their own span with it as parent, then (usually) advance it.
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
-
-  bool valid() const { return trace_id != 0; }
-};
 
 /// One completed stage of one trace.  Ring order is CLOSE order, which is a
 /// deterministic function of the event order.

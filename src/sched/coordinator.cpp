@@ -4,37 +4,13 @@
 #include <cassert>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "util/ids.h"
 #include "util/logging.h"
 #include "util/sha256.h"
 
 namespace gpunion::sched {
-
-std::string_view job_phase_name(JobPhase p) {
-  switch (p) {
-    case JobPhase::kPending: return "pending";
-    case JobPhase::kDispatching: return "dispatching";
-    case JobPhase::kRunning: return "running";
-    case JobPhase::kCompleted: return "completed";
-    case JobPhase::kDenied: return "denied";
-    case JobPhase::kSessionDisrupted: return "session_disrupted";
-    case JobPhase::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
-bool job_phase_terminal(JobPhase p) {
-  switch (p) {
-    case JobPhase::kCompleted:
-    case JobPhase::kDenied:
-    case JobPhase::kSessionDisrupted:
-    case JobPhase::kCancelled:
-      return true;
-    default:
-      return false;
-  }
-}
 
 namespace {
 
@@ -43,76 +19,6 @@ constexpr const char* kStatsJournalKey = "coordinator.stats";
 
 /// Dispatch ack deadline before the target is assumed dead.
 constexpr util::Duration kDispatchTimeout = 30.0;
-
-db::JobStateRecord to_state(const JobRecord& r) {
-  db::JobStateRecord s;
-  s.job_id = r.spec.id;
-  s.spec = r.spec;
-  s.phase = static_cast<int>(r.phase);
-  s.node = r.node;
-  s.preferred_node = r.preferred_node;
-  s.displaced_from = r.displaced_from;
-  s.migrate_back_pending = r.migrate_back_pending;
-  s.migrate_back_target = r.migrate_back_target;
-  s.checkpointed_progress = r.checkpointed_progress;
-  s.last_checkpoint_at = r.last_checkpoint_at;
-  s.interruptions = r.interruptions;
-  s.migrations = r.migrations;
-  s.migrate_backs = r.migrate_backs;
-  s.submitted_at = r.submitted_at;
-  s.first_dispatched_at = r.first_dispatched_at;
-  s.completed_at = r.completed_at;
-  s.lost_work_seconds = r.lost_work_seconds;
-  s.last_interruption_cause = static_cast<int>(r.last_interruption_cause);
-  s.open_allocation = r.open_allocation;
-  s.dispatch_generation = r.dispatch_generation;
-  s.reclaim_requested = r.reclaim_requested;
-  s.dispatch_rejects = r.dispatch_rejects;
-  s.awaiting_dispatch_settle = r.awaiting_dispatch_settle;
-  s.tenancy = r.tenancy;
-  s.running_since = r.running_since;
-  s.segment_start_progress = r.segment_start_progress;
-  s.node_speed = r.node_speed;
-  s.trace_id = r.trace.trace_id;
-  s.trace_parent_span = r.trace.parent_span;
-  return s;
-}
-
-JobRecord from_state(const db::JobStateRecord& s) {
-  JobRecord r;
-  r.spec = s.spec;
-  if (r.spec.id.empty()) r.spec.id = s.job_id;  // archived rows drop payload
-  r.phase = static_cast<JobPhase>(s.phase);
-  // node / displaced_from are NOT set here: the rebuilder binds them
-  // through set_assignment()/set_displaced_from() so the per-node indexes
-  // stay consistent.
-  r.preferred_node = s.preferred_node;
-  r.migrate_back_pending = s.migrate_back_pending;
-  r.migrate_back_target = s.migrate_back_target;
-  r.checkpointed_progress = s.checkpointed_progress;
-  r.last_checkpoint_at = s.last_checkpoint_at;
-  r.interruptions = s.interruptions;
-  r.migrations = s.migrations;
-  r.migrate_backs = s.migrate_backs;
-  r.submitted_at = s.submitted_at;
-  r.first_dispatched_at = s.first_dispatched_at;
-  r.completed_at = s.completed_at;
-  r.lost_work_seconds = s.lost_work_seconds;
-  r.last_interruption_cause =
-      static_cast<agent::DepartureKind>(s.last_interruption_cause);
-  r.open_allocation = s.open_allocation;
-  r.dispatch_generation = s.dispatch_generation;
-  r.reclaim_requested = s.reclaim_requested;
-  r.dispatch_rejects = s.dispatch_rejects;
-  r.awaiting_dispatch_settle = s.awaiting_dispatch_settle;
-  r.tenancy = s.tenancy;
-  r.running_since = s.running_since;
-  r.segment_start_progress = s.segment_start_progress;
-  r.node_speed = s.node_speed;
-  r.trace.trace_id = s.trace_id;
-  r.trace.parent_span = s.trace_parent_span;
-  return r;
-}
 
 }  // namespace
 
@@ -449,7 +355,7 @@ void Coordinator::flush_heartbeat_db() {
 // ---------------------------------------------------------------------------
 
 void Coordinator::persist_job(const JobRecord& record) {
-  database_.put_job_state(to_state(record));
+  database_.put_job_state(static_cast<const db::JobStateRecord&>(record));
   persist_stats();
 }
 
@@ -522,22 +428,11 @@ void Coordinator::rebuild_from_db() {
   // beat re-verifies against the hash (slow path once per node).
   for (const db::NodeRecord& row : database_.nodes()) {
     NodeInfo info;
-    info.machine_id = row.machine_id;
-    info.hostname = row.hostname;
-    info.owner_group = row.owner_group;
-    info.gpu_model = row.gpu_model;
-    info.gpu_count = row.gpu_count;
-    info.gpu_memory_gb = row.gpu_memory_gb;
-    info.compute_capability = row.compute_capability;
-    info.gpu_tflops = row.gpu_tflops;
-    info.seats_per_gpu = row.seats_per_gpu;
-    info.share_memory_cap_gb = row.share_memory_cap_gb;
+    static_cast<hw::NodeProfile&>(info) = row;
     info.status = row.status;
-    info.accepting = true;
     const bool active = row.status == db::NodeStatus::kActive;
     info.free_gpus = active ? row.gpu_count : 0;
     info.last_heartbeat = row.last_heartbeat;
-    info.registered_at = row.registered_at;
     info.token_hash = row.auth_token_hash;
     directory_.upsert(std::move(info));
     if (active) {
@@ -556,13 +451,19 @@ void Coordinator::rebuild_from_db() {
   // matches a kDispatching record and the stale-ack path kills the
   // duplicate run.
   for (db::JobStateRecord& row : database_.job_states()) {
-    JobRecord record = from_state(row);
+    // node and displaced_from stay empty until set_assignment() /
+    // set_displaced_from() bind them, which also files the per-node
+    // indexes (both skip a field that already holds the value).
+    const std::string node = std::exchange(row.node, {});
+    const std::string displaced_from = std::exchange(row.displaced_from, {});
+    JobRecord record;
+    static_cast<db::JobStateRecord&>(record) = std::move(row);
     record.awaiting_dispatch_settle = false;  // nothing in flight survives
     record.queued_since = env_.now();  // queue residency restarts at recovery
     const std::string job_id = record.spec.id;
 
     if (job_phase_terminal(record.phase)) {
-      record.node = row.node;  // archived rows keep their last assignment
+      record.node = node;  // archived rows keep their last assignment
       archive_.emplace(job_id, std::move(record));
       ++recovery_stats_.jobs_archived;
       continue;
@@ -570,14 +471,14 @@ void Coordinator::rebuild_from_db() {
 
     if (record.phase == JobPhase::kDispatching) {
       record.phase = JobPhase::kPending;
-      record.preferred_node = row.node;  // try the granted node first
+      record.preferred_node = node;  // try the granted node first
       if (auto* tr = config_.tracer;
           tr != nullptr && tr->enabled() && record.trace.valid()) {
         tr->record(record.trace, obs::stage::kRecoveryRedispatch, config_.id,
-                   env_.now(), env_.now(), "node=" + row.node);
+                   env_.now(), env_.now(), "node=" + node);
       }
       auto [it, inserted] = jobs_.emplace(job_id, std::move(record));
-      set_displaced_from(it->second, row.displaced_from);
+      set_displaced_from(it->second, displaced_from);
       database_.enqueue_request_front(db::PendingRequest{
           job_id, it->second.spec.requirements.priority,
           it->second.submitted_at});
@@ -589,11 +490,11 @@ void Coordinator::rebuild_from_db() {
 
     auto [it, inserted] = jobs_.emplace(job_id, std::move(record));
     JobRecord& live = it->second;
-    set_displaced_from(live, row.displaced_from);
+    set_displaced_from(live, displaced_from);
 
     if (live.phase == JobPhase::kRunning) {
-      set_assignment(live, row.node);
-      reserve_capacity(live, row.node);
+      set_assignment(live, node);
+      reserve_capacity(live, node);
     } else if (live.phase == JobPhase::kPending &&
                live.spec.type == workload::JobType::kInteractive) {
       // Re-arm the patience window for the remaining time.
@@ -679,48 +580,25 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
        existing->status == db::NodeStatus::kUnavailable);
 
   const std::string token = util::make_auth_token(rng_);
+  const std::string token_hash = util::Sha256::hex_of(token);
 
   NodeInfo info;
-  info.machine_id = request.machine_id;
-  info.hostname = request.hostname;
-  info.owner_group = request.owner_group;
-  info.gpu_model = request.gpu_model;
-  info.gpu_count = request.gpu_count;
-  info.gpu_memory_gb = request.gpu_memory_gb;
-  info.compute_capability = request.compute_capability;
-  info.gpu_tflops = request.gpu_tflops;
-  info.seats_per_gpu = request.seats_per_gpu;
-  info.share_memory_cap_gb = request.share_memory_cap_gb;
-  info.status = db::NodeStatus::kActive;
-  info.accepting = true;
+  static_cast<hw::NodeProfile&>(info) = request;
   info.free_gpus = request.gpu_count;
   info.last_heartbeat = env_.now();
-  info.registered_at =
-      existing != nullptr ? existing->registered_at : env_.now();
-  info.token_hash = util::Sha256::hex_of(token);
+  info.token_hash = token_hash;
   directory_.upsert(std::move(info));
   // A (re)registration starts from a clean slate: no dispatches in flight.
   in_flight_dispatches_.erase(request.machine_id);
   heartbeat_monitor_.observe(request.machine_id, env_.now());
 
-  db::NodeRecord db_record;
-  db_record.machine_id = request.machine_id;
-  db_record.hostname = request.hostname;
-  db_record.gpu_count = request.gpu_count;
-  db_record.gpu_model = request.gpu_model;
-  db_record.status = db::NodeStatus::kActive;
-  db_record.registered_at = env_.now();
-  db_record.last_heartbeat = env_.now();
-  db_record.auth_token_hash = util::Sha256::hex_of(token);
-  // Full hardware profile: a restarted coordinator rebuilds its scheduling
-  // directory from this registry row alone.
-  db_record.owner_group = request.owner_group;
-  db_record.gpu_memory_gb = request.gpu_memory_gb;
-  db_record.compute_capability = request.compute_capability;
-  db_record.gpu_tflops = request.gpu_tflops;
-  db_record.seats_per_gpu = request.seats_per_gpu;
-  db_record.share_memory_cap_gb = request.share_memory_cap_gb;
-  (void)database_.upsert_node(std::move(db_record));
+  // The registry row carries the full profile: a restarted coordinator
+  // rebuilds its scheduling directory from it alone.
+  db::NodeRecord row;
+  static_cast<hw::NodeProfile&>(row) = request;
+  row.last_heartbeat = env_.now();
+  row.auth_token_hash = token_hash;
+  (void)database_.upsert_node(std::move(row));
 
   agent::RegisterResponse response;
   response.accepted = true;
@@ -863,8 +741,14 @@ void Coordinator::handle_dispatch_result(const agent::DispatchResult& result) {
   if (record == nullptr || record->phase != JobPhase::kDispatching ||
       record->node != result.machine_id) {
     // Stale ack (e.g. after a dispatch timeout already requeued the job).
-    // If the node actually started the work, kill it to avoid a double run.
-    if (result.accepted) {
+    // If the node actually started the work, kill it to avoid a double run
+    // — unless the record already runs the job on this very node: an agent
+    // holds one run per job id and re-acks it to a retried dispatch, so a
+    // late first accept describes the run the record tracks.
+    const bool acks_current_run = record != nullptr &&
+                                  record->phase == JobPhase::kRunning &&
+                                  record->node == result.machine_id;
+    if (result.accepted && !acks_current_run) {
       send_to_agent(result.machine_id, agent::kKillJob,
                     agent::KillJobCommand{result.job_id,
                                           /*allow_checkpoint=*/false},

@@ -58,65 +58,19 @@ struct CoordinatorConfig {
   obs::Tracer* tracer = nullptr;
 };
 
-enum class JobPhase {
-  kPending,
-  kDispatching,   // dispatch sent, ack outstanding
-  kRunning,
-  kCompleted,
-  kDenied,            // interactive request timed out in queue
-  kSessionDisrupted,  // interactive session killed by churn
-  kCancelled,
-};
+using JobPhase = workload::JobPhase;
+using workload::job_phase_name;
+using workload::job_phase_terminal;
 
-std::string_view job_phase_name(JobPhase p);
-
-/// True for phases a record can never leave (eligible for the archive).
-bool job_phase_terminal(JobPhase p);
-
-struct JobRecord {
-  workload::JobSpec spec;
-  JobPhase phase = JobPhase::kPending;
-  std::string node;            // current / last assignment
-  std::string preferred_node;  // placement affinity (migrate-back target)
-  std::string displaced_from;  // origin node of the last displacement
-  bool migrate_back_pending = false;
-  std::string migrate_back_target;
-  double checkpointed_progress = 0;
-  util::SimTime last_checkpoint_at = -1;
-  int interruptions = 0;
-  int migrations = 0;      // resumes on a different node
-  int migrate_backs = 0;   // resumes back on the origin
-  util::SimTime submitted_at = 0;
-  util::SimTime first_dispatched_at = -1;
-  util::SimTime completed_at = -1;
-  /// Wall-clock recomputation caused by interruptions (time re-spent on
-  /// the executing node redoing work since the restored checkpoint).
-  double lost_work_seconds = 0;
-  agent::DepartureKind last_interruption_cause =
-      agent::DepartureKind::kScheduled;
-  std::uint64_t open_allocation = 0;  // db ledger id while running
-  std::uint64_t dispatch_generation = 0;  // guards stale timeout events
-  bool reclaim_requested = false;  // owner-reclaim already triggered
-  int dispatch_rejects = 0;      // consecutive rejections (give up past limit)
-  /// Cancelled while a dispatch ack was outstanding: the record stays live
-  /// until the ack (or its timeout) settles the in-flight counter, then
-  /// retires to the archive.
-  bool awaiting_dispatch_settle = false;
-  /// How the current/last assignment holds its node: whole GPUs, or a seat
-  /// of a shared mode (capacity is returned the same way).
-  hw::Tenancy tenancy = hw::Tenancy::kWhole;
-  // progress-estimation state for the current run segment
-  util::SimTime running_since = -1;
-  double segment_start_progress = 0;
-  double node_speed = 1.0;  // reference-relative speed of the current node
-  /// Causal trace carried through every stage (obs/trace.h); parent_span
-  /// advances as stages complete.  Survives crashes via JobStateRecord.
-  obs::TraceContext trace;
+/// A job's live record: its durable row (db::JobStateRecord, which
+/// persist_job() writes and recovery reads back) plus the two timestamps a
+/// restart resets on purpose.
+struct JobRecord : db::JobStateRecord {
   /// Start of the current queue residency (submit or last requeue); closes
-  /// the queue_wait span at dispatch time.
+  /// the queue_wait span at dispatch time.  Recovery restarts it.
   util::SimTime queued_since = 0;
   /// When the current dispatch RPC left the coordinator (start of the
-  /// dispatch span; -1 while no dispatch is in flight).
+  /// dispatch span; -1 while no dispatch is in flight, as after recovery).
   util::SimTime dispatch_sent_at = -1;
 };
 

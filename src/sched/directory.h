@@ -22,34 +22,21 @@
 #include <vector>
 
 #include "db/database.h"
+#include "hw/node_profile.h"
 #include "hw/tenancy.h"
 #include "util/time.h"
 
 namespace gpunion::sched {
 
-struct NodeInfo {
-  std::string machine_id;
-  std::string hostname;
-  std::string owner_group;
-  std::string gpu_model;
-  int gpu_count = 0;
-  double gpu_memory_gb = 0;
-  double compute_capability = 0;
-  double gpu_tflops = 0;
-
-  // Seat capability advertised at registration: the seats one GPU opens
-  // into per shared mode (<= 1: the mode is off) and the per-tenant VRAM
-  // cap of a fractional slot.
-  hw::SeatCounts seats_per_gpu;
-  double share_memory_cap_gb = 0;
-
+/// One directory entry: the node's advertised profile plus the
+/// coordinator's live view of it.
+struct NodeInfo : hw::NodeProfile {
   db::NodeStatus status = db::NodeStatus::kActive;
   bool accepting = true;
   int free_gpus = 0;          // fully-free whole GPUs
   hw::SeatCounts free_seats;  // per mode: free seats on GPUs open in it
   util::SimTime last_heartbeat = 0;
   std::uint64_t last_heartbeat_seq = 0;
-  util::SimTime registered_at = 0;
   std::string token_hash;  // sha256 of the issued auth token
   /// Last raw token that verified against token_hash.  Heartbeat auth is on
   /// the coordinator actor's critical path; hashing every beat made it the

@@ -13,6 +13,41 @@ std::string_view job_type_name(JobType t) {
   return "unknown";
 }
 
+std::string_view job_phase_name(JobPhase p) {
+  switch (p) {
+    case JobPhase::kPending: return "pending";
+    case JobPhase::kDispatching: return "dispatching";
+    case JobPhase::kRunning: return "running";
+    case JobPhase::kCompleted: return "completed";
+    case JobPhase::kDenied: return "denied";
+    case JobPhase::kSessionDisrupted: return "session_disrupted";
+    case JobPhase::kCancelled: return "cancelled";
+  }
+  return "unknown";
+}
+
+bool job_phase_terminal(JobPhase p) {
+  switch (p) {
+    case JobPhase::kCompleted:
+    case JobPhase::kDenied:
+    case JobPhase::kSessionDisrupted:
+    case JobPhase::kCancelled:
+      return true;
+    default:
+      return false;
+  }
+}
+
+std::string_view departure_kind_name(DepartureKind k) {
+  switch (k) {
+    case DepartureKind::kScheduled: return "scheduled";
+    case DepartureKind::kEmergency: return "emergency";
+    case DepartureKind::kTemporary: return "temporary";
+    case DepartureKind::kReclaim: return "reclaim";
+  }
+  return "unknown";
+}
+
 double checkpoint_pause_seconds(const StateProfile& state) {
   assert(state.serialize_bytes_per_sec > 0);
   return static_cast<double>(state.state_bytes) /

@@ -21,6 +21,33 @@ enum class JobType { kTraining, kInteractive, kBatch };
 
 std::string_view job_type_name(JobType t);
 
+/// Where a job stands in the coordinator's lifecycle.
+enum class JobPhase {
+  kPending,
+  kDispatching,   // dispatch sent, ack outstanding
+  kRunning,
+  kCompleted,
+  kDenied,            // interactive request timed out in queue
+  kSessionDisrupted,  // interactive session killed by churn
+  kCancelled,
+};
+
+std::string_view job_phase_name(JobPhase p);
+
+/// True for phases a record can never leave (eligible for the archive).
+bool job_phase_terminal(JobPhase p);
+
+/// Why a provider left; drives the coordinator's recovery path and the
+/// Fig. 3 scenario taxonomy.
+enum class DepartureKind {
+  kScheduled,    // graceful shutdown with checkpoint grace
+  kEmergency,    // immediate disconnect, no notice (detected via heartbeats)
+  kTemporary,    // short unavailability, provider returns
+  kReclaim,      // owner kill-switch / GPU reclaim (node stays in the fleet)
+};
+
+std::string_view departure_kind_name(DepartureKind k);
+
 /// Scheduler-visible resource constraints (§3.5: "Resource allocation
 /// decisions consider GPU memory requirements, CUDA compute capability
 /// constraints and provider volatility predictions").
@@ -45,6 +72,8 @@ struct JobRequirements {
   /// jobs (low duty cycle) time-slice well; steady ones do not.  0 = derive
   /// from the job type (interactive -> kInteractiveDutyCycle, else 1.0).
   double duty_cycle = 0;
+
+  bool operator==(const JobRequirements&) const = default;
 };
 
 /// Checkpointable-state profile of a training job (drives ALC costs).
@@ -56,6 +85,8 @@ struct StateProfile {
   /// Local serialization throughput (bytes/s) when capturing a checkpoint;
   /// memory-intensive models pause longer (§4 Training Impact).
   double serialize_bytes_per_sec = 2.0e9;
+
+  bool operator==(const StateProfile&) const = default;
 };
 
 struct JobSpec {
@@ -72,6 +103,8 @@ struct JobSpec {
   std::string image_ref = "pytorch:2.3-cuda12.1";
   std::vector<std::string> preferred_storage;  // user-designated (§3.2)
   util::SimTime submitted_at = 0;
+
+  bool operator==(const JobSpec&) const = default;
 };
 
 /// Checkpoint capture pause for a given state profile, seconds.

@@ -97,8 +97,8 @@ void expect_tables_equal(ShardedDatabase& subject, ShardedDatabase& oracle,
   const auto oracle_states = oracle.job_states();
   ASSERT_EQ(subject_states.size(), oracle_states.size());
   for (const JobStateRecord& expected : oracle_states) {
-    const JobStateRecord* got = subject.job_state(expected.job_id);
-    ASSERT_NE(got, nullptr) << expected.job_id;
+    const JobStateRecord* got = subject.job_state(expected.spec.id);
+    ASSERT_NE(got, nullptr) << expected.spec.id;
     EXPECT_EQ(got->phase, expected.phase);
     EXPECT_EQ(got->node, expected.node);
     EXPECT_EQ(got->open_allocation, expected.open_allocation);
@@ -298,8 +298,9 @@ TEST(LedgerWalTest, RandomizedCrashEqualsOracle) {
         }
         case 5: {
           JobStateRecord record;
-          record.job_id = "job-" + std::to_string(rng.uniform_int(0, 30));
-          record.phase = static_cast<int>(rng.uniform_int(0, 5));
+          record.spec.id = "job-" + std::to_string(rng.uniform_int(0, 30));
+          record.phase =
+              static_cast<workload::JobPhase>(rng.uniform_int(0, 5));
           record.node = "m-" + std::to_string(rng.uniform_int(0, 9));
           subject.put_job_state(record);
           oracle.put_job_state(record);

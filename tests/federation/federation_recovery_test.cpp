@@ -8,6 +8,9 @@
 //    job — in-flight transfers resume under their original handoff id
 //    (the receiver's durable dedup row absorbs the resend), unanswered
 //    offers are repatriated to the home coordinator;
+//  * the restart rebuilds every directory entry, job record and in-flight
+//    forward exactly as its durable row holds it, bar the fields it
+//    resets on purpose;
 //  * a receiving region's restart keeps its guests: remote jobs and the
 //    hand-off dedup table are rebuilt from provenance and handoff rows;
 //  * an origin's restart restores every journaled counter and keeps
@@ -20,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -125,6 +130,171 @@ TEST(FederationRecoveryTest, CrashMidForwardNeverLosesOrDuplicatesJobs) {
   EXPECT_EQ(static_cast<std::uint64_t>(
                 fed.region("alpha").coordinator().stats().jobs_withdrawn),
             stats.transfers_delivered + stats.forwards_returned);
+}
+
+TEST(FederationRecoveryTest, RestartRebuildsEveryDurableRowAsItWas) {
+  // A mixed-hardware origin (a 3090 workstation, a 2xA100 server and a
+  // time-sliced 4xA6000 server) with archived, running, displaced and
+  // queued jobs, crashed while a forward is in flight.  Each record is
+  // declared once as its durable row, so the rebuild must restore every
+  // directory entry's NodeProfile, every job's JobStateRecord and every
+  // forward's ForwardStateRecord exactly, except for the fields it resets
+  // on purpose:
+  //  * directory entries: free capacity, `accepting`, the heartbeat clock
+  //    and the verified-token cache (the live view, re-learned from the
+  //    agents' next heartbeats);
+  //  * jobs: `awaiting_dispatch_settle` (nothing is in flight after a
+  //    restart); a dispatching job requeues, so its `phase` turns pending,
+  //    its granted `node` becomes its `preferred_node`, and its trace
+  //    advances past the recovery_redispatch span; `queued_since` and
+  //    `dispatch_sent_at` (not durable);
+  //  * forwards: a transfer awaiting its ack is resent, one more
+  //    `transfer_attempts`; an offer awaiting its reply is repatriated to
+  //    the local queue; the transient state machine fields.
+  sim::Environment env(29);
+  FederationConfig config;
+  CampusConfig alpha = small_campus("alpha", 1);
+  alpha.nodes.push_back({hw::server_2xa100("alpha-a100"), "group-alpha"});
+  alpha.nodes.push_back(
+      {hw::with_timeslicing(hw::server_4xa6000("alpha-a6000"), 3),
+       "group-alpha"});
+  config.regions.push_back(RegionConfig{"alpha", alpha, fast_policy()});
+  config.regions.push_back(make_region("beta", 3));
+  FederatedPlatform fed(env, config);
+  fed.start();
+  env.run_until(5.0);
+  Platform& home = fed.region("alpha");
+  sched::Coordinator& coordinator = home.coordinator();
+  const federation::RegionGateway& gateway = fed.gateway("alpha");
+
+  // Archived rows: two jobs complete, one is cancelled.  The owner of the
+  // node a long job runs on reclaims it; the job runs on with its
+  // displacement on record.
+  for (const char* id : {"done-0", "done-1", "cancelled"}) {
+    ASSERT_TRUE(
+        coordinator.submit(training(id, "group-alpha", 60.0, env.now()))
+            .is_ok());
+  }
+  ASSERT_TRUE(
+      coordinator.submit(training("displaced", "group-alpha", 3600.0, env.now()))
+          .is_ok());
+  env.run_until(10.0);
+  ASSERT_TRUE(coordinator.cancel("cancelled").is_ok());
+  ASSERT_EQ(coordinator.job("displaced")->phase, sched::JobPhase::kRunning);
+  home.agent(coordinator.job("displaced")->node)->kill_switch();
+  env.run_until(150.0);
+  // Running rows on every node, and a queue that only forwards can drain.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(coordinator
+                    .submit(training("long-" + std::to_string(i),
+                                     "group-alpha", 3600.0, env.now()))
+                    .is_ok());
+  }
+  // A forward's flight is a few WAN round trips: stop at the first event
+  // that leaves one awaiting its transfer ack (the same burst leaves others
+  // awaiting their offer's reply).
+  auto awaiting = [&](db::ForwardStateRecord::State state) {
+    int count = 0;
+    for (const auto& row : home.database().forward_states()) {
+      count += row.state == state ? 1 : 0;
+    }
+    return count;
+  };
+  while (awaiting(db::ForwardStateRecord::State::kAwaitingTransferAck) == 0 &&
+         env.now() < 400.0 && env.step()) {
+  }
+  ASSERT_GE(awaiting(db::ForwardStateRecord::State::kAwaitingTransferAck), 1);
+  EXPECT_GE(awaiting(db::ForwardStateRecord::State::kAwaitingReply), 1);
+
+  std::map<std::string, sched::NodeInfo> nodes;
+  for (const sched::NodeInfo* node : coordinator.directory().all()) {
+    nodes.emplace(node->machine_id, *node);
+  }
+  std::map<std::string, db::JobStateRecord> jobs;
+  for (const auto* table : {&coordinator.jobs(), &coordinator.archive()}) {
+    for (const auto& [id, record] : *table) jobs.emplace(id, record);
+  }
+  const std::vector<db::ForwardStateRecord> forwards =
+      home.database().forward_states();
+  ASSERT_FALSE(forwards.empty());
+  int archived = 0, running = 0, displaced = 0;
+  for (const auto& [id, row] : jobs) {
+    archived += sched::job_phase_terminal(row.phase) ? 1 : 0;
+    running += row.phase == sched::JobPhase::kRunning ? 1 : 0;
+    displaced += row.displaced_from.empty() ? 0 : 1;
+  }
+  EXPECT_EQ(archived, 3);
+  EXPECT_GE(running, 4);
+  EXPECT_GE(displaced, 1);
+
+  fed.crash_region_control_plane("alpha", 2.0);
+  // Stop at the recovery event itself: the next events (the scheduling
+  // pass, heartbeats) move records on.
+  while (coordinator.crashed() && env.step()) {
+  }
+  ASSERT_FALSE(coordinator.crashed());
+
+  ASSERT_EQ(coordinator.directory().size(), nodes.size());
+  for (const auto& [id, before] : nodes) {
+    const sched::NodeInfo* after = coordinator.directory().find(id);
+    ASSERT_NE(after, nullptr) << id;
+    EXPECT_TRUE(static_cast<const hw::NodeProfile&>(*after) == before) << id;
+    EXPECT_EQ(after->status, before.status) << id;
+    EXPECT_EQ(after->token_hash, before.token_hash) << id;
+    EXPECT_TRUE(after->verified_token.empty()) << id;
+    EXPECT_EQ(after->last_heartbeat_seq, 0u) << id;
+  }
+  std::map<std::string, std::set<std::string>> jobs_on, displaced_from;
+  for (const auto& [id, before] : jobs) {
+    const sched::JobRecord* after = coordinator.job(id);
+    if (after == nullptr) {
+      // The recovery tick forwarded a queued job again.
+      EXPECT_TRUE(gateway.forwarding(id)) << id;
+      continue;
+    }
+    db::JobStateRecord expected = before;
+    expected.awaiting_dispatch_settle = false;
+    if (before.phase == sched::JobPhase::kDispatching) {
+      expected.phase = sched::JobPhase::kPending;
+      expected.preferred_node = before.node;
+      expected.node.clear();
+      expected.trace.parent_span = after->trace.parent_span;
+    }
+    EXPECT_TRUE(static_cast<const db::JobStateRecord&>(*after) == expected)
+        << id << " (" << sched::job_phase_name(before.phase) << ")";
+    if (!sched::job_phase_terminal(expected.phase)) {
+      if (!expected.node.empty()) jobs_on[expected.node].insert(id);
+      if (!expected.displaced_from.empty()) {
+        displaced_from[expected.displaced_from].insert(id);
+      }
+    }
+  }
+  // The per-node indexes are bound to the rebuilt fields.
+  for (const auto& [id, node] : nodes) {
+    EXPECT_EQ(coordinator.jobs_on(id), jobs_on[id]) << id;
+    EXPECT_EQ(coordinator.displaced_from(id), displaced_from[id]) << id;
+  }
+  std::map<std::string, db::ForwardStateRecord> rows_after;
+  for (db::ForwardStateRecord& row : home.database().forward_states()) {
+    rows_after.emplace(row.spec.id, std::move(row));
+  }
+  for (const db::ForwardStateRecord& before : forwards) {
+    const std::string& id = before.spec.id;
+    if (before.state == db::ForwardStateRecord::State::kAwaitingReply) {
+      const sched::JobRecord* home_again = coordinator.job(id);
+      ASSERT_NE(home_again, nullptr) << id;
+      EXPECT_EQ(home_again->phase, sched::JobPhase::kPending) << id;
+      EXPECT_TRUE(home_again->spec == before.spec) << id;
+      EXPECT_FALSE(rows_after.contains(id)) << id;
+      continue;
+    }
+    // Resumed: the rebuilt forward re-persisted its base when it resent.
+    ASSERT_TRUE(gateway.forwarding(id)) << id;
+    ASSERT_TRUE(rows_after.contains(id)) << id;
+    db::ForwardStateRecord expected = before;
+    ++expected.transfer_attempts;
+    EXPECT_TRUE(rows_after.at(id) == expected) << id;
+  }
 }
 
 TEST(FederationRecoveryTest, ReceiverRestartKeepsGuestsAndDedupTable) {

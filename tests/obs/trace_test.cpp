@@ -5,6 +5,7 @@
 // same trace by key-derived trace id.
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -365,6 +366,15 @@ TEST(PlatformTraceTest, LocalJobYieldsTheFullCausalChain) {
   EXPECT_EQ(commit->parent_span, 0u);
   EXPECT_EQ(commit->actor, "db");
   EXPECT_GE(commit->end, commit->start);
+  // Every ledger entry the job produced commits on its trace, the
+  // allocation rows included (a node's shard owns them, not the job's).
+  std::set<std::string> committed;
+  for (const Span& span : spans) {
+    if (span.stage == stage::kDbGroupCommit) committed.insert(span.detail);
+  }
+  for (const char* op : {"enqueue", "allocation_open", "allocation_close"}) {
+    EXPECT_TRUE(committed.contains(op)) << op;
+  }
 }
 
 }  // namespace
