@@ -167,8 +167,6 @@ CampusResult run_campus_end_to_end(int nodes, double arrival_rate,
   config.storage.push_back({"nas-bench", 256ULL << 30});
   config.agent_defaults.telemetry_interval = 600.0;
   config.scrape_interval = 600.0;
-  config.db.shard_count = 4;
-  config.db.write_behind = true;
   config.api.enabled = true;
   config.api.admission_rate = std::max(10.0, arrival_rate * 1.25);
   config.api.admission_burst = std::max(10.0, arrival_rate * 0.25);

@@ -52,7 +52,6 @@ struct CampusRunResult {
   double wall_us_per_heartbeat = 0;
   // Sharded-DB / write-behind accounting (PR 4).
   int db_shards = 0;
-  bool db_write_behind = false;
   double db_sync_ops_per_sim_s = 0;
   std::uint64_t ledger_absorbed = 0;
   std::uint64_t ledger_flushes = 0;
@@ -143,7 +142,6 @@ CampusRunResult run_campus(int nodes, double horizon, double churn_per_day,
   r.event_compactions = env.queue_stats().compactions;
   const db::ShardedDatabase& database = platform.database();
   r.db_shards = database.shard_count();
-  r.db_write_behind = database.config().write_behind;
   r.db_sync_ops_per_sim_s =
       static_cast<double>(database.sync_op_count()) / horizon;
   r.ledger_absorbed = database.ledger().stats().absorbed;
@@ -205,7 +203,7 @@ void write_json(const std::string& path, const std::string& mode,
         << ", \"live_jobs_at_end\": " << r.live_jobs_at_end
         << ", \"archived_jobs_at_end\": " << r.archived_jobs_at_end
         << ", \"db_shards\": " << r.db_shards
-        << ", \"db_write_behind\": " << (r.db_write_behind ? "true" : "false")
+        << ", \"db_write_behind\": true"  // the store's only mode
         << ", \"db_sync_ops_per_sim_s\": " << r.db_sync_ops_per_sim_s
         << ", \"ledger_absorbed\": " << r.ledger_absorbed
         << ", \"ledger_flushes\": " << r.ledger_flushes

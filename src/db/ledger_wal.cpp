@@ -4,107 +4,96 @@
 
 namespace gpunion::db {
 
-std::size_t TableImage::queue_rows() const {
+bool erase_first_row(QueueTable& queue, std::string_view job_id) {
+  for (auto bucket = queue.begin(); bucket != queue.end(); ++bucket) {
+    auto& rows = bucket->second;
+    for (auto it = rows.begin(); it != rows.end(); ++it) {
+      if (it->second.job_id != job_id) continue;
+      rows.erase(it);
+      if (rows.empty()) queue.erase(bucket);
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t queue_rows(const QueueTable& queue) {
   std::size_t n = 0;
-  for (const auto& [priority, bucket] : queue) n += bucket.size();
+  for (const auto& [priority, rows] : queue) n += rows.size();
   return n;
 }
 
-void apply_to_image(TableImage& image, const WalRecord& record) {
-  switch (record.op) {
-    case WalOp::kUpsertNode:
-      image.nodes[record.key] = record.node;
-      break;
-    case WalOp::kSetNodeStatus: {
-      auto it = image.nodes.find(record.key);
-      if (it != image.nodes.end()) it->second.status = record.status;
-      break;
-    }
-    case WalOp::kTouchHeartbeatBatch:
-      for (const auto& [machine_id, at] : record.batch_rows) {
-        auto it = image.nodes.find(machine_id);
-        if (it == image.nodes.end()) continue;
-        it->second.last_heartbeat = std::max(it->second.last_heartbeat, at);
-      }
-      break;
-    case WalOp::kOpenAllocation:
-      image.allocations[record.allocation.allocation_id] = record.allocation;
-      image.next_allocation_id = std::max(
-          image.next_allocation_id, record.allocation.allocation_id + 1);
-      break;
-    case WalOp::kCloseAllocation: {
-      auto it = image.allocations.find(record.allocation_id);
-      if (it != image.allocations.end() &&
-          it->second.outcome == AllocationOutcome::kRunning) {
-        it->second.outcome = record.outcome;
-        it->second.ended_at = record.at;
-      }
-      break;
-    }
-    case WalOp::kEnqueue:
-      image.queue[record.request.priority][record.queue_seq] = record.request;
-      image.queue_back_seq = std::max(image.queue_back_seq, record.queue_seq);
-      image.queue_front_seq =
-          std::min(image.queue_front_seq, record.queue_seq);
-      break;
-    case WalOp::kPop: {
-      // The live take removed the job's first row in (priority desc, seq
-      // asc) order, which is its first row in the bucket it names.
-      auto bucket = image.queue.find(record.priority);
-      if (bucket == image.queue.end()) break;
-      for (auto it = bucket->second.begin(); it != bucket->second.end();
-           ++it) {
-        if (it->second.job_id == record.key) {
-          bucket->second.erase(it);
-          break;
-        }
-      }
-      if (bucket->second.empty()) image.queue.erase(bucket);
-      break;
-    }
-    case WalOp::kRemoveRequest:
-      // Same scan order as the live removal: priority desc, seq asc.
-      for (auto bucket = image.queue.begin(); bucket != image.queue.end();
-           ++bucket) {
-        bool removed = false;
-        for (auto it = bucket->second.begin(); it != bucket->second.end();
-             ++it) {
-          if (it->second.job_id == record.key) {
-            bucket->second.erase(it);
-            removed = true;
-            break;
-          }
-        }
-        if (removed) {
-          if (bucket->second.empty()) image.queue.erase(bucket);
-          break;
-        }
-      }
-      break;
-    case WalOp::kProvenance:
-      // Keyed by WAL seq: materializing in key order reproduces the global
-      // append order of the live provenance log.
-      image.provenance[record.seq] = record.provenance;
-      break;
-    case WalOp::kPutJobState:
-      image.job_states[record.key] = record.job_state;
-      break;
-    case WalOp::kEraseJobState:
-      image.job_states.erase(record.key);
-      break;
-    case WalOp::kJournalPut:
-      image.journal[record.key] = record.journal;
-      break;
-    case WalOp::kPutForward:
-      image.forwards[record.key] = record.forward;
-      break;
-    case WalOp::kEraseForward:
-      image.forwards.erase(record.key);
-      break;
-    case WalOp::kPutHandoff:
-      image.handoffs[record.key] = record.handoff;
-      break;
+namespace {
+
+/// Applies one payload; `seq` keys the provenance rows.
+struct ImageWriter {
+  TableImage& image;
+  std::uint64_t seq;
+
+  void operator()(const NodeRecord& row) const {
+    image.nodes[row.machine_id] = row;
   }
+  void operator()(const NodeStatusChange& change) const {
+    auto it = image.nodes.find(change.machine_id);
+    if (it != image.nodes.end()) it->second.status = change.status;
+  }
+  void operator()(const HeartbeatTouches& touches) const {
+    for (const auto& [machine_id, at] : touches.rows) {
+      auto it = image.nodes.find(machine_id);
+      if (it == image.nodes.end()) continue;
+      it->second.last_heartbeat = std::max(it->second.last_heartbeat, at);
+    }
+  }
+  void operator()(const AllocationRecord& row) const {
+    image.allocations[row.allocation_id] = row;
+    image.next_allocation_id =
+        std::max(image.next_allocation_id, row.allocation_id + 1);
+  }
+  void operator()(const AllocationClose& close) const {
+    auto it = image.allocations.find(close.allocation_id);
+    if (it != image.allocations.end() &&
+        it->second.outcome == AllocationOutcome::kRunning) {
+      it->second.outcome = close.outcome;
+      it->second.ended_at = close.at;
+    }
+  }
+  void operator()(const QueuedRequest& queued) const {
+    image.queue[queued.request.priority][queued.stamp] = queued.request;
+    image.queue_back_seq = std::max(image.queue_back_seq, queued.stamp);
+    image.queue_front_seq = std::min(image.queue_front_seq, queued.stamp);
+  }
+  void operator()(const RequestRemoval& removal) const {
+    (void)erase_first_row(image.queue, removal.job_id);
+  }
+  void operator()(const JobProvenance& row) const {
+    // Keyed by WAL seq: materializing in key order reproduces the global
+    // append order of the live provenance log.
+    image.provenance[seq] = row;
+  }
+  void operator()(const JobStateRecord& row) const {
+    image.job_states[row.spec.id] = row;
+  }
+  void operator()(const JobStateErase& erase) const {
+    image.job_states.erase(erase.job_id);
+  }
+  void operator()(const JournalPut& put) const {
+    image.journal[put.key] = put.values;
+  }
+  void operator()(const ForwardStateRecord& row) const {
+    image.forwards[row.spec.id] = row;
+  }
+  void operator()(const ForwardStateErase& erase) const {
+    image.forwards.erase(erase.job_id);
+  }
+  void operator()(const HandoffRecord& row) const {
+    image.handoffs[row.job_id] = row;
+  }
+};
+
+}  // namespace
+
+void apply_to_image(TableImage& image, const WalRecord& record) {
+  std::visit(ImageWriter{image, record.seq}, record.payload);
 }
 
 std::uint64_t LedgerWal::append(WalRecord record) {
@@ -117,6 +106,22 @@ std::uint64_t LedgerWal::append(WalRecord record) {
 
 void LedgerWal::mark_applied(std::size_t shard, std::uint64_t seq) {
   applied_[shard] = std::max(applied_[shard], seq);
+}
+
+bool LedgerWal::behind(std::size_t shard) const {
+  return std::any_of(records_.begin(), records_.end(),
+                     [&](const WalRecord& record) {
+                       return record.shard == shard &&
+                              record.seq > applied_[shard];
+                     });
+}
+
+std::size_t LedgerWal::shards_behind() const {
+  std::size_t n = 0;
+  for (std::size_t shard = 0; shard < applied_.size(); ++shard) {
+    if (behind(shard)) ++n;
+  }
+  return n;
 }
 
 std::size_t LedgerWal::truncate_applied() {

@@ -8,26 +8,29 @@
 //
 //     append(WAL record)  ->  ack caller  ->  ...  ->  group commit
 //
-// Every mutation appends a full-payload WalRecord (the in-sim durable log
-// object) BEFORE the caller sees the ack.  The durable state of each shard
-// is modeled by a TableImage that advances only when that shard commits:
-// synchronous ops advance their shard at call time (the round trip IS the
-// write), write-behind ops advance at flush, and records a shard has
-// applied are truncated from the log.  Recovery is then mechanical: start
-// from the image, replay WAL-ahead-of-shard records in global sequence
-// order — skipping anything the shard already applied, so replay is
-// idempotent — and the result equals the pre-crash live tables exactly,
-// because every live mutation was WAL'd first.
+// Every mutation appends a WalRecord carrying its own payload (the in-sim
+// durable log object) BEFORE the caller sees the ack.  The durable state
+// of each shard is modeled by a TableImage that advances only when that
+// shard commits: synchronous ops advance their shard at call time (the
+// round trip IS the write), write-behind ops advance at flush, and records
+// a shard has applied are truncated from the log.  Recovery is then
+// mechanical: start from the image, replay WAL-ahead-of-shard records in
+// global sequence order — skipping anything the shard already applied, so
+// replay is idempotent — and the result equals the pre-crash live tables
+// exactly, because every live mutation was WAL'd first.
 //
-// The WAL is bookkeeping, not cost: op charging (shard counters) is
-// completely unchanged, so the op-parity tests hold by construction.
+// The WAL is bookkeeping, not cost: appending or replaying a record
+// charges no shard op.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "db/database.h"
@@ -35,50 +38,71 @@
 
 namespace gpunion::db {
 
-/// Every mutation the database accepts, WAL-record form.
-enum class WalOp {
-  kUpsertNode,
-  kSetNodeStatus,
-  kTouchHeartbeatBatch,  // one record per touched shard, max-merge semantics
-  kOpenAllocation,
-  kCloseAllocation,
-  kEnqueue,  // queue_seq > 0: tail push; < 0: front push
-  kPop,      // the scheduling pass's take
-  kRemoveRequest,
-  kProvenance,
-  kPutJobState,
-  kEraseJobState,
-  kJournalPut,
-  kPutForward,
-  kEraseForward,
-  kPutHandoff,
+/// The pending queue, live and durable alike: priority (descending) ->
+/// insertion stamp -> request.  Back pushes stamp upward from 1 and front
+/// pushes downward from -1, so ascending stamps within a priority are the
+/// scheduling order (newest front push first, then FIFO back pushes).
+using QueueTable =
+    std::map<int, std::map<std::int64_t, PendingRequest>, std::greater<>>;
+
+/// Erases the job's first row in scheduling order; false if it has none.
+/// The live take, the live removal and their WAL replay all call it, so
+/// the live queue and the durable image cannot pick different rows.
+bool erase_first_row(QueueTable& queue, std::string_view job_id);
+
+/// Rows across every priority.
+std::size_t queue_rows(const QueueTable& queue);
+
+// WAL payloads of the ops whose payload is not a whole row.
+struct NodeStatusChange {
+  std::string machine_id;
+  NodeStatus status = NodeStatus::kActive;
+};
+/// One touched shard's rows of a heartbeat batch (max-merge semantics).
+struct HeartbeatTouches {
+  std::vector<std::pair<std::string, util::SimTime>> rows;
+};
+struct AllocationClose {
+  std::uint64_t allocation_id = 0;
+  AllocationOutcome outcome = AllocationOutcome::kRunning;
+  util::SimTime at = 0;
+};
+/// A queue insert at its stamp (> 0: tail push; < 0: front push).
+struct QueuedRequest {
+  PendingRequest request;
+  std::int64_t stamp = 0;
+};
+/// The scheduling pass's take or a cancel's removal: either one erases
+/// the job's first queued row.
+struct RequestRemoval {
+  std::string job_id;
+};
+struct JobStateErase {
+  std::string job_id;
+};
+struct JournalPut {
+  std::string key;
+  std::vector<std::int64_t> values;
+};
+struct ForwardStateErase {
+  std::string job_id;
 };
 
-/// One logged mutation, payload included — the log alone must be able to
-/// reconstruct the mutation on replay.  Flat optional fields per op (the
-/// codebase's record idiom); only the fields an op uses are meaningful.
+/// Every mutation the database accepts, as its WAL payload: the rows
+/// themselves for the puts and inserts, and a small struct for the rest.
+using WalPayload =
+    std::variant<NodeRecord, NodeStatusChange, HeartbeatTouches,
+                 AllocationRecord, AllocationClose, QueuedRequest,
+                 RequestRemoval, JobProvenance, JobStateRecord,
+                 JobStateErase, JournalPut, ForwardStateRecord,
+                 ForwardStateErase, HandoffRecord>;
+
+/// One logged mutation.  The payload alone reconstructs the mutation on
+/// replay.
 struct WalRecord {
   std::uint64_t seq = 0;  // global, stamped by LedgerWal::append
   std::size_t shard = 0;  // owner of the durable row(s) this mutates
-  WalOp op = WalOp::kUpsertNode;
-  std::string key;        // machine id / job id / blob key
-  util::SimTime at = 0;
-
-  NodeRecord node;                          // kUpsertNode
-  NodeStatus status = NodeStatus::kActive;  // kSetNodeStatus
-  std::vector<std::pair<std::string, util::SimTime>>
-      batch_rows;                           // kTouchHeartbeatBatch
-  AllocationRecord allocation;              // kOpenAllocation
-  std::uint64_t allocation_id = 0;          // kCloseAllocation
-  AllocationOutcome outcome = AllocationOutcome::kRunning;
-  PendingRequest request;                   // kEnqueue
-  std::int64_t queue_seq = 0;               // kEnqueue (insertion stamp)
-  int priority = 0;                         // kPop
-  JobProvenance provenance;                 // kProvenance
-  JobStateRecord job_state;                 // kPutJobState
-  std::vector<std::int64_t> journal;        // kJournalPut
-  ForwardStateRecord forward;               // kPutForward
-  HandoffRecord handoff;                    // kPutHandoff
+  WalPayload payload;
 };
 
 /// What a restarted process would read back from the shards: one logical
@@ -86,13 +110,11 @@ struct WalRecord {
 /// keyed maps, so applying shard A's records before shard B's (commit
 /// order) and applying strictly by global seq (recovery order) converge to
 /// the same image; insertion-ordered live views (allocation ledger,
-/// provenance log, queue FIFOs) are re-materialized from the keys.
+/// provenance log) are re-materialized from the keys.
 struct TableImage {
   std::map<std::string, NodeRecord> nodes;
   std::map<std::uint64_t, AllocationRecord> allocations;  // key: allocation id
-  /// priority -> (insertion stamp -> request); stamp order within a
-  /// priority reproduces the live deque order exactly.
-  std::map<int, std::map<std::int64_t, PendingRequest>, std::greater<>> queue;
+  QueueTable queue;
   std::int64_t queue_back_seq = 0;   // max tail stamp ever applied
   std::int64_t queue_front_seq = 0;  // min front stamp ever applied
   std::map<std::uint64_t, JobProvenance> provenance;  // key: WAL seq
@@ -101,8 +123,6 @@ struct TableImage {
   std::map<std::string, ForwardStateRecord> forwards;
   std::map<std::string, HandoffRecord> handoffs;
   std::uint64_t next_allocation_id = 1;
-
-  std::size_t queue_rows() const;
 };
 
 /// Applies one WAL record to an image.  Must be the ONLY way image state
@@ -140,6 +160,10 @@ class LedgerWal {
   }
   /// Advances one shard's durable watermark (monotonic).
   void mark_applied(std::size_t shard, std::uint64_t seq);
+  /// True when `shard` owns a record above its watermark.
+  bool behind(std::size_t shard) const;
+  /// Shards that are behind().
+  std::size_t shards_behind() const;
 
   /// Drops the prefix of records whose owning shard has applied them;
   /// returns how many were dropped.

@@ -7,52 +7,34 @@
 
 namespace gpunion::db {
 
-namespace {
-
-WalRecord make_wal(WalOp op, std::size_t shard, std::string key) {
-  WalRecord record;
-  record.op = op;
-  record.shard = shard;
-  record.key = std::move(key);
-  return record;
-}
-
-}  // namespace
-
 ShardedDatabase::ShardedDatabase(DbConfig config)
-    : config_(config),
-      shards_(static_cast<std::size_t>(std::max(1, config.shard_count))),
-      ledger_log_(std::max<std::size_t>(1, config.flush_threshold)),
-      wal_(shards_.size()),
-      armed_commit_failures_(shards_.size(), false),
-      queue_parts_(shards_.size()) {
-  config_.shard_count = static_cast<int>(shards_.size());
-}
+    : ledger_log_(std::max<std::size_t>(1, config.flush_threshold)),
+      wal_(kShardCount) {}
 
 std::size_t ShardedDatabase::route(std::string_view key) const {
   // FNV-1a: deterministic across platforms and runs (std::hash is not
   // guaranteed to be), so shard ownership is reproducible.
-  return static_cast<std::size_t>(util::fnv1a64(key) % shards_.size());
+  return static_cast<std::size_t>(util::fnv1a64(key) % kShardCount);
 }
 
 void ShardedDatabase::charge(std::size_t shard) const {
-  ++shards_[shard].ops;
+  ++shard_ops_[shard];
   ++sync_ops_;
+}
+
+void ShardedDatabase::charge_all() const {
+  for (std::size_t shard = 0; shard < kShardCount; ++shard) charge(shard);
 }
 
 std::size_t ShardedDatabase::rotate() const {
   const std::size_t shard = rotate_cursor_;
-  rotate_cursor_ = (rotate_cursor_ + 1) % shards_.size();
+  rotate_cursor_ = (rotate_cursor_ + 1) % kShardCount;
   return shard;
 }
 
 void ShardedDatabase::absorb(LedgerOpKind kind, std::size_t shard,
                              std::string key, std::uint64_t allocation_id,
                              util::SimTime at) {
-  if (!config_.write_behind) {
-    charge(shard);
-    return;
-  }
   if (ledger_log_.absorb(
           LedgerEntry{kind, shard, std::move(key), allocation_id, at})) {
     flush_ledger(FlushTrigger::kThreshold);
@@ -82,7 +64,7 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
   // One group commit per touched shard, however many entries it absorbs.
   const std::size_t committed =
       ledger_log_.flush(trigger, [this](std::size_t shard, std::size_t) {
-        ++shards_[shard].ops;
+        ++shard_ops_[shard];
       });
   // Group commit advances each shard's durable image past its pending WAL
   // records (in shard order: image containers are keyed, so per-shard
@@ -92,9 +74,11 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
   // torn state recovery has to heal).
   const std::uint64_t upto = wal_.last_seq();
   flush_interrupted_ = false;
-  std::size_t advanced = 0;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (armed_flush_crash_ >= 0 &&
+  std::size_t advanced = 0;  // behind shards advanced, while a tear is armed
+  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
+    const bool counts_toward_tear =
+        armed_flush_crash_ >= 0 && wal_.behind(shard);
+    if (counts_toward_tear &&
         advanced >= static_cast<std::size_t>(armed_flush_crash_)) {
       flush_interrupted_ = true;
       break;
@@ -105,17 +89,18 @@ std::size_t ShardedDatabase::flush_ledger(FlushTrigger trigger,
       continue;
     }
     advance_image(shard, upto);
-    ++advanced;
+    if (counts_toward_tear) ++advanced;
   }
   armed_flush_crash_ = -1;
   if (!flush_interrupted_) wal_.truncate_applied();
   return committed;
 }
 
-void ShardedDatabase::wal_append(WalRecord record, bool deferred) {
-  const std::size_t shard = record.shard;
-  const std::uint64_t seq = wal_.append(std::move(record));
-  if (deferred && config_.write_behind) return;  // durable at next flush
+void ShardedDatabase::wal_append(std::size_t shard, WalPayload payload,
+                                 bool deferred) {
+  const std::uint64_t seq =
+      wal_.append(WalRecord{0, shard, std::move(payload)});
+  if (deferred) return;  // durable at the next group commit
   advance_image(shard, seq);
   wal_.truncate_applied();
 }
@@ -133,9 +118,7 @@ void ShardedDatabase::advance_image(std::size_t shard,
 }
 
 void ShardedDatabase::arm_commit_failure(std::size_t shard) {
-  if (shard < armed_commit_failures_.size()) {
-    armed_commit_failures_[shard] = true;
-  }
+  if (shard < kShardCount) armed_commit_failures_[shard] = true;
 }
 
 void ShardedDatabase::arm_flush_crash(std::size_t shards_before_crash) {
@@ -160,17 +143,17 @@ RecoveryReport ShardedDatabase::crash_and_recover() {
   // The replayed image is the recovery checkpoint: every shard is now
   // current, so the whole log truncates.
   const std::uint64_t last = wal_.last_seq();
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
     wal_.mark_applied(shard, last);
   }
   wal_.truncate_applied();
   wal_.note_recovery(report.replayed);
   // Disarm any pending faults: they belonged to the crashed incarnation.
-  armed_commit_failures_.assign(shards_.size(), false);
+  armed_commit_failures_.fill(false);
   armed_flush_crash_ = -1;
   flush_interrupted_ = false;
   rebuild_live_tables();
-  report.nodes = nodes_.size();
+  report.nodes = image_.nodes.size();
   report.allocations = ledger_.size();
   report.queue_rows = queued_rows_;
   report.job_states = image_.job_states.size();
@@ -187,7 +170,6 @@ void ShardedDatabase::rebuild_live_tables() {
   // WriteBehindLedger's pending COST entries are accounting, not state:
   // they persist so charging stays continuous across the crash (the
   // deferred group commits are still paid at the next flush).
-  nodes_ = image_.nodes;
   ledger_.clear();
   ledger_index_.clear();
   for (const auto& [id, record] : image_.allocations) {
@@ -195,18 +177,8 @@ void ShardedDatabase::rebuild_live_tables() {
     ledger_.push_back(record);  // id order == open order
   }
   next_allocation_id_ = image_.next_allocation_id;
-  queue_parts_.assign(shards_.size(), QueuePartition{});
-  queued_rows_ = 0;
-  for (const auto& [priority, bucket] : image_.queue) {
-    for (const auto& [seq, request] : bucket) {
-      // Seq order within a priority reproduces each partition's deque
-      // order (front pushes carry negative stamps and sort first).
-      queue_parts_[shard_for_job(request.job_id)]
-          .by_priority[priority]
-          .push_back(QueueItem{request, seq});
-      ++queued_rows_;
-    }
-  }
+  queue_ = image_.queue;
+  queued_rows_ = queue_rows(queue_);
   queue_back_seq_ = image_.queue_back_seq;
   queue_front_seq_ = image_.queue_front_seq;
   provenance_log_.clear();
@@ -215,51 +187,29 @@ void ShardedDatabase::rebuild_live_tables() {
     provenance_index_[row.job_id] = provenance_log_.size();
     provenance_log_.push_back(row);  // WAL-seq order == append order
   }
-  // Row-ownership audit counters, recomputed from the rebuilt tables (the
-  // same net counts the per-mutation ++/-- maintained).
-  for (Shard& shard : shards_) shard.rows = 0;
-  for (const auto& [id, record] : nodes_) {
-    ++shards_[shard_for_node(id)].rows;
-  }
-  for (const AllocationRecord& record : ledger_) {
-    ++shards_[shard_for_node(record.machine_id)].rows;
-  }
-  for (std::size_t shard = 0; shard < queue_parts_.size(); ++shard) {
-    for (const auto& [priority, fifo] : queue_parts_[shard].by_priority) {
-      shards_[shard].rows += fifo.size();
-    }
-  }
-  for (const JobProvenance& row : provenance_log_) {
-    ++shards_[shard_for_job(row.job_id)].rows;
-  }
 }
 
 // ---------------------------------------------------------------------------
-// Node registry (sharded by machine id)
+// Node registry (sharded by machine id; every write synchronous, so reads
+// come straight from the durable image)
 // ---------------------------------------------------------------------------
 
 util::Status ShardedDatabase::upsert_node(NodeRecord record) {
-  // The round trip happens before validation (legacy op-accounting parity).
+  // The round trip happens before validation: a rejected write still paid.
   const std::size_t shard = shard_for_node(record.machine_id);
   charge(shard);
   if (record.machine_id.empty()) {
     return util::invalid_argument_error("node record requires a machine id");
   }
-  WalRecord wal = make_wal(WalOp::kUpsertNode, shard, record.machine_id);
-  wal.node = record;
-  auto [it, inserted] =
-      nodes_.insert_or_assign(record.machine_id, std::move(record));
-  (void)it;
-  if (inserted) ++shards_[shard].rows;
-  wal_append(std::move(wal), /*deferred=*/false);
+  wal_append(shard, std::move(record), /*deferred=*/false);
   return util::Status();
 }
 
 util::StatusOr<NodeRecord> ShardedDatabase::node(
     const std::string& machine_id) const {
   charge(shard_for_node(machine_id));
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
+  auto it = image_.nodes.find(machine_id);
+  if (it == image_.nodes.end()) {
     return util::not_found_error("node " + machine_id + " not registered");
   }
   return it->second;
@@ -269,14 +219,10 @@ util::Status ShardedDatabase::set_node_status(const std::string& machine_id,
                                               NodeStatus s) {
   const std::size_t shard = shard_for_node(machine_id);
   charge(shard);
-  auto it = nodes_.find(machine_id);
-  if (it == nodes_.end()) {
+  if (!image_.nodes.contains(machine_id)) {
     return util::not_found_error("node " + machine_id + " not registered");
   }
-  it->second.status = s;
-  WalRecord wal = make_wal(WalOp::kSetNodeStatus, shard, machine_id);
-  wal.status = s;
-  wal_append(std::move(wal), /*deferred=*/false);
+  wal_append(shard, NodeStatusChange{machine_id, s}, /*deferred=*/false);
   return util::Status();
 }
 
@@ -284,41 +230,33 @@ std::size_t ShardedDatabase::touch_heartbeats(
     const std::vector<std::pair<std::string, util::SimTime>>& batch) {
   // One batched write per shard owning at least one row of the batch (the
   // PR 2 coalescing contract, now multi-writer).  An empty batch is still
-  // one round trip (legacy op-accounting parity).
+  // one round trip.
   if (batch.empty()) {
     charge(rotate());
     return 0;
   }
   // Rows grouped per shard: one batched write AND one WAL record per
   // touched shard.
-  std::vector<std::vector<std::pair<std::string, util::SimTime>>> by_shard(
-      shards_.size());
+  std::array<HeartbeatTouches, kShardCount> by_shard;
   std::size_t applied = 0;
   for (const auto& [machine_id, at] : batch) {
-    by_shard[shard_for_node(machine_id)].emplace_back(machine_id, at);
-    auto it = nodes_.find(machine_id);
-    if (it == nodes_.end()) continue;
-    it->second.last_heartbeat = std::max(it->second.last_heartbeat, at);
-    ++applied;
+    by_shard[shard_for_node(machine_id)].rows.emplace_back(machine_id, at);
+    if (image_.nodes.contains(machine_id)) ++applied;
   }
-  for (std::size_t shard = 0; shard < by_shard.size(); ++shard) {
-    if (by_shard[shard].empty()) continue;
+  for (std::size_t shard = 0; shard < kShardCount; ++shard) {
+    if (by_shard[shard].rows.empty()) continue;
     charge(shard);
-    WalRecord wal = make_wal(WalOp::kTouchHeartbeatBatch, shard, {});
-    wal.batch_rows = std::move(by_shard[shard]);
-    wal_append(std::move(wal), /*deferred=*/false);
+    wal_append(shard, std::move(by_shard[shard]), /*deferred=*/false);
   }
   return applied;
 }
 
 std::vector<NodeRecord> ShardedDatabase::nodes() const {
   // Scatter-gather: every shard serves its partition of the scan.
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard);
-  }
+  charge_all();
   std::vector<NodeRecord> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, record] : nodes_) out.push_back(record);
+  out.reserve(image_.nodes.size());
+  for (const auto& [id, record] : image_.nodes) out.push_back(record);
   return out;
 }
 
@@ -342,12 +280,9 @@ std::uint64_t ShardedDatabase::open_allocation(const std::string& job_id,
   record.interactive = interactive;
   record.started_at = at;
   const std::uint64_t id = record.allocation_id;
-  WalRecord wal = make_wal(WalOp::kOpenAllocation, shard, machine_id);
-  wal.allocation = record;
   ledger_index_[id] = ledger_.size();
-  ledger_.push_back(std::move(record));
-  ++shards_[shard].rows;
-  wal_append(std::move(wal), /*deferred=*/true);
+  ledger_.push_back(record);
+  wal_append(shard, std::move(record), /*deferred=*/true);
   absorb(LedgerOpKind::kAllocationOpen, shard, job_id, id, at);
   return id;
 }
@@ -368,11 +303,8 @@ util::Status ShardedDatabase::close_allocation(std::uint64_t allocation_id,
   record.outcome = outcome;
   record.ended_at = at;
   const std::size_t shard = shard_for_node(record.machine_id);
-  WalRecord wal = make_wal(WalOp::kCloseAllocation, shard, record.machine_id);
-  wal.allocation_id = allocation_id;
-  wal.outcome = outcome;
-  wal.at = at;
-  wal_append(std::move(wal), /*deferred=*/true);
+  wal_append(shard, AllocationClose{allocation_id, outcome, at},
+             /*deferred=*/true);
   absorb(LedgerOpKind::kAllocationClose, shard, record.job_id, allocation_id,
          at);
   return util::Status();
@@ -381,9 +313,7 @@ util::Status ShardedDatabase::close_allocation(std::uint64_t allocation_id,
 std::vector<AllocationRecord> ShardedDatabase::allocations_for_job(
     const std::string& job_id) const {
   // A by-job query over a node-partitioned table: scatter to every shard.
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard);
-  }
+  charge_all();
   std::vector<AllocationRecord> out;
   for (const auto& record : ledger_) {
     if (record.job_id == job_id) out.push_back(record);
@@ -396,119 +326,67 @@ std::vector<AllocationRecord> ShardedDatabase::allocations_for_job(
 // ---------------------------------------------------------------------------
 
 void ShardedDatabase::enqueue_request(PendingRequest request) {
-  const std::size_t shard = shard_for_job(request.job_id);
-  ++shards_[shard].rows;
-  ++queued_rows_;
-  const std::int64_t seq = ++queue_back_seq_;
-  WalRecord wal = make_wal(WalOp::kEnqueue, shard, request.job_id);
-  wal.request = request;
-  wal.queue_seq = seq;
-  wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0,
-         request.submitted_at);
-  const int priority = request.priority;
-  queue_parts_[shard].by_priority[priority].push_back(
-      QueueItem{std::move(request), seq});
+  enqueue_at(std::move(request), ++queue_back_seq_);
 }
 
 void ShardedDatabase::enqueue_request_front(PendingRequest request) {
+  enqueue_at(std::move(request), --queue_front_seq_);
+}
+
+void ShardedDatabase::enqueue_at(PendingRequest request, std::int64_t stamp) {
   const std::size_t shard = shard_for_job(request.job_id);
-  ++shards_[shard].rows;
-  ++queued_rows_;
-  const std::int64_t seq = --queue_front_seq_;
-  WalRecord wal = make_wal(WalOp::kEnqueue, shard, request.job_id);
-  wal.request = request;
-  wal.queue_seq = seq;
-  wal_append(std::move(wal), /*deferred=*/true);
+  wal_append(shard, QueuedRequest{request, stamp}, /*deferred=*/true);
   absorb(LedgerOpKind::kEnqueue, shard, request.job_id, 0,
          request.submitted_at);
-  const int priority = request.priority;
-  queue_parts_[shard].by_priority[priority].push_front(
-      QueueItem{std::move(request), seq});
+  queue_[request.priority][stamp] = std::move(request);
+  ++queued_rows_;
 }
 
 std::vector<PendingRequest> ShardedDatabase::pending_requests() const {
-  // Scatter-gather: every shard serves its partition, and sorting the rows
-  // by (priority desc, insertion stamp asc) merges them back into the
-  // single queue's order.
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    charge(shard);
-  }
-  std::vector<const QueueItem*> rows;
-  rows.reserve(queued_rows_);
-  for (const QueuePartition& part : queue_parts_) {
-    for (const auto& [priority, fifo] : part.by_priority) {
-      for (const QueueItem& item : fifo) rows.push_back(&item);
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const QueueItem* a, const QueueItem* b) {
-              if (a->request.priority != b->request.priority) {
-                return a->request.priority > b->request.priority;
-              }
-              return a->seq < b->seq;
-            });
+  // Scatter-gather: every shard serves its rows of the ordered read.
+  charge_all();
   std::vector<PendingRequest> out;
-  out.reserve(rows.size());
-  for (const QueueItem* row : rows) out.push_back(row->request);
+  out.reserve(queued_rows_);
+  for (const auto& [priority, rows] : queue_) {
+    for (const auto& [stamp, request] : rows) out.push_back(request);
+  }
   return out;
 }
 
-std::optional<int> ShardedDatabase::erase_queued(std::size_t shard,
-                                                 const std::string& job_id) {
-  // The job can only live in its owner shard's slice of the queue.
-  auto& parts = queue_parts_[shard].by_priority;
-  for (auto it = parts.begin(); it != parts.end(); ++it) {
-    auto& fifo = it->second;
-    for (auto rit = fifo.begin(); rit != fifo.end(); ++rit) {
-      if (rit->request.job_id != job_id) continue;
-      const int priority = it->first;
-      fifo.erase(rit);
-      if (fifo.empty()) parts.erase(it);
-      if (shards_[shard].rows > 0) --shards_[shard].rows;
-      if (queued_rows_ > 0) --queued_rows_;
-      return priority;
-    }
-  }
-  return std::nullopt;
-}
-
-bool ShardedDatabase::take_request(const std::string& job_id) {
-  // One synchronous round trip that any writer lane can serve
-  // (multi-writer), so the load rotates; a take from another shard's
-  // partition steals.
-  const std::size_t server = rotate();
-  charge(server);
-  const std::size_t shard = shard_for_job(job_id);
-  const std::optional<int> priority = erase_queued(shard, job_id);
-  if (!priority.has_value()) return false;
-  if (shard == server) {
-    ++local_pops_;
-  } else {
-    ++stolen_pops_;
-  }
-  WalRecord wal = make_wal(WalOp::kPop, shard, job_id);
-  wal.priority = *priority;
-  wal_append(std::move(wal), /*deferred=*/false);
-  return true;
-}
-
-bool ShardedDatabase::remove_request(const std::string& job_id) {
-  // Like take_request, a synchronous read-modify-write in BOTH modes: the
-  // found/not-found answer is consumed immediately, so the round trip to
-  // the owning shard cannot be deferred (and a miss still paid for it).
-  const std::size_t shard = shard_for_job(job_id);
-  charge(shard);
-  if (!erase_queued(shard, job_id).has_value()) return false;
-  wal_append(make_wal(WalOp::kRemoveRequest, shard, job_id),
+bool ShardedDatabase::erase_queued(const std::string& job_id) {
+  if (!erase_first_row(queue_, job_id)) return false;
+  --queued_rows_;
+  wal_append(shard_for_job(job_id), RequestRemoval{job_id},
              /*deferred=*/false);
   return true;
 }
 
+bool ShardedDatabase::take_request(const std::string& job_id) {
+  // One synchronous round trip that any writer lane can serve
+  // (multi-writer), so the load rotates; a take served by a shard other
+  // than the row's owner steals.
+  const std::size_t server = rotate();
+  charge(server);
+  if (!erase_queued(job_id)) return false;
+  if (shard_for_job(job_id) == server) {
+    ++local_pops_;
+  } else {
+    ++stolen_pops_;
+  }
+  return true;
+}
+
+bool ShardedDatabase::remove_request(const std::string& job_id) {
+  // Like take_request, a synchronous read-modify-write: the found/not-found
+  // answer is consumed immediately, so the round trip to the owning shard
+  // cannot be deferred (and a miss still paid for it).
+  charge(shard_for_job(job_id));
+  return erase_queued(job_id);
+}
+
 std::size_t ShardedDatabase::queue_depth() const {
   // Depth probe (heartbeat path): a metadata read any lane can answer.
-  // The row count is maintained on mutation, so the probe is O(1) instead
-  // of a scan over every partition.
+  // The row count is maintained on mutation, so the probe is O(1).
   charge(rotate());
   return queued_rows_;
 }
@@ -519,15 +397,11 @@ std::size_t ShardedDatabase::queue_depth() const {
 
 void ShardedDatabase::record_provenance(JobProvenance provenance) {
   const std::size_t shard = shard_for_job(provenance.job_id);
-  ++shards_[shard].rows;
-  const std::string job_id = provenance.job_id;
-  const util::SimTime at = provenance.recorded_at;
-  WalRecord wal = make_wal(WalOp::kProvenance, shard, job_id);
-  wal.provenance = provenance;
+  wal_append(shard, provenance, /*deferred=*/true);
+  absorb(LedgerOpKind::kProvenance, shard, provenance.job_id, 0,
+         provenance.recorded_at);
   provenance_index_[provenance.job_id] = provenance_log_.size();
   provenance_log_.push_back(std::move(provenance));
-  wal_append(std::move(wal), /*deferred=*/true);
-  absorb(LedgerOpKind::kProvenance, shard, job_id, 0, at);
 }
 
 const JobProvenance* ShardedDatabase::provenance(
@@ -544,15 +418,13 @@ const JobProvenance* ShardedDatabase::provenance(
 // ---------------------------------------------------------------------------
 
 void ShardedDatabase::put_job_state(JobStateRecord record) {
-  WalRecord wal = make_wal(WalOp::kPutJobState, shard_for_job(record.spec.id),
-                           record.spec.id);
-  wal.job_state = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  const std::size_t shard = shard_for_job(record.spec.id);
+  wal_append(shard, std::move(record), /*deferred=*/false);
 }
 
 bool ShardedDatabase::erase_job_state(const std::string& job_id) {
-  if (image_.job_states.find(job_id) == image_.job_states.end()) return false;
-  wal_append(make_wal(WalOp::kEraseJobState, shard_for_job(job_id), job_id),
+  if (!image_.job_states.contains(job_id)) return false;
+  wal_append(shard_for_job(job_id), JobStateErase{job_id},
              /*deferred=*/false);
   return true;
 }
@@ -572,9 +444,8 @@ std::vector<JobStateRecord> ShardedDatabase::job_states() const {
 
 void ShardedDatabase::put_journal(const std::string& key,
                                   std::vector<std::int64_t> values) {
-  WalRecord wal = make_wal(WalOp::kJournalPut, route(key), key);
-  wal.journal = std::move(values);
-  wal_append(std::move(wal), /*deferred=*/false);
+  wal_append(route(key), JournalPut{key, std::move(values)},
+             /*deferred=*/false);
 }
 
 const std::vector<std::int64_t>* ShardedDatabase::journal(
@@ -584,15 +455,13 @@ const std::vector<std::int64_t>* ShardedDatabase::journal(
 }
 
 void ShardedDatabase::put_forward_state(ForwardStateRecord record) {
-  WalRecord wal = make_wal(WalOp::kPutForward, shard_for_job(record.spec.id),
-                           record.spec.id);
-  wal.forward = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  const std::size_t shard = shard_for_job(record.spec.id);
+  wal_append(shard, std::move(record), /*deferred=*/false);
 }
 
 bool ShardedDatabase::erase_forward_state(const std::string& job_id) {
-  if (image_.forwards.find(job_id) == image_.forwards.end()) return false;
-  wal_append(make_wal(WalOp::kEraseForward, shard_for_job(job_id), job_id),
+  if (!image_.forwards.contains(job_id)) return false;
+  wal_append(shard_for_job(job_id), ForwardStateErase{job_id},
              /*deferred=*/false);
   return true;
 }
@@ -605,10 +474,8 @@ std::vector<ForwardStateRecord> ShardedDatabase::forward_states() const {
 }
 
 void ShardedDatabase::put_handoff(HandoffRecord record) {
-  WalRecord wal = make_wal(WalOp::kPutHandoff, shard_for_job(record.job_id),
-                           record.job_id);
-  wal.handoff = std::move(record);
-  wal_append(std::move(wal), /*deferred=*/false);
+  const std::size_t shard = shard_for_job(record.job_id);
+  wal_append(shard, std::move(record), /*deferred=*/false);
 }
 
 std::vector<HandoffRecord> ShardedDatabase::handoffs() const {
@@ -624,15 +491,12 @@ std::vector<HandoffRecord> ShardedDatabase::handoffs() const {
 
 std::uint64_t ShardedDatabase::op_count() const {
   std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.ops;
+  for (const std::uint64_t ops : shard_ops_) total += ops;
   return total;
 }
 
 std::vector<std::uint64_t> ShardedDatabase::shard_op_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(shards_.size());
-  for (const Shard& shard : shards_) out.push_back(shard.ops);
-  return out;
+  return {shard_ops_.begin(), shard_ops_.end()};
 }
 
 }  // namespace gpunion::db

@@ -6,12 +6,14 @@
 //
 //  * Sharding: tables are partitioned by key — queue rows and provenance
 //    by JOB id, node registry / heartbeats / allocations by NODE id
-//    (deterministic FNV-1a routing) — across N writer shards, each with
-//    its own op counter.  Synchronous load that used to queue behind one
-//    writer spreads across N lanes; unkeyed ops (queue takes, depth
-//    probes) rotate round-robin, and fan-out reads (nodes(),
+//    (deterministic FNV-1a routing) — across kShardCount writer shards,
+//    each with its own op counter.  Synchronous load that used to queue
+//    behind one writer spreads across the lanes; unkeyed ops (queue takes,
+//    depth probes) rotate round-robin, and fan-out reads (nodes(),
 //    pending_requests(), allocations_for_job on a node-partitioned table)
-//    pay one scatter-gather op per shard.
+//    pay one scatter-gather op per shard.  The shards are also the WAL's
+//    durability domains: a synchronous write advances only its own shard's
+//    image, so a deferred record on another shard outlives it.
 //
 //  * Write-behind: the control plane's per-decision mutations (allocation
 //    open/close, pending-queue inserts, provenance) are absorbed by a
@@ -25,17 +27,17 @@
 // read-your-writes on ledgered-but-unflushed state; shard op counters
 // advance at commit time.  This is the same modeling contract PR 2
 // established for touch_heartbeats (apply all rows, count one batched
-// write).
+// write).  Tables that only synchronous writes touch (node registry, job
+// and forward states, journal, handoffs) are read straight from the
+// durable image, which always equals their live state.
 //
-// DbConfig{shard_count = 1, write_behind = false} reproduces the
-// single-writer SystemDatabase exactly (same final table contents AND the
-// same op accounting), which tests/db/sharded_db_test.cpp checks.
+// The store runs one configuration: kShardCount shards, write-behind on.
+// The single-writer SystemDatabase (db/database.h) is the reference it is
+// tested against for table contents.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -54,12 +56,16 @@ class Tracer;
 
 namespace gpunion::db {
 
+/// Writer shards the tables are partitioned across, and the WAL's
+/// durability domains.  With one shard, every synchronous write would
+/// commit every deferred record, and a crash would find none to replay.
+inline constexpr std::size_t kShardCount = 4;
+
 struct DbConfig {
-  /// Writer shards the tables are partitioned across.
-  int shard_count = 4;
-  /// Absorb per-decision mutations into the write-behind ledger (off = every
-  /// mutation is one synchronous shard write, as in SystemDatabase).
-  bool write_behind = true;
+  /// Write-behind is the only mode: per-decision mutations are absorbed by
+  /// the ledger and group-committed.  A constant, still named because
+  /// perfbench reads it.
+  static constexpr bool write_behind{true};
   /// Background ledger-flush cadence.  The database is passive (no event
   /// loop of its own); the owner — Platform — drives flush_ledger() from a
   /// timer at this period.
@@ -125,8 +131,6 @@ class ShardedDatabase : public Database {
   }
 
   // --- Durable control-plane state (uncharged; see Database) -------------------
-  // Reads are served straight from the durable image: these tables are
-  // WAL'd and applied synchronously, so image == live for them always.
   void put_job_state(JobStateRecord record) override;
   bool erase_job_state(const std::string& job_id) override;
   const JobStateRecord* job_state(const std::string& job_id) const override;
@@ -145,7 +149,7 @@ class ShardedDatabase : public Database {
   std::uint64_t op_count() const override;
 
   // --- Sharding introspection -------------------------------------------------
-  int shard_count() const { return static_cast<int>(shards_.size()); }
+  static constexpr int shard_count() { return static_cast<int>(kShardCount); }
   /// Deterministic owner shard of node-keyed rows (registry, heartbeats,
   /// allocations).
   std::size_t shard_for_node(std::string_view machine_id) const {
@@ -157,12 +161,7 @@ class ShardedDatabase : public Database {
   }
   /// Ops charged to one shard (sync writes/reads + its ledger commits).
   std::uint64_t shard_ops(std::size_t shard) const {
-    return shards_.at(shard).ops;
-  }
-  /// Rows currently owned by one shard (registry + allocations + queue +
-  /// provenance inserts; audit of the partitioning, not a cost model).
-  std::uint64_t shard_rows(std::size_t shard) const {
-    return shards_.at(shard).rows;
+    return shard_ops_.at(shard);
   }
   std::vector<std::uint64_t> shard_op_counts() const;
   /// Ops charged synchronously at call time (everything except ledger
@@ -212,84 +211,67 @@ class ShardedDatabase : public Database {
   /// One-shot fault arming (FaultInjector): the next flush skips SHARD's
   /// image commit (records stay in the WAL; the retry is the next flush)...
   void arm_commit_failure(std::size_t shard);
-  /// ...or stops mid-group-commit after K shard images advanced, without
-  /// truncating — the torn state a crash_and_recover() must then heal.
+  /// ...or stops mid-group-commit once K of the shards that hold unapplied
+  /// records advanced, without truncating — the torn state a
+  /// crash_and_recover() must then heal.  Shards with nothing to apply do
+  /// not count, so K below wal().shards_behind() always leaves a record to
+  /// replay.
   void arm_flush_crash(std::size_t shards_before_crash);
   std::uint64_t commit_failures() const { return commit_failures_; }
   /// True when the last flush stopped early under arm_flush_crash.
   bool flush_interrupted() const { return flush_interrupted_; }
 
   // --- Pending-queue work stealing ---------------------------------------------
-  /// Takes whose row lived in the rotating (charged) shard's own partition.
+  /// Takes served by the shard that owns the job's row.
   std::uint64_t local_pops() const { return local_pops_; }
-  /// Takes whose row lived in another shard's partition (the stealing
-  /// cross-partition case).
+  /// Takes served by another shard (the rotating server stole the take).
   std::uint64_t stolen_pops() const { return stolen_pops_; }
 
-  const DbConfig& config() const { return config_; }
-
  private:
-  struct Shard {
-    std::uint64_t ops = 0;   // charged ops (sync + group commits)
-    std::uint64_t rows = 0;  // owned rows (audit of the partitioning)
-  };
-
-  /// One pending-queue row.  `seq` is a global insertion stamp: back pushes
-  /// count up from 1, front pushes count down from -1, so ascending seq
-  /// within a priority reproduces the legacy single-deque order exactly
-  /// (newest push_front first, then FIFO push_backs).
-  struct QueueItem {
-    PendingRequest request;
-    std::int64_t seq;
-  };
-  /// Per-shard slice of the pending queue, keyed like the legacy queue
-  /// (priority desc).  A shard's partition holds the jobs it owns
-  /// (shard_for_job); the ordered read merges the partitions back into the
-  /// single queue's order.
-  struct QueuePartition {
-    std::map<int, std::deque<QueueItem>, std::greater<>> by_priority;
-  };
-
   std::size_t route(std::string_view key) const;
   /// Charges one synchronous op to `shard`.
   void charge(std::size_t shard) const;
+  /// Charges one scatter-gather op to every shard.
+  void charge_all() const;
   /// Rotating writer for unkeyed ops (queue takes / depth probes): any
   /// lane can serve them, so the load spreads deterministically.
   std::size_t rotate() const;
-  /// Erases the job's first row from its owner partition; the row's
-  /// priority, or nullopt if the job has none queued.
-  std::optional<int> erase_queued(std::size_t shard, const std::string& job_id);
-  /// Absorbs a decision-path mutation: ledgered under write-behind
-  /// (threshold-flushing when the log fills), synchronous otherwise.
+  /// Inserts a queue row at `stamp` and logs it (deferred).
+  void enqueue_at(PendingRequest request, std::int64_t stamp);
+  /// Erases the job's first queued row and logs the removal; false if the
+  /// job has none.
+  bool erase_queued(const std::string& job_id);
+  /// Absorbs a decision-path mutation into the ledger, flushing when the
+  /// log reaches its threshold.
   void absorb(LedgerOpKind kind, std::size_t shard, std::string key,
               std::uint64_t allocation_id, util::SimTime at);
   /// Appends one WAL record.  `deferred` mutations (write-behind absorbs)
   /// leave their shard image to the next group commit; everything else is
   /// durable at call time — the synchronous round trip IS the write — so
   /// the shard's image advances (and the applied prefix truncates) here.
-  void wal_append(WalRecord record, bool deferred);
+  void wal_append(std::size_t shard, WalPayload payload, bool deferred);
   /// Applies SHARD's pending WAL records with seq <= upto to the image.
   void advance_image(std::size_t shard, std::uint64_t upto_seq);
   /// Replaces every live table with a materialization of image_.
   void rebuild_live_tables();
 
-  DbConfig config_;
-  // Mutable like SystemDatabase::ops_: reads are charged ops too.
-  mutable std::vector<Shard> shards_;
+  // Charged ops per shard (sync writes/reads + its group commits); mutable
+  // like SystemDatabase::ops_, because reads are charged ops too.
+  mutable std::array<std::uint64_t, kShardCount> shard_ops_{};
   WriteBehindLedger ledger_log_;
   LedgerWal wal_;
   TableImage image_;
-  std::vector<bool> armed_commit_failures_;
-  /// >= 0: next flush advances this many shard images, then stops.
+  std::array<bool, kShardCount> armed_commit_failures_{};
+  /// >= 0: next flush advances this many behind shards, then stops.
   int armed_flush_crash_ = -1;
   std::uint64_t commit_failures_ = 0;
   bool flush_interrupted_ = false;
 
-  // Logical tables (merged view; each row owned by exactly one shard).
-  std::map<std::string, NodeRecord> nodes_;  // ordered: deterministic scans
+  // Live tables with writes the ledger defers (each row owned by exactly
+  // one shard); the rest are read from image_.
   std::vector<AllocationRecord> ledger_;
   std::unordered_map<std::uint64_t, std::size_t> ledger_index_;
-  std::vector<QueuePartition> queue_parts_;  // one per shard
+  QueueTable queue_;
   std::int64_t queue_back_seq_ = 0;   // next back push stamps ++this
   std::int64_t queue_front_seq_ = 0;  // next front push stamps --this
   std::size_t queued_rows_ = 0;       // cached depth (O(1) probes)

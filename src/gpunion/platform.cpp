@@ -182,7 +182,7 @@ void Platform::start() {
   attach_image_registry_endpoint();
   for (auto& provider : agents_) provider->join();
   metrics_timer_->start();
-  if (config_.db.write_behind) db_flush_timer_->start();
+  db_flush_timer_->start();
   if (api_) api_->start();
 }
 
@@ -272,7 +272,7 @@ void Platform::crash_control_plane(util::Duration downtime) {
         << " skipped=" << report.skipped_applied
         << " job_states=" << report.job_states;
     coordinator_->recover();
-    if (config_.db.write_behind) db_flush_timer_->start();
+    db_flush_timer_->start();
     if (recover_hook_) recover_hook_();
   });
 }
@@ -291,10 +291,11 @@ void Platform::register_crash_points(util::Duration downtime) {
                           });
   faults_->register_fault(
       std::string(sim::kCrashMidGroupCommit), [this, downtime] {
-        // Tear the group commit down the middle: half the shard images
-        // advance, the WAL never truncates, then the process dies.
-        database_.arm_flush_crash(
-            static_cast<std::size_t>(database_.shard_count()) / 2);
+        // Tear the group commit down the middle: half (rounded down) of
+        // the shards holding unapplied records advance, the WAL never
+        // truncates, then the process dies.  At least one behind shard
+        // stays behind, so recovery replays whenever the WAL holds work.
+        database_.arm_flush_crash(database_.wal().shards_behind() / 2);
         database_.flush_ledger(db::FlushTrigger::kExplicit, env_.now());
         crash_control_plane(downtime);
       });
@@ -446,7 +447,8 @@ void Platform::refresh_metrics() {
       .set(static_cast<double>(recovery.handoffs));
 
   auto& pops_family = metrics_.gauge_family(
-      "gpunion_db_queue_pops", "Pending-queue pops by partition locality");
+      "gpunion_db_queue_pops",
+      "Pending-queue takes served by the row's own shard or another");
   pops_family.gauge({{"kind", "local"}})
       .set(static_cast<double>(database_.local_pops()));
   pops_family.gauge({{"kind", "stolen"}})

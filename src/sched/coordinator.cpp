@@ -57,6 +57,9 @@ void Coordinator::start() {
 
 util::Status Coordinator::submit(workload::JobSpec job, double start_progress,
                                  obs::TraceContext trace) {
+  // A crashed coordinator has no job table to check ids against, so it
+  // accepts nothing; the caller retries after recovery.
+  if (crashed_) return down_error();
   if (job.id.empty()) {
     return util::invalid_argument_error("job requires an id");
   }
@@ -115,6 +118,7 @@ util::Status Coordinator::submit(workload::JobSpec job, double start_progress,
 }
 
 util::Status Coordinator::cancel(const std::string& job_id) {
+  if (crashed_) return down_error();
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) {
     if (auto archived = archive_.find(job_id); archived != archive_.end()) {
@@ -163,6 +167,7 @@ util::Status Coordinator::cancel(const std::string& job_id) {
 
 util::StatusOr<Coordinator::WithdrawnJob> Coordinator::withdraw(
     const std::string& job_id) {
+  if (crashed_) return down_error();
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) {
     if (archive_.contains(job_id)) {
@@ -191,6 +196,11 @@ util::StatusOr<Coordinator::WithdrawnJob> Coordinator::withdraw(
   (void)database_.erase_job_state(job_id);
   persist_stats();
   return out;
+}
+
+util::Status Coordinator::down_error() const {
+  return util::unavailable_error("coordinator " + config_.id +
+                                 " is down; retry after recovery");
 }
 
 void Coordinator::reserve_id(const std::string& job_id) {

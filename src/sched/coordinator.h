@@ -282,7 +282,8 @@ class Coordinator {
   // --- Crash / recovery -------------------------------------------------------
   /// Simulated control-plane crash: every in-memory structure (job records,
   /// directory, indexes, in-flight counters, monitor state, stats) is
-  /// dropped, timers stop, and incoming messages are ignored until
+  /// dropped, timers stop, incoming messages are ignored, and submit(),
+  /// cancel() and withdraw() return kUnavailable and write nothing until
   /// recover().  The transport endpoint stays registered — a real restart
   /// reuses the address.  Scheduled one-shot callbacks (dispatch/session
   /// timeouts) are invalidated by an epoch bump, not cancelled.
@@ -299,6 +300,9 @@ class Coordinator {
   }
 
  private:
+  /// What submit(), cancel() and withdraw() return while crashed.
+  util::Status down_error() const;
+
   // message handlers
   void handle_message(net::Message&& msg);
   void handle_register(const agent::RegisterRequest& request);

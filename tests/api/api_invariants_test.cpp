@@ -58,8 +58,6 @@ CampusConfig api_campus() {
   config.agent_defaults.heartbeat_interval = 2.0;
   config.agent_defaults.telemetry_interval = 1e9;
   config.scrape_interval = 1e9;
-  config.db.shard_count = 4;
-  config.db.write_behind = true;
   config.db.flush_threshold = 16;
   config.db.flush_interval = 5.0;
 

@@ -35,8 +35,6 @@ NodeRecord node(const std::string& id) {
 
 DbConfig wal_config(std::size_t threshold = 1000) {
   DbConfig config;
-  config.shard_count = 4;
-  config.write_behind = true;
   config.flush_threshold = threshold;
   return config;
 }
@@ -173,7 +171,7 @@ TEST(LedgerWalTest, SkippedShardCommitRetriesAtNextFlush) {
   // The next flush is the retry.
   db.flush_ledger();
   EXPECT_EQ(db.wal().depth(), 0u);
-  EXPECT_EQ(db.durable_image().queue_rows(), 1u);
+  EXPECT_EQ(queue_rows(db.durable_image().queue), 1u);
 }
 
 TEST(LedgerWalTest, TornGroupCommitHealsIdempotently) {
@@ -222,7 +220,7 @@ TEST(LedgerWalTest, TakeFromTheMiddleIsDurableAndKeepsTheOrder) {
     EXPECT_EQ(queue_order(*db),
               (std::vector<std::string>{"high-1@5", "displaced@0", "low-2@0"}));
   }
-  // The takes (kPop records) must survive the crash, and the rows they
+  // The takes (removal records) must survive the crash, and the rows they
   // skipped must come back in their places.
   const RecoveryReport report = subject.crash_and_recover();
   EXPECT_EQ(report.queue_rows, 3u);

@@ -1,7 +1,7 @@
 // ShardedDatabase: deterministic shard routing, per-shard op accounting,
 // read-your-writes through the write-behind ledger, flush-on-threshold vs
-// flush-on-interval triggers, and exact legacy-mode equivalence against the
-// single-writer SystemDatabase over an identical op sequence.
+// flush-on-interval triggers, and content equality with the single-writer
+// SystemDatabase over an identical op sequence.
 #include "db/sharded_database.h"
 
 #include <gtest/gtest.h>
@@ -23,18 +23,9 @@ NodeRecord node(const std::string& id) {
   return record;
 }
 
-DbConfig sharded_config(int shards = 4, std::size_t threshold = 1000) {
+DbConfig sharded_config(std::size_t threshold = 1000) {
   DbConfig config;
-  config.shard_count = shards;
-  config.write_behind = true;
   config.flush_threshold = threshold;
-  return config;
-}
-
-DbConfig legacy_config() {
-  DbConfig config;
-  config.shard_count = 1;
-  config.write_behind = false;
   return config;
 }
 
@@ -45,7 +36,7 @@ TEST(ShardedDbTest, RoutingIsDeterministicAndInRange) {
   for (int i = 0; i < 64; ++i) {
     const std::string key = "m-" + std::to_string(i);
     const std::size_t shard = a.shard_for_node(key);
-    EXPECT_LT(shard, 4u);
+    EXPECT_LT(shard, kShardCount);
     // Same key, same shard — across calls and across instances.
     EXPECT_EQ(shard, a.shard_for_node(key));
     EXPECT_EQ(shard, b.shard_for_node(key));
@@ -81,9 +72,6 @@ TEST(ShardedDbTest, PerShardOpAccounting) {
   ASSERT_EQ(sharded.touch_heartbeats({{second, 5.0}}), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_a), 1u);
   EXPECT_EQ(sharded.shard_ops(shard_b), 2u);
-  // Rows are owned where the ops landed.
-  EXPECT_GE(sharded.shard_rows(shard_a), 1u);
-  EXPECT_GE(sharded.shard_rows(shard_b), 1u);
   // op_count() is the sum of the lanes.
   EXPECT_EQ(sharded.op_count(), 3u);
 
@@ -96,7 +84,7 @@ TEST(ShardedDbTest, PerShardOpAccounting) {
 }
 
 TEST(ShardedDbTest, ReadYourWritesThroughUnflushedLedger) {
-  ShardedDatabase database(sharded_config(4, /*threshold=*/1000));
+  ShardedDatabase database(sharded_config(/*threshold=*/1000));
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
   const std::uint64_t ops_after_registry = database.op_count();
 
@@ -133,11 +121,11 @@ TEST(ShardedDbTest, ReadYourWritesThroughUnflushedLedger) {
   EXPECT_GT(database.op_count(), before_flush);
   // One commit per touched shard, never more than entries or shards.
   EXPECT_LE(database.op_count() - before_flush, pending);
-  EXPECT_LE(database.op_count() - before_flush, 4u);
+  EXPECT_LE(database.op_count() - before_flush, kShardCount);
 }
 
 TEST(ShardedDbTest, ThresholdFlushVsIntervalFlush) {
-  ShardedDatabase database(sharded_config(4, /*threshold=*/3));
+  ShardedDatabase database(sharded_config(/*threshold=*/3));
   ASSERT_TRUE(database.upsert_node(node("m-1")).is_ok());
 
   // Two mutations sit below the threshold...
@@ -238,21 +226,9 @@ void expect_same_contents(Database& a, Database& b) {
   }
 }
 
-TEST(ShardedDbTest, LegacyModeMatchesSingleWriterExactly) {
-  SystemDatabase single;
-  ShardedDatabase legacy(legacy_config());
-  drive(single);
-  drive(legacy);
-  // Same contents AND the same op accounting: {1 shard, write-behind off}
-  // IS the single-writer path.
-  EXPECT_EQ(legacy.op_count(), single.op_count());
-  EXPECT_EQ(legacy.ledger().stats().absorbed, 0u);
-  expect_same_contents(single, legacy);
-}
-
 TEST(ShardedDbTest, ShardedWriteBehindConvergesToSameContents) {
   SystemDatabase single;
-  ShardedDatabase sharded(sharded_config(4, /*threshold=*/5));
+  ShardedDatabase sharded(sharded_config(/*threshold=*/5));
   drive(single);
   drive(sharded);
   (void)sharded.flush_ledger();  // settle the tail of the ledger

@@ -1,7 +1,7 @@
-// Work-stealing pending-queue partitions: the sharded queue's ordered read
-// must reproduce the legacy single-deque order exactly while spreading
-// storage across per-shard partitions, and its takes count cross-partition
-// steals.
+// The sharded store's pending queue: its ordered read must reproduce the
+// single-writer SystemDatabase's order exactly, its rows are owned by the
+// shards of their jobs, and its takes, served by a rotating shard, count
+// the ones another shard served as steals.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,15 +15,8 @@
 namespace gpunion::db {
 namespace {
 
-DbConfig sharded(int shards) {
-  DbConfig config;
-  config.shard_count = shards;
-  config.write_behind = false;  // queue semantics only; no ledger noise
-  return config;
-}
-
 /// Drains both databases and asserts the take sequences are identical.
-void expect_same_drain(ShardedDatabase& a, ShardedDatabase& b) {
+void expect_same_drain(Database& a, Database& b) {
   for (;;) {
     std::optional<PendingRequest> req_a = take_front(a);
     std::optional<PendingRequest> req_b = take_front(b);
@@ -34,37 +27,39 @@ void expect_same_drain(ShardedDatabase& a, ShardedDatabase& b) {
   }
 }
 
-TEST(WorkStealingQueueTest, MatchesSingleShardOrderMixedPriorities) {
-  ShardedDatabase legacy(sharded(1));
-  ShardedDatabase partitioned(sharded(8));
+TEST(WorkStealingQueueTest, MatchesSingleWriterOrderMixedPriorities) {
+  SystemDatabase single;
+  ShardedDatabase sharded;
   const int priorities[] = {0, 5, 0, 2, 5, 0, 2, 9, 0, 5, 2, 9};
   for (int i = 0; i < 12; ++i) {
     PendingRequest request{"job-" + std::to_string(i), priorities[i],
                            static_cast<double>(i)};
-    legacy.enqueue_request(request);
-    partitioned.enqueue_request(request);
+    single.enqueue_request(request);
+    sharded.enqueue_request(request);
   }
-  expect_same_drain(legacy, partitioned);
+  expect_same_drain(single, sharded);
 }
 
 TEST(WorkStealingQueueTest, FrontPushesPreserveLifoWithinPriority) {
-  ShardedDatabase legacy(sharded(1));
-  ShardedDatabase partitioned(sharded(4));
-  for (auto* database : {&legacy, &partitioned}) {
-    database->enqueue_request({"back-1", 3, 1.0});
-    database->enqueue_request({"back-2", 3, 2.0});
-    database->enqueue_request_front({"front-1", 3, 3.0});
-    database->enqueue_request_front({"front-2", 3, 4.0});
-    database->enqueue_request({"back-3", 3, 5.0});
-    database->enqueue_request_front({"low-front", 1, 6.0});
-  }
-  // Legacy order within priority 3: front-2, front-1, back-1, back-2,
-  // back-3; then priority 1.
-  expect_same_drain(legacy, partitioned);
+  auto fill = [](Database& database) {
+    database.enqueue_request({"back-1", 3, 1.0});
+    database.enqueue_request({"back-2", 3, 2.0});
+    database.enqueue_request_front({"front-1", 3, 3.0});
+    database.enqueue_request_front({"front-2", 3, 4.0});
+    database.enqueue_request({"back-3", 3, 5.0});
+    database.enqueue_request_front({"low-front", 1, 6.0});
+  };
+  SystemDatabase single;
+  ShardedDatabase sharded;
+  fill(single);
+  fill(sharded);
+  // Order within priority 3: front-2, front-1, back-1, back-2, back-3;
+  // then priority 1.
+  expect_same_drain(single, sharded);
 }
 
 TEST(WorkStealingQueueTest, CountsLocalAndStolenPops) {
-  ShardedDatabase database(sharded(4));
+  ShardedDatabase database;
   for (int i = 0; i < 40; ++i) {
     database.enqueue_request(
         {"job-" + std::to_string(i), 0, static_cast<double>(i)});
@@ -73,14 +68,15 @@ TEST(WorkStealingQueueTest, CountsLocalAndStolenPops) {
   while (take_front(database).has_value()) ++popped;
   EXPECT_EQ(popped, 40u);
   EXPECT_EQ(database.local_pops() + database.stolen_pops(), 40u);
-  // FIFO across hashed partitions against a rotating server: most takes
-  // cross partitions.  The exact split is deterministic (FNV-1a routing),
-  // but all we rely on is that stealing actually happens.
+  // FIFO over hashed owners against a rotating server: most takes are
+  // served by a shard that does not own the row.  The exact split is
+  // deterministic (FNV-1a routing), but all we rely on is that stealing
+  // actually happens.
   EXPECT_GT(database.stolen_pops(), 0u);
 }
 
-TEST(WorkStealingQueueTest, RemoveOnlyScansOwnerPartition) {
-  ShardedDatabase database(sharded(8));
+TEST(WorkStealingQueueTest, RemoveTakesOnlyTheNamedJob) {
+  ShardedDatabase database;
   for (int i = 0; i < 16; ++i) {
     database.enqueue_request(
         {"job-" + std::to_string(i), i % 3, static_cast<double>(i)});
@@ -99,7 +95,7 @@ TEST(WorkStealingQueueTest, RemoveOnlyScansOwnerPartition) {
 }
 
 TEST(WorkStealingQueueTest, DepthIsConstantTimeAndConsistent) {
-  ShardedDatabase database(sharded(4));
+  ShardedDatabase database;
   EXPECT_EQ(database.queue_depth(), 0u);
   for (int i = 0; i < 10; ++i) {
     database.enqueue_request(
@@ -114,22 +110,22 @@ TEST(WorkStealingQueueTest, DepthIsConstantTimeAndConsistent) {
   EXPECT_EQ(database.queue_depth(), 9u);
 }
 
-TEST(WorkStealingQueueTest, OpAccountingUnchangedByPartitioning) {
-  // Partitioning reorganizes storage, not the cost model: the ordered read
-  // charges one scatter-gather op per shard, and each take exactly one op
-  // to the rotating server shard.
-  ShardedDatabase database(sharded(4));
+TEST(WorkStealingQueueTest, ReadChargesEveryShardAndATakeOne) {
+  // The ordered read charges one scatter-gather op per shard, and each
+  // take exactly one op to the rotating server shard.  Enqueues are
+  // absorbed by the ledger and charge nothing until its flush.
+  ShardedDatabase database;
   for (int i = 0; i < 8; ++i) {
     database.enqueue_request(
         {"job-" + std::to_string(i), 0, static_cast<double>(i)});
   }
   const std::uint64_t before = database.sync_op_count();
   const std::vector<PendingRequest> queued = database.pending_requests();
-  EXPECT_EQ(database.sync_op_count(), before + 4);
+  EXPECT_EQ(database.sync_op_count(), before + kShardCount);
   for (const PendingRequest& request : queued) {
     EXPECT_TRUE(database.take_request(request.job_id));
   }
-  EXPECT_EQ(database.sync_op_count(), before + 4 + 8);
+  EXPECT_EQ(database.sync_op_count(), before + kShardCount + 8);
 }
 
 }  // namespace

