@@ -2,10 +2,11 @@
 //
 // The paper's agent "exposes REST APIs for resource advertisement, workload
 // lifecycle management, and emergency controls" (§3.2).  Here each REST
-// endpoint is a typed message riding over net::Transport; payload structs
-// are carried in Message::payload (std::any) with Message::kind as the
-// discriminator.  Sizes mirror realistic JSON bodies so traffic accounting
-// is meaningful.
+// endpoint is one struct below, carried over net::Transport as an
+// alternative of net::Payload; the struct's type is the message kind.  The
+// same holds for the agent's requests to storage and image-registry
+// endpoints.  Sizes mirror realistic JSON bodies so traffic accounting is
+// meaningful.
 #pragma once
 
 #include <cstdint>
@@ -18,29 +19,6 @@
 #include "workload/job.h"
 
 namespace gpunion::agent {
-
-/// Message::kind values.
-enum MsgKind : int {
-  kRegisterRequest = 1,
-  kRegisterResponse,
-  kHeartbeat,
-  kTelemetryReport,
-  kDispatch,
-  kDispatchResult,
-  kJobStarted,
-  kKillJob,
-  kJobCompleted,
-  kCheckpointNotice,
-  kDepartureNotice,
-  kReturnNotice,
-  kKillSwitchNotice, // agent -> coordinator: provider terminated guests
-  kJobKilledAck,     // agent -> coordinator: response to kKillJob
-  kRestoreRequest,   // agent -> storage endpoint
-  kRestoreData,      // storage endpoint -> agent (restore payload bytes)
-  kCheckpointData,   // agent -> storage endpoint (backup payload bytes)
-  kImagePullRequest, // agent -> image registry endpoint
-  kImageData,        // registry endpoint -> agent (layer bytes)
-};
 
 using DepartureKind = workload::DepartureKind;
 using workload::departure_kind_name;
@@ -154,7 +132,7 @@ struct KillSwitchNotice {
   std::vector<std::string> killed_jobs;
 };
 
-/// Agent finished handling a coordinator kKillJob command.
+/// Agent finished handling a coordinator KillJobCommand.
 struct JobKilledAck {
   std::string machine_id;
   std::string job_id;
@@ -162,25 +140,30 @@ struct JobKilledAck {
   bool fresh_checkpoint = false;
 };
 
+/// Agent -> storage endpoint: stream `bytes` of the job's checkpoint back.
 struct RestoreRequest {
   std::string requester;  // agent machine id to stream the data to
   std::string job_id;
   std::uint64_t bytes = 0;
 };
 
+/// Storage endpoint -> agent: the restore payload (Message::size_bytes).
 struct RestoreData {
   std::string job_id;
 };
 
+/// Agent -> storage endpoint: a backup delta (Message::size_bytes).
 struct CheckpointData {
   std::string job_id;
 };
 
+/// Agent -> image registry endpoint.
 struct ImagePullRequest {
   std::string requester;
   std::string image_ref;
 };
 
+/// Image registry endpoint -> agent: the image layers (Message::size_bytes).
 struct ImageData {
   std::string image_ref;
 };

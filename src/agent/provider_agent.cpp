@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+#include <variant>
 
 #include "util/ids.h"
 #include "util/logging.h"
@@ -10,7 +12,7 @@ namespace gpunion::agent {
 
 namespace {
 
-/// GPU utilization a container drives (for telemetry/power).
+/// GPU utilization a container drives.
 constexpr double kTrainingUtilization = 0.95;
 constexpr double kInteractiveUtilization = 0.55;
 
@@ -78,7 +80,7 @@ void ProviderAgent::send_register_request() {
     }
     request.share_memory_cap_gb = node_.share_memory_cap(0);
   }
-  send_control(kRegisterRequest, request, kRegisterBytes);
+  send_control(std::move(request), kRegisterBytes);
   // The request or its response may be lost; retry until activated (the
   // paper's "automatic registration scripts" keep trying).
   env_.schedule_after(10.0, [this] { send_register_request(); });
@@ -94,10 +96,7 @@ std::vector<std::string> ProviderAgent::kill_switch() {
   jobs_.clear();
   slicer_.clear();
   if (!killed.empty() && state_ == AgentState::kActive) {
-    KillSwitchNotice notice;
-    notice.machine_id = machine_id_;
-    notice.killed_jobs = killed;
-    send_control(kKillSwitchNotice, notice,
+    send_control(KillSwitchNotice{machine_id_, killed},
                  kControlBytes + 40 * killed.size());
   }
   GPUNION_ILOG("agent") << machine_id_ << " kill-switch: " << killed.size()
@@ -146,13 +145,14 @@ void ProviderAgent::depart_scheduled() {
   jobs_.clear();
   slicer_.clear();
 
-  send_control(kDepartureNotice, notice, kControlBytes + 64 * notice.jobs.size());
+  const std::size_t departing = notice.jobs.size();
+  send_control(std::move(notice), kControlBytes + 64 * departing);
   heartbeat_timer_.reset();
   telemetry_timer_.reset();
   transport_.unregister_endpoint(machine_id_);
   state_ = AgentState::kDeparted;
   GPUNION_ILOG("agent") << machine_id_ << " departed (scheduled), "
-                        << notice.jobs.size() << " jobs checkpointed";
+                        << departing << " jobs checkpointed";
 }
 
 void ProviderAgent::depart_emergency() {
@@ -176,9 +176,7 @@ void ProviderAgent::rejoin() {
   state_ = AgentState::kOffline;
   paused_ = false;
   join();
-  ReturnNotice notice;
-  notice.machine_id = machine_id_;
-  send_control(kReturnNotice, notice, kControlBytes);
+  send_control(ReturnNotice{machine_id_}, kControlBytes);
 }
 
 int ProviderAgent::reclaim_gpus(int gpus) {
@@ -213,8 +211,8 @@ int ProviderAgent::reclaim_gpus(int gpus) {
     drop_from_slicer(id, departed);
   }
   if (!notice.killed_jobs.empty()) {
-    send_control(kKillSwitchNotice, notice,
-                 kControlBytes + 40 * notice.killed_jobs.size());
+    const std::uint64_t bytes = kControlBytes + 40 * notice.killed_jobs.size();
+    send_control(std::move(notice), bytes);
   }
   return freed;
 }
@@ -237,40 +235,35 @@ double ProviderAgent::job_progress(const std::string& job_id) const {
 // ---------------------------------------------------------------------------
 
 void ProviderAgent::handle_message(net::Message&& msg) {
-  switch (msg.kind) {
-    case kRegisterResponse: {
-      const auto& response = std::any_cast<const RegisterResponse&>(msg.payload);
-      if (!response.accepted) {
-        GPUNION_WLOG("agent") << machine_id_ << " registration rejected";
-        return;
-      }
-      auth_token_ = response.auth_token;
-      state_ = AgentState::kActive;
-      config_.heartbeat_interval = response.heartbeat_interval;
-      heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
-          env_, config_.heartbeat_interval, [this] { send_heartbeat(); });
-      heartbeat_timer_->start_after(0);
-      telemetry_timer_ = std::make_unique<sim::PeriodicTimer>(
-          env_, config_.telemetry_interval, [this] { send_telemetry(); });
-      telemetry_timer_->start();
-      break;
-    }
-    case kDispatch:
-      handle_dispatch(std::any_cast<DispatchRequest>(std::move(msg.payload)));
-      break;
-    case kKillJob:
-      handle_kill_job(std::any_cast<const KillJobCommand&>(msg.payload));
-      break;
-    case kRestoreData:
-      handle_restore_data(std::any_cast<const RestoreData&>(msg.payload));
-      break;
-    case kImageData:
-      handle_image_data(std::any_cast<const ImageData&>(msg.payload));
-      break;
-    default:
-      GPUNION_WLOG("agent") << machine_id_ << " unexpected message kind "
-                            << msg.kind;
+  std::visit(
+      net::Overloaded{
+          [this](const RegisterResponse& m) { handle_register_response(m); },
+          [this](DispatchRequest& m) { handle_dispatch(std::move(m)); },
+          [this](const KillJobCommand& m) { handle_kill_job(m); },
+          [this](const RestoreData& m) { handle_restore_data(m); },
+          [this](const ImageData& m) { handle_image_data(m); },
+          [this, &msg](const auto&) {
+            GPUNION_WLOG("agent") << machine_id_ << " unexpected payload "
+                                  << msg.payload.index();
+          }},
+      msg.payload);
+}
+
+void ProviderAgent::handle_register_response(
+    const RegisterResponse& response) {
+  if (!response.accepted) {
+    GPUNION_WLOG("agent") << machine_id_ << " registration rejected";
+    return;
   }
+  auth_token_ = response.auth_token;
+  state_ = AgentState::kActive;
+  config_.heartbeat_interval = response.heartbeat_interval;
+  heartbeat_timer_ = std::make_unique<sim::PeriodicTimer>(
+      env_, config_.heartbeat_interval, [this] { send_heartbeat(); });
+  heartbeat_timer_->start_after(0);
+  telemetry_timer_ = std::make_unique<sim::PeriodicTimer>(
+      env_, config_.telemetry_interval, [this] { send_telemetry(); });
+  telemetry_timer_->start();
 }
 
 void ProviderAgent::reject_dispatch(const std::string& job_id,
@@ -280,7 +273,7 @@ void ProviderAgent::reject_dispatch(const std::string& job_id,
   result.job_id = job_id;
   result.accepted = false;
   result.reason = reason;
-  send_control(kDispatchResult, result, kControlBytes);
+  send_control(std::move(result), kControlBytes);
 }
 
 void ProviderAgent::handle_dispatch(DispatchRequest request) {
@@ -306,7 +299,7 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
       result.gpu_indices = c->config().limits.gpu_indices;
       result.gpu_fraction = c->config().limits.gpu_fraction;
     }
-    send_control(kDispatchResult, result, kControlBytes);
+    send_control(std::move(result), kControlBytes);
     return;
   }
 
@@ -408,7 +401,7 @@ void ProviderAgent::handle_dispatch(DispatchRequest request) {
   result.container_id = *container_id;
   result.gpu_indices = gpu_indices;
   result.gpu_fraction = gpu_fraction;
-  send_control(kDispatchResult, result, kControlBytes);
+  send_control(std::move(result), kControlBytes);
 
   advance_dispatch(job_id);
 }
@@ -419,45 +412,32 @@ void ProviderAgent::advance_dispatch(const std::string& job_id) {
   RunningJob& job = it->second;
 
   if (job.pending_pull) {
-    ImagePullRequest request;
-    request.requester = machine_id_;
-    request.image_ref = job.spec.image_ref;
-    net::Message msg;
-    msg.from = machine_id_;
-    msg.to = "image-registry";
-    msg.kind = kImagePullRequest;
-    msg.traffic_class = net::TrafficClass::kControl;
-    msg.size_bytes = kControlBytes;
-    msg.payload = request;
-    if (!transport_.send(std::move(msg)).is_ok()) {
+    if (!transport_
+             .send({machine_id_, "image-registry", net::TrafficClass::kControl,
+                    kControlBytes,
+                    ImagePullRequest{machine_id_, job.spec.image_ref}})
+             .is_ok()) {
       // No registry endpoint in this deployment: treat the image as local.
       job.pending_pull = false;
       runtime_.mark_image_cached(job.spec.image_ref);
     } else {
       env_.schedule_after(90.0,
                           [this, job_id] { retry_stalled_dispatch(job_id); });
-      return;  // wait for kImageData
+      return;  // wait for ImageData
     }
   }
 
   if (job.pending_restore) {
-    RestoreRequest request;
-    request.requester = machine_id_;
-    request.job_id = job_id;
-    request.bytes = job.restore_bytes;
-    net::Message msg;
-    msg.from = machine_id_;
-    msg.to = job.restore_from;
-    msg.kind = kRestoreRequest;
-    msg.traffic_class = net::TrafficClass::kControl;
-    msg.size_bytes = kControlBytes;
-    msg.payload = request;
-    if (!transport_.send(std::move(msg)).is_ok()) {
+    if (!transport_
+             .send({machine_id_, job.restore_from, net::TrafficClass::kControl,
+                    kControlBytes,
+                    RestoreRequest{machine_id_, job_id, job.restore_bytes}})
+             .is_ok()) {
       job.pending_restore = false;  // storage gone; resume without transfer
     } else {
       env_.schedule_after(180.0,
                           [this, job_id] { retry_stalled_dispatch(job_id); });
-      return;  // wait for kRestoreData
+      return;  // wait for RestoreData
     }
   }
 
@@ -515,7 +495,7 @@ void ProviderAgent::handle_kill_job(const KillJobCommand& command) {
   const RunningJob killed = std::move(job);
   jobs_.erase(it);
   drop_from_slicer(command.job_id, killed);
-  send_control(kJobKilledAck, ack, kControlBytes);
+  send_control(std::move(ack), kControlBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -548,11 +528,8 @@ void ProviderAgent::begin_compute(const std::string& job_id) {
   job.compute_started = true;
   job.effective_start = env_.now();
 
-  JobStarted started_notice;
-  started_notice.machine_id = machine_id_;
-  started_notice.job_id = job_id;
-  started_notice.start_progress = job.start_progress;
-  send_control(kJobStarted, started_notice, kControlBytes);
+  send_control(JobStarted{machine_id_, job_id, job.start_progress},
+               kControlBytes);
 
   if (job.spec.type == workload::JobType::kInteractive) {
     // Sessions are wall-clock (including any quantum swap pauses a
@@ -588,10 +565,7 @@ void ProviderAgent::complete_job(const std::string& job_id) {
   }
   (void)runtime_.exit(job.container_id, env_.now());
 
-  JobCompleted done;
-  done.machine_id = machine_id_;
-  done.job_id = job_id;
-  send_control(kJobCompleted, done, kControlBytes);
+  send_control(JobCompleted{machine_id_, job_id}, kControlBytes);
   const RunningJob finished = std::move(job);
   jobs_.erase(it);
   drop_from_slicer(job_id, finished);
@@ -612,14 +586,9 @@ util::StatusOr<storage::Checkpoint> ProviderAgent::write_checkpoint(
   job.checkpoint_seq = checkpoint->seq;
 
   // Ship the delta to the storage node (backup traffic, §4).
-  net::Message data;
-  data.from = machine_id_;
-  data.to = checkpoint->storage_node;
-  data.kind = kCheckpointData;
-  data.traffic_class = net::TrafficClass::kCheckpoint;
-  data.size_bytes = checkpoint->stored_bytes;
-  data.payload = CheckpointData{job.spec.id};
-  (void)transport_.send(std::move(data));
+  (void)transport_.send(net::Message{
+      machine_id_, checkpoint->storage_node, net::TrafficClass::kCheckpoint,
+      checkpoint->stored_bytes, CheckpointData{job.spec.id}});
 
   // Tell the coordinator about the new durable progress.
   CheckpointNotice notice;
@@ -629,7 +598,7 @@ util::StatusOr<storage::Checkpoint> ProviderAgent::write_checkpoint(
   notice.progress = progress;
   notice.stored_bytes = checkpoint->stored_bytes;
   notice.storage_node = checkpoint->storage_node;
-  send_control(kCheckpointNotice, notice, kControlBytes);
+  send_control(std::move(notice), kControlBytes);
 
   if (count_pause && job.completion_event != sim::kInvalidEvent) {
     // Serialization stalls training: push completion out by the pause.
@@ -746,10 +715,7 @@ void ProviderAgent::evict_timeslice_tenant(const std::string& job_id) {
   // The slicer's tick requires the tenant be removed before the hook
   // returns; the notice lets the coordinator requeue the job elsewhere.
   if (gpu_index >= 0) slicer_.remove_tenant(gpu_index, job_id);
-  KillSwitchNotice notice;
-  notice.machine_id = machine_id_;
-  notice.killed_jobs = {job_id};
-  send_control(kKillSwitchNotice, notice, kControlBytes + 40);
+  send_control(KillSwitchNotice{machine_id_, {job_id}}, kControlBytes + 40);
   GPUNION_ILOG("agent") << machine_id_ << " evicted thrashing tenant "
                         << job_id;
 }
@@ -766,19 +732,14 @@ void ProviderAgent::drop_from_slicer(const std::string& job_id,
 // Messaging
 // ---------------------------------------------------------------------------
 
-void ProviderAgent::send_control(int kind, std::any payload,
-                                 std::uint64_t bytes) {
-  net::Message msg;
-  msg.from = machine_id_;
-  msg.to = config_.coordinator_id;
-  msg.kind = kind;
-  msg.traffic_class = kind == kHeartbeat ? net::TrafficClass::kHeartbeat
-                      : kind == kTelemetryReport
-                          ? net::TrafficClass::kTelemetry
-                          : net::TrafficClass::kControl;
-  msg.size_bytes = bytes;
-  msg.payload = std::move(payload);
-  (void)transport_.send(std::move(msg));
+void ProviderAgent::send_control(net::Payload payload, std::uint64_t bytes) {
+  const net::TrafficClass traffic_class =
+      std::holds_alternative<Heartbeat>(payload) ? net::TrafficClass::kHeartbeat
+      : std::holds_alternative<TelemetryReport>(payload)
+          ? net::TrafficClass::kTelemetry
+          : net::TrafficClass::kControl;
+  (void)transport_.send(net::Message{machine_id_, config_.coordinator_id,
+                                     traffic_class, bytes, std::move(payload)});
 }
 
 void ProviderAgent::send_heartbeat() {
@@ -794,16 +755,15 @@ void ProviderAgent::send_heartbeat() {
   beat.accepting = !paused_;
   beat.running_jobs = running_job_ids();
   ++heartbeats_sent_;
-  send_control(kHeartbeat, beat,
-               kHeartbeatBytes + 24 * beat.running_jobs.size());
+  const std::uint64_t bytes = kHeartbeatBytes + 24 * beat.running_jobs.size();
+  send_control(std::move(beat), bytes);
 }
 
 void ProviderAgent::send_telemetry() {
   if (state_ != AgentState::kActive) return;
-  TelemetryReport report;
-  report.machine_id = machine_id_;
-  send_control(kTelemetryReport, report,
-               kTelemetryBytesPerGpu * std::max<std::size_t>(1, node_.gpu_count()));
+  send_control(
+      TelemetryReport{machine_id_},
+      kTelemetryBytesPerGpu * std::max<std::size_t>(1, node_.gpu_count()));
 }
 
 }  // namespace gpunion::agent

@@ -113,6 +113,7 @@ class ProviderAgent {
 
   // message handling
   void handle_message(net::Message&& msg);
+  void handle_register_response(const RegisterResponse& response);
   void handle_dispatch(DispatchRequest request);
   void handle_kill_job(const KillJobCommand& command);
   void handle_restore_data(const RestoreData& data);
@@ -145,7 +146,9 @@ class ProviderAgent {
   void drop_from_slicer(const std::string& job_id, const RunningJob& job);
 
   // messaging helpers
-  void send_control(int kind, std::any payload, std::uint64_t bytes);
+  /// Sends `payload` to the coordinator; heartbeats and telemetry reports
+  /// ride their own traffic classes, everything else is control.
+  void send_control(net::Payload payload, std::uint64_t bytes);
   void send_register_request();
   void send_heartbeat();
   void send_telemetry();

@@ -62,7 +62,7 @@ void GpuTimeSlicer::remove_tenant(int gpu_index, const std::string& job_id) {
     const Tenant& incoming = slice.tenants[slice.cursor];
     const double cost = incoming.working_set_gb / swap_gbps();
     (void)node_.gpu(static_cast<std::size_t>(gpu_index))
-        .set_resident(incoming.job_id, env_.now());
+        .set_resident(incoming.job_id);
     ++stats_.swaps;
     stats_.swap_seconds += cost;
     stats_.max_swap_per_quantum = std::max(stats_.max_swap_per_quantum, cost);
@@ -147,7 +147,7 @@ void GpuTimeSlicer::tick(int gpu_index) {
   const double cost =
       (outgoing.working_set_gb + incoming.working_set_gb) / swap_gbps();
   (void)node_.gpu(static_cast<std::size_t>(gpu_index))
-      .set_resident(incoming.job_id, env_.now());
+      .set_resident(incoming.job_id);
   ++stats_.quanta;
   ++stats_.swaps;
   stats_.swap_seconds += cost;

@@ -32,7 +32,7 @@ util::StatusOr<std::string> ContainerRuntime::create(
 
   GPUNION_RETURN_IF_ERROR(node_.allocate(
       config.limits.tenancy, config.limits.gpu_indices, workload_id,
-      config.limits.gpu_memory_gb, gpu_utilization, now));
+      config.limits.gpu_memory_gb, gpu_utilization));
 
   committed_host_memory_gb_ += config.limits.host_memory_gb;
   committed_cpu_cores_ += config.limits.cpu_cores;
@@ -55,10 +55,10 @@ util::StatusOr<Container*> ContainerRuntime::live_container(
   return it->second.get();
 }
 
-void ContainerRuntime::release_resources(Container& c, util::SimTime now) {
+void ContainerRuntime::release_resources(Container& c) {
   auto it = workload_of_.find(c.id());
   if (it != workload_of_.end()) {
-    node_.release(it->second, now);
+    node_.release(it->second);
     workload_of_.erase(it);
   }
   committed_host_memory_gb_ -= c.config().limits.host_memory_gb;
@@ -91,7 +91,7 @@ util::Status ContainerRuntime::exit(const std::string& container_id,
   auto c = live_container(container_id);
   if (!c.ok()) return c.status();
   GPUNION_RETURN_IF_ERROR((*c)->exit(now));
-  release_resources(**c, now);
+  release_resources(**c);
   return util::Status();
 }
 
@@ -100,7 +100,7 @@ util::Status ContainerRuntime::kill(const std::string& container_id,
   auto c = live_container(container_id);
   if (!c.ok()) return c.status();
   GPUNION_RETURN_IF_ERROR((*c)->kill(now));
-  release_resources(**c, now);
+  release_resources(**c);
   return util::Status();
 }
 
@@ -111,7 +111,7 @@ std::vector<std::string> ContainerRuntime::kill_all(util::SimTime now) {
       // kill() on a live container cannot fail: the kill-switch is
       // unconditional by design.
       (void)container->kill(now);
-      release_resources(*container, now);
+      release_resources(*container);
       killed.push_back(id);
     }
   }

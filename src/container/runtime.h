@@ -72,7 +72,7 @@ class ContainerRuntime {
 
  private:
   util::StatusOr<Container*> live_container(const std::string& id);
-  void release_resources(Container& c, util::SimTime now);
+  void release_resources(Container& c);
 
   hw::NodeModel& node_;
   const ImageRegistry& registry_;

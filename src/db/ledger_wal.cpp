@@ -109,11 +109,9 @@ void LedgerWal::mark_applied(std::size_t shard, std::uint64_t seq) {
 }
 
 bool LedgerWal::behind(std::size_t shard) const {
-  return std::any_of(records_.begin(), records_.end(),
-                     [&](const WalRecord& record) {
-                       return record.shard == shard &&
-                              record.seq > applied_[shard];
-                     });
+  return std::ranges::any_of(records_, [&](const WalRecord& record) {
+    return record.shard == shard && record.seq > applied_[shard];
+  });
 }
 
 std::size_t LedgerWal::shards_behind() const {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <utility>
+#include <variant>
 
 #include "util/logging.h"
 
@@ -246,8 +247,7 @@ void RegionGateway::request_anti_entropy() {
   std::advance(it, static_cast<long>(pull_cursor_ % peers_.size()));
   pull_cursor_ = (pull_cursor_ + 1) % peers_.size();
   ++stats_.anti_entropy_pulls;
-  send(it->second, kDirectoryPullRequest,
-       DirectoryPullRequest{region_, gateway_id_}, kDigestBytes);
+  send(it->second, DirectoryPullRequest{region_, gateway_id_}, kDigestBytes);
 }
 
 void RegionGateway::handle_directory_pull(const DirectoryPullRequest& request) {
@@ -265,7 +265,7 @@ void RegionGateway::handle_directory_pull(const DirectoryPullRequest& request) {
   }
   const std::uint64_t bytes =
       kGossipEntryBytes * std::max<std::size_t>(1, response.entries.size());
-  send(request.reply_to, kDirectoryPullResponse, std::move(response), bytes);
+  send(request.reply_to, std::move(response), bytes);
 }
 
 void RegionGateway::handle_directory_pull_response(
@@ -331,7 +331,7 @@ void RegionGateway::publish_digest() {
   for (std::size_t i = 0; i < fanout; ++i) {
     const std::string& target =
         *peer_gateways[(gossip_cursor_ + i) % peer_gateways.size()];
-    send(target, kDirectoryGossip, gossip, bytes);
+    send(target, gossip, bytes);
     ++stats_.gossips_sent;
   }
   gossip_cursor_ = (gossip_cursor_ + fanout) % peer_gateways.size();
@@ -550,7 +550,7 @@ void RegionGateway::try_next_region(const std::string& job_id) {
   request.origin_region = forward.origin_region;
   request.reply_to = gateway_id_;  // the forwarding hop drives the offer
   request.job = forward.spec;
-  send(target.gateway_id, kForwardRequest, std::move(request), kControlBytes);
+  send(target.gateway_id, std::move(request), kControlBytes);
   ++stats_.forwards_attempted;
   arm_timeout(job_id, forward.generation, policy_.forward_timeout);
 }
@@ -677,7 +677,7 @@ void RegionGateway::send_transfer(const std::string& job_id) {
     transfer.trace.parent_span = forward.transfer_span;
   }
   // The shipment pays for its checkpoint payload on the WAN channel.
-  send(forward.awaiting_gateway, kJobTransfer, std::move(transfer),
+  send(forward.awaiting_gateway, std::move(transfer),
        kControlBytes + forward.checkpoint_bytes);
   // Exponential backoff (capped): a burst of shipments can back the FIFO
   // WAN channel up past one timeout, and re-shipping multi-GB payloads
@@ -835,16 +835,16 @@ void RegionGateway::handle_forward_request(const ForwardRequest& request) {
   if (auto held = pending_inbound_.find(request.job.id);
       held != pending_inbound_.end()) {
     held->second = env_.now() + policy_.reservation_ttl;
-    send(request.reply_to, kForwardAccept,
-         ForwardAccept{region_, request.job.id}, kDigestBytes);
+    send(request.reply_to, ForwardAccept{region_, request.job.id},
+         kDigestBytes);
     return;
   }
   const std::string verdict = admission_verdict(request.job);
   if (verdict.empty()) {
     pending_inbound_[request.job.id] = env_.now() + policy_.reservation_ttl;
     ++stats_.remote_admitted;
-    send(request.reply_to, kForwardAccept,
-         ForwardAccept{region_, request.job.id}, kDigestBytes);
+    send(request.reply_to, ForwardAccept{region_, request.job.id},
+         kDigestBytes);
     return;
   }
   if (verdict == "policy") {
@@ -856,8 +856,8 @@ void RegionGateway::handle_forward_request(const ForwardRequest& request) {
   } else {
     ++stats_.remote_refused_capacity;
   }
-  send(request.reply_to, kForwardRefuse,
-       ForwardRefuse{region_, request.job.id, verdict}, kDigestBytes);
+  send(request.reply_to, ForwardRefuse{region_, request.job.id, verdict},
+       kDigestBytes);
 }
 
 void RegionGateway::handle_job_transfer(const JobTransfer& transfer) {
@@ -873,15 +873,16 @@ void RegionGateway::handle_job_transfer(const JobTransfer& transfer) {
       handled != handled_handoffs_.end() &&
       handled->second ==
           std::make_pair(transfer.reply_to, transfer.handoff_id)) {
-    send(transfer.reply_to, kJobTransferAck,
+    send(transfer.reply_to,
          JobTransferAck{region_, job_id, transfer.attempt, true}, kDigestBytes);
     return;
   }
   // A coordinator-known id we did NOT take via this hand-off is refused:
   // acking someone else's id would silently drop the forwarded job.
   if (coordinator_.job(job_id) != nullptr) {
-    send(transfer.reply_to, kJobTransferAck,
-         JobTransferAck{region_, job_id, transfer.attempt, false}, kDigestBytes);
+    send(transfer.reply_to,
+         JobTransferAck{region_, job_id, transfer.attempt, false},
+         kDigestBytes);
     return;
   }
   auto reservation = pending_inbound_.find(job_id);
@@ -895,8 +896,9 @@ void RegionGateway::handle_job_transfer(const JobTransfer& transfer) {
     // guest that finished since the last tick would waste the shipment.
     sweep_remote_jobs();
     if (!admission_verdict(transfer.job).empty()) {
-      send(transfer.reply_to, kJobTransferAck,
-           JobTransferAck{region_, job_id, transfer.attempt, false}, kDigestBytes);
+      send(transfer.reply_to,
+           JobTransferAck{region_, job_id, transfer.attempt, false},
+           kDigestBytes);
       return;
     }
     ++stats_.transfers_unreserved;
@@ -911,7 +913,7 @@ void RegionGateway::handle_job_transfer(const JobTransfer& transfer) {
         db::HandoffRecord{job_id, transfer.reply_to, transfer.handoff_id});
     persist_stats();
   }
-  send(transfer.reply_to, kJobTransferAck,
+  send(transfer.reply_to,
        JobTransferAck{region_, job_id, transfer.attempt, taken}, kDigestBytes);
 }
 
@@ -994,8 +996,7 @@ void RegionGateway::sweep_remote_jobs() {
     outcome.region = region_;
     outcome.job_id = job_id;
     outcome.completed = record->phase == sched::JobPhase::kCompleted;
-    send(it->second.origin_gateway, kRemoteOutcome, std::move(outcome),
-         kDigestBytes);
+    send(it->second.origin_gateway, std::move(outcome), kDigestBytes);
     it = remote_jobs_.erase(it);
   }
 }
@@ -1006,54 +1007,31 @@ void RegionGateway::sweep_remote_jobs() {
 
 void RegionGateway::handle_message(net::Message&& msg) {
   if (crashed_) return;  // the process is down; packets fall on the floor
-  switch (msg.kind) {
-    case kForwardRequest:
-      handle_forward_request(
-          std::any_cast<const ForwardRequest&>(msg.payload));
-      break;
-    case kForwardAccept:
-      handle_forward_accept(std::any_cast<const ForwardAccept&>(msg.payload));
-      break;
-    case kForwardRefuse:
-      handle_forward_refuse(std::any_cast<const ForwardRefuse&>(msg.payload));
-      break;
-    case kJobTransfer:
-      handle_job_transfer(std::any_cast<const JobTransfer&>(msg.payload));
-      break;
-    case kJobTransferAck:
-      handle_transfer_ack(std::any_cast<const JobTransferAck&>(msg.payload));
-      break;
-    case kRemoteOutcome:
-      handle_remote_outcome(std::any_cast<const RemoteOutcome&>(msg.payload));
-      break;
-    case kDirectoryGossip:
-      handle_directory_gossip(
-          std::any_cast<const DirectoryGossip&>(msg.payload));
-      break;
-    case kDirectoryPullRequest:
-      handle_directory_pull(
-          std::any_cast<const DirectoryPullRequest&>(msg.payload));
-      break;
-    case kDirectoryPullResponse:
-      handle_directory_pull_response(
-          std::any_cast<const DirectoryPullResponse&>(msg.payload));
-      break;
-    default:
-      GPUNION_WLOG("gateway") << gateway_id_ << " unexpected message kind "
-                              << msg.kind;
-  }
+  std::visit(
+      net::Overloaded{
+          [this](const ForwardRequest& m) { handle_forward_request(m); },
+          [this](const ForwardAccept& m) { handle_forward_accept(m); },
+          [this](const ForwardRefuse& m) { handle_forward_refuse(m); },
+          [this](const JobTransfer& m) { handle_job_transfer(m); },
+          [this](const JobTransferAck& m) { handle_transfer_ack(m); },
+          [this](const RemoteOutcome& m) { handle_remote_outcome(m); },
+          [this](const DirectoryGossip& m) { handle_directory_gossip(m); },
+          [this](const DirectoryPullRequest& m) { handle_directory_pull(m); },
+          [this](const DirectoryPullResponse& m) {
+            handle_directory_pull_response(m);
+          },
+          [this, &msg](const auto&) {
+            GPUNION_WLOG("gateway") << gateway_id_ << " unexpected payload "
+                                    << msg.payload.index();
+          }},
+      msg.payload);
 }
 
-void RegionGateway::send(const std::string& to, int kind, std::any payload,
+void RegionGateway::send(const std::string& to, net::Payload payload,
                          std::uint64_t bytes) {
-  net::Message msg;
-  msg.from = gateway_id_;
-  msg.to = to;
-  msg.kind = kind;
-  msg.traffic_class = net::TrafficClass::kFederation;
-  msg.size_bytes = bytes;
-  msg.payload = std::move(payload);
-  (void)wan_.send(std::move(msg));
+  (void)wan_.send(net::Message{gateway_id_, to,
+                               net::TrafficClass::kFederation, bytes,
+                               std::move(payload)});
 }
 
 }  // namespace gpunion::federation

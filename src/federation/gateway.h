@@ -358,7 +358,7 @@ class RegionGateway {
   /// Submits an arrived transfer locally; false when the coordinator
   /// refused the submission (the ack tells the origin to take it back).
   bool admit_transfer(const JobTransfer& transfer);
-  void send(const std::string& to, int kind, std::any payload,
+  void send(const std::string& to, net::Payload payload,
             std::uint64_t bytes);
   /// Mirrors an in-flight forward to its durable row (the withdrawn job's
   /// only home) and journals the stats counters in the same breath, so the

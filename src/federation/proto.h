@@ -10,11 +10,10 @@
 // gateway against its live directory, never by anyone's (possibly stale)
 // replica.
 //
-// Messages ride net::Transport exactly like the agent protocol, but on the
-// inter-campus WAN network and under TrafficClass::kFederation, so the
+// Messages are net::Payload alternatives like the agent protocol's, but
+// ride the inter-campus WAN network under TrafficClass::kFederation, so the
 // capped WAN channel paces them and accounting keeps them separate from
-// campus traffic.  Kind values start at 101 to stay disjoint from
-// agent::MsgKind.
+// campus traffic.
 #pragma once
 
 #include <cstdint>
@@ -26,19 +25,6 @@
 #include "workload/job.h"
 
 namespace gpunion::federation {
-
-/// Message::kind values (disjoint from agent::MsgKind).
-enum MsgKind : int {
-  kForwardRequest = 101,  // origin gateway -> target gateway (control)
-  kForwardAccept,         // target -> origin: admitted, send the job
-  kForwardRefuse,         // target -> origin: admission denied
-  kJobTransfer,           // origin -> target: spec + checkpoint payload bytes
-  kRemoteOutcome,         // target -> origin: forwarded job reached a terminal
-  kJobTransferAck,        // target -> origin: transfer landed (or was refused)
-  kDirectoryGossip,       // gateway -> gateway: replicated directory push
-  kDirectoryPullRequest,  // rejoining gateway -> peer: send me your directory
-  kDirectoryPullResponse, // peer -> rejoining gateway: full directory state
-};
 
 /// One ranked candidate region (the local WAN-cost ranking's output).
 struct RegionScore {
@@ -84,11 +70,13 @@ struct ForwardRequest {
   workload::JobSpec job;
 };
 
+/// Target -> origin: admitted, send the job.
 struct ForwardAccept {
   std::string region;  // accepting region
   std::string job_id;
 };
 
+/// Target -> origin: admission denied.
 struct ForwardRefuse {
   std::string region;
   std::string job_id;
@@ -132,13 +120,14 @@ struct JobTransfer {
   obs::TraceContext trace;
 };
 
+/// Target -> origin: a forwarded job reached a terminal phase.
 struct RemoteOutcome {
   std::string region;  // executing region
   std::string job_id;
   bool completed = false;  // false: cancelled/denied/disrupted remotely
 };
 
-/// Settles a kJobTransfer: the origin keeps the job's spec, checkpoint
+/// Settles a JobTransfer: the origin keeps the job's spec, checkpoint
 /// chain and outbound state until this arrives (retrying the transfer on
 /// timeout), so a dropped WAN message can delay a hand-off but never lose
 /// the job.  accepted=false (reservation lapsed and live re-admission

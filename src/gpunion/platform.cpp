@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <variant>
 
 #include "agent/proto.h"
 #include "container/image.h"
@@ -111,27 +112,22 @@ void Platform::attach_storage_endpoints() {
     const std::string id = storage_config.id;
     network_->set_access_gbps(id, 10.0);  // NAS on a 10 GbE uplink
     network_->register_endpoint(id, [this, id](net::Message&& msg) {
-      switch (msg.kind) {
-        case agent::kRestoreRequest: {
-          // Stream the checkpoint back to the requesting agent.
-          const auto& request =
-              std::any_cast<const agent::RestoreRequest&>(msg.payload);
-          net::Message data;
-          data.from = id;
-          data.to = request.requester;
-          data.kind = agent::kRestoreData;
-          data.traffic_class = net::TrafficClass::kMigration;
-          data.size_bytes = std::max<std::uint64_t>(1, request.bytes);
-          data.payload = agent::RestoreData{request.job_id};
-          (void)network_->send(std::move(data));
-          break;
-        }
-        case agent::kCheckpointData:
-          break;  // bytes absorbed; placement metadata lives in the store
-        default:
-          GPUNION_WLOG("storage") << id << " unexpected message kind "
-                                  << msg.kind;
-      }
+      std::visit(
+          net::Overloaded{
+              [&](const agent::RestoreRequest& request) {
+                // Stream the checkpoint back to the requesting agent.
+                (void)network_->send(net::Message{
+                    id, request.requester, net::TrafficClass::kMigration,
+                    std::max<std::uint64_t>(1, request.bytes),
+                    agent::RestoreData{request.job_id}});
+              },
+              // Bytes absorbed; placement metadata lives in the store.
+              [](const agent::CheckpointData&) {},
+              [&](const auto&) {
+                GPUNION_WLOG("storage")
+                    << id << " unexpected payload " << msg.payload.index();
+              }},
+          msg.payload);
     });
   }
 }
@@ -139,18 +135,13 @@ void Platform::attach_storage_endpoints() {
 void Platform::attach_image_registry_endpoint() {
   network_->set_access_gbps("image-registry", 10.0);
   network_->register_endpoint("image-registry", [this](net::Message&& msg) {
-    if (msg.kind != agent::kImagePullRequest) return;
-    const auto& request =
-        std::any_cast<const agent::ImagePullRequest&>(msg.payload);
-    auto image = registry_.resolve(request.image_ref);
-    net::Message data;
-    data.from = "image-registry";
-    data.to = request.requester;
-    data.kind = agent::kImageData;
-    data.traffic_class = net::TrafficClass::kImage;
-    data.size_bytes = image.ok() ? image->size_bytes : 1;
-    data.payload = agent::ImageData{request.image_ref};
-    (void)network_->send(std::move(data));
+    const auto* request = std::get_if<agent::ImagePullRequest>(&msg.payload);
+    if (request == nullptr) return;
+    auto image = registry_.resolve(request->image_ref);
+    (void)network_->send(net::Message{
+        "image-registry", request->requester, net::TrafficClass::kImage,
+        image.ok() ? image->size_bytes : 1,
+        agent::ImageData{request->image_ref}});
   });
 }
 

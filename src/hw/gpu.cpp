@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace gpunion::hw {
 
@@ -27,13 +26,13 @@ std::string_view gpu_arch_name(GpuArch arch) {
 
 const GpuSpec& gpu_spec(GpuArch arch) {
   static const GpuSpec kRtx3090{GpuArch::kRtx3090, "NVIDIA GeForce RTX 3090",
-                                24.0, 8.6, 35.6, 350.0, 25.0};
+                                24.0, 8.6, 35.6};
   static const GpuSpec kRtx4090{GpuArch::kRtx4090, "NVIDIA GeForce RTX 4090",
-                                24.0, 8.9, 82.6, 450.0, 22.0};
-  static const GpuSpec kA100{GpuArch::kA100, "NVIDIA A100 80GB PCIe",
-                             80.0, 8.0, 19.5, 300.0, 40.0};
-  static const GpuSpec kA6000{GpuArch::kA6000, "NVIDIA RTX A6000",
-                              48.0, 8.6, 38.7, 300.0, 25.0};
+                                24.0, 8.9, 82.6};
+  static const GpuSpec kA100{GpuArch::kA100, "NVIDIA A100 80GB PCIe", 80.0,
+                             8.0, 19.5};
+  static const GpuSpec kA6000{GpuArch::kA6000, "NVIDIA RTX A6000", 48.0, 8.6,
+                              38.7};
   switch (arch) {
     case GpuArch::kRtx3090: return kRtx3090;
     case GpuArch::kRtx4090: return kRtx4090;
@@ -51,9 +50,7 @@ const std::string& GpuDevice::holder() const {
   return holders_.empty() ? kNone : holders_.begin()->first;
 }
 
-void GpuDevice::refresh_aggregates(util::SimTime now) {
-  temp_at_change_c_ = temperature_c(now);
-  last_change_ = now;
+void GpuDevice::refresh_aggregates() {
   memory_used_gb_ = 0;
   double util_sum = 0;
   for (const auto& [id, tenant] : holders_) {
@@ -74,8 +71,7 @@ double GpuDevice::tenant_memory_total_gb() const {
 }
 
 util::Status GpuDevice::allocate(Tenancy mode, const std::string& workload_id,
-                                 double memory_gb, double utilization,
-                                 util::SimTime now) {
+                                 double memory_gb, double utilization) {
   if (allocated() && (mode == Tenancy::kWhole || tenancy_ != mode)) {
     return util::failed_precondition_error("GPU " + std::to_string(index_) +
                                            " already allocated");
@@ -98,12 +94,11 @@ util::Status GpuDevice::allocate(Tenancy mode, const std::string& workload_id,
   if (mode == Tenancy::kTimeslice && resident_.empty()) {
     resident_ = workload_id;
   }
-  refresh_aggregates(now);
+  refresh_aggregates();
   return util::Status::ok();
 }
 
-util::Status GpuDevice::set_resident(const std::string& workload_id,
-                                     util::SimTime now) {
+util::Status GpuDevice::set_resident(const std::string& workload_id) {
   if (!held_as(Tenancy::kTimeslice)) {
     return util::failed_precondition_error("GPU not in time-slice mode");
   }
@@ -111,19 +106,18 @@ util::Status GpuDevice::set_resident(const std::string& workload_id,
     return util::not_found_error("workload not on this GPU");
   }
   resident_ = workload_id;
-  refresh_aggregates(now);
+  refresh_aggregates();
   return util::Status::ok();
 }
 
-void GpuDevice::release(util::SimTime now) {
+void GpuDevice::release() {
   holders_.clear();
   tenancy_ = Tenancy::kWhole;
   resident_.clear();
-  refresh_aggregates(now);
+  refresh_aggregates();
 }
 
-bool GpuDevice::release_holder(const std::string& workload_id,
-                               util::SimTime now) {
+bool GpuDevice::release_holder(const std::string& workload_id) {
   auto it = holders_.find(workload_id);
   if (it == holders_.end()) return false;
   holders_.erase(it);
@@ -133,24 +127,8 @@ bool GpuDevice::release_holder(const std::string& workload_id,
   } else if (resident_ == workload_id) {
     resident_ = holders_.begin()->first;  // next tenant inherits residency
   }
-  refresh_aggregates(now);
+  refresh_aggregates();
   return true;
-}
-
-double GpuDevice::steady_temperature() const {
-  return 36.0 + 42.0 * utilization_;  // 36 C idle -> 78 C at 100%
-}
-
-double GpuDevice::temperature_c(util::SimTime now) const {
-  constexpr double kThermalTau = 90.0;  // seconds
-  const double target = steady_temperature();
-  const double dt = now - last_change_;
-  return target + (temp_at_change_c_ - target) * std::exp(-dt / kThermalTau);
-}
-
-double GpuDevice::power_watts() const {
-  return spec_->idle_watts +
-         (spec_->tdp_watts - spec_->idle_watts) * utilization_;
 }
 
 }  // namespace gpunion::hw

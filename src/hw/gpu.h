@@ -3,8 +3,8 @@
 // Models the fleet from the paper's deployment (§4): RTX 3090 workstations,
 // an 8x RTX 4090 server, 2x A100 and 4x A6000 servers.  Specs carry the
 // attributes the scheduler's compatibility constraints use — memory capacity
-// and CUDA compute capability — plus throughput/power figures that drive the
-// workload and telemetry models.
+// and CUDA compute capability — plus the throughput figure that drives the
+// workload model.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 
 #include "hw/tenancy.h"
 #include "util/status.h"
-#include "util/time.h"
 
 namespace gpunion::hw {
 
@@ -28,16 +27,13 @@ struct GpuSpec {
   double memory_gb;            // device memory capacity
   double compute_capability;   // CUDA CC, e.g. 8.6
   double fp32_tflops;          // relative training throughput
-  double tdp_watts;            // board power at full load
-  double idle_watts;           // board power when idle
 };
 
 /// Catalog entry for an architecture (same figures as vendor datasheets).
 const GpuSpec& gpu_spec(GpuArch arch);
 
-/// One physical GPU in a node.  Tracks the workloads occupying it and enough
-/// state to synthesize NVML-style telemetry (utilization, memory,
-/// temperature with first-order thermal dynamics, power).
+/// One physical GPU in a node.  Tracks the workloads occupying it, the VRAM
+/// they use and the utilization they drive.
 ///
 /// The tenants of a device share one Tenancy mode (nvshare-style sharing,
 /// §3.3 / related work): a whole-device workload, spatially shared tenants
@@ -76,22 +72,21 @@ class GpuDevice {
   /// model's pre-check.  Seat counts, per-tenant caps and the
   /// oversubscription ratio are the node model's to enforce.
   util::Status allocate(Tenancy mode, const std::string& workload_id,
-                        double memory_gb, double utilization,
-                        util::SimTime now);
+                        double memory_gb, double utilization);
 
   /// Time-slice mode only: makes `workload_id` the resident tenant (the one
   /// whose pages are on-device and whose kernels run this quantum).
-  util::Status set_resident(const std::string& workload_id, util::SimTime now);
+  util::Status set_resident(const std::string& workload_id);
 
   /// Resident tenant id in time-slice mode; empty otherwise or when free.
   const std::string& resident() const { return resident_; }
 
   /// Frees the device entirely.
-  void release(util::SimTime now);
+  void release();
 
   /// Removes one tenant (of any mode); returns false when
   /// `workload_id` is not on this device.
-  bool release_holder(const std::string& workload_id, util::SimTime now);
+  bool release_holder(const std::string& workload_id);
 
   /// VRAM in use.  In time-slice mode only the resident tenant's working
   /// set is on-device (the others are swapped out to host RAM).
@@ -101,15 +96,8 @@ class GpuDevice {
   double tenant_memory_total_gb() const;
   double utilization() const { return utilization_; }
 
-  /// Thermal model: exponential approach from the current temperature to
-  /// the load-dependent steady state (idle ~36 C, full load ~78 C,
-  /// time constant ~90 s).
-  double temperature_c(util::SimTime now) const;
-  double power_watts() const;
-
  private:
-  double steady_temperature() const;
-  void refresh_aggregates(util::SimTime now);
+  void refresh_aggregates();
 
   struct Tenant {
     double memory_gb = 0;
@@ -123,9 +111,6 @@ class GpuDevice {
   std::string resident_;  // time-slice mode: the on-device tenant
   double memory_used_gb_ = 0;
   double utilization_ = 0;
-  // thermal state: temperature at last transition + transition time
-  double temp_at_change_c_ = 36.0;
-  util::SimTime last_change_ = 0;
 };
 
 }  // namespace gpunion::hw

@@ -120,8 +120,7 @@ std::optional<int> NodeModel::find_seat(Tenancy mode, double memory_gb,
 
 util::Status NodeModel::allocate(Tenancy mode, const std::vector<int>& indices,
                                  const std::string& workload_id,
-                                 double memory_gb, double utilization,
-                                 util::SimTime now) {
+                                 double memory_gb, double utilization) {
   if (indices.empty()) {
     return util::invalid_argument_error("no GPU indices given");
   }
@@ -146,7 +145,7 @@ util::Status NodeModel::allocate(Tenancy mode, const std::vector<int>& indices,
     }
     for (int idx : indices) {
       GPUNION_RETURN_IF_ERROR(gpus_[static_cast<std::size_t>(idx)].allocate(
-          mode, workload_id, memory_gb, utilization, now));
+          mode, workload_id, memory_gb, utilization));
     }
     return util::Status();
   }
@@ -180,13 +179,13 @@ util::Status NodeModel::allocate(Tenancy mode, const std::vector<int>& indices,
         "footprint exceeds the " + std::string(tenancy_unit(mode)) +
         " capacity of " + where());
   }
-  return gpu.allocate(mode, workload_id, memory_gb, utilization, now);
+  return gpu.allocate(mode, workload_id, memory_gb, utilization);
 }
 
-int NodeModel::release(const std::string& workload_id, util::SimTime now) {
+int NodeModel::release(const std::string& workload_id) {
   int released = 0;
   for (auto& gpu : gpus_) {
-    if (gpu.release_holder(workload_id, now)) ++released;
+    if (gpu.release_holder(workload_id)) ++released;
   }
   return released;
 }

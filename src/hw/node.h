@@ -11,7 +11,6 @@
 
 #include "hw/gpu.h"
 #include "util/status.h"
-#include "util/time.h"
 
 namespace gpunion::hw {
 
@@ -92,11 +91,11 @@ class NodeModel {
   /// find_seat).
   util::Status allocate(Tenancy mode, const std::vector<int>& indices,
                         const std::string& workload_id, double memory_gb,
-                        double utilization, util::SimTime now);
+                        double utilization);
 
   /// Releases every GPU (or seat) held by `workload_id`; returns how many
   /// devices the workload vacated.
-  int release(const std::string& workload_id, util::SimTime now);
+  int release(const std::string& workload_id);
 
   /// Free seats on GPUs already open in shared `mode`.  Fully-free GPUs are
   /// advertised via free_gpu_count().

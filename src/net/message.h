@@ -1,16 +1,20 @@
-// Generic message envelope for the campus network model.
+// Message envelope for the campus network model.
 //
-// The network layer is payload-agnostic: it moves sized envelopes between
-// named endpoints, modelling latency, link serialization and loss, and
-// accounting bytes per traffic class (the Network-Traffic-Analysis experiment
-// in §4 of the paper).  Typed protocol structs live in agent/proto.h and ride
-// inside `payload`.
+// The network moves sized envelopes between named endpoints, modelling
+// latency, link serialization and loss, and accounting bytes per traffic
+// class (the Network-Traffic-Analysis experiment in §4 of the paper); it
+// never reads the payload.  A payload is one of the protocol structs of
+// agent/proto.h and federation/proto.h, and its type is the message kind:
+// each receiver dispatches on it with one std::visit.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <variant>
+
+#include "agent/proto.h"
+#include "federation/proto.h"
 
 namespace gpunion::net {
 
@@ -33,16 +37,37 @@ enum class TrafficClass {
 
 std::string_view traffic_class_name(TrafficClass c);
 
+/// Every message either protocol sends.
+using Payload = std::variant<
+    // Agent <-> coordinator, and agent <-> storage / image registry.
+    agent::RegisterRequest, agent::RegisterResponse, agent::Heartbeat,
+    agent::TelemetryReport, agent::DispatchRequest, agent::DispatchResult,
+    agent::JobStarted, agent::KillJobCommand, agent::JobCompleted,
+    agent::CheckpointNotice, agent::DepartureNotice, agent::ReturnNotice,
+    agent::KillSwitchNotice, agent::JobKilledAck, agent::RestoreRequest,
+    agent::RestoreData, agent::CheckpointData, agent::ImagePullRequest,
+    agent::ImageData,
+    // Gateway <-> gateway over the inter-campus WAN.
+    federation::ForwardRequest, federation::ForwardAccept,
+    federation::ForwardRefuse, federation::JobTransfer,
+    federation::RemoteOutcome, federation::JobTransferAck,
+    federation::DirectoryGossip, federation::DirectoryPullRequest,
+    federation::DirectoryPullResponse>;
+
+/// A std::visit visitor made of one lambda per payload type, e.g.
+/// `std::visit(Overloaded{[](const agent::Heartbeat&) {...},
+/// [](const auto&) {...}}, msg.payload)`.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
 struct Message {
   NodeId from;
   NodeId to;
   TrafficClass traffic_class = TrafficClass::kControl;
   std::uint64_t size_bytes = 0;
-  /// Protocol discriminator, interpreted by the receiving endpoint
-  /// (values from agent/proto.h).
-  int kind = 0;
-  /// Typed payload; receivers unwrap with std::any_cast.
-  std::any payload;
+  Payload payload;
 };
 
 }  // namespace gpunion::net

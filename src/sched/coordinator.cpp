@@ -5,6 +5,7 @@
 #include <string_view>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 
 #include "util/ids.h"
 #include "util/logging.h"
@@ -147,7 +148,7 @@ util::Status Coordinator::cancel(const std::string& job_id) {
                                          env_.now());
         record.open_allocation = 0;
       }
-      send_to_agent(record.node, agent::kKillJob,
+      send_to_agent(record.node,
                     agent::KillJobCommand{job_id, /*allow_checkpoint=*/false},
                     agent::kControlBytes);
       release_capacity(record, record.node);
@@ -537,49 +538,31 @@ void Coordinator::rebuild_from_db() {
 
 void Coordinator::handle_message(net::Message&& msg) {
   if (crashed_) return;  // a crashed coordinator answers nothing
-  switch (msg.kind) {
-    case agent::kRegisterRequest:
-      handle_register(std::any_cast<const agent::RegisterRequest&>(msg.payload));
-      break;
-    case agent::kHeartbeat:
-      handle_heartbeat(std::any_cast<const agent::Heartbeat&>(msg.payload));
-      break;
-    case agent::kTelemetryReport:
-      break;  // bytes on the wire only: monitoring lives in the registry
-    case agent::kDispatchResult:
-      handle_dispatch_result(
-          std::any_cast<const agent::DispatchResult&>(msg.payload));
-      break;
-    case agent::kJobStarted:
-      handle_job_started(std::any_cast<const agent::JobStarted&>(msg.payload));
-      break;
-    case agent::kJobCompleted:
-      handle_job_completed(
-          std::any_cast<const agent::JobCompleted&>(msg.payload));
-      break;
-    case agent::kCheckpointNotice:
-      handle_checkpoint_notice(
-          std::any_cast<const agent::CheckpointNotice&>(msg.payload));
-      break;
-    case agent::kDepartureNotice:
-      handle_departure_notice(
-          std::any_cast<const agent::DepartureNotice&>(msg.payload));
-      break;
-    case agent::kKillSwitchNotice:
-      handle_kill_switch_notice(
-          std::any_cast<const agent::KillSwitchNotice&>(msg.payload));
-      break;
-    case agent::kReturnNotice:
-      handle_return_notice(
-          std::any_cast<const agent::ReturnNotice&>(msg.payload));
-      break;
-    case agent::kJobKilledAck:
-      handle_job_killed_ack(
-          std::any_cast<const agent::JobKilledAck&>(msg.payload));
-      break;
-    default:
-      GPUNION_WLOG("coordinator") << "unexpected message kind " << msg.kind;
-  }
+  std::visit(
+      net::Overloaded{
+          [this](const agent::RegisterRequest& m) { handle_register(m); },
+          [this](const agent::Heartbeat& m) { handle_heartbeat(m); },
+          // Bytes on the wire only: monitoring lives in the registry.
+          [](const agent::TelemetryReport&) {},
+          [this](const agent::DispatchResult& m) { handle_dispatch_result(m); },
+          [this](const agent::JobStarted& m) { handle_job_started(m); },
+          [this](const agent::JobCompleted& m) { handle_job_completed(m); },
+          [this](const agent::CheckpointNotice& m) {
+            handle_checkpoint_notice(m);
+          },
+          [this](const agent::DepartureNotice& m) {
+            handle_departure_notice(m);
+          },
+          [this](const agent::KillSwitchNotice& m) {
+            handle_kill_switch_notice(m);
+          },
+          [this](const agent::ReturnNotice& m) { handle_return_notice(m); },
+          [this](const agent::JobKilledAck& m) { handle_job_killed_ack(m); },
+          [&msg](const auto&) {
+            GPUNION_WLOG("coordinator")
+                << "unexpected payload " << msg.payload.index();
+          }},
+      msg.payload);
 }
 
 void Coordinator::handle_register(const agent::RegisterRequest& request) {
@@ -614,8 +597,7 @@ void Coordinator::handle_register(const agent::RegisterRequest& request) {
   response.accepted = true;
   response.auth_token = token;
   response.heartbeat_interval = config_.heartbeat_interval;
-  send_to_agent(request.machine_id, agent::kRegisterResponse, response,
-                agent::kRegisterBytes);
+  send_to_agent(request.machine_id, std::move(response), agent::kRegisterBytes);
 
   GPUNION_ILOG("coordinator")
       << (returning ? "re-registered " : "registered ") << request.machine_id
@@ -759,7 +741,7 @@ void Coordinator::handle_dispatch_result(const agent::DispatchResult& result) {
                                   record->phase == JobPhase::kRunning &&
                                   record->node == result.machine_id;
     if (result.accepted && !acks_current_run) {
-      send_to_agent(result.machine_id, agent::kKillJob,
+      send_to_agent(result.machine_id,
                     agent::KillJobCommand{result.job_id,
                                           /*allow_checkpoint=*/false},
                     agent::kControlBytes);
@@ -1106,7 +1088,7 @@ void Coordinator::dispatch_to(JobRecord& record, const NodeInfo& node,
     }
   }
   ++stats_.dispatches_sent;
-  send_to_agent(node.machine_id, agent::kDispatch, std::move(request),
+  send_to_agent(node.machine_id, std::move(request),
                 agent::kControlBytes + 340);
 
   persist_job(record);
@@ -1380,22 +1362,17 @@ void Coordinator::trigger_migrate_back(const std::string& machine_id) {
     record.migrate_back_pending = true;
     record.migrate_back_target = machine_id;
     persist_job(record);
-    send_to_agent(record.node, agent::kKillJob,
+    send_to_agent(record.node,
                   agent::KillJobCommand{job_id, /*allow_checkpoint=*/true},
                   agent::kControlBytes);
   }
 }
 
-void Coordinator::send_to_agent(const std::string& machine_id, int kind,
-                                std::any payload, std::uint64_t bytes) {
-  net::Message msg;
-  msg.from = config_.id;
-  msg.to = machine_id;
-  msg.kind = kind;
-  msg.traffic_class = net::TrafficClass::kControl;
-  msg.size_bytes = bytes;
-  msg.payload = std::move(payload);
-  (void)transport_.send(std::move(msg));
+void Coordinator::send_to_agent(const std::string& machine_id,
+                                net::Payload payload, std::uint64_t bytes) {
+  (void)transport_.send(net::Message{config_.id, machine_id,
+                                     net::TrafficClass::kControl, bytes,
+                                     std::move(payload)});
 }
 
 }  // namespace gpunion::sched

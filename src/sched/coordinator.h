@@ -376,8 +376,8 @@ class Coordinator {
   double estimate_progress(const JobRecord& record) const;
   void trigger_migrate_back(const std::string& machine_id);
 
-  void send_to_agent(const std::string& machine_id, int kind,
-                     std::any payload, std::uint64_t bytes);
+  void send_to_agent(const std::string& machine_id, net::Payload payload,
+                     std::uint64_t bytes);
 
   // durability (tentpole: crash-consistent control plane)
   /// Writes the record's durable image to the database (uncharged; the row

@@ -2,6 +2,10 @@
 // individual messages are lost or late (at-least-once delivery semantics).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <variant>
+
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
 #include "sched/coordinator.h"
@@ -11,20 +15,25 @@ namespace gpunion::agent {
 namespace {
 
 /// Transport wrapper that drops, or holds back, the next N messages of a
-/// given kind, and counts what it passed on per kind.
+/// given payload type, and counts what it passed on per payload type.
 class FlakyTransport : public net::Transport {
  public:
   FlakyTransport(sim::Environment& env, net::Transport& inner)
       : env_(env), inner_(inner) {}
 
-  void drop_next(int kind, int count) { drops_[kind] += count; }
-  /// The next `count` messages of `kind` leave `by` seconds late.
-  void delay_next(int kind, int count, util::Duration by) {
-    delays_[kind] = {count, by};
+  template <typename T>
+  void drop_next(int count) {
+    drops_[index_of<T>()] += count;
+  }
+  /// The next `count` messages carrying a `T` leave `by` seconds late.
+  template <typename T>
+  void delay_next(int count, util::Duration by) {
+    delays_[index_of<T>()] = {count, by};
   }
   int dropped() const { return total_dropped_; }
-  int sent(int kind) const {
-    auto it = sent_.find(kind);
+  template <typename T>
+  int sent() const {
+    auto it = sent_.find(index_of<T>());
     return it == sent_.end() ? 0 : it->second;
   }
 
@@ -36,14 +45,15 @@ class FlakyTransport : public net::Transport {
     inner_.unregister_endpoint(id);
   }
   util::Status send(net::Message msg) override {
-    auto it = drops_.find(msg.kind);
+    const std::size_t kind = msg.payload.index();
+    auto it = drops_.find(kind);
     if (it != drops_.end() && it->second > 0) {
       --it->second;
       ++total_dropped_;
       return util::Status();  // silently swallowed
     }
-    ++sent_[msg.kind];
-    if (auto delay = delays_.find(msg.kind);
+    ++sent_[kind];
+    if (auto delay = delays_.find(kind);
         delay != delays_.end() && delay->second.first > 0) {
       --delay->second.first;
       env_.schedule_after(delay->second.second,
@@ -56,11 +66,17 @@ class FlakyTransport : public net::Transport {
   }
 
  private:
+  /// The payload's alternative index: its message kind.
+  template <typename T>
+  static std::size_t index_of() {
+    return net::Payload(std::in_place_type<T>).index();
+  }
+
   sim::Environment& env_;
   net::Transport& inner_;
-  std::map<int, int> drops_;
-  std::map<int, std::pair<int, util::Duration>> delays_;
-  std::map<int, int> sent_;
+  std::map<std::size_t, int> drops_;
+  std::map<std::size_t, std::pair<int, util::Duration>> delays_;
+  std::map<std::size_t, int> sent_;
   int total_dropped_ = 0;
 };
 
@@ -98,7 +114,7 @@ class RobustnessTest : public ::testing::Test {
 };
 
 TEST_F(RobustnessTest, RegistrationRetriesAfterLostResponse) {
-  transport_.drop_next(kRegisterResponse, 1);
+  transport_.drop_next<RegisterResponse>(1);
   agent_->join();
   env_.run_until(5.0);
   EXPECT_EQ(agent_->state(), AgentState::kOffline);  // first response lost
@@ -110,7 +126,7 @@ TEST_F(RobustnessTest, RegistrationRetriesAfterLostResponse) {
 TEST_F(RobustnessTest, LostDispatchResultRecoversViaIdempotentRetry) {
   agent_->join();
   env_.run_until(2.0);
-  transport_.drop_next(kDispatchResult, 1);  // the accept vanishes
+  transport_.drop_next<DispatchResult>(1);  // the accept vanishes
   ASSERT_TRUE(coordinator_
                   ->submit(workload::make_training_job(
                       "job-1", workload::cnn_small(), 0.3, "lab", env_.now()))
@@ -131,7 +147,7 @@ TEST_F(RobustnessTest, LateAcceptOfARetriedDispatchKeepsTheRun) {
   // requeues the job, the retry reaches the same agent, and the agent
   // re-acknowledges the run it already holds: the record runs there.  The
   // late first accept then describes that very run and must not kill it.
-  transport_.delay_next(kDispatchResult, 1, 40.0);
+  transport_.delay_next<DispatchResult>(1, 40.0);
   ASSERT_TRUE(coordinator_
                   ->submit(workload::make_training_job(
                       "job-1", workload::cnn_small(), 0.3, "lab", env_.now()))
@@ -139,7 +155,7 @@ TEST_F(RobustnessTest, LateAcceptOfARetriedDispatchKeepsTheRun) {
   env_.run_until(env_.now() + 120.0);
   const sched::JobRecord* record = coordinator_->job("job-1");
   EXPECT_EQ(record->phase, sched::JobPhase::kRunning);
-  EXPECT_EQ(transport_.sent(kKillJob), 0);
+  EXPECT_EQ(transport_.sent<KillJobCommand>(), 0);
   EXPECT_EQ(record->interruptions, 0);
   EXPECT_EQ(database_.allocations_for_job("job-1").size(), 1u);
   EXPECT_EQ(agent_->running_jobs(), 1u);
@@ -180,7 +196,7 @@ void expect_settled(const sched::Coordinator& coordinator,
 TEST_F(RobustnessTest, CancelMidDispatchSettlesWhenTheAckArrives) {
   agent_->join();
   env_.run_until(2.0);
-  transport_.delay_next(kDispatchResult, 1, 5.0);
+  transport_.delay_next<DispatchResult>(1, 5.0);
   cancel_mid_dispatch(env_, *coordinator_);
   env_.run_until(env_.now() + 10.0);  // the ack lands, then heartbeats
   expect_settled(*coordinator_, *node_, *agent_);
@@ -189,7 +205,7 @@ TEST_F(RobustnessTest, CancelMidDispatchSettlesWhenTheAckArrives) {
 TEST_F(RobustnessTest, CancelMidDispatchSettlesWhenTheAckTimesOut) {
   agent_->join();
   env_.run_until(2.0);
-  transport_.drop_next(kDispatchResult, 1);
+  transport_.drop_next<DispatchResult>(1);
   cancel_mid_dispatch(env_, *coordinator_);
   env_.run_until(env_.now() + 20.0);
   EXPECT_TRUE(coordinator_->jobs().contains("job-1"));  // still unsettled
@@ -200,7 +216,7 @@ TEST_F(RobustnessTest, CancelMidDispatchSettlesWhenTheAckTimesOut) {
 TEST_F(RobustnessTest, CancelMidDispatchSettlesWhenTheNodeIsLost) {
   agent_->join();
   env_.run_until(2.0);
-  transport_.drop_next(kDispatchResult, 1);
+  transport_.drop_next<DispatchResult>(1);
   cancel_mid_dispatch(env_, *coordinator_);
   agent_->depart_emergency();
   env_.run_until(env_.now() + 15.0);  // missed heartbeats flag the loss
@@ -213,7 +229,7 @@ TEST_F(RobustnessTest, CancelMidDispatchSettlesWhenTheNodeIsLost) {
 TEST_F(RobustnessTest, LostCompletionReconciledFromHeartbeat) {
   agent_->join();
   env_.run_until(2.0);
-  transport_.drop_next(kJobCompleted, 1);
+  transport_.drop_next<JobCompleted>(1);
   ASSERT_TRUE(coordinator_
                   ->submit(workload::make_training_job(
                       "job-1", workload::cnn_small(), 0.1, "lab", env_.now()))
@@ -239,7 +255,7 @@ TEST_F(RobustnessTest, LostKillSwitchNoticeReconciledAsLostRun) {
   env_.run_until(env_.now() + util::minutes(12));  // one checkpoint done
   ASSERT_EQ(coordinator_->job("job-1")->phase, sched::JobPhase::kRunning);
 
-  transport_.drop_next(kKillSwitchNotice, 1);
+  transport_.drop_next<KillSwitchNotice>(1);
   agent_->kill_switch();
   // Heartbeats no longer list the job -> coordinator requeues it, restoring
   // from the checkpoint, and the (only) node runs it again.
@@ -254,21 +270,16 @@ TEST_F(RobustnessTest, LostImagePullRetried) {
   // With a registry endpoint present, a dispatch for an uncached image
   // triggers a pull; the first request vanishes and the agent re-requests.
   net_.register_endpoint("image-registry", [this](net::Message&& msg) {
-    if (msg.kind != kImagePullRequest) return;
-    const auto& request =
-        std::any_cast<const ImagePullRequest&>(msg.payload);
-    net::Message data;
-    data.from = "image-registry";
-    data.to = request.requester;
-    data.kind = kImageData;
-    data.traffic_class = net::TrafficClass::kImage;
-    data.size_bytes = 1 << 20;
-    data.payload = ImageData{request.image_ref};
-    ASSERT_TRUE(net_.send(std::move(data)).is_ok());
+    const auto* request = std::get_if<ImagePullRequest>(&msg.payload);
+    if (request == nullptr) return;
+    ASSERT_TRUE(net_.send({"image-registry", request->requester,
+                           net::TrafficClass::kImage, 1 << 20,
+                           ImageData{request->image_ref}})
+                    .is_ok());
   });
   agent_->join();
   env_.run_until(2.0);
-  transport_.drop_next(kImagePullRequest, 1);
+  transport_.drop_next<ImagePullRequest>(1);
   ASSERT_TRUE(coordinator_
                   ->submit(workload::make_training_job(
                       "job-1", workload::cnn_small(), 0.5, "lab", env_.now()))

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <variant>
 #include <vector>
 
 #include "net/sim_network.h"
+#include "tests/sched/restore_stub.h"
 #include "workload/profiles.h"
 
 namespace gpunion::agent {
@@ -31,40 +33,18 @@ class AgentTest : public ::testing::Test {
                     .is_ok());
     EXPECT_TRUE(store_.add_node("nas", 1ULL << 40).is_ok());
 
-    // Fake coordinator: record everything, auto-accept registrations.
+    // Fake coordinator: keep every payload, auto-accept registrations.
     net_.register_endpoint("coordinator", [this](net::Message&& msg) {
-      inbox_.push_back(msg.kind);
-      if (msg.kind == kRegisterRequest) {
-        RegisterResponse response;
-        response.accepted = true;
-        response.auth_token = "token";
-        response.heartbeat_interval = 2.0;
-        net::Message reply;
-        reply.from = "coordinator";
-        reply.to = std::any_cast<const RegisterRequest&>(msg.payload)
-                       .machine_id;
-        reply.kind = kRegisterResponse;
-        reply.size_bytes = kRegisterBytes;
-        reply.payload = response;
-        ASSERT_TRUE(net_.send(std::move(reply)).is_ok());
-      } else {
-        payloads_[msg.kind].push_back(msg.payload);
+      if (const auto* request = std::get_if<RegisterRequest>(&msg.payload)) {
+        ASSERT_TRUE(net_.send({.from = "coordinator",
+                               .to = request->machine_id,
+                               .size_bytes = kRegisterBytes,
+                               .payload = RegisterResponse{true, "token", 2.0}})
+                        .is_ok());
       }
+      inbox_.push_back(std::move(msg.payload));
     });
-    // NAS endpoint: respond to restore requests like the platform does.
-    net_.register_endpoint("nas", [this](net::Message&& msg) {
-      if (msg.kind != kRestoreRequest) return;
-      const auto& request =
-          std::any_cast<const RestoreRequest&>(msg.payload);
-      net::Message data;
-      data.from = "nas";
-      data.to = request.requester;
-      data.kind = kRestoreData;
-      data.traffic_class = net::TrafficClass::kMigration;
-      data.size_bytes = std::max<std::uint64_t>(1, request.bytes);
-      data.payload = RestoreData{request.job_id};
-      ASSERT_TRUE(net_.send(std::move(data)).is_ok());
-    });
+    sched::attach_restore_stub(net_, "nas");
 
     AgentConfig config;
     config.owner_group = "vision";
@@ -90,28 +70,33 @@ class AgentTest : public ::testing::Test {
     request.start_progress = start_progress;
     request.restore_bytes = restore_bytes;
     if (restore_bytes > 0) request.restore_from = "nas";
-    net::Message msg;
-    msg.from = "coordinator";
-    msg.to = agent_->machine_id();
-    msg.kind = kDispatch;
-    msg.size_bytes = 500;
-    msg.payload = std::move(request);
-    ASSERT_TRUE(net_.send(std::move(msg)).is_ok());
+    send_to_agent(std::move(request), /*bytes=*/500);
   }
 
-  int count(int kind) const {
-    int n = 0;
-    for (int k : inbox_) {
-      if (k == kind) ++n;
-    }
-    return n;
+  /// Delivers `payload` to the agent as if the coordinator sent it.
+  void send_to_agent(net::Payload payload, std::uint64_t bytes = 0) {
+    ASSERT_TRUE(net_.send({.from = "coordinator",
+                           .to = agent_->machine_id(),
+                           .size_bytes = bytes,
+                           .payload = std::move(payload)})
+                    .is_ok());
   }
 
+  /// How many `T` payloads the agent has sent the coordinator.
   template <typename T>
-  std::vector<T> payloads(int kind) {
+  int count() const {
+    return static_cast<int>(
+        std::ranges::count_if(inbox_, [](const net::Payload& payload) {
+          return std::holds_alternative<T>(payload);
+        }));
+  }
+
+  /// The `T` payloads the agent has sent the coordinator, in order.
+  template <typename T>
+  std::vector<T> payloads() const {
     std::vector<T> out;
-    for (auto& payload : payloads_[kind]) {
-      out.push_back(std::any_cast<T>(payload));
+    for (const net::Payload& payload : inbox_) {
+      if (const T* p = std::get_if<T>(&payload)) out.push_back(*p);
     }
     return out;
   }
@@ -122,16 +107,15 @@ class AgentTest : public ::testing::Test {
   container::ImageRegistry registry_;
   storage::CheckpointStore store_;
   std::unique_ptr<ProviderAgent> agent_;
-  std::vector<int> inbox_;
-  std::map<int, std::vector<std::any>> payloads_;
+  std::vector<net::Payload> inbox_;
 };
 
 TEST_F(AgentTest, JoinRegistersAndHeartbeats) {
   join_and_settle();
-  EXPECT_EQ(count(kRegisterRequest), 1);
+  EXPECT_EQ(count<RegisterRequest>(), 1);
   env_.run_until(env_.now() + 10.0);
-  EXPECT_GE(count(kHeartbeat), 4);
-  const auto beats = payloads<Heartbeat>(kHeartbeat);
+  EXPECT_GE(count<Heartbeat>(), 4);
+  const auto beats = payloads<Heartbeat>();
   ASSERT_FALSE(beats.empty());
   EXPECT_EQ(beats.back().auth_token, "token");
   EXPECT_EQ(beats.back().free_gpus, 1);
@@ -144,14 +128,14 @@ TEST_F(AgentTest, DispatchRunsToCompletion) {
   env_.run_until(env_.now() + 5.0);
   EXPECT_EQ(agent_->running_jobs(), 1u);
   EXPECT_EQ(node_.free_gpu_count(), 0);
-  const auto results = payloads<DispatchResult>(kDispatchResult);
+  const auto results = payloads<DispatchResult>();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].accepted);
   ASSERT_EQ(results[0].gpu_indices.size(), 1u);
 
   // 0.5 reference-hours on a 3090 (speed ~0.99 with container overhead).
   env_.run_until(env_.now() + util::hours(0.6));
-  EXPECT_EQ(count(kJobCompleted), 1);
+  EXPECT_EQ(count<JobCompleted>(), 1);
   EXPECT_EQ(agent_->running_jobs(), 0u);
   EXPECT_EQ(node_.free_gpu_count(), 1);
 }
@@ -161,7 +145,7 @@ TEST_F(AgentTest, DispatchRejectedWhenPaused) {
   agent_->set_paused(true);
   dispatch_training("job-1");
   env_.run_until(env_.now() + 2.0);
-  const auto results = payloads<DispatchResult>(kDispatchResult);
+  const auto results = payloads<DispatchResult>();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].accepted);
   EXPECT_EQ(agent_->running_jobs(), 0u);
@@ -173,14 +157,9 @@ TEST_F(AgentTest, DispatchRejectedWhenNoGpuFits) {
       "big", workload::transformer_large(), 4.0, "nlp", env_.now());
   DispatchRequest request;
   request.job = std::move(job);  // needs 40 GB VRAM; 3090 has 24
-  net::Message msg;
-  msg.from = "coordinator";
-  msg.to = agent_->machine_id();
-  msg.kind = kDispatch;
-  msg.payload = std::move(request);
-  ASSERT_TRUE(net_.send(std::move(msg)).is_ok());
+  send_to_agent(std::move(request));
   env_.run_until(env_.now() + 2.0);
-  const auto results = payloads<DispatchResult>(kDispatchResult);
+  const auto results = payloads<DispatchResult>();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].accepted);
 }
@@ -190,8 +169,8 @@ TEST_F(AgentTest, PeriodicCheckpointsFlow) {
   dispatch_training("job-1", /*hours=*/2.0);
   // Default interval 600 s: expect ~3 checkpoints in ~35 minutes.
   env_.run_until(env_.now() + util::minutes(35));
-  EXPECT_GE(count(kCheckpointNotice), 3);
-  const auto notices = payloads<CheckpointNotice>(kCheckpointNotice);
+  EXPECT_GE(count<CheckpointNotice>(), 3);
+  const auto notices = payloads<CheckpointNotice>();
   ASSERT_GE(notices.size(), 2u);
   EXPECT_GT(notices[1].progress, notices[0].progress);
   EXPECT_EQ(notices[0].storage_node, "nas");
@@ -211,7 +190,7 @@ TEST_F(AgentTest, KillSwitchTerminatesEverythingInstantly) {
   EXPECT_EQ(agent_->running_jobs(), 0u);
   EXPECT_EQ(node_.free_gpu_count(), 1);  // GPUs released immediately
   env_.run_until(env_.now() + 1.0);
-  EXPECT_EQ(count(kKillSwitchNotice), 1);
+  EXPECT_EQ(count<KillSwitchNotice>(), 1);
 }
 
 TEST_F(AgentTest, ScheduledDepartureCheckpointsWithinGrace) {
@@ -221,16 +200,16 @@ TEST_F(AgentTest, ScheduledDepartureCheckpointsWithinGrace) {
   agent_->depart_scheduled();
   EXPECT_EQ(agent_->state(), AgentState::kDeparted);
   env_.run_until(env_.now() + 1.0);
-  const auto notices = payloads<DepartureNotice>(kDepartureNotice);
+  const auto notices = payloads<DepartureNotice>();
   ASSERT_EQ(notices.size(), 1u);
   EXPECT_EQ(notices[0].kind, DepartureKind::kScheduled);
   ASSERT_EQ(notices[0].jobs.size(), 1u);
   EXPECT_TRUE(notices[0].jobs[0].fresh_checkpoint);
   EXPECT_GT(notices[0].jobs[0].checkpointed_progress, 0.0);
   // Further heartbeats stop.
-  const int beats = count(kHeartbeat);
+  const int beats = count<Heartbeat>();
   env_.run_until(env_.now() + 10.0);
-  EXPECT_EQ(count(kHeartbeat), beats);
+  EXPECT_EQ(count<Heartbeat>(), beats);
 }
 
 TEST_F(AgentTest, EmergencyDepartureSendsNothing) {
@@ -241,8 +220,8 @@ TEST_F(AgentTest, EmergencyDepartureSendsNothing) {
   agent_->depart_emergency();
   env_.run_until(env_.now() + 10.0);
   // Only heartbeats could have been in flight; no departure notice.
-  EXPECT_EQ(count(kDepartureNotice), 0);
-  EXPECT_EQ(count(kKillSwitchNotice), 0);
+  EXPECT_EQ(count<DepartureNotice>(), 0);
+  EXPECT_EQ(count<KillSwitchNotice>(), 0);
   EXPECT_LE(inbox_.size(), control_before + 1);  // at most one stale beat
   EXPECT_EQ(agent_->running_jobs(), 0u);
 }
@@ -254,22 +233,17 @@ TEST_F(AgentTest, RejoinAfterDeparture) {
   agent_->rejoin();
   env_.run_until(env_.now() + 2.0);
   EXPECT_EQ(agent_->state(), AgentState::kActive);
-  EXPECT_EQ(count(kRegisterRequest), 2);
-  EXPECT_EQ(count(kReturnNotice), 1);
+  EXPECT_EQ(count<RegisterRequest>(), 2);
+  EXPECT_EQ(count<ReturnNotice>(), 1);
 }
 
 TEST_F(AgentTest, KillJobCommandWithCheckpoint) {
   join_and_settle();
   dispatch_training("job-1", /*hours=*/2.0);
   env_.run_until(env_.now() + util::minutes(5));
-  net::Message msg;
-  msg.from = "coordinator";
-  msg.to = agent_->machine_id();
-  msg.kind = kKillJob;
-  msg.payload = KillJobCommand{"job-1", /*allow_checkpoint=*/true};
-  ASSERT_TRUE(net_.send(std::move(msg)).is_ok());
+  send_to_agent(KillJobCommand{"job-1", /*allow_checkpoint=*/true});
   env_.run_until(env_.now() + 2.0);
-  const auto acks = payloads<JobKilledAck>(kJobKilledAck);
+  const auto acks = payloads<JobKilledAck>();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_TRUE(acks[0].fresh_checkpoint);
   EXPECT_GT(acks[0].checkpointed_progress, 0.0);
@@ -282,10 +256,10 @@ TEST_F(AgentTest, RestoreDelaysComputeStart) {
   dispatch_training("job-1", /*hours=*/2.0, /*start_progress=*/0.5,
                     /*restore_bytes=*/12'500'000'000ULL);
   env_.run_until(env_.now() + 10.0);
-  EXPECT_EQ(count(kJobStarted), 0);  // still transferring
+  EXPECT_EQ(count<JobStarted>(), 0);  // still transferring
   env_.run_until(env_.now() + 150.0);
-  EXPECT_EQ(count(kJobStarted), 1);
-  const auto started = payloads<JobStarted>(kJobStarted);
+  EXPECT_EQ(count<JobStarted>(), 1);
+  const auto started = payloads<JobStarted>();
   EXPECT_DOUBLE_EQ(started[0].start_progress, 0.5);
   EXPECT_GT(net_.bytes_sent(net::TrafficClass::kMigration), 0u);
 }
@@ -300,7 +274,7 @@ TEST_F(AgentTest, ReclaimEvictsGuestsOnly) {
   EXPECT_EQ(freed, 1);
   EXPECT_EQ(agent_->running_jobs(), 0u);
   env_.run_until(env_.now() + 1.0);
-  const auto notices = payloads<KillSwitchNotice>(kKillSwitchNotice);
+  const auto notices = payloads<KillSwitchNotice>();
   ASSERT_EQ(notices.size(), 1u);
   EXPECT_EQ(notices[0].killed_jobs, std::vector<std::string>{"guest-job"});
   // Guest got a parting checkpoint.
@@ -313,18 +287,13 @@ TEST_F(AgentTest, InteractiveSessionHasFixedWallClock) {
       "sess-1", /*hours=*/1.0, "theory", env_.now());
   DispatchRequest request;
   request.job = std::move(session);
-  net::Message msg;
-  msg.from = "coordinator";
-  msg.to = agent_->machine_id();
-  msg.kind = kDispatch;
-  msg.payload = std::move(request);
-  ASSERT_TRUE(net_.send(std::move(msg)).is_ok());
+  send_to_agent(std::move(request));
   env_.run_until(env_.now() + util::minutes(50));
-  EXPECT_EQ(count(kJobCompleted), 0);
+  EXPECT_EQ(count<JobCompleted>(), 0);
   env_.run_until(env_.now() + util::minutes(15));
-  EXPECT_EQ(count(kJobCompleted), 1);
+  EXPECT_EQ(count<JobCompleted>(), 1);
   // Sessions produce no checkpoints.
-  EXPECT_EQ(count(kCheckpointNotice), 0);
+  EXPECT_EQ(count<CheckpointNotice>(), 0);
 }
 
 }  // namespace

@@ -617,6 +617,85 @@ TEST(FederationTimesliceTest, ReserveSparesJobsBoundForTimesliceSeats) {
   EXPECT_EQ(hosted->tenancy, hw::Tenancy::kTimeslice);
 }
 
+/// What one run_with_stray() leaves behind.
+struct StrayRun {
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::vector<std::uint64_t> class_bytes;    // WAN, per traffic class
+  std::vector<std::uint64_t> gateway_stats;  // journaled, both gateways
+  int completed = 0;                         // federation-wide
+  int replies = 0;  // messages that reached the stray's sender
+};
+
+/// Three jobs into a one-GPU region beside a three-GPU one.  With `stray`,
+/// an agent Heartbeat reaches beta's gateway while the overflow forwards.
+StrayRun run_with_stray(bool stray) {
+  sim::Environment env(11);
+  FederationConfig config;
+  config.regions.push_back(make_region("alpha", 1));
+  config.regions.push_back(make_region("beta", 3));
+  FederatedPlatform fed(env, config);
+  StrayRun run;
+  fed.wan().register_endpoint("intruder",
+                              [&run](net::Message&&) { ++run.replies; });
+  fed.start();
+  env.run_until(5.0);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fed.region("alpha")
+                    .coordinator()
+                    .submit(training("job-" + std::to_string(i),
+                                     "group-alpha", 120.0, env.now()))
+                    .is_ok());
+  }
+  env.run_until(20.0);
+  if (stray) {
+    agent::Heartbeat beat;
+    beat.machine_id = "intruder";
+    EXPECT_TRUE(fed.wan()
+                    .send({.from = "intruder",
+                           .to = fed.gateway("beta").gateway_id(),
+                           .size_bytes = agent::kHeartbeatBytes,
+                           .payload = std::move(beat)})
+                    .is_ok());
+  }
+  env.run_until(600.0);
+  EXPECT_GE(fed.gateway("alpha").stats().forwards_admitted, 2u);
+
+  run.delivered = fed.wan().messages_delivered();
+  run.dropped = fed.wan().messages_dropped();
+  for (int c = 0; c < static_cast<int>(net::TrafficClass::kClassCount); ++c) {
+    run.class_bytes.push_back(
+        fed.wan().bytes_sent(static_cast<net::TrafficClass>(c)));
+  }
+  for (const char* region : {"alpha", "beta"}) {
+    for (const auto counter : federation::kJournaledStats) {
+      run.gateway_stats.push_back(fed.gateway(region).stats().*counter);
+    }
+  }
+  run.completed =
+      completed_in(fed.region("alpha")) + completed_in(fed.region("beta"));
+  return run;
+}
+
+// A gateway ignores a payload it does not serve: the stray is delivered,
+// nothing answers it and nothing changes.  The run with it differs from the
+// run without it by the stray alone.
+TEST(FederationForwardTest, GatewayIgnoresAPayloadItDoesNotServe) {
+  const StrayRun quiet = run_with_stray(false);
+  const StrayRun stray = run_with_stray(true);
+  EXPECT_EQ(stray.delivered, quiet.delivered + 1);
+  EXPECT_EQ(stray.dropped, quiet.dropped);
+  EXPECT_EQ(stray.replies, 0);
+  std::vector<std::uint64_t> expected_bytes = quiet.class_bytes;
+  expected_bytes[static_cast<std::size_t>(net::TrafficClass::kControl)] +=
+      agent::kHeartbeatBytes;
+  EXPECT_EQ(stray.class_bytes, expected_bytes);
+  EXPECT_EQ(stray.gateway_stats, quiet.gateway_stats);
+  // The run went on: every job completed somewhere in the federation.
+  EXPECT_EQ(stray.completed, 3);
+  EXPECT_EQ(quiet.completed, 3);
+}
+
 TEST(FederationConfigTest, RejectsMissingEmptyAndDuplicateRegionNames) {
   // Checked in every build type: a region name keys region(), gateway()
   // and the gateway's WAN endpoint, so a second "alpha" would hide the

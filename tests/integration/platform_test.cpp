@@ -237,6 +237,100 @@ TEST(PlatformTest, CheckpointTrafficFlowsToNas) {
   EXPECT_EQ(chain.front().storage_node, "nas-campus");
 }
 
+/// What one run_with_strays() leaves behind.
+struct StrayRun {
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::vector<std::uint64_t> class_bytes;  // per traffic class
+  std::vector<int> coordinator_stats;      // the journaled counters
+  std::uint64_t heartbeats_processed = 0;
+  std::vector<std::uint64_t> heartbeats_sent;  // per agent
+  sched::JobPhase phase = sched::JobPhase::kPending;
+  int replies = 0;  // messages that reached the strays' sender
+};
+
+/// Runs the paper campus for an hour with one checkpointing job.  With
+/// `strays`, a payload its receiver does not serve goes mid-run to the
+/// coordinator (a KillJobCommand for the running job), to the agent running
+/// it, to the NAS and to the image registry (an agent Heartbeat each).
+StrayRun run_with_strays(bool strays) {
+  sim::Environment env(12);
+  Platform platform(env, paper_campus());
+  net::SimNetwork& network = platform.network();
+  StrayRun run;
+  network.register_endpoint("intruder",
+                            [&run](net::Message&&) { ++run.replies; });
+  platform.start();
+  env.run_until(5.0);
+  Client client(platform, "bio");
+  SubmitOptions options;
+  options.checkpoint_interval = util::minutes(5);
+  auto job_id =
+      client.submit_training(workload::transformer_small(), 0.5, options);
+  EXPECT_TRUE(job_id.ok());
+  env.run_until(util::minutes(20));
+  if (strays) {
+    const sched::JobRecord* record = client.status(*job_id);
+    EXPECT_EQ(record->phase, sched::JobPhase::kRunning);
+    auto send = [&network](const std::string& to, net::Payload payload) {
+      EXPECT_TRUE(network
+                      .send({.from = "intruder",
+                             .to = to,
+                             .size_bytes = agent::kControlBytes,
+                             .payload = std::move(payload)})
+                      .is_ok());
+    };
+    agent::Heartbeat beat;
+    beat.machine_id = "intruder";
+    send("coordinator",
+         agent::KillJobCommand{*job_id, /*allow_checkpoint=*/false});
+    send(record->node, beat);
+    send(platform.config().storage.front().id, beat);
+    send("image-registry", beat);
+  }
+  env.run_until(util::hours(1));
+
+  run.delivered = network.messages_delivered();
+  run.dropped = network.messages_dropped();
+  for (int c = 0; c < static_cast<int>(net::TrafficClass::kClassCount); ++c) {
+    run.class_bytes.push_back(
+        network.bytes_sent(static_cast<net::TrafficClass>(c)));
+  }
+  const sched::CoordinatorStats& stats = platform.coordinator().stats();
+  for (const auto counter : sched::kJournaledStats) {
+    run.coordinator_stats.push_back(stats.*counter);
+  }
+  run.heartbeats_processed = stats.heartbeats_processed;
+  for (const std::string& id : platform.machine_ids()) {
+    run.heartbeats_sent.push_back(platform.agent(id)->heartbeats_sent());
+  }
+  run.phase = client.status(*job_id)->phase;
+  return run;
+}
+
+// Each receiver ignores a payload it does not serve: the stray is delivered,
+// nothing answers it and nothing changes.  The run with the four strays
+// differs from the run without them by the strays alone.
+TEST(PlatformTest, ReceiversIgnorePayloadsTheyDoNotServe) {
+  const StrayRun quiet = run_with_strays(false);
+  const StrayRun stray = run_with_strays(true);
+  EXPECT_EQ(stray.delivered, quiet.delivered + 4);
+  EXPECT_EQ(stray.dropped, quiet.dropped);
+  EXPECT_EQ(stray.replies, 0);
+  auto at = [](net::TrafficClass c) { return static_cast<std::size_t>(c); };
+  std::vector<std::uint64_t> expected_bytes = quiet.class_bytes;
+  expected_bytes[at(net::TrafficClass::kControl)] += 4 * agent::kControlBytes;
+  EXPECT_EQ(stray.class_bytes, expected_bytes);
+  // The NAS took the job's backups in both runs.
+  EXPECT_GT(quiet.class_bytes[at(net::TrafficClass::kCheckpoint)], 0u);
+  EXPECT_EQ(stray.coordinator_stats, quiet.coordinator_stats);
+  EXPECT_EQ(stray.heartbeats_processed, quiet.heartbeats_processed);
+  EXPECT_EQ(stray.heartbeats_sent, quiet.heartbeats_sent);
+  // The run went on: the job the stray kill command named completed.
+  EXPECT_EQ(stray.phase, sched::JobPhase::kCompleted);
+  EXPECT_EQ(quiet.phase, sched::JobPhase::kCompleted);
+}
+
 TEST(PlatformTest, MachineIdsAreStable) {
   EXPECT_EQ(Platform::machine_id_for("ws-vision-0"),
             Platform::machine_id_for("ws-vision-0"));

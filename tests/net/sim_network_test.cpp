@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <variant>
 #include <vector>
 
 namespace gpunion::net {
@@ -28,12 +29,13 @@ TEST(SimNetworkTest, DeliversWithLatency) {
   m.from = "a";
   m.to = "b";
   m.size_bytes = 100;
-  m.kind = 7;
+  m.payload = agent::ReturnNotice{"7"};
   ASSERT_TRUE(f.net.send(std::move(m)).is_ok());
   EXPECT_TRUE(f.received.empty());  // not synchronous
   f.env.run();
   ASSERT_EQ(f.received.size(), 1u);
-  EXPECT_EQ(f.received[0].kind, 7);
+  EXPECT_EQ(std::get<agent::ReturnNotice>(f.received[0].payload).machine_id,
+            "7");
   EXPECT_GT(f.env.now(), 0.0);      // latency elapsed
   EXPECT_LT(f.env.now(), 0.01);     // but small for 100 bytes on a LAN
 }
@@ -94,11 +96,13 @@ TEST(SimNetworkTest, ControlPlaneBypassesBulkQueue) {
   control.to = "b";
   control.traffic_class = TrafficClass::kControl;
   control.size_bytes = 300;
-  control.kind = 42;
+  control.payload = agent::ReturnNotice{"42"};
   ASSERT_TRUE(f.net.send(std::move(control)).is_ok());
   f.env.run(1);  // first delivery
   ASSERT_EQ(f.received.size(), 1u);
-  EXPECT_EQ(f.received[0].kind, 42);  // control message arrived first
+  // The control message arrived first.
+  EXPECT_EQ(std::get<agent::ReturnNotice>(f.received[0].payload).machine_id,
+            "42");
   EXPECT_LT(f.env.now(), 0.1);
 }
 
@@ -222,11 +226,13 @@ TEST(SimNetworkTest, PacedBackupDoesNotBlockBulk) {
   urgent.to = "b";
   urgent.traffic_class = TrafficClass::kMigration;
   urgent.size_bytes = 125000000ULL;  // 1 s at line rate
-  urgent.kind = 5;
+  urgent.payload = agent::ReturnNotice{"5"};
   ASSERT_TRUE(f.net.send(std::move(urgent)).is_ok());
   f.env.run(1);
   ASSERT_EQ(f.received.size(), 1u);
-  EXPECT_EQ(f.received[0].kind, 5);  // migration did not queue behind backup
+  // The migration did not queue behind the backup.
+  EXPECT_EQ(std::get<agent::ReturnNotice>(f.received[0].payload).machine_id,
+            "5");
   EXPECT_LT(f.env.now(), 2.0);
 }
 

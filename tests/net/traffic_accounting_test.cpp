@@ -14,7 +14,7 @@ struct Fixture {
     net.register_endpoint(id, [](Message&&) {});
   }
   void send(TrafficClass klass, std::uint64_t bytes) {
-    Message m{/*from=*/"a", /*to=*/"b", klass, bytes, /*kind=*/0, {}};
+    Message m{/*from=*/"a", /*to=*/"b", klass, bytes, {}};
     ASSERT_TRUE(net.send(std::move(m)).is_ok());
   }
 };
@@ -91,7 +91,7 @@ TEST(TrafficAccountingTest, DisabledPacingUsesBulkPath) {
   net.register_endpoint("a", [](Message&&) {});
   net.register_endpoint("b", [](Message&&) {});
   // 1 s at the 1 Gbps line rate.
-  Message m{"a", "b", TrafficClass::kCheckpoint, 125'000'000ULL, 0, {}};
+  Message m{"a", "b", TrafficClass::kCheckpoint, 125'000'000ULL, {}};
   ASSERT_TRUE(net.send(std::move(m)).is_ok());
   env.run();
   EXPECT_LT(env.now(), 1.5);  // line rate, not the (absent) pace
@@ -132,7 +132,7 @@ TEST(TrafficAccountingTest, DisabledFederationPacingUsesBulkPath) {
   net.register_endpoint("a", [](Message&&) {});
   net.register_endpoint("b", [](Message&&) {});
   // 1 s at the 1 Gbps line rate.
-  Message m{"a", "b", TrafficClass::kFederation, 125'000'000ULL, 0, {}};
+  Message m{"a", "b", TrafficClass::kFederation, 125'000'000ULL, {}};
   ASSERT_TRUE(net.send(std::move(m)).is_ok());
   env.run();
   EXPECT_LT(env.now(), 1.5);  // line rate, not the (absent) pace

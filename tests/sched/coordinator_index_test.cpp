@@ -6,6 +6,7 @@
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
 #include "sched/coordinator.h"
+#include "tests/sched/restore_stub.h"
 #include "workload/profiles.h"
 
 namespace gpunion::sched {
@@ -26,19 +27,7 @@ class CoordinatorIndexTest : public ::testing::Test {
                                                 8ULL << 30, "m"))
                     .is_ok());
     EXPECT_TRUE(store_.add_node("nas", 1ULL << 40).is_ok());
-    net_.register_endpoint("nas", [this](net::Message&& msg) {
-      if (msg.kind != agent::kRestoreRequest) return;
-      const auto& request =
-          std::any_cast<const agent::RestoreRequest&>(msg.payload);
-      net::Message data;
-      data.from = "nas";
-      data.to = request.requester;
-      data.kind = agent::kRestoreData;
-      data.traffic_class = net::TrafficClass::kMigration;
-      data.size_bytes = std::max<std::uint64_t>(1, request.bytes);
-      data.payload = agent::RestoreData{request.job_id};
-      ASSERT_TRUE(net_.send(std::move(data)).is_ok());
-    });
+    attach_restore_stub(net_, "nas");
   }
 
   void make_coordinator(CoordinatorConfig config = {}) {

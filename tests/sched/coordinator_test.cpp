@@ -5,6 +5,7 @@
 
 #include "agent/provider_agent.h"
 #include "net/sim_network.h"
+#include "tests/sched/restore_stub.h"
 #include "workload/profiles.h"
 
 namespace gpunion::sched {
@@ -25,19 +26,7 @@ class CoordinatorTest : public ::testing::Test {
                                                 8ULL << 30, "m"))
                     .is_ok());
     EXPECT_TRUE(store_.add_node("nas", 1ULL << 40).is_ok());
-    net_.register_endpoint("nas", [this](net::Message&& msg) {
-      if (msg.kind != agent::kRestoreRequest) return;
-      const auto& request =
-          std::any_cast<const agent::RestoreRequest&>(msg.payload);
-      net::Message data;
-      data.from = "nas";
-      data.to = request.requester;
-      data.kind = agent::kRestoreData;
-      data.traffic_class = net::TrafficClass::kMigration;
-      data.size_bytes = std::max<std::uint64_t>(1, request.bytes);
-      data.payload = agent::RestoreData{request.job_id};
-      ASSERT_TRUE(net_.send(std::move(data)).is_ok());
-    });
+    attach_restore_stub(net_, "nas");
   }
 
   void make_coordinator(CoordinatorConfig config = {}) {
@@ -339,12 +328,10 @@ TEST_F(CoordinatorTest, HeartbeatAuthRejectsForgedToken) {
   forged.auth_token = "stolen-token";
   forged.seq = 9999;
   forged.free_gpus = 0;
-  net::Message msg;
-  msg.from = provider.machine_id();
-  msg.to = "coordinator";
-  msg.kind = agent::kHeartbeat;
-  msg.payload = forged;
-  ASSERT_TRUE(net_.send(std::move(msg)).is_ok());
+  ASSERT_TRUE(net_.send({.from = provider.machine_id(),
+                         .to = "coordinator",
+                         .payload = std::move(forged)})
+                  .is_ok());
   env_.run_until(env_.now() + 1.0);
   EXPECT_EQ(coordinator_->stats().auth_failures, 1);
   const NodeInfo* node = coordinator_->directory().find(provider.machine_id());
